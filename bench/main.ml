@@ -86,9 +86,8 @@ let micro_tests () =
              (Ocd_exact.Ip_formulation.eocd_at_horizon (Figure1.instance ())
                 ~horizon:3)))
   in
-  (* Tentpole: post-hoc derivation from a long pipelined schedule —
-     the one-pass Timeline vs the legacy snapshot-history replay it
-     replaced (kept alive by Validate.possessions). *)
+  (* Post-hoc derivation from a long pipelined schedule in one
+     Timeline pass. *)
   let ring_inst, ring_sched =
     let n = 120 and tokens = 120 in
     let arcs =
@@ -112,11 +111,6 @@ let micro_tests () =
     Test.make ~name:"timeline/one-pass-ring-120"
       (Staged.stage (fun () ->
            ignore (Timeline.completion_times (Timeline.run ring_inst ring_sched))))
-  in
-  let possessions_test =
-    Test.make ~name:"timeline/legacy-snapshots-ring-120"
-      (Staged.stage (fun () ->
-           ignore (Validate.possessions ring_inst ring_sched)))
   in
   (* Async runtime: one full protocol run on a mid-size instance, per
      protocol (default profile), plus the lockstep twin of local-rarest
@@ -404,7 +398,6 @@ let micro_tests () =
       exact_test;
       ip_test;
       timeline_test;
-      possessions_test;
       graph_build_er_test;
       graph_build_ts_test;
       graph_tick_test;

@@ -1,5 +1,6 @@
 open Ocd_core
 open Ocd_prelude
+module Engine = Ocd_engine.Engine
 
 type group = {
   group_id : int;
@@ -58,7 +59,7 @@ let all_decoded t have =
 
 type run = {
   strategy_name : string;
-  outcome : Ocd_engine.Engine.outcome;
+  outcome : Engine.outcome;
   schedule : Schedule.t;
   makespan : int;
   bandwidth : int;
@@ -132,110 +133,23 @@ let decode_deliver st ~step ~dst ~token =
       end)
     st.ds_groups
 
-let completion_times t schedule =
+let run ~strategy ~seed t =
   let st = decode_state t in
-  Timeline.fold t.instance schedule ~init:() ~f:(fun () v ->
-      List.iter
-        (fun (m : Move.t) ->
-          decode_deliver st ~step:v.Timeline.step ~dst:m.dst ~token:m.token)
-        v.Timeline.arrivals);
-  st.ds_completion
-
-let run ?step_limit ?stall_patience ~strategy ~seed t =
-  let inst = t.instance in
-  let step_limit =
-    match step_limit with
-    | Some l -> l
-    | None ->
-      let n = Instance.vertex_count inst and m = max 1 inst.token_count in
-      min ((m * (max 1 (n - 1))) + n + 64) 1_000_000
+  let completion =
+    Engine.Custom
+      {
+        finished = (fun () -> st.ds_undecoded = 0);
+        on_fresh = decode_deliver st;
+      }
   in
-  let stall_patience =
-    match stall_patience with
-    | Some p -> p
-    | None -> (2 * inst.token_count) + 16
+  let r =
+    Engine.rounds ~admission:Engine.Exact ~completion ~strategy ~seed t.instance
   in
-  let rng = Prng.create ~seed in
-  let decide = strategy.Ocd_engine.Strategy.make inst rng in
-  let have = Array.map Bitset.copy inst.have in
-  let st = decode_state t in
-  let builder = Schedule.Builder.create () in
-  let scratch =
-    Ocd_engine.Strategy.scratch_create ~token_count:inst.token_count
-  in
-  (* Int-packed per-run validation tables, cleared in place each step;
-     coded tokens range over the expanded coded universe, which
-     [Bitset.mem] range-checks before [seen] is keyed. *)
-  let n = Instance.vertex_count inst in
-  let token_count = inst.token_count in
-  let seen = Hashtbl.create 64 in
-  let load = Hashtbl.create 64 in
-  let rec loop step since_progress =
-    if st.ds_undecoded = 0 then Ocd_engine.Engine.Completed
-    else if step >= step_limit then Ocd_engine.Engine.Step_limit
-    else if since_progress >= stall_patience then Ocd_engine.Engine.Stalled step
-    else begin
-      let proposal =
-        decide { Ocd_engine.Strategy.instance = inst; have; step; rng; scratch }
-      in
-      (* Reuse the static engine's §3.1 enforcement by replaying the
-         proposal through its checker semantics: validity here means
-         arcs exist, capacities hold, sources possess.  We inline the
-         checks to keep the coded loop self-contained. *)
-      Hashtbl.clear seen;
-      Hashtbl.clear load;
-      List.iter
-        (fun (m : Move.t) ->
-          let cap = Ocd_graph.Digraph.capacity inst.graph m.src m.dst in
-          if cap = 0 then invalid_arg "Coding.run: move on missing arc";
-          if not (Bitset.mem have.(m.src) m.token) then
-            invalid_arg "Coding.run: token not possessed";
-          let arc = (m.src * n) + m.dst in
-          let key = (arc * token_count) + m.token in
-          if Hashtbl.mem seen key then
-            invalid_arg "Coding.run: duplicate assignment";
-          Hashtbl.replace seen key ();
-          let l = 1 + Option.value (Hashtbl.find_opt load arc) ~default:0 in
-          Hashtbl.replace load arc l;
-          if l > cap then invalid_arg "Coding.run: capacity exceeded")
-        proposal;
-      (* Distinct (dst, token) arrivals only: the membership test
-         before each add dedups same-step duplicate deliveries. *)
-      let fresh = ref 0 in
-      List.iter
-        (fun (m : Move.t) ->
-          if not (Bitset.mem have.(m.dst) m.token) then begin
-            incr fresh;
-            Bitset.add have.(m.dst) m.token;
-            decode_deliver st ~step:(step + 1) ~dst:m.dst ~token:m.token;
-            Ocd_engine.Strategy.notify_deliver scratch ~dst:m.dst
-              ~token:m.token
-          end)
-        proposal;
-      List.iter
-        (fun (m : Move.t) ->
-          Schedule.Builder.push_move builder ~src:m.src ~dst:m.dst
-            ~token:m.token)
-        proposal;
-      Schedule.Builder.end_step builder;
-      loop (step + 1) (if !fresh > 0 then 0 else since_progress + 1)
-    end
-  in
-  let outcome = loop 0 0 in
-  let schedule =
-    Schedule.drop_trailing_empty (Schedule.Builder.to_schedule builder)
-  in
-  (match (outcome, Validate.check inst schedule) with
-  | Ocd_engine.Engine.Completed, Error e ->
-    invalid_arg
-      (Format.asprintf "Coding.run: invalid schedule: %a" Validate.pp_error e)
-  | _ -> ());
-  let completion = completion_times t schedule in
   {
     strategy_name = strategy.Ocd_engine.Strategy.name;
-    outcome;
-    schedule;
-    makespan = Array.fold_left max 0 completion;
-    bandwidth = Schedule.move_count schedule;
-    completion_times = completion;
+    outcome = r.Engine.ended;
+    schedule = r.Engine.recorded;
+    makespan = Array.fold_left max 0 st.ds_completion;
+    bandwidth = Schedule.move_count r.Engine.recorded;
+    completion_times = st.ds_completion;
   }

@@ -9,11 +9,12 @@
     reconstructs the file once it holds *any* [required] of them.
 
     Completion is therefore no longer [w(v) ⊆ p(v)] but a per-group
-    counting condition, so coded workloads run through {!run}, a thin
-    engine loop sharing the §3.1 move semantics with
-    {!Ocd_engine.Engine} but stopping on the coded predicate.  The
-    schedules it records are §3.1-valid for the underlying instance
-    (validated on completion); only the termination condition differs.
+    counting condition, so {!run} drives the engine's round kernel
+    ({!Ocd_engine.Engine.rounds}) with the §3.1 checks of the static
+    engine and a custom completion predicate fed per fresh delivery.
+    The schedules it records are §3.1-valid for the underlying
+    instance (validated on completion); only the termination condition
+    differs.
 
     The benefit of coding in the loss-free OCD model is the classic
     last-block effect: with [coded = required] (no redundancy) a
@@ -65,12 +66,11 @@ type run = {
 }
 
 val run :
-  ?step_limit:int ->
-  ?stall_patience:int ->
   strategy:Ocd_engine.Strategy.t ->
   seed:int ->
   t ->
   run
-(** Runs a strategy until every receiver has decoded (or the run
-    aborts).  The strategy sees the underlying instance; any §5.1
+(** {!Ocd_engine.Engine.rounds} under [Exact] admission, completing
+    when every receiver has decoded (or aborting with the exact
+    defaults).  The strategy sees the underlying instance; any §5.1
     heuristic works unmodified. *)

@@ -3,10 +3,9 @@
     Every post-hoc quantity this repo derives from a schedule — metrics
     (completion times, makespan), progress traces, pruning, coded
     decoding — is a function of how per-vertex possession evolves step
-    by step.  The legacy path materialised that evolution through
-    {!Validate.possessions}: a full copy of all [n] vertex bitsets at
-    every step boundary, O(steps · n · m) time *and* memory, rebuilt
-    from scratch by each consumer.
+    by step.  Materialising that evolution as a full copy of all [n]
+    vertex bitsets at every step boundary costs O(steps · n · m) time
+    *and* memory, rebuilt from scratch by each consumer.
 
     This module makes one forward pass instead, mutating a single
     possession array and maintaining the derived counters
@@ -19,8 +18,7 @@
     Two APIs are exposed: an event fold ({!fold}) for consumers that
     stream over step boundaries without materialising anything, and a
     materialized record ({!run} + accessors) for consumers that need
-    random access to the history.  {!Validate.possessions} survives as
-    a compatibility wrapper over {!fold}. *)
+    random access to the history. *)
 
 open Ocd_prelude
 
@@ -83,8 +81,7 @@ type view = {
 val fold : Instance.t -> Schedule.t -> init:'a -> f:('a -> view -> 'a) -> 'a
 (** Calls [f] once per step boundary, from the initial state
     ([step = 0]) through the schedule's end ([step = length]) —
-    [length + 1] calls, matching the shape of
-    {!Validate.possessions}. *)
+    [length + 1] calls. *)
 
 (** {1 Materialized timeline} *)
 

@@ -34,17 +34,6 @@ let pp_error ppf = function
          Format.pp_print_int)
       missing
 
-(* Compatibility wrapper: the snapshot-per-step representation is
-   inherently O(steps · n · m) memory, so prefer [Timeline] in new
-   code; this survives for consumers that genuinely need every
-   boundary materialised at once. *)
-let possessions (inst : Instance.t) schedule =
-  let snapshots =
-    Timeline.fold inst schedule ~init:[] ~f:(fun acc v ->
-        Array.map Bitset.copy v.Timeline.have :: acc)
-  in
-  Array.of_list (List.rev snapshots)
-
 let final_possessions inst schedule =
   Array.map Bitset.copy (Timeline.final (Timeline.run inst schedule))
 

@@ -34,11 +34,5 @@ val check : Instance.t -> Schedule.t -> (unit, error) result
 val check_successful : Instance.t -> Schedule.t -> (unit, error) result
 (** Validity plus success. *)
 
-val possessions : Instance.t -> Schedule.t -> Ocd_prelude.Bitset.t array array
-(** [possessions inst s].(i).(v) is [p_i(v)] for [i] in
-    [\[0, length s\]] — the possession sets before step [i] (index
-    [length s] is the final state).  Computed by folding the schedule
-    regardless of validity. *)
-
 val final_possessions : Instance.t -> Schedule.t -> Ocd_prelude.Bitset.t array
 (** [p_t]: possession after the last step. *)

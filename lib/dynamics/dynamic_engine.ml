@@ -1,199 +1,46 @@
 open Ocd_core
-open Ocd_prelude
+module Engine = Ocd_engine.Engine
 
 type run = {
   strategy_name : string;
   seed : int;
-  outcome : Ocd_engine.Engine.outcome;
+  outcome : Engine.outcome;
   schedule : Schedule.t;
   metrics : Metrics.t;
   dropped_moves : int;
   fresh_deliveries : int;
 }
 
-(* Filter a proposal down to what the effective capacities deliver:
-   per (arc) keep at most the effective capacity, drop duplicates and
-   moves whose source lacks the token (stale-state strategies), count
-   the rest as congestion drops. *)
-let enforce condition ~step (inst : Instance.t) ~seen ~load have moves =
-  (* Int-packed keys (the token range is checked before keying) and
-     caller-owned tables, cleared in place each step. *)
-  let n = Instance.vertex_count inst in
-  let token_count = inst.token_count in
-  Hashtbl.clear seen;
-  Hashtbl.clear load;
-  let dropped = ref 0 in
-  let keep (m : Move.t) =
-    let base = Ocd_graph.Digraph.capacity inst.graph m.src m.dst in
-    if base = 0 then
-      invalid_arg "Dynamic_engine: move on a non-existent arc"
-    else if
-      m.token < 0 || m.token >= token_count
-      || not (Bitset.mem have.(m.src) m.token)
-    then invalid_arg "Dynamic_engine: token not possessed by source"
-    else begin
-      let arc = (m.src * n) + m.dst in
-      let key = (arc * token_count) + m.token in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.replace seen key ();
-        let eff =
-          Condition.effective condition ~step ~src:m.src ~dst:m.dst ~base
-        in
-        let l = Option.value (Hashtbl.find_opt load arc) ~default:0 in
-        if l < eff then begin
-          Hashtbl.replace load arc (l + 1);
-          true
-        end
-        else begin
-          incr dropped;
-          false
-        end
-      end
-    end
+(* The strategy sees the effective topology of each step (or the
+   static one if everything is down, where every move is then
+   refused); moves beyond an arc's effective capacity are dropped. *)
+let run ?stall_patience ~condition ~strategy ~seed (inst : Instance.t) =
+  let visible step =
+    match Condition.graph_at condition ~step inst.graph with
+    | Some graph ->
+      Instance.make_bitsets ~graph ~token_count:inst.token_count
+        ~have:inst.have ~want:inst.want
+    | None -> inst
   in
-  let kept = List.filter keep moves in
-  (kept, !dropped)
-
-let run ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~condition
-    ~strategy ~seed (inst : Instance.t) =
-  let step_limit =
-    match step_limit with
-    | Some l -> l
-    | None ->
-      let n = Instance.vertex_count inst and m = max 1 inst.token_count in
-      min ((2 * m * (max 1 (n - 1))) + n + 128) 1_000_000
+  let admission =
+    Engine.Lossy
+      {
+        visible;
+        capacity = Condition.effective condition;
+        route = (fun ~src:_ ~dst:_ -> [||]);
+        link_capacity = [||];
+      }
   in
-  let stall_patience =
-    match stall_patience with
-    | Some p -> p
-    | None -> (4 * inst.token_count) + 64
+  let r =
+    Engine.rounds ?stall_patience ~admission ~completion:Engine.Wants
+      ~strategy ~seed inst
   in
-  let rng = Prng.create ~seed in
-  let decide = strategy.Ocd_engine.Strategy.make inst rng in
-  let have = Array.map Bitset.copy inst.have in
-  let tracker = Timeline.Tracker.create inst in
-  let m = obs.Ocd_obs.metrics in
-  let c_rounds = Ocd_obs.Metrics.counter m "dynamic/rounds" in
-  let c_moves = Ocd_obs.Metrics.counter m "dynamic/moves" in
-  let c_dropped = Ocd_obs.Metrics.counter m "dynamic/dropped_moves" in
-  let c_fresh = Ocd_obs.Metrics.counter m "dynamic/fresh_deliveries" in
-  let c_quiet = Ocd_obs.Metrics.counter m "dynamic/quiet_steps" in
-  let h_moves =
-    Ocd_obs.Metrics.histogram m "dynamic/moves_per_step"
-      ~buckets:Ocd_engine.Engine.moves_buckets
-  in
-  let probe = Ocd_obs.probe obs in
-  let lbl_decide = "dynamic/" ^ strategy.Ocd_engine.Strategy.name ^ "/decide" in
-  let lbl_enforce =
-    "dynamic/" ^ strategy.Ocd_engine.Strategy.name ^ "/enforce"
-  in
-  let trace = obs.Ocd_obs.on && Ocd_obs.Sink.enabled obs.Ocd_obs.sink in
-  let builder = Schedule.Builder.create () in
-  let seen = Hashtbl.create 64 in
-  let load = Hashtbl.create 64 in
-  let scratch =
-    Ocd_engine.Strategy.scratch_create ~token_count:inst.token_count
-  in
-  let dropped_total = ref 0 in
-  let rec loop step since_progress =
-    if Timeline.Tracker.all_satisfied tracker then Ocd_engine.Engine.Completed
-    else if step >= step_limit then Ocd_engine.Engine.Step_limit
-    else if since_progress >= stall_patience then Ocd_engine.Engine.Stalled step
-    else begin
-      (* The instance the strategy sees this step carries the effective
-         topology (or the static one if everything is down, which the
-         enforcement step then zeroes anyway). *)
-      let visible_instance =
-        match Condition.graph_at condition ~step inst.graph with
-        | Some graph ->
-          Instance.make_bitsets ~graph ~token_count:inst.token_count
-            ~have:inst.have ~want:inst.want
-        | None -> inst
-      in
-      let ctx =
-        {
-          Ocd_engine.Strategy.instance = visible_instance;
-          have;
-          step;
-          rng;
-          scratch;
-        }
-      in
-      let proposal =
-        match probe with
-        | None -> decide ctx
-        | Some p -> Ocd_obs.Probe.time p lbl_decide (fun () -> decide ctx)
-      in
-      let kept, dropped =
-        match probe with
-        | None -> enforce condition ~step inst ~seen ~load have proposal
-        | Some p ->
-          Ocd_obs.Probe.time p lbl_enforce (fun () ->
-              enforce condition ~step inst ~seen ~load have proposal)
-      in
-      dropped_total := !dropped_total + dropped;
-      (* Distinct (dst, token) arrivals only: the membership test
-         before each add dedups same-step duplicate deliveries. *)
-      let fresh = ref 0 in
-      List.iter
-        (fun (m : Move.t) ->
-          if not (Bitset.mem have.(m.dst) m.token) then begin
-            incr fresh;
-            Bitset.add have.(m.dst) m.token;
-            Timeline.Tracker.deliver tracker ~step:(step + 1) ~dst:m.dst
-              ~token:m.token;
-            Ocd_engine.Strategy.notify_deliver scratch ~dst:m.dst
-              ~token:m.token;
-            if trace then
-              Ocd_obs.Span.complete obs.Ocd_obs.sink ~pid:obs.Ocd_obs.pid
-                ~tid:m.dst ~name:"recv" ~ts:step ~dur:1
-                ~args:[ ("token", Ocd_obs.Sink.Int m.token);
-                        ("src", Ocd_obs.Sink.Int m.src) ]
-                ()
-          end)
-        kept;
-      if obs.Ocd_obs.on then begin
-        let n_kept = List.length kept in
-        Ocd_obs.Metrics.incr c_rounds;
-        Ocd_obs.Metrics.incr c_moves ~by:n_kept;
-        Ocd_obs.Metrics.incr c_dropped ~by:dropped;
-        Ocd_obs.Metrics.incr c_fresh ~by:!fresh;
-        if !fresh = 0 then Ocd_obs.Metrics.incr c_quiet;
-        Ocd_obs.Metrics.observe_int h_moves n_kept;
-        if trace then
-          Ocd_obs.Span.complete obs.Ocd_obs.sink ~pid:obs.Ocd_obs.pid ~tid:0
-            ~name:"step" ~ts:step ~dur:1
-            ~args:[ ("moves", Ocd_obs.Sink.Int n_kept);
-                    ("dropped", Ocd_obs.Sink.Int dropped);
-                    ("fresh", Ocd_obs.Sink.Int !fresh) ]
-            ()
-      end;
-      List.iter
-        (fun (m : Move.t) ->
-          Schedule.Builder.push_move builder ~src:m.src ~dst:m.dst
-            ~token:m.token)
-        kept;
-      Schedule.Builder.end_step builder;
-      loop (step + 1) (if !fresh > 0 then 0 else since_progress + 1)
-    end
-  in
-  let outcome = loop 0 0 in
-  let schedule =
-    Schedule.drop_trailing_empty (Schedule.Builder.to_schedule builder)
-  in
-  (match (outcome, Validate.check_successful inst schedule) with
-  | Ocd_engine.Engine.Completed, Error e ->
-    invalid_arg
-      (Format.asprintf "Dynamic_engine: invalid recorded schedule: %a"
-         Validate.pp_error e)
-  | _ -> ());
   {
     strategy_name = strategy.Ocd_engine.Strategy.name;
     seed;
-    outcome;
-    schedule;
-    metrics = Metrics.of_schedule inst schedule;
-    dropped_moves = !dropped_total;
-    fresh_deliveries = Timeline.Tracker.fresh_deliveries tracker;
+    outcome = r.Engine.ended;
+    schedule = r.Engine.recorded;
+    metrics = Metrics.of_schedule inst r.Engine.recorded;
+    dropped_moves = r.Engine.dropped;
+    fresh_deliveries = r.Engine.delivered;
   }

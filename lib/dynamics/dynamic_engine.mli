@@ -7,7 +7,9 @@
     *enforces* the effective capacities: moves beyond an arc's
     effective capacity — e.g. from a strategy still acting on stale
     state — are dropped, modelling congestion loss of the excess.
-    Moves on fully-down arcs are likewise dropped.
+    Moves on fully-down arcs are likewise dropped.  Malformed moves
+    (missing arc, token not held) are strategy bugs, as in the static
+    engine.
 
     The recorded schedule contains only the moves that were actually
     delivered; since effective capacities never exceed base
@@ -33,18 +35,15 @@ type run = {
 }
 
 val run :
-  ?obs:Ocd_obs.t ->
-  ?step_limit:int ->
   ?stall_patience:int ->
   condition:Condition.t ->
   strategy:Ocd_engine.Strategy.t ->
   seed:int ->
   Instance.t ->
   run
-(** [obs] (default {!Ocd_obs.disabled}): sim-time counters
-    [dynamic/rounds], [dynamic/moves], [dynamic/dropped_moves],
-    [dynamic/fresh_deliveries], [dynamic/quiet_steps] and the
-    [dynamic/moves_per_step] histogram; per-step and per-delivery
-    trace events (as in {!Ocd_engine.Engine.run}); wall-clock probe
-    phases [dynamic/<strategy>/decide] and [.../enforce].
-    Instrumentation never perturbs the run. *)
+(** {!Ocd_engine.Engine.rounds} under [Lossy] admission with the
+    condition's effective capacities and [Wants] completion, so the
+    step limit and [stall_patience] take the lossy defaults.  A move
+    on a missing arc, with a token its source does not hold, or
+    repeating an (arc, token) pair of the step is a strategy bug and
+    raises {!Ocd_engine.Engine.Strategy_error}. *)

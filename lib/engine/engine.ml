@@ -15,61 +15,100 @@ type run = {
   fresh_deliveries : int;
 }
 
+type admission =
+  | Exact
+  | Lossy of {
+      visible : int -> Instance.t;
+      capacity : step:int -> src:int -> dst:int -> base:int -> int;
+      route : src:int -> dst:int -> int array;
+      link_capacity : int array;
+    }
+
+type decoder = {
+  finished : unit -> bool;
+  on_fresh : step:int -> dst:int -> token:int -> unit;
+}
+
+type completion = Wants | Custom of decoder
+
+type rounds = {
+  ended : outcome;
+  recorded : Schedule.t;
+  delivered : int;
+  dropped : int;
+}
+
 let strategy_fail fmt = Format.kasprintf (fun s -> raise (Strategy_error s)) fmt
 
 (* Upper edges for the moves-per-step histogram: powers of two up to a
    step that moves 256 tokens at once (larger lands in +inf). *)
 let moves_buckets = [| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. |]
 
-(* Reusable per-run validation tables: int-packed keys into stamped
-   open-addressing tables, so the per-step reset is O(1) and a
-   validated move costs two allocation-free probes.  [mirror] is a
-   flat one-word-per-vertex possession mirror (token_count <= 63
-   only), built lazily at the first step and kept in sync with [have]
-   below — a possession test on it is one indexed load instead of the
-   bitset's three dependent pointer chases. *)
-type tables = {
+type goal = Track of Timeline.Tracker.t | Decode of decoder
+
+(* Per-run kernel state.  [seen], [load] and [links] are int-packed
+   keys into stamped open-addressing tables, so the per-step reset is
+   O(1) and a checked move costs allocation-free probes.  [mirror] is
+   a flat one-word-per-vertex possession mirror (token_count <= 63
+   only, [[||]] otherwise) kept in sync with [have] below — a
+   possession test on it is one indexed load instead of the bitset's
+   three dependent pointer chases. *)
+type kernel = {
+  inst : Instance.t;
+  admission : admission;
+  goal : goal;
+  have : Bitset.t array;
+  scratch : Strategy.scratch;
+  obs : Ocd_obs.t;
   seen : Int_tab.t;
   load : Int_tab.t;
-  mutable mirror : int array;
+  links : Int_tab.t;
+  mirror : int array;
+  mutable fresh_total : int;
+  mutable dropped_total : int;
 }
 
-let tables_create () =
+let kernel_create obs admission goal (inst : Instance.t) =
+  let n = Instance.vertex_count inst in
+  let have = Array.map Bitset.copy inst.have in
+  let mirror = if inst.token_count <= 63 then Array.make n 0 else [||] in
+  if Array.length mirror > 0 then
+    for v = 0 to n - 1 do
+      Bitset.iter (fun t -> mirror.(v) <- mirror.(v) lor (1 lsl t)) have.(v)
+    done;
   {
+    inst;
+    admission;
+    goal;
+    have;
+    scratch = Strategy.scratch_create ~token_count:inst.token_count;
+    obs;
     seen = Int_tab.create ~capacity:1024 ();
     load = Int_tab.create ~capacity:1024 ();
-    mirror = [||];
+    links = Int_tab.create ();
+    mirror;
+    fresh_total = 0;
+    dropped_total = 0;
   }
 
-(* Check one step's proposal against §3.1 and return the number of
-   distinct (dst, token) pairs it delivers fresh (for stall
-   accounting). *)
-let apply_step ?(obs = Ocd_obs.disabled) ?tables:tbl ?scratch
-    (inst : Instance.t) tracker have step moves =
+(* One step: check the proposal against §3.1, keep what the admission
+   lets through, and deliver it.  Returns the kept moves; fresh and
+   dropped counts accumulate in [k]. *)
+let apply_step k step moves =
+  let inst = k.inst and have = k.have in
   let g = inst.graph in
   let n = Instance.vertex_count inst in
   let token_count = inst.token_count in
-  let tables =
-    match tbl with Some t -> t | None -> tables_create ()
-  in
-  let seen = tables.seen and load = tables.load in
-  (* Possession only grows and this function is the sole mutator of
-     [have] during a run, so building the mirror at the first step and
-     extending it on fresh deliveries keeps it exact. *)
-  if token_count <= 63 && n > 0 && Array.length tables.mirror <> n then begin
-    let mir = Array.make n 0 in
-    for v = 0 to n - 1 do
-      Bitset.iter (fun t -> mir.(v) <- mir.(v) lor (1 lsl t)) have.(v)
-    done;
-    tables.mirror <- mir
-  end;
-  let mirror = tables.mirror in
-  let use_mirror = Array.length mirror = n && n > 0 in
+  let seen = k.seen and load = k.load in
+  let mirror = k.mirror in
+  let use_mirror = Array.length mirror > 0 in
+  let exact = match k.admission with Exact -> true | Lossy _ -> false in
   Int_tab.clear seen;
   Int_tab.clear load;
-  (* direct recursion, not [List.iter]: the validation body runs once
+  (* Direct recursion, not [List.iter]: the validation body runs once
      per move and the indirect closure call is measurable at engine
-     scale *)
+     scale.  Every admission runs these checks; only [Exact] also
+     treats a full arc as a strategy bug. *)
   let rec validate = function
     | [] -> ()
     | (m : Move.t) :: tl ->
@@ -85,7 +124,7 @@ let apply_step ?(obs = Ocd_obs.disabled) ?tables:tbl ?scratch
         strategy_fail "step %d: duplicate assignment %d->%d:%d" step m.src
           m.dst m.token;
       let l = Int_tab.incr load arc in
-      if l > cap then
+      if l > cap && exact then
         strategy_fail "step %d: capacity of %d->%d exceeded (%d > %d)" step
           m.src m.dst l cap;
       if
@@ -97,11 +136,44 @@ let apply_step ?(obs = Ocd_obs.disabled) ?tables:tbl ?scratch
       validate tl
   in
   validate moves;
+  let moves =
+    match k.admission with
+    | Exact -> moves
+    | Lossy l ->
+      (* First come, first served: a move is kept while its arc's
+         effective capacity and every shared link on its route have
+         room, and then takes one unit of each. *)
+      Int_tab.clear load;
+      Int_tab.clear k.links;
+      let has_room id = Int_tab.find k.links id < l.link_capacity.(id) in
+      let take id = ignore (Int_tab.incr k.links id) in
+      let[@tail_mod_cons] rec admit = function
+        | [] -> []
+        | (m : Move.t) :: tl ->
+          let arc = (m.src * n) + m.dst in
+          let base = Digraph.capacity g m.src m.dst in
+          let route = l.route ~src:m.src ~dst:m.dst in
+          if
+            Int_tab.find load arc
+            < l.capacity ~step ~src:m.src ~dst:m.dst ~base
+            && Array.for_all has_room route
+          then begin
+            ignore (Int_tab.incr load arc);
+            Array.iter take route;
+            m :: admit tl
+          end
+          else begin
+            k.dropped_total <- k.dropped_total + 1;
+            admit tl
+          end
+      in
+      admit moves
+  in
   (* All constraints hold; deliveries land simultaneously.  The
      membership test before each add counts each (dst, token) pair once
      even when several sources deliver it in the same step, and keeps
-     the satisfaction tracker O(1) per fresh arrival. *)
-  let fresh = ref 0 in
+     the completion bookkeeping O(1) per fresh arrival. *)
+  let obs = k.obs in
   let trace = obs.Ocd_obs.on && Ocd_obs.Sink.enabled obs.Ocd_obs.sink in
   let rec deliver = function
     | [] -> ()
@@ -110,15 +182,16 @@ let apply_step ?(obs = Ocd_obs.disabled) ?tables:tbl ?scratch
         (if use_mirror then mirror.(m.dst) land (1 lsl m.token) = 0
          else not (Bitset.mem have.(m.dst) m.token))
       then begin
-        incr fresh;
+        k.fresh_total <- k.fresh_total + 1;
         if use_mirror then
           mirror.(m.dst) <- mirror.(m.dst) lor (1 lsl m.token);
         Bitset.add have.(m.dst) m.token;
-        Timeline.Tracker.deliver tracker ~step:(step + 1) ~dst:m.dst
-          ~token:m.token;
-        (match scratch with
-        | Some s -> Strategy.notify_deliver s ~dst:m.dst ~token:m.token
-        | None -> ());
+        (match k.goal with
+        | Track tracker ->
+          Timeline.Tracker.deliver tracker ~step:(step + 1) ~dst:m.dst
+            ~token:m.token
+        | Decode d -> d.on_fresh ~step:(step + 1) ~dst:m.dst ~token:m.token);
+        Strategy.notify_deliver k.scratch ~dst:m.dst ~token:m.token;
         (* One trace lane per receiving vertex (tid = node id), in
            sim-time (ts = step) — deterministic by construction. *)
         if trace then
@@ -131,30 +204,35 @@ let apply_step ?(obs = Ocd_obs.disabled) ?tables:tbl ?scratch
       deliver tl
   in
   deliver moves;
-  !fresh
+  moves
 
-let default_step_limit (inst : Instance.t) =
-  (* Theorem 1: any satisfiable instance has a schedule of at most
-     m(n-1) moves, hence m(n-1) steps; add slack for strategies that
-     spend silent steps (e.g. the flood-then-plan algorithm waits a
-     diameter, which n dominates) before capping. *)
+(* Theorem 1: any satisfiable instance has a schedule of at most
+   m(n-1) moves, hence m(n-1) steps; add slack for strategies that
+   spend silent steps (e.g. the flood-then-plan algorithm waits a
+   diameter, which n dominates) before capping.  Lossy admission loses
+   moves and leaves wants temporarily unreachable, so it gets twice the
+   budget and a more generous stall patience. *)
+let default_limits admission (inst : Instance.t) =
   let n = Instance.vertex_count inst and m = max 1 inst.token_count in
-  min ((m * (max 1 (n - 1))) + n + 64) 1_000_000
+  let bound = m * max 1 (n - 1) in
+  match admission with
+  | Exact -> (min (bound + n + 64) 1_000_000, (2 * inst.token_count) + 16)
+  | Lossy _ ->
+    (min ((2 * bound) + n + 128) 1_000_000, (4 * inst.token_count) + 64)
 
-let run ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~strategy ~seed
-    inst =
-  let step_limit =
-    match step_limit with Some l -> l | None -> default_step_limit inst
-  in
-  let stall_patience =
-    match stall_patience with
-    | Some p -> p
-    | None -> (2 * inst.token_count) + 16
-  in
+let rounds ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~admission
+    ~completion ~strategy ~seed (inst : Instance.t) =
+  let limit, patience = default_limits admission inst in
+  let step_limit = Option.value step_limit ~default:limit in
+  let stall_patience = Option.value stall_patience ~default:patience in
   let rng = Prng.create ~seed in
   let decide = strategy.Strategy.make inst rng in
-  let have = Array.map Bitset.copy inst.have in
-  let tracker = Timeline.Tracker.create inst in
+  let goal =
+    match completion with
+    | Wants -> Track (Timeline.Tracker.create inst)
+    | Custom d -> Decode d
+  in
+  let k = kernel_create obs admission goal inst in
   (* Instrumentation setup is unconditional (a disabled registry hands
      back shared dummies); the per-step work below is guarded so the
      default Null path costs one load-and-branch per site. *)
@@ -172,26 +250,35 @@ let run ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~strategy ~seed
   let lbl_post = "engine/" ^ strategy.Strategy.name ^ "/post" in
   let trace = obs.Ocd_obs.on && Ocd_obs.Sink.enabled obs.Ocd_obs.sink in
   let builder = Schedule.Builder.create () in
-  let tables = tables_create () in
-  let scratch = Strategy.scratch_create ~token_count:inst.token_count in
+  let finished () =
+    match goal with
+    | Track tracker -> Timeline.Tracker.all_satisfied tracker
+    | Decode d -> d.finished ()
+  in
   let rec loop step since_progress =
-    if Timeline.Tracker.all_satisfied tracker then Completed
+    if finished () then Completed
     else if step >= step_limit then Step_limit
     else if since_progress >= stall_patience then Stalled step
     else begin
-      let ctx = { Strategy.instance = inst; have; step; rng; scratch } in
+      let instance =
+        match admission with Exact -> inst | Lossy l -> l.visible step
+      in
+      let ctx =
+        { Strategy.instance; have = k.have; step; rng; scratch = k.scratch }
+      in
       let moves =
         match probe with
         | None -> decide ctx
         | Some p -> Ocd_obs.Probe.time p lbl_decide (fun () -> decide ctx)
       in
-      let fresh =
+      let before = k.fresh_total in
+      let moves =
         match probe with
-        | None -> apply_step ~obs ~tables ~scratch inst tracker have step moves
+        | None -> apply_step k step moves
         | Some p ->
-          Ocd_obs.Probe.time p lbl_apply (fun () ->
-              apply_step ~obs ~tables ~scratch inst tracker have step moves)
+          Ocd_obs.Probe.time p lbl_apply (fun () -> apply_step k step moves)
       in
+      let fresh = k.fresh_total - before in
       if obs.Ocd_obs.on then begin
         let n_moves = List.length moves in
         Ocd_obs.Metrics.incr c_rounds;
@@ -216,21 +303,29 @@ let run ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~strategy ~seed
     end
   in
   let outcome = loop 0 0 in
+  (* The recorded schedule is re-checked independently, so reported
+     numbers never rest on the kernel's own bookkeeping: wants must
+     hold under [Wants]; a custom goal only needs §3.1 validity. *)
   let finish () =
     let schedule =
       Schedule.drop_trailing_empty (Schedule.Builder.to_schedule builder)
     in
+    let check =
+      match completion with
+      | Wants -> Validate.check_successful
+      | Custom _ -> Validate.check
+    in
     (match outcome with
     | Completed -> (
-      match Validate.check_successful inst schedule with
+      match check inst schedule with
       | Ok () -> ()
       | Error e ->
         strategy_fail "engine produced an invalid schedule: %a"
           Validate.pp_error e)
     | Stalled _ | Step_limit -> ());
-    (schedule, Metrics.of_schedule inst schedule)
+    schedule
   in
-  let schedule, metrics =
+  let schedule =
     match probe with
     | None -> finish ()
     | Some p -> Ocd_obs.Probe.time p lbl_post finish
@@ -244,12 +339,32 @@ let run ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~strategy ~seed
         | Step_limit -> "step-limit")
       ~ts:(Schedule.length schedule) ();
   {
+    ended = outcome;
+    recorded = schedule;
+    delivered = k.fresh_total;
+    dropped = k.dropped_total;
+  }
+
+let run ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~strategy ~seed
+    inst =
+  let r =
+    rounds ~obs ?step_limit ?stall_patience ~admission:Exact
+      ~completion:Wants ~strategy ~seed inst
+  in
+  let metrics () = Metrics.of_schedule inst r.recorded in
+  {
     strategy_name = strategy.Strategy.name;
     seed;
-    outcome;
-    schedule;
-    metrics;
-    fresh_deliveries = Timeline.Tracker.fresh_deliveries tracker;
+    outcome = r.ended;
+    schedule = r.recorded;
+    metrics =
+      (match Ocd_obs.probe obs with
+      | None -> metrics ()
+      | Some p ->
+        Ocd_obs.Probe.time p
+          ("engine/" ^ strategy.Strategy.name ^ "/metrics")
+          metrics);
+    fresh_deliveries = r.delivered;
   }
 
 let completed_exn run =

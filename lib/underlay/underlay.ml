@@ -1,6 +1,7 @@
 open Ocd_core
 open Ocd_prelude
 open Ocd_graph
+module Engine = Ocd_engine.Engine
 
 type t = {
   physical : Digraph.t;
@@ -104,136 +105,70 @@ let max_link_stress t =
 
 type run = {
   strategy_name : string;
-  outcome : Ocd_engine.Engine.outcome;
+  outcome : Engine.outcome;
   schedule : Schedule.t;
   metrics : Metrics.t;
   dropped_moves : int;
   fresh_deliveries : int;
 }
 
-let run ?step_limit ?stall_patience t ~strategy ~seed (inst : Instance.t) =
-  if Digraph.arc_count inst.graph <> Digraph.arc_count t.overlay then
-    invalid_arg "Underlay.run: instance graph is not the mapped overlay";
-  let step_limit =
-    match step_limit with
-    | Some l -> l
-    | None ->
-      let n = Instance.vertex_count inst and m = max 1 inst.token_count in
-      min ((2 * m * (max 1 (n - 1))) + n + 128) 1_000_000
-  in
-  let stall_patience =
-    match stall_patience with
-    | Some p -> p
-    | None -> (4 * inst.token_count) + 64
-  in
-  let rng = Prng.create ~seed in
-  let decide = strategy.Ocd_engine.Strategy.make inst rng in
-  let have = Array.map Bitset.copy inst.have in
-  let tracker = Timeline.Tracker.create inst in
-  let builder = Schedule.Builder.create () in
-  let scratch =
-    Ocd_engine.Strategy.scratch_create ~token_count:inst.token_count
-  in
-  (* Per-run admission tables with int-packed keys ([seen]/[arc_load]
-     over overlay vertices, [link_load] over physical ones), cleared in
-     place each step.  [Bitset.mem] has already range-checked the token
-     by the time [seen] is keyed. *)
+(* Number the physical links the overlay's routes cross and lay each
+   overlay arc's route out as an array of link ids, indexed through the
+   arc's packed key, so admission never hashes a tuple. *)
+let routes t (inst : Instance.t) =
   let n = Instance.vertex_count inst in
-  let n_phys = Digraph.vertex_count t.physical in
-  let token_count = inst.token_count in
-  let arc_load = Hashtbl.create 64 in
-  let link_load = Hashtbl.create 64 in
-  let seen = Hashtbl.create 64 in
-  let dropped_total = ref 0 in
-  let rec loop step since_progress =
-    if Timeline.Tracker.all_satisfied tracker then Ocd_engine.Engine.Completed
-    else if step >= step_limit then Ocd_engine.Engine.Step_limit
-    else if since_progress >= stall_patience then Ocd_engine.Engine.Stalled step
-    else begin
-      let proposal =
-        decide { Ocd_engine.Strategy.instance = inst; have; step; rng; scratch }
-      in
-      (* Admit moves while overlay arc capacity AND every physical
-         link on the arc's path have room. *)
-      Hashtbl.clear arc_load;
-      Hashtbl.clear link_load;
-      Hashtbl.clear seen;
-      let admit (m : Move.t) =
-        let cap = Digraph.capacity inst.graph m.src m.dst in
-        if cap = 0 then invalid_arg "Underlay.run: move on missing arc";
-        if not (Bitset.mem have.(m.src) m.token) then
-          invalid_arg "Underlay.run: token not possessed";
-        let arc = (m.src * n) + m.dst in
-        let key = (arc * token_count) + m.token in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          let al = Option.value (Hashtbl.find_opt arc_load arc) ~default:0 in
-          let links = Hashtbl.find t.paths (m.src, m.dst) in
-          let link_ok (a, b) =
-            let used =
-              Option.value (Hashtbl.find_opt link_load ((a * n_phys) + b))
-                ~default:0
-            in
-            used < Digraph.capacity t.physical a b
-          in
-          if al < cap && List.for_all link_ok links then begin
-            Hashtbl.replace arc_load arc (al + 1);
-            List.iter
-              (fun (a, b) ->
-                let lk = (a * n_phys) + b in
-                let used =
-                  Option.value (Hashtbl.find_opt link_load lk) ~default:0
-                in
-                Hashtbl.replace link_load lk (used + 1))
-              links;
-            true
-          end
-          else begin
-            incr dropped_total;
-            false
-          end
-        end
-      in
-      let kept = List.filter admit proposal in
-      (* Distinct (dst, token) arrivals only: the membership test
-         before each add dedups same-step duplicate deliveries. *)
-      let fresh = ref 0 in
-      List.iter
-        (fun (m : Move.t) ->
-          if not (Bitset.mem have.(m.dst) m.token) then begin
-            incr fresh;
-            Bitset.add have.(m.dst) m.token;
-            Timeline.Tracker.deliver tracker ~step:(step + 1) ~dst:m.dst
-              ~token:m.token;
-            Ocd_engine.Strategy.notify_deliver scratch ~dst:m.dst
-              ~token:m.token
-          end)
-        kept;
-      List.iter
-        (fun (m : Move.t) ->
-          Schedule.Builder.push_move builder ~src:m.src ~dst:m.dst
-            ~token:m.token)
-        kept;
-      Schedule.Builder.end_step builder;
-      loop (step + 1) (if !fresh > 0 then 0 else since_progress + 1)
-    end
+  let ids = Hashtbl.create 64 and link_capacity = Int_vec.create () in
+  let id link =
+    match Hashtbl.find_opt ids link with
+    | Some i -> i
+    | None ->
+      let i = Int_vec.length link_capacity in
+      Hashtbl.replace ids link i;
+      Int_vec.push link_capacity
+        (Digraph.capacity t.physical (fst link) (snd link));
+      i
   in
-  let outcome = loop 0 0 in
-  let schedule =
-    Schedule.drop_trailing_empty (Schedule.Builder.to_schedule builder)
+  (* Equal arc counts and every instance arc routed make the arc sets
+     equal. *)
+  let not_overlay () =
+    invalid_arg "Underlay.run: instance graph is not the mapped overlay"
   in
-  (match (outcome, Validate.check_successful inst schedule) with
-  | Ocd_engine.Engine.Completed, Error e ->
-    invalid_arg
-      (Format.asprintf "Underlay.run: invalid recorded schedule: %a"
-         Validate.pp_error e)
-  | _ -> ());
+  if Digraph.arc_count inst.graph <> Digraph.arc_count t.overlay then
+    not_overlay ();
+  let slot = Int_tab.create () in
+  let routes =
+    Array.of_list
+      (List.mapi
+         (fun i { Digraph.src; dst; _ } ->
+           match Hashtbl.find_opt t.paths (src, dst) with
+           | None -> not_overlay ()
+           | Some links ->
+             Int_tab.set slot ((src * n) + dst) i;
+             Array.of_list (List.map id links))
+         (Digraph.arcs inst.graph))
+  in
+  ( (fun ~src ~dst -> routes.(Int_tab.find slot ((src * n) + dst))),
+    Int_vec.to_array link_capacity )
+
+let run t ~strategy ~seed (inst : Instance.t) =
+  let route, link_capacity = routes t inst in
+  let admission =
+    Engine.Lossy
+      {
+        visible = (fun _ -> inst);
+        capacity = (fun ~step:_ ~src:_ ~dst:_ ~base -> base);
+        route;
+        link_capacity;
+      }
+  in
+  let r =
+    Engine.rounds ~admission ~completion:Engine.Wants ~strategy ~seed inst
+  in
   {
     strategy_name = strategy.Ocd_engine.Strategy.name;
-    outcome;
-    schedule;
-    metrics = Metrics.of_schedule inst schedule;
-    dropped_moves = !dropped_total;
-    fresh_deliveries = Timeline.Tracker.fresh_deliveries tracker;
+    outcome = r.Engine.ended;
+    schedule = r.Engine.recorded;
+    metrics = Metrics.of_schedule inst r.Engine.recorded;
+    dropped_moves = r.Engine.dropped;
+    fresh_deliveries = r.Engine.delivered;
   }

@@ -73,15 +73,15 @@ type run = {
 }
 
 val run :
-  ?step_limit:int ->
-  ?stall_patience:int ->
   t ->
   strategy:Ocd_engine.Strategy.t ->
   seed:int ->
   Instance.t ->
   run
-(** The instance's graph must be the overlay passed to {!build}.
-    Move admission is first-come (arc order within the proposal):
-    a move is delivered iff every physical link on its path still has
-    spare capacity this step, in which case it consumes one unit on
-    each. *)
+(** {!Ocd_engine.Engine.rounds} under [Lossy] admission with [Wants]
+    completion.  Move admission is first-come (order within the
+    proposal): a move is delivered iff its overlay arc and every
+    physical link on its path still have spare capacity this step, in
+    which case it consumes one unit on each.
+    @raise Invalid_argument unless the instance's arcs are exactly the
+    overlay passed to {!build}. *)

@@ -243,7 +243,11 @@ let test_validate_resend_to_holder_is_legal () =
 
 let test_possessions_evolution () =
   let inst = line () in
-  let p = Validate.possessions inst (good_line_schedule ()) in
+  let p =
+    Timeline.fold inst (good_line_schedule ()) ~init:[] ~f:(fun acc v ->
+        Array.map Bitset.copy v.Timeline.have :: acc)
+    |> List.rev |> Array.of_list
+  in
   Alcotest.(check int) "three snapshots" 3 (Array.length p);
   Alcotest.(check (list int)) "p0 at 1" [] (Bitset.elements p.(0).(1));
   Alcotest.(check (list int)) "p1 at 1" [ 0; 1 ] (Bitset.elements p.(1).(1));

@@ -22,25 +22,26 @@ let line () =
 
 (* A hand-rolled strategy that pipelines everything forward — used to
    test the engine machinery itself. *)
-let forward_strategy =
-  Strategy.stateless ~name:"forward" (fun ctx ->
-      let inst = ctx.Strategy.instance in
-      let moves = ref [] in
-      for src = 0 to Instance.vertex_count inst - 1 do
-        Digraph.View.iter
-          (fun dst cap ->
-            let useful = Bitset.diff ctx.Strategy.have.(src) ctx.Strategy.have.(dst) in
-            let taken = ref 0 in
-            Bitset.iter
-              (fun token ->
-                if !taken < cap then begin
-                  incr taken;
-                  moves := mv src dst token :: !moves
-                end)
-              useful)
-          (Digraph.succ inst.Instance.graph src)
-      done;
-      !moves)
+let forward ctx =
+  let inst = ctx.Strategy.instance in
+  let moves = ref [] in
+  for src = 0 to Instance.vertex_count inst - 1 do
+    Digraph.View.iter
+      (fun dst cap ->
+        let useful = Bitset.diff ctx.Strategy.have.(src) ctx.Strategy.have.(dst) in
+        let taken = ref 0 in
+        Bitset.iter
+          (fun token ->
+            if !taken < cap then begin
+              incr taken;
+              moves := mv src dst token :: !moves
+            end)
+          useful)
+      (Digraph.succ inst.Instance.graph src)
+  done;
+  !moves
+
+let forward_strategy = Strategy.stateless ~name:"forward" forward
 
 let test_engine_completes () =
   let run = Engine.run ~strategy:forward_strategy ~seed:1 (line ()) in
@@ -87,31 +88,75 @@ let test_engine_step_limit () =
       ~seed:1 (line ()) in
   Alcotest.(check bool) "hit limit" true (run.Engine.outcome = Engine.Step_limit)
 
-let test_engine_rejects_invalid_move () =
-  let cheating = Strategy.stateless ~name:"cheat" (fun _ -> [ mv 1 2 0 ]) in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Engine.run ~strategy:cheating ~seed:1 (line ()));
-       false
-     with Engine.Strategy_error _ -> true)
-
-let test_engine_rejects_overcapacity () =
-  let flooding =
-    Strategy.stateless ~name:"flood" (fun _ -> [ mv 0 1 0; mv 0 1 1; mv 0 1 0 ])
+(* The four synchronous runners over one instance, each flagged lossy
+   or not and returning its schedule and dropped-move count:
+   Dynamic_engine under the static condition, Underlay over an identity
+   mapping, and Coding with one group whose decode needs every token. *)
+let runners (inst : Instance.t) =
+  let n = Instance.vertex_count inst in
+  let identity =
+    Ocd_underlay.Underlay.build ~physical:inst.graph
+      ~host_of:(Array.init n Fun.id) ~overlay:inst.graph
   in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Engine.run ~strategy:flooding ~seed:1 (line ()));
-       false
-     with Engine.Strategy_error _ -> true)
+  let coded =
+    {
+      Ocd_coding.Coding.instance = inst;
+      groups =
+        [
+          {
+            Ocd_coding.Coding.group_id = 0;
+            tokens = Bitset.full inst.token_count;
+            required = inst.token_count;
+            receivers =
+              List.filter
+                (fun v -> not (Bitset.is_empty inst.want.(v)))
+                (List.init n Fun.id);
+          };
+        ];
+    }
+  in
+  [
+    ( "engine",
+      false,
+      fun strategy -> ((Engine.run ~strategy ~seed:1 inst).Engine.schedule, 0)
+    );
+    ( "dynamics",
+      true,
+      fun strategy ->
+        let r =
+          Ocd_dynamics.Dynamic_engine.run
+            ~condition:Ocd_dynamics.Condition.static ~strategy ~seed:1 inst
+        in
+        ( r.Ocd_dynamics.Dynamic_engine.schedule,
+          r.Ocd_dynamics.Dynamic_engine.dropped_moves ) );
+    ( "underlay",
+      true,
+      fun strategy ->
+        let r = Ocd_underlay.Underlay.run identity ~strategy ~seed:1 inst in
+        ( r.Ocd_underlay.Underlay.schedule,
+          r.Ocd_underlay.Underlay.dropped_moves ) );
+    ( "coding",
+      false,
+      fun strategy ->
+        let r = Ocd_coding.Coding.run ~strategy ~seed:1 coded in
+        (r.Ocd_coding.Coding.schedule, 0) );
+  ]
 
+let raises_strategy_error run strategy =
+  try
+    ignore (run strategy);
+    false
+  with Engine.Strategy_error _ -> true
+
+(* A malformed proposal is a strategy bug under every runner. *)
 let expect_strategy_error name decide =
   let bad = Strategy.stateless ~name decide in
-  Alcotest.(check bool) (name ^ " raises") true
-    (try
-       ignore (Engine.run ~strategy:bad ~seed:1 (line ()));
-       false
-     with Engine.Strategy_error _ -> true)
+  List.iter
+    (fun (runner, _, run) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s raises under %s" name runner)
+        true (raises_strategy_error run bad))
+    (runners (line ()))
 
 let test_engine_rejects_bad_token () =
   expect_strategy_error "bad-token" (fun _ -> [ mv 0 1 99 ])
@@ -127,6 +172,45 @@ let test_engine_rejects_duplicate_assignment () =
 let test_engine_rejects_reverse_arc () =
   expect_strategy_error "reverse" (fun ctx ->
       if ctx.Strategy.step = 0 then [ mv 0 1 0 ] else [ mv 2 1 0 ])
+
+let test_engine_rejects_invalid_move () =
+  expect_strategy_error "not-possessed" (fun _ -> [ mv 1 2 0 ])
+
+let test_engine_rejects_missing_arc () =
+  expect_strategy_error "missing-arc" (fun _ -> [ mv 0 2 0 ])
+
+(* One move over an arc's capacity: a strategy bug under exact
+   admission, a dropped move under lossy admission. *)
+let test_engine_rejects_overcapacity () =
+  let graph =
+    Digraph.of_arcs ~vertex_count:3
+      [
+        { Digraph.src = 0; dst = 1; capacity = 1 };
+        { Digraph.src = 1; dst = 2; capacity = 1 };
+      ]
+  in
+  let narrow =
+    Instance.make ~graph ~token_count:2 ~have:[ (0, [ 0; 1 ]) ]
+      ~want:[ (2, [ 0; 1 ]) ]
+  in
+  let flooding =
+    Strategy.stateless ~name:"flood" (fun ctx ->
+        if ctx.Strategy.step = 0 then [ mv 0 1 0; mv 0 1 1 ] else forward ctx)
+  in
+  List.iter
+    (fun (runner, lossy, run) ->
+      if lossy then begin
+        let schedule, dropped = run flooding in
+        Alcotest.(check int) (runner ^ " drops one") 1 dropped;
+        Alcotest.(check bool) (runner ^ " records the kept move") true
+          (Schedule.step schedule 0 = [ mv 0 1 0 ]);
+        Alcotest.(check bool) (runner ^ " schedule valid") true
+          (Validate.check_successful narrow schedule = Ok ())
+      end
+      else
+        Alcotest.(check bool) (runner ^ " raises") true
+          (raises_strategy_error run flooding))
+    (runners narrow)
 
 let test_engine_deterministic_given_seed () =
   let inst = line () in
@@ -350,6 +434,8 @@ let () =
             test_engine_rejects_duplicate_assignment;
           Alcotest.test_case "rejects reverse arc" `Quick
             test_engine_rejects_reverse_arc;
+          Alcotest.test_case "rejects missing arc" `Quick
+            test_engine_rejects_missing_arc;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic_given_seed;
           Alcotest.test_case "completed_exn" `Quick test_completed_exn;
         ] );

@@ -111,6 +111,23 @@ let test_run_no_contention_equals_engine () =
   Alcotest.(check bool) "same schedule" true
     (Schedule.steps plain.Ocd_engine.Engine.schedule = Schedule.steps under.schedule)
 
+let test_run_rejects_other_graph () =
+  (* Same arc count, different arcs: overlay path 0-1-2, instance path
+     0-2-1. *)
+  let overlay = Digraph.of_edges ~vertex_count:3 [ (0, 1, 1); (1, 2, 1) ] in
+  let t = build ~physical:overlay ~host_of:[| 0; 1; 2 |] ~overlay in
+  let inst =
+    Instance.make
+      ~graph:(Digraph.of_edges ~vertex_count:3 [ (0, 2, 1); (2, 1, 1) ])
+      ~token_count:1 ~have:[ (0, [ 0 ]) ] ~want:[ (1, [ 0 ]); (2, [ 0 ]) ]
+  in
+  Alcotest.(check bool) "raises Invalid_argument" true
+    (try
+       ignore
+         (run t ~strategy:Ocd_heuristics.Local_rarest.strategy ~seed:1 inst);
+       false
+     with Invalid_argument _ -> true)
+
 let test_map_onto_transit_stub () =
   let rng = Prng.create ~seed:9 in
   let overlay = Ocd_topology.Random_graph.erdos_renyi rng ~n:30 ~p:0.3 () in
@@ -152,6 +169,8 @@ let () =
           Alcotest.test_case "contention slows" `Quick test_run_contention_slows;
           Alcotest.test_case "no contention = engine" `Quick
             test_run_no_contention_equals_engine;
+          Alcotest.test_case "other graph rejected" `Quick
+            test_run_rejects_other_graph;
           Alcotest.test_case "transit-stub mapping" `Quick
             test_map_onto_transit_stub;
           qtest prop_underlay_runs_complete;
