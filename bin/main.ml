@@ -16,25 +16,115 @@
                       against the omniscient async-local baseline
      ocd profile    — run a workload under the wall-clock/allocation
                       probe and print the per-phase table
+     ocd explain    — attribute a run's makespan over its critical path
 
-   run, async and chaos also accept --trace-out FILE (Chrome
+   run, async, chaos and dht also accept --trace-out FILE (Chrome
    trace-event JSON for Perfetto) and --metrics-out FILE (the
-   deterministic metrics registry, byte-identical across --jobs). *)
+   deterministic metrics registry, byte-identical across --jobs).
+
+   Every argument, name table and range check is defined once below and
+   the subcommands are assembled from those pieces.  A bad name, an
+   out-of-range value, a workload the generators reject or an
+   unwritable output path is a cmdliner usage error (exit 124), raised
+   before the command prints anything. *)
 
 open Cmdliner
 open Ocd_core
 open Ocd_prelude
+
+let ( let* ) = Result.bind
+
+(* ---------------------- converters -------------------------------- *)
+
+(* [conv] restricted to the values [ok] accepts. *)
+let bounded conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive = bounded Arg.int (fun n -> n >= 1) "a positive integer"
+let natural = bounded Arg.int (fun n -> n >= 0) "a non-negative integer"
+
+let probability =
+  bounded Arg.float (fun p -> p >= 0.0 && p <= 1.0) "a probability in [0,1]"
+
+(* One converter per name table.  The value comes back paired with its
+   name, and the printer shows the name, so a table may hold closures
+   (Arg.enum's own printer compares values). *)
+let choice table =
+  let parse =
+    Arg.conv_parser (Arg.enum (List.map (fun ((k, _) as e) -> (k, e)) table))
+  in
+  Arg.conv (parse, fun ppf (k, _) -> Format.pp_print_string ppf k)
+
+(* "$(docv) is one of ..." — generated, so it cannot go stale. *)
+let alts table = "$(docv) is " ^ Arg.doc_alts_enum table ^ "."
+
+let choice_arg table ~default names ~docv ~doc =
+  Arg.(
+    value
+    & opt (choice table) (default, List.assoc default table)
+    & info names ~docv ~doc:(doc ^ "  " ^ alts table))
+
+(* ---------------------- name tables ------------------------------- *)
+
+let strategies =
+  Ocd_heuristics.Registry.all
+  @ [
+      Ocd_heuristics.Flow_step.strategy;
+      Ocd_baselines.Tree_push.strategy ();
+      Ocd_baselines.Split_forest.strategy ~k:4 ();
+      Ocd_baselines.Fast_replica.strategy ();
+      Ocd_baselines.Serial_steiner.strategy;
+    ]
+
+let strategy_table =
+  List.map (fun s -> (s.Ocd_engine.Strategy.name, s)) strategies
+
+let protocols = List.map (fun name -> (name, name)) Ocd_dht.Registry.names
+
+let profiles =
+  [ ("default", Ocd_async.Net.default); ("lockstep", Ocd_async.Net.lockstep) ]
+
+let conditions =
+  [
+    ("static", fun _ -> Ocd_dynamics.Condition.static);
+    ( "cross-traffic",
+      fun seed ->
+        Ocd_dynamics.Condition.cross_traffic ~seed:(seed + 7) ~prob:0.4
+          ~severity:0.5 );
+    ( "link-flaps",
+      fun seed ->
+        Ocd_dynamics.Condition.link_flaps ~seed:(seed + 7) ~down_prob:0.1
+          ~up_prob:0.5 );
+    ( "churn",
+      fun seed ->
+        Ocd_dynamics.Condition.churn ~seed:(seed + 7) ~protected:[ 0 ]
+          ~leave_prob:0.05 ~return_prob:0.5 );
+  ]
+
+let grids =
+  [
+    ("smoke", Ocd_bench.Chaos.smoke_grid);
+    ("default", Ocd_bench.Chaos.default_grid);
+    ("failing", Ocd_bench.Chaos.failing_grid);
+  ]
 
 (* ---------------------- shared arguments -------------------------- *)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let n_arg =
-  Arg.(value & opt int 100 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
+let n_arg ?(doc = "Vertex count.") c default =
+  Arg.(value & opt c default & info [ "n" ] ~docv:"N" ~doc)
 
-let tokens_arg =
-  Arg.(value & opt int 50 & info [ "tokens" ] ~docv:"M" ~doc:"Token count.")
+let tokens_arg ?(doc = "Token count.") c default =
+  Arg.(value & opt c default & info [ "tokens" ] ~docv:"M" ~doc)
 
 let topology_arg =
   let parse s =
@@ -54,20 +144,9 @@ let topology_arg =
 let threshold_arg =
   Arg.(
     value
-    & opt float 1.0
+    & opt probability 1.0
     & info [ "threshold" ] ~docv:"T"
         ~doc:"Receiver-density threshold in [0,1] (1 = all receivers).")
-
-let files_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "files" ] ~docv:"K" ~doc:"Number of files (must divide tokens).")
-
-let multi_sender_arg =
-  Arg.(
-    value & flag
-    & info [ "multi-sender" ] ~doc:"Seed each file at a random vertex.")
 
 let full_arg =
   Arg.(
@@ -75,99 +154,44 @@ let full_arg =
     & info [ "full" ] ~doc:"Use the paper's full sweep parameters.")
 
 let jobs_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "expected a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt positive_int (Pool.default_jobs ())
+    & opt positive (Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the sweep (default: OCD_BENCH_JOBS or the \
            recommended domain count).  Output is byte-identical for any \
            value.")
 
-(* ---------------------- observability plumbing -------------------- *)
+let strategy_arg ~doc =
+  Arg.(
+    value
+    & opt (some (choice strategy_table)) None
+    & info [ "strategy" ] ~docv:"NAME" ~doc:(doc ^ "  " ^ alts strategy_table))
 
-let ( let* ) = Result.bind
+let protocol_arg ~doc =
+  Arg.(
+    value
+    & opt (some (choice protocols)) None
+    & info [ "protocol" ] ~docv:"NAME" ~doc:(doc ^ "  " ^ alts protocols))
 
-(* Every file the CLI writes goes through this, so a bad path surfaces
-   as a cmdliner `Msg error (exit 124 with the usage line) instead of a
-   Sys_error backtrace. *)
-let open_out_result path =
-  try Ok (open_out path) with Sys_error msg -> Error (`Msg msg)
+let grid_arg ~default ~doc =
+  choice_arg grids ~default [ "grid" ] ~docv:"GRID" ~doc
 
-let trace_out_arg =
+let loss_arg =
+  Arg.(
+    value
+    & opt (some probability) None
+    & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
+
+let output_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the run's event stream to $(docv) as Chrome trace-event \
-           JSON (open in Perfetto or chrome://tracing).  Timestamps are \
-           simulator/engine time, so the file is byte-identical across \
-           $(b,--jobs) values.")
+    & info [ "o"; "output" ] ~docv:"FILE"
+        ~doc:"Write to $(docv) instead of stdout.")
 
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the deterministic metrics registry (counters, gauges, \
-           histograms; sorted keys) to $(docv) as text.")
-
-(* Opens both output files up front — an unwritable path fails before
-   the workload runs, not after — then hands the body a live scope
-   whose memory sink and registry are flushed to the files at the end.
-   With neither flag the body gets the disabled scope and pays only
-   its [if obs.on] guards. *)
-let with_observed ~trace_out ~metrics_out body =
-  match (trace_out, metrics_out) with
-  | None, None ->
-    body Ocd_obs.disabled;
-    Ok ()
-  | _ ->
-    let* trace_oc =
-      match trace_out with
-      | None -> Ok None
-      | Some path -> Result.map Option.some (open_out_result path)
-    in
-    let* metrics_oc =
-      match metrics_out with
-      | None -> Ok None
-      | Some path -> (
-        match open_out_result path with
-        | Ok oc -> Ok (Some oc)
-        | Error e ->
-          Option.iter close_out trace_oc;
-          Error e)
-    in
-    let sink =
-      if trace_oc <> None then Ocd_obs.Sink.memory () else Ocd_obs.Sink.null
-    in
-    let obs = Ocd_obs.create ~sink () in
-    body obs;
-    Option.iter
-      (fun oc ->
-        let jsonl = Ocd_obs.Sink.jsonl oc in
-        List.iter (Ocd_obs.Sink.emit jsonl) (Ocd_obs.Sink.events sink);
-        Ocd_obs.Sink.close jsonl;
-        close_out oc)
-      trace_oc;
-    Option.iter
-      (fun oc ->
-        output_string oc (Ocd_obs.Metrics.render obs.Ocd_obs.metrics);
-        close_out oc)
-      metrics_oc;
-    Ok ()
-
-(* ---------------------- workload building ------------------------- *)
+(* ---------------------- workload ---------------------------------- *)
 
 let build_instance ~seed ~topology ~n ~tokens ~threshold ~files ~multi_sender =
   let rng = Prng.create ~seed in
@@ -182,34 +206,165 @@ let build_instance ~seed ~topology ~n ~tokens ~threshold ~files ~multi_sender =
   in
   scenario.Scenario.instance
 
+(* The §5 workload, as [(seed, instance)].  A subcommand without one of
+   the options passes a constant term in its place.  The generators'
+   own preconditions (transit-stub needs n >= 8; --files must divide
+   --tokens and leave a receiver per file) become usage errors here. *)
+let workload ?(topology = topology_arg) ?(threshold = threshold_arg)
+    ?(files = Term.const (1, false)) ?(n = n_arg positive 100)
+    ?(tokens = tokens_arg natural 50) () =
+  let make seed topology n tokens threshold (files, multi_sender) =
+    (* n = 0 passes only `ocd exact`'s converter: the Figure 1 instance *)
+    if n = 0 then Ok (seed, Figure1.instance ())
+    else
+      match
+        build_instance ~seed ~topology ~n ~tokens ~threshold ~files
+          ~multi_sender
+      with
+      | inst -> Ok (seed, inst)
+      | exception Invalid_argument msg ->
+        Error (`Msg ("invalid workload: " ^ msg))
+  in
+  Term.(
+    term_result ~usage:true
+      (const make $ seed_arg $ topology $ n $ tokens $ threshold $ files))
+
+(* ---------------------- network profile --------------------------- *)
+
+let network_profile (name, base) loss pace =
+  ( name,
+    {
+      base with
+      Ocd_async.Net.loss = Option.value loss ~default:base.Ocd_async.Net.loss;
+      pace = Option.value pace ~default:base.Ocd_async.Net.pace;
+    } )
+
+let network =
+  let profile_arg =
+    choice_arg profiles ~default:"default" [ "profile" ] ~docv:"PROFILE"
+      ~doc:
+        "Network profile: default has latency, jitter and pacing; lockstep \
+         is the synchronous-equivalent degenerate profile."
+  in
+  let pace_arg =
+    Arg.(
+      value
+      & opt (some positive) None
+      & info [ "pace" ] ~docv:"TICKS" ~doc:"Override ticks per round.")
+  in
+  Term.(const network_profile $ profile_arg $ loss_arg $ pace_arg)
+
+(* ---------------------- observability ----------------------------- *)
+
+(* Every file the CLI writes goes through this, so a bad path surfaces
+   as a cmdliner `Msg error (exit 124) instead of a Sys_error
+   backtrace. *)
+let open_out_result path =
+  try Ok (open_out path) with Sys_error msg -> Error (`Msg msg)
+
+(* Opens the output files first — an unwritable path fails before the
+   workload runs, not after — and yields a live scope whose memory sink
+   and registry [finish] writes to them.  With neither file the scope
+   is the disabled one, which costs only its [if obs.on] guards. *)
+let observe ~trace_out ~metrics_out =
+  let open_opt = function
+    | None -> Ok None
+    | Some path -> Result.map Option.some (open_out_result path)
+  in
+  match (trace_out, metrics_out) with
+  | None, None -> Ok (Ocd_obs.disabled, ignore)
+  | _ ->
+    let* trace_oc = open_opt trace_out in
+    let* metrics_oc =
+      match open_opt metrics_out with
+      | Error _ as e ->
+        Option.iter close_out trace_oc;
+        e
+      | ok -> ok
+    in
+    let sink =
+      if trace_oc <> None then Ocd_obs.Sink.memory () else Ocd_obs.Sink.null
+    in
+    let obs = Ocd_obs.create ~sink () in
+    let finish () =
+      Option.iter
+        (fun oc ->
+          let jsonl = Ocd_obs.Sink.jsonl oc in
+          List.iter (Ocd_obs.Sink.emit jsonl) (Ocd_obs.Sink.events sink);
+          Ocd_obs.Sink.close jsonl;
+          close_out oc)
+        trace_oc;
+      Option.iter
+        (fun oc ->
+          output_string oc (Ocd_obs.Metrics.render obs.Ocd_obs.metrics);
+          close_out oc)
+        metrics_oc
+    in
+    Ok (obs, finish)
+
+let observed =
+  let trace_out_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the run's event stream to $(docv) as Chrome trace-event \
+             JSON (open in Perfetto or chrome://tracing).  Timestamps are \
+             simulator/engine time, so the file is byte-identical across \
+             $(b,--jobs) values.")
+  in
+  let metrics_out_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the deterministic metrics registry (counters, gauges, \
+             histograms; sorted keys) to $(docv) as text.")
+  in
+  Term.(
+    term_result
+      (const (fun trace_out metrics_out -> observe ~trace_out ~metrics_out)
+      $ trace_out_arg $ metrics_out_arg))
+
+let emit ~output text =
+  match output with
+  | None ->
+    print_string text;
+    Ok ()
+  | Some path ->
+    let* oc = open_out_result path in
+    output_string oc text;
+    close_out oc;
+    Ok ()
+
+(* Runs [f pobs name] for each protocol on the pool, each against a
+   child scope absorbed in list order afterwards, so the output files
+   are byte-identical for any --jobs. *)
+let map_protocols ~obs ~jobs f names =
+  let runs =
+    Pool.map ~obs ~jobs
+      (fun name ->
+        let pobs = Ocd_obs.child obs in
+        (f pobs name, pobs))
+      names
+  in
+  if obs.Ocd_obs.on then
+    List.iteri
+      (fun i (name, (_, pobs)) ->
+        Ocd_obs.absorb ~into:obs ~pid:i ~prefix:(name ^ "/") pobs)
+      (List.combine names runs);
+  List.map fst runs
+
+let chosen_protocols = function
+  | None -> Ocd_dht.Registry.names
+  | Some (name, _) -> [ name ]
+
 (* ---------------------- ocd run ----------------------------------- *)
 
-let all_strategies () =
-  Ocd_heuristics.Registry.all
-  @ [
-      Ocd_heuristics.Flow_step.strategy;
-      Ocd_baselines.Tree_push.strategy ();
-      Ocd_baselines.Split_forest.strategy ~k:4 ();
-      Ocd_baselines.Fast_replica.strategy ();
-      Ocd_baselines.Serial_steiner.strategy;
-    ]
-
-let strategy_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "strategy" ] ~docv:"NAME"
-        ~doc:
-          "Strategy to run (default: all).  Heuristics: round-robin, random, \
-           local, bandwidth, global.  Baselines: tree-push, split-forest-4, \
-           fast-replica, serial-steiner.")
-
 let run_cmd =
-  let run seed topology n tokens threshold files multi_sender strategy
-      trace_out metrics_out =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files ~multi_sender
-    in
+  let run (seed, inst) strategy (obs, finish) =
     Printf.printf "instance: n=%d m=%d deficit=%d (bw_lb=%d, moves_lb=%s)\n\n"
       (Instance.vertex_count inst)
       inst.Instance.token_count (Instance.total_deficit inst)
@@ -218,96 +373,92 @@ let run_cmd =
          string_of_int (Bounds.makespan_lower_bound inst)
        else "n/a (unsatisfiable)");
     let chosen =
-      match strategy with
-      | None -> all_strategies ()
-      | Some name -> (
-        match
-          List.find_opt
-            (fun s -> s.Ocd_engine.Strategy.name = name)
-            (all_strategies ())
-        with
-        | Some s -> [ s ]
-        | None ->
-          Printf.eprintf "unknown strategy %S\n" name;
-          exit 2)
+      match strategy with None -> strategies | Some (_, s) -> [ s ]
     in
-    with_observed ~trace_out ~metrics_out (fun obs ->
-        Printf.printf "%-16s %10s %10s %10s %12s\n" "strategy" "makespan"
-          "bandwidth" "pruned" "mean-finish";
-        List.iteri
-          (fun i strategy ->
-            (* Per-strategy child scope: counters and trace events merge
-               back under a "<strategy>/" prefix with pid = strategy
-               index, so runs over several strategies stay separable in
-               the output files. *)
-            let sobs = Ocd_obs.child obs in
-            let run =
-              Ocd_engine.Engine.run ~obs:sobs ~strategy ~seed:(seed + 1) inst
-            in
-            Ocd_obs.absorb ~into:obs ~pid:i
-              ~prefix:(strategy.Ocd_engine.Strategy.name ^ "/")
-              sobs;
-            match run.Ocd_engine.Engine.outcome with
-            | Ocd_engine.Engine.Completed ->
-              let m = run.Ocd_engine.Engine.metrics in
-              Printf.printf "%-16s %10d %10d %10d %12.1f\n"
-                run.Ocd_engine.Engine.strategy_name m.Metrics.makespan
-                m.Metrics.bandwidth m.Metrics.pruned_bandwidth
-                (Metrics.mean_completion m)
-            | Ocd_engine.Engine.Stalled step ->
-              Printf.printf "%-16s stalled at step %d\n"
-                run.Ocd_engine.Engine.strategy_name step
-            | Ocd_engine.Engine.Step_limit ->
-              Printf.printf "%-16s hit the step limit\n"
-                run.Ocd_engine.Engine.strategy_name)
-          chosen)
+    Printf.printf "%-16s %10s %10s %10s %12s\n" "strategy" "makespan"
+      "bandwidth" "pruned" "mean-finish";
+    List.iteri
+      (fun i strategy ->
+        (* Per-strategy child scope: counters and trace events merge
+           back under a "<strategy>/" prefix with pid = strategy
+           index, so runs over several strategies stay separable in
+           the output files. *)
+        let sobs = Ocd_obs.child obs in
+        let run =
+          Ocd_engine.Engine.run ~obs:sobs ~strategy ~seed:(seed + 1) inst
+        in
+        Ocd_obs.absorb ~into:obs ~pid:i
+          ~prefix:(strategy.Ocd_engine.Strategy.name ^ "/")
+          sobs;
+        match run.Ocd_engine.Engine.outcome with
+        | Ocd_engine.Engine.Completed ->
+          let m = run.Ocd_engine.Engine.metrics in
+          Printf.printf "%-16s %10d %10d %10d %12.1f\n"
+            run.Ocd_engine.Engine.strategy_name m.Metrics.makespan
+            m.Metrics.bandwidth m.Metrics.pruned_bandwidth
+            (Metrics.mean_completion m)
+        | Ocd_engine.Engine.Stalled step ->
+          Printf.printf "%-16s stalled at step %d\n"
+            run.Ocd_engine.Engine.strategy_name step
+        | Ocd_engine.Engine.Step_limit ->
+          Printf.printf "%-16s hit the step limit\n"
+            run.Ocd_engine.Engine.strategy_name)
+      chosen;
+    finish ()
   in
-  let term =
+  let files =
+    let files_arg =
+      Arg.(
+        value
+        & opt positive 1
+        & info [ "files" ] ~docv:"K"
+            ~doc:"Number of files (must divide tokens).")
+    in
+    let multi_sender_arg =
+      Arg.(
+        value & flag
+        & info [ "multi-sender" ] ~doc:"Seed each file at a random vertex.")
+    in
+    Term.product files_arg multi_sender_arg
+  in
+  Cmd.v
+    (Cmd.info "run" ~doc:"Run heuristics/baselines on a generated workload")
     Term.(
-      term_result
-        (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ files_arg $ multi_sender_arg $ strategy_arg
-       $ trace_out_arg $ metrics_out_arg))
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run heuristics/baselines on a generated workload")
-    term
+      const run $ workload ~files ()
+      $ strategy_arg ~doc:"Strategy to run (default: all)."
+      $ observed)
 
 (* ---------------------- ocd figure -------------------------------- *)
 
 let figure_cmd =
-  let run figure full jobs =
-    match figure with
-    | 1 -> Ocd_bench.Experiments.figure1 ()
-    | 2 -> Ocd_bench.Experiments.figure2 ~full ~jobs ()
-    | 3 -> Ocd_bench.Experiments.figure3 ~full ~jobs ()
-    | 4 -> Ocd_bench.Experiments.figure4 ~full ~jobs ()
-    | 5 -> Ocd_bench.Experiments.figure5 ~full ~jobs ()
-    | 6 -> Ocd_bench.Experiments.figure6 ~full ~jobs ()
-    | 7 -> Ocd_bench.Experiments.figure7 ()
-    | n ->
-      Printf.eprintf "no figure %d (the paper has figures 1-7)\n" n;
-      exit 2
+  let figures =
+    let open Ocd_bench.Experiments in
+    [
+      ("1", fun ~full:_ ~jobs:_ -> figure1 ());
+      ("2", fun ~full ~jobs -> figure2 ~full ~jobs ());
+      ("3", fun ~full ~jobs -> figure3 ~full ~jobs ());
+      ("4", fun ~full ~jobs -> figure4 ~full ~jobs ());
+      ("5", fun ~full ~jobs -> figure5 ~full ~jobs ());
+      ("6", fun ~full ~jobs -> figure6 ~full ~jobs ());
+      ("7", fun ~full:_ ~jobs:_ -> figure7 ());
+    ]
   in
   let figure =
     Arg.(
       required
-      & pos 0 (some int) None
-      & info [] ~docv:"FIGURE" ~doc:"Figure number (1-7).")
+      & pos 0 (some (choice figures)) None
+      & info [] ~docv:"FIGURE" ~doc:("Figure number.  " ^ alts figures))
   in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
-    Term.(const run $ figure $ full_arg $ jobs_arg)
+    Term.(
+      const (fun (_, f) full jobs -> f ~full ~jobs)
+      $ figure $ full_arg $ jobs_arg)
 
 (* ---------------------- ocd exact --------------------------------- *)
 
 let exact_cmd =
-  let run seed n tokens horizon use_ip =
-    let inst =
-      if n = 0 then Figure1.instance ()
-      else
-        build_instance ~seed ~topology:Ocd_topology.Topology.Random ~n ~tokens
-          ~threshold:1.0 ~files:1 ~multi_sender:false
-    in
+  let run (_, inst) horizon use_ip =
     Printf.printf "instance: n=%d m=%d\n" (Instance.vertex_count inst)
       inst.Instance.token_count;
     (match Ocd_exact.Search.focd inst with
@@ -337,19 +488,19 @@ let exact_cmd =
       | None -> print_endline "IP FOCD: no solution within budget/horizon"
     end
   in
-  let n_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "n" ] ~docv:"N"
-          ~doc:"Vertex count for a random instance (0 = the Figure 1 instance).")
-  in
-  let tokens_arg =
-    Arg.(value & opt int 2 & info [ "tokens" ] ~docv:"M" ~doc:"Token count.")
+  let workload =
+    workload
+      ~topology:(Term.const Ocd_topology.Topology.Random)
+      ~threshold:(Term.const 1.0)
+      ~n:
+        (n_arg natural 0
+           ~doc:"Vertex count for a random instance (0 = the Figure 1 instance).")
+      ~tokens:(tokens_arg natural 2) ()
   in
   let horizon =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some natural) None
       & info [ "horizon" ] ~docv:"H" ~doc:"EOCD timestep budget.")
   in
   let use_ip =
@@ -357,7 +508,7 @@ let exact_cmd =
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Solve a small instance exactly")
-    Term.(const run $ seed_arg $ n_arg $ tokens_arg $ horizon $ use_ip)
+    Term.(const run $ workload $ horizon $ use_ip)
 
 (* ---------------------- ocd reduce --------------------------------- *)
 
@@ -391,23 +542,18 @@ let reduce_cmd =
       | Error e -> Format.printf "constructive schedule INVALID: %a@." Validate.pp_error e
     end
   in
-  let n = Arg.(value & opt int 6 & info [ "n" ] ~docv:"N" ~doc:"Vertices.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"Budget.") in
+  let k = Arg.(value & opt natural 2 & info [ "k" ] ~docv:"K" ~doc:"Budget.") in
   let p =
-    Arg.(value & opt float 0.4 & info [ "p" ] ~docv:"P" ~doc:"Edge probability.")
+    Arg.(value & opt probability 0.4 & info [ "p" ] ~docv:"P" ~doc:"Edge probability.")
   in
   Cmd.v
     (Cmd.info "reduce" ~doc:"Dominating Set -> FOCD reduction demo")
-    Term.(const run $ seed_arg $ n $ k $ p)
+    Term.(const run $ seed_arg $ n_arg positive 6 ~doc:"Vertices." $ k $ p)
 
 (* ---------------------- ocd bounds --------------------------------- *)
 
 let bounds_cmd =
-  let run seed topology n tokens threshold =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+  let run (_, inst) =
     Printf.printf "deficit (bandwidth lower bound): %d\n"
       (Bounds.bandwidth_lower_bound inst);
     if Instance.satisfiable inst then begin
@@ -422,7 +568,7 @@ let bounds_cmd =
   in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Print the §5.1 lower bounds for a workload")
-    Term.(const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg $ threshold_arg)
+    Term.(const run $ workload ())
 
 (* ---------------------- ocd experiment ----------------------------- *)
 
@@ -467,85 +613,42 @@ let experiment_cmd =
         fun ~jobs:_ ~full:_ ~n () -> Ocd_bench.Experiments.engine_scale ?n () );
     ]
   in
-  let run name full jobs n =
-    match List.assoc_opt name experiments with
-    | Some f -> f ~jobs ~full ~n ()
-    | None ->
-      Printf.eprintf "unknown experiment %S; available: %s\n" name
-        (String.concat ", " (List.map fst experiments));
-      exit 2
-  in
   let name_arg =
     Arg.(
       required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:
-            "Experiment: adversary, ip-vs-search, baselines, ablation, \
-             dynamics, async-overhead, dht-lookup, explain, coding, \
-             underlay, timeline-perf, graph-scale or engine-scale.")
+      & pos 0 (some (choice experiments)) None
+      & info [] ~docv:"NAME" ~doc:("Experiment.  " ^ alts experiments))
   in
-  let n_override_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Restrict a scale experiment to a single vertex count \
-             (engine-scale only).")
+  (* engine-scale builds transit-stub graphs, which need n >= 8 *)
+  let n_override =
+    n_arg
+      (Arg.some (bounded Arg.int (fun n -> n >= 8) "an integer >= 8"))
+      None
+      ~doc:
+        "Restrict a scale experiment to a single vertex count, at least 8 \
+         (engine-scale only)."
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run one of the extension experiments")
-    Term.(const run $ name_arg $ full_arg $ jobs_arg $ n_override_arg)
+    Term.(
+      const (fun (_, f) full jobs n -> f ~jobs ~full ~n ())
+      $ name_arg $ full_arg $ jobs_arg $ n_override)
 
 (* ---------------------- ocd export --------------------------------- *)
 
-let output_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Write to $(docv) instead of stdout.")
-
-(* Emit [text] to stdout or to [-o FILE]; a bad path is a cmdliner
-   error, not a backtrace. *)
-let emit ~output text =
-  match output with
-  | None ->
-    print_string text;
-    Ok ()
-  | Some path ->
-    let* oc = open_out_result path in
-    output_string oc text;
-    close_out oc;
-    Ok ()
-
 let export_cmd =
-  let run seed topology n tokens threshold strategy_name output =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+  let run (seed, inst) strategy output =
     let buf = Buffer.create 4096 in
     Buffer.add_string buf (Codec.instance_to_string inst);
-    (match strategy_name with
-    | None -> ()
-    | Some name -> (
-      match
-        List.find_opt
-          (fun s -> s.Ocd_engine.Strategy.name = name)
-          (all_strategies ())
-      with
-      | None ->
-        Printf.eprintf "unknown strategy %S\n" name;
-        exit 2
-      | Some strategy ->
+    Option.iter
+      (fun (_, strategy) ->
         let run =
           Ocd_engine.Engine.completed_exn
             (Ocd_engine.Engine.run ~strategy ~seed:(seed + 1) inst)
         in
         Buffer.add_string buf
-          (Codec.schedule_to_string run.Ocd_engine.Engine.schedule)));
+          (Codec.schedule_to_string run.Ocd_engine.Engine.schedule))
+      strategy;
     emit ~output (Buffer.contents buf)
   in
   Cmd.v
@@ -555,167 +658,77 @@ let export_cmd =
           in the text codec format")
     Term.(
       term_result
-        (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ strategy_arg $ output_arg))
+        (const run $ workload ()
+        $ strategy_arg ~doc:"Also export this strategy's schedule."
+        $ output_arg))
 
 (* ---------------------- ocd async ---------------------------------- *)
 
 let async_cmd =
-  let run seed topology n tokens threshold protocol_name profile_name loss
-      pace condition_name monitor_on jobs trace_out metrics_out =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
-    let base_profile =
-      match profile_name with
-      | "default" -> Ocd_async.Net.default
-      | "lockstep" -> Ocd_async.Net.lockstep
-      | other ->
-        Printf.eprintf "unknown profile %S (default, lockstep)\n" other;
-        exit 2
-    in
-    let profile =
-      {
-        base_profile with
-        Ocd_async.Net.loss =
-          (match loss with Some l -> l | None -> base_profile.Ocd_async.Net.loss);
-        pace =
-          (match pace with Some p -> p | None -> base_profile.Ocd_async.Net.pace);
-      }
-    in
-    let condition =
-      match condition_name with
-      | "static" -> Ocd_dynamics.Condition.static
-      | "cross-traffic" ->
-        Ocd_dynamics.Condition.cross_traffic ~seed:(seed + 7) ~prob:0.4
-          ~severity:0.5
-      | "link-flaps" ->
-        Ocd_dynamics.Condition.link_flaps ~seed:(seed + 7) ~down_prob:0.1
-          ~up_prob:0.5
-      | "churn" ->
-        Ocd_dynamics.Condition.churn ~seed:(seed + 7) ~protected:[ 0 ]
-          ~leave_prob:0.05 ~return_prob:0.5
-      | other ->
-        Printf.eprintf
-          "unknown condition %S (static, cross-traffic, link-flaps, churn)\n"
-          other;
-        exit 2
-    in
-    let chosen =
-      match protocol_name with
-      | None -> Ocd_dht.Registry.names
-      | Some name ->
-        if List.mem name Ocd_dht.Registry.names then [ name ]
-        else begin
-          Printf.eprintf "%s\n"
-            (Ocd_async.Registry.unknown ~available:Ocd_dht.Registry.names name);
-          exit 2
-        end
-    in
+  let run (seed, inst) protocol (profile_name, profile)
+      (condition_name, condition) monitor_on jobs (obs, finish) =
     Printf.printf "instance: n=%d m=%d deficit=%d; profile=%s pace=%d loss=%.2f condition=%s\n\n"
       (Instance.vertex_count inst)
       inst.Instance.token_count (Instance.total_deficit inst) profile_name
       profile.Ocd_async.Net.pace profile.Ocd_async.Net.loss condition_name;
-    with_observed ~trace_out ~metrics_out (fun obs ->
-        let runs =
-          Pool.map ~obs ~jobs
-            (fun name ->
-              let protocol = Ocd_dht.Registry.find_exn name in
-              (* Child scope per protocol: its registry and memory sink
-                 are private to this worker, then absorbed in protocol
-                 order below — so the files are byte-identical for any
-                 --jobs. *)
-              let pobs = Ocd_obs.child obs in
-              let monitor =
-                if monitor_on then Ocd_async.Monitor.create ()
-                else Ocd_async.Monitor.disabled
-              in
-              let r =
-                Ocd_async.Runtime.run ~obs:pobs ~profile ~condition ~monitor
-                  ~protocol ~seed inst
-              in
-              (r, monitor, pobs))
-            chosen
-        in
-        if obs.Ocd_obs.on then
-          List.iteri
-            (fun i (name, (_, _, pobs)) ->
-              Ocd_obs.absorb ~into:obs ~pid:i ~prefix:(name ^ "/") pobs)
-            (List.combine chosen runs);
-        Printf.printf "%-12s %8s %8s %10s %9s %8s %8s %8s %8s\n" "protocol"
-          "rounds" "ticks" "makespan" "data" "control" "retrans" "dropped"
-          "goodput";
-        List.iter
-          (fun ((r : Ocd_async.Runtime.run), _, _) ->
-            Printf.printf "%-12s %8s %8s %10s %9d %8d %8d %8d %8.3f\n"
-              r.Ocd_async.Runtime.protocol_name
-              (match r.Ocd_async.Runtime.outcome with
-              | Ocd_async.Runtime.Completed ->
-                string_of_int r.Ocd_async.Runtime.rounds
-              | Ocd_async.Runtime.Timed_out -> "timeout")
-              (match r.Ocd_async.Runtime.completion_ticks with
-              | Some t -> string_of_int t
-              | None -> "-")
-              (Metrics.makespan_cell r.Ocd_async.Runtime.metrics)
-              r.Ocd_async.Runtime.data_messages
-              r.Ocd_async.Runtime.control_messages
-              r.Ocd_async.Runtime.retransmissions
-              r.Ocd_async.Runtime.dropped_messages r.Ocd_async.Runtime.goodput)
-          runs;
-        if monitor_on then
+    let runs =
+      map_protocols ~obs ~jobs
+        (fun pobs name ->
+          let protocol = Ocd_dht.Registry.find_exn name in
+          let monitor =
+            if monitor_on then Ocd_async.Monitor.create ()
+            else Ocd_async.Monitor.disabled
+          in
+          (* built per task: a condition memoises its Markov chains in
+             a Hashtbl that must not be shared across domains *)
+          let r =
+            Ocd_async.Runtime.run ~obs:pobs ~profile
+              ~condition:(condition seed) ~monitor ~protocol ~seed inst
+          in
+          (r, monitor))
+        (chosen_protocols protocol)
+    in
+    Printf.printf "%-12s %8s %8s %10s %9s %8s %8s %8s %8s\n" "protocol"
+      "rounds" "ticks" "makespan" "data" "control" "retrans" "dropped"
+      "goodput";
+    List.iter
+      (fun ((r : Ocd_async.Runtime.run), _) ->
+        Printf.printf "%-12s %8s %8s %10s %9d %8d %8d %8d %8.3f\n"
+          r.Ocd_async.Runtime.protocol_name
+          (match r.Ocd_async.Runtime.outcome with
+          | Ocd_async.Runtime.Completed ->
+            string_of_int r.Ocd_async.Runtime.rounds
+          | Ocd_async.Runtime.Timed_out -> "timeout")
+          (match r.Ocd_async.Runtime.completion_ticks with
+          | Some t -> string_of_int t
+          | None -> "-")
+          (Metrics.makespan_cell r.Ocd_async.Runtime.metrics)
+          r.Ocd_async.Runtime.data_messages
+          r.Ocd_async.Runtime.control_messages
+          r.Ocd_async.Runtime.retransmissions
+          r.Ocd_async.Runtime.dropped_messages r.Ocd_async.Runtime.goodput)
+      runs;
+    if monitor_on then
+      List.iter
+        (fun ((r : Ocd_async.Runtime.run), monitor) ->
+          Printf.printf "\nmonitor %s: %s\n"
+            r.Ocd_async.Runtime.protocol_name
+            (if Ocd_async.Monitor.ok monitor then "ok"
+             else
+               Printf.sprintf "%d violation(s)"
+                 (Ocd_async.Monitor.count monitor));
           List.iter
-            (fun ((r : Ocd_async.Runtime.run), monitor, _) ->
-              Printf.printf "\nmonitor %s: %s\n"
-                r.Ocd_async.Runtime.protocol_name
-                (if Ocd_async.Monitor.ok monitor then "ok"
-                 else
-                   Printf.sprintf "%d violation(s)"
-                     (Ocd_async.Monitor.count monitor));
-              List.iter
-                (fun (v : Ocd_async.Monitor.violation) ->
-                  Printf.printf "  [tick %d, node %d] %s: %s\n"
-                    v.Ocd_async.Monitor.tick v.Ocd_async.Monitor.node
-                    v.Ocd_async.Monitor.rule v.Ocd_async.Monitor.detail)
-                (Ocd_async.Monitor.violations monitor))
-            runs)
-  in
-  let protocol_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"NAME"
-          ~doc:
-            "Protocol to run (default: all).  Available: async-local, \
-             async-push, flood-plan, dht-rarest.")
-  in
-  let profile_arg =
-    Arg.(
-      value & opt string "default"
-      & info [ "profile" ] ~docv:"PROFILE"
-          ~doc:
-            "Network profile: default (latency, jitter, pacing) or lockstep \
-             (the synchronous-equivalent degenerate profile).")
-  in
-  let loss_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
-  in
-  let pace_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "pace" ] ~docv:"TICKS" ~doc:"Override ticks per round.")
+            (fun (v : Ocd_async.Monitor.violation) ->
+              Printf.printf "  [tick %d, node %d] %s: %s\n"
+                v.Ocd_async.Monitor.tick v.Ocd_async.Monitor.node
+                v.Ocd_async.Monitor.rule v.Ocd_async.Monitor.detail)
+            (Ocd_async.Monitor.violations monitor))
+        runs;
+    finish ()
   in
   let condition_arg =
-    Arg.(
-      value & opt string "static"
-      & info [ "condition" ] ~docv:"KIND"
-          ~doc:
-            "Fault injector: static, cross-traffic, link-flaps or churn \
-             (seeded from --seed).")
+    choice_arg conditions ~default:"static" [ "condition" ] ~docv:"KIND"
+      ~doc:"Fault injector, seeded from --seed."
   in
   let monitor_arg =
     Arg.(
@@ -732,42 +745,30 @@ let async_cmd =
          "Run the asynchronous message-passing protocols (discrete-event \
           simulation with latency, loss and retry)")
     Term.(
-      term_result
-        (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ protocol_arg $ profile_arg $ loss_arg $ pace_arg
-       $ condition_arg $ monitor_arg $ jobs_arg $ trace_out_arg
-       $ metrics_out_arg))
+      const run $ workload ()
+      $ protocol_arg ~doc:"Protocol to run (default: all)."
+      $ network $ condition_arg $ monitor_arg $ jobs_arg $ observed)
 
 (* ---------------------- ocd chaos ---------------------------------- *)
 
 let chaos_cmd =
-  let run seed grid_name n tokens trials shrink shrink_out jobs trace_out
-      metrics_out =
-    let base =
-      match grid_name with
-      | "smoke" -> Ocd_bench.Chaos.smoke_grid
-      | "default" -> Ocd_bench.Chaos.default_grid
-      | "failing" -> Ocd_bench.Chaos.failing_grid
-      | other ->
-        Printf.eprintf "unknown grid %S (expected smoke, default or failing)\n"
-          other;
-        exit 2
-    in
+  let run seed (_, base) n tokens trials shrink shrink_out jobs (obs, finish) =
     let grid =
       {
         base with
-        Ocd_bench.Chaos.n = (match n with Some n -> n | None -> base.Ocd_bench.Chaos.n);
-        tokens = (match tokens with Some m -> m | None -> base.Ocd_bench.Chaos.tokens);
-        trials = (match trials with Some t -> t | None -> base.Ocd_bench.Chaos.trials);
+        Ocd_bench.Chaos.n = Option.value n ~default:base.Ocd_bench.Chaos.n;
+        tokens = Option.value tokens ~default:base.Ocd_bench.Chaos.tokens;
+        trials = Option.value trials ~default:base.Ocd_bench.Chaos.trials;
       }
     in
-    with_observed ~trace_out ~metrics_out (fun obs ->
-        Ocd_bench.Chaos.report ~obs ~jobs ~seed grid;
-        if shrink then begin
+    Ocd_bench.Chaos.report ~obs ~jobs ~seed grid;
+    finish ();
+    if not shrink then Ok ()
+    else begin
       let fails = Ocd_bench.Chaos.failures ~jobs ~seed grid in
       Printf.printf "\nshrink: %d failing trial(s)\n" (List.length fails);
       match fails with
-      | [] -> ()
+      | [] -> Ok ()
       | (case, tag) :: _ -> (
         Printf.printf "shrinking first failure: %s (%s)\n"
           case.Ocd_bench.Shrink.protocol tag;
@@ -784,25 +785,13 @@ let chaos_cmd =
             (List.length case.Ocd_bench.Shrink.downtime)
             (List.length case.Ocd_bench.Shrink.windows)
             s.Ocd_bench.Shrink.tests;
-          let artifact =
-            Ocd_bench.Shrink.to_string s.Ocd_bench.Shrink.minimal
+          let* () =
+            emit ~output:shrink_out
+              (Ocd_bench.Shrink.to_string s.Ocd_bench.Shrink.minimal)
           in
-          (match shrink_out with
-          | None -> print_string artifact
-          | Some path ->
-            let oc = open_out path in
-            output_string oc artifact;
-            close_out oc;
-            Printf.printf "wrote %s\n" path))
-        end)
-  in
-  let grid_arg =
-    Arg.(
-      value & opt string "default"
-      & info [ "grid" ] ~docv:"GRID"
-          ~doc:
-            "Campaign grid: smoke (tiny, for CI), default, or failing (a \
-             known-failing partition cell for exercising --shrink).")
+          Option.iter (Printf.printf "wrote %s\n") shrink_out;
+          Ok ())
+    end
   in
   let shrink_arg =
     Arg.(
@@ -821,22 +810,10 @@ let chaos_cmd =
       & info [ "shrink-out" ] ~docv:"FILE"
           ~doc:"Write the shrunk reproducer artifact to $(docv) (default: stdout).")
   in
-  let n_override =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n" ] ~docv:"N" ~doc:"Override the grid's vertex count.")
-  in
-  let tokens_override =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tokens" ] ~docv:"M" ~doc:"Override the grid's token count.")
-  in
   let trials_override =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "trials" ] ~docv:"T" ~doc:"Override trials per grid cell.")
   in
   Cmd.v
@@ -848,25 +825,28 @@ let chaos_cmd =
           monitoring, stall diagnoses, and optional fault-schedule shrinking")
     Term.(
       term_result
-        (const run $ seed_arg $ grid_arg $ n_override $ tokens_override
-       $ trials_override $ shrink_arg $ shrink_out_arg $ jobs_arg
-       $ trace_out_arg $ metrics_out_arg))
+        (const run $ seed_arg
+        $ grid_arg ~default:"default"
+            ~doc:
+              "Campaign grid: smoke is tiny (for CI); failing holds a \
+               known-failing partition cell for exercising --shrink."
+        $ n_arg (Arg.some positive) None
+            ~doc:"Override the grid's vertex count."
+        $ tokens_arg (Arg.some natural) None
+            ~doc:"Override the grid's token count."
+        $ trials_override $ shrink_arg $ shrink_out_arg $ jobs_arg $ observed))
 
 (* ---------------------- ocd dht ------------------------------------ *)
 
 let dht_cmd =
-  let run seed topology n tokens threshold loss crash churn jobs trace_out
-      metrics_out =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
+  let run (seed, inst) loss crash churn jobs (obs, finish) =
+    let _, profile =
+      network_profile ("default", Ocd_async.Net.default) loss None
     in
-    let profile =
-      match loss with
-      | None -> Ocd_async.Net.default
-      | Some l -> { Ocd_async.Net.default with Ocd_async.Net.loss = l }
-    in
-    let condition =
+    (* Conditions and fault plans memoise their Markov chains in a
+       Hashtbl, so each task builds its own: shared across domains, the
+       tables race and a run can spin forever. *)
+    let condition () =
       if churn then begin
         let sources =
           List.filter
@@ -878,7 +858,7 @@ let dht_cmd =
       end
       else Ocd_dynamics.Condition.static
     in
-    let faults =
+    let faults () =
       match crash with
       | None -> Ocd_dynamics.Faults.none
       | Some p -> Ocd_dynamics.Faults.crashes ~seed:(seed + 17) ~crash_prob:p ()
@@ -893,86 +873,73 @@ let dht_cmd =
       profile.Ocd_async.Net.loss
       (match crash with Some p -> p | None -> 0.0)
       churn;
-    with_observed ~trace_out ~metrics_out (fun obs ->
-        let runs =
-          Pool.map ~obs ~jobs
-            (fun name ->
-              (* Stats are created inside the task so each worker domain
-                 owns its counters; Pool.map's join publishes them. *)
-              let stats = Ocd_dht.Node.fresh_stats () in
-              let protocol =
-                if name = "dht-rarest" then
-                  Ocd_dht.Dht_rarest.protocol ~stats ()
-                else Ocd_dht.Registry.find_exn name
-              in
-              let pobs = Ocd_obs.child obs in
-              let r =
-                Ocd_async.Runtime.run ~obs:pobs ~profile ~condition ~faults
-                  ~protocol ~seed inst
-              in
-              (r, stats, pobs))
-            chosen
-        in
-        if obs.Ocd_obs.on then
-          List.iteri
-            (fun i (name, (_, _, pobs)) ->
-              Ocd_obs.absorb ~into:obs ~pid:i ~prefix:(name ^ "/") pobs)
-            (List.combine chosen runs);
-        Printf.printf "%-12s %8s %8s %10s %9s %8s %8s %8s %8s %8s\n" "protocol"
-          "rounds" "ticks" "makespan" "data" "control" "retrans" "crashes"
-          "restarts" "goodput";
-        List.iter
-          (fun ((r : Ocd_async.Runtime.run), _, _) ->
-            Printf.printf "%-12s %8s %8s %10s %9d %8d %8d %8d %8d %8.3f\n"
-              r.Ocd_async.Runtime.protocol_name
-              (match r.Ocd_async.Runtime.outcome with
-              | Ocd_async.Runtime.Completed ->
-                string_of_int r.Ocd_async.Runtime.rounds
-              | Ocd_async.Runtime.Timed_out -> "timeout")
-              (match r.Ocd_async.Runtime.completion_ticks with
-              | Some t -> string_of_int t
-              | None -> "-")
-              (Metrics.makespan_cell r.Ocd_async.Runtime.metrics)
-              r.Ocd_async.Runtime.data_messages
-              r.Ocd_async.Runtime.control_messages
-              r.Ocd_async.Runtime.retransmissions r.Ocd_async.Runtime.crashes
-              r.Ocd_async.Runtime.restarts r.Ocd_async.Runtime.goodput)
-          runs;
-        List.iter
-          (fun (name, ((_ : Ocd_async.Runtime.run), s, _)) ->
-            if name = "dht-rarest" then begin
-              Printf.printf
-                "\ndht: lookups=%d mean_hops=%.2f max_hops=%d failures=%d \
-                 stores=%d queries=%d joins=%d evictions=%d\n"
-                s.Ocd_dht.Node.lookups
-                (Ocd_dht.Node.mean_hops s)
-                s.Ocd_dht.Node.max_hops s.Ocd_dht.Node.failures
-                s.Ocd_dht.Node.stores s.Ocd_dht.Node.queries
-                s.Ocd_dht.Node.joins s.Ocd_dht.Node.evictions;
-              if obs.Ocd_obs.on then begin
-                let put k v = Ocd_obs.Metrics.add obs.Ocd_obs.metrics k v in
-                put "dht/evictions" s.Ocd_dht.Node.evictions;
-                put "dht/failures" s.Ocd_dht.Node.failures;
-                put "dht/hops" s.Ocd_dht.Node.hops;
-                put "dht/joins" s.Ocd_dht.Node.joins;
-                put "dht/lookups" s.Ocd_dht.Node.lookups;
-                put "dht/max_hops" s.Ocd_dht.Node.max_hops;
-                put "dht/queries" s.Ocd_dht.Node.queries;
-                put "dht/stores" s.Ocd_dht.Node.stores
-              end
-            end)
-          (List.combine chosen runs))
-  in
-  let loss_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
+    let runs =
+      map_protocols ~obs ~jobs
+        (fun pobs name ->
+          (* Stats are created inside the task so each worker domain
+             owns its counters; Pool.map's join publishes them. *)
+          let stats = Ocd_dht.Node.fresh_stats () in
+          let protocol =
+            if name = "dht-rarest" then Ocd_dht.Dht_rarest.protocol ~stats ()
+            else Ocd_dht.Registry.find_exn name
+          in
+          let r =
+            Ocd_async.Runtime.run ~obs:pobs ~profile ~condition:(condition ())
+              ~faults:(faults ()) ~protocol ~seed inst
+          in
+          (r, stats))
+        chosen
+    in
+    Printf.printf "%-12s %8s %8s %10s %9s %8s %8s %8s %8s %8s\n" "protocol"
+      "rounds" "ticks" "makespan" "data" "control" "retrans" "crashes"
+      "restarts" "goodput";
+    List.iter
+      (fun ((r : Ocd_async.Runtime.run), _) ->
+        Printf.printf "%-12s %8s %8s %10s %9d %8d %8d %8d %8d %8.3f\n"
+          r.Ocd_async.Runtime.protocol_name
+          (match r.Ocd_async.Runtime.outcome with
+          | Ocd_async.Runtime.Completed ->
+            string_of_int r.Ocd_async.Runtime.rounds
+          | Ocd_async.Runtime.Timed_out -> "timeout")
+          (match r.Ocd_async.Runtime.completion_ticks with
+          | Some t -> string_of_int t
+          | None -> "-")
+          (Metrics.makespan_cell r.Ocd_async.Runtime.metrics)
+          r.Ocd_async.Runtime.data_messages
+          r.Ocd_async.Runtime.control_messages
+          r.Ocd_async.Runtime.retransmissions r.Ocd_async.Runtime.crashes
+          r.Ocd_async.Runtime.restarts r.Ocd_async.Runtime.goodput)
+      runs;
+    List.iter
+      (fun (name, ((_ : Ocd_async.Runtime.run), s)) ->
+        if name = "dht-rarest" then begin
+          Printf.printf
+            "\ndht: lookups=%d mean_hops=%.2f max_hops=%d failures=%d \
+             stores=%d queries=%d joins=%d evictions=%d\n"
+            s.Ocd_dht.Node.lookups
+            (Ocd_dht.Node.mean_hops s)
+            s.Ocd_dht.Node.max_hops s.Ocd_dht.Node.failures
+            s.Ocd_dht.Node.stores s.Ocd_dht.Node.queries
+            s.Ocd_dht.Node.joins s.Ocd_dht.Node.evictions;
+          if obs.Ocd_obs.on then begin
+            let put k v = Ocd_obs.Metrics.add obs.Ocd_obs.metrics k v in
+            put "dht/evictions" s.Ocd_dht.Node.evictions;
+            put "dht/failures" s.Ocd_dht.Node.failures;
+            put "dht/hops" s.Ocd_dht.Node.hops;
+            put "dht/joins" s.Ocd_dht.Node.joins;
+            put "dht/lookups" s.Ocd_dht.Node.lookups;
+            put "dht/max_hops" s.Ocd_dht.Node.max_hops;
+            put "dht/queries" s.Ocd_dht.Node.queries;
+            put "dht/stores" s.Ocd_dht.Node.stores
+          end
+        end)
+      (List.combine chosen runs);
+    finish ()
   in
   let crash_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some probability) None
       & info [ "crash" ] ~docv:"P"
           ~doc:
             "Per-round crash probability (crashed nodes lose all state and \
@@ -991,32 +958,15 @@ let dht_cmd =
           global knowledge) against the omniscient async-local baseline on \
           the same instance, with optional crash/churn faults")
     Term.(
-      term_result
-        (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ loss_arg $ crash_arg $ churn_arg $ jobs_arg
-       $ trace_out_arg $ metrics_out_arg))
+      const run $ workload ()
+      $ loss_arg $ crash_arg $ churn_arg $ jobs_arg $ observed)
 
 (* ---------------------- ocd trace ---------------------------------- *)
 
 let trace_cmd =
-  let run seed topology n tokens threshold strategy_name output =
-    let inst =
-      build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-        ~multi_sender:false
-    in
+  let run (seed, inst) strategy output =
     let strategy =
-      match strategy_name with
-      | None -> Ocd_heuristics.Local_rarest.strategy
-      | Some name -> (
-        match
-          List.find_opt
-            (fun s -> s.Ocd_engine.Strategy.name = name)
-            (all_strategies ())
-        with
-        | Some s -> s
-        | None ->
-          Printf.eprintf "unknown strategy %S\n" name;
-          exit 2)
+      Option.fold strategy ~none:Ocd_heuristics.Local_rarest.strategy ~some:snd
     in
     let run =
       Ocd_engine.Engine.completed_exn
@@ -1039,66 +989,61 @@ let trace_cmd =
        ~doc:"Run one strategy and render its per-step progress timeline")
     Term.(
       term_result
-        (const run $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ strategy_arg $ output_arg))
+        (const run $ workload ()
+        $ strategy_arg ~doc:"Strategy to run (default: local)."
+        $ output_arg))
 
 (* ---------------------- ocd profile -------------------------------- *)
 
 let profile_cmd =
-  let run kind seed topology n tokens jobs =
+  let workloads =
+    [
+      ( "run",
+        fun ~obs ~jobs:_ (seed, inst) ->
+          List.iter
+            (fun strategy ->
+              ignore
+                (Ocd_engine.Engine.run ~obs ~strategy ~seed:(seed + 1) inst))
+            strategies;
+          Printf.sprintf "ocd profile run: n=%d m=%d, %d strategies"
+            (Instance.vertex_count inst)
+            inst.Instance.token_count (List.length strategies) );
+      ( "async",
+        fun ~obs ~jobs:_ (seed, inst) ->
+          List.iter
+            (fun name ->
+              let protocol = Ocd_dht.Registry.find_exn name in
+              ignore (Ocd_async.Runtime.run ~obs ~protocol ~seed inst))
+            Ocd_dht.Registry.names;
+          Printf.sprintf "ocd profile async: n=%d m=%d, %d protocols"
+            (Instance.vertex_count inst)
+            inst.Instance.token_count
+            (List.length Ocd_dht.Registry.names) );
+      ( "chaos",
+        fun ~obs ~jobs (seed, _) ->
+          let grid = Ocd_bench.Chaos.smoke_grid in
+          ignore (Ocd_bench.Chaos.run ~obs ~jobs ~seed grid);
+          Printf.sprintf "ocd profile chaos: smoke grid, %d cells x %d trials"
+            (List.length grid.Ocd_bench.Chaos.cells)
+            grid.Ocd_bench.Chaos.trials );
+    ]
+  in
+  let run (_, measure) workload jobs =
     let probe = Ocd_obs.Probe.create () in
     (* A probing scope with the null sink: deterministic streams stay
        off, the probe collects wall-clock and GC deltas per phase. *)
     let obs = Ocd_obs.create ~probe () in
-    let title =
-      match kind with
-      | "run" ->
-        let inst =
-          build_instance ~seed ~topology ~n ~tokens ~threshold:1.0 ~files:1
-            ~multi_sender:false
-        in
-        let strategies = all_strategies () in
-        List.iter
-          (fun strategy ->
-            ignore
-              (Ocd_engine.Engine.run ~obs ~strategy ~seed:(seed + 1) inst))
-          strategies;
-        Printf.sprintf "ocd profile run: n=%d m=%d, %d strategies"
-          (Instance.vertex_count inst)
-          inst.Instance.token_count (List.length strategies)
-      | "async" ->
-        let inst =
-          build_instance ~seed ~topology ~n ~tokens ~threshold:1.0 ~files:1
-            ~multi_sender:false
-        in
-        List.iter
-          (fun name ->
-            let protocol = Ocd_dht.Registry.find_exn name in
-            ignore (Ocd_async.Runtime.run ~obs ~protocol ~seed inst))
-          Ocd_dht.Registry.names;
-        Printf.sprintf "ocd profile async: n=%d m=%d, %d protocols"
-          (Instance.vertex_count inst)
-          inst.Instance.token_count
-          (List.length Ocd_dht.Registry.names)
-      | "chaos" ->
-        let grid = Ocd_bench.Chaos.smoke_grid in
-        ignore (Ocd_bench.Chaos.run ~obs ~jobs ~seed grid);
-        Printf.sprintf "ocd profile chaos: smoke grid, %d cells x %d trials"
-          (List.length grid.Ocd_bench.Chaos.cells)
-          grid.Ocd_bench.Chaos.trials
-      | other ->
-        Printf.eprintf "unknown profile workload %S (run, async, chaos)\n"
-          other;
-        exit 2
-    in
+    let title = measure ~obs ~jobs workload in
     print_string (Ocd_obs.Probe.render ~title probe)
   in
   let kind_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (choice workloads)) None
       & info [] ~docv:"WORKLOAD"
-          ~doc:"Workload to profile: run (sync engine), async or chaos.")
+          ~doc:
+            ("Workload to profile (run is the sync engine).  "
+            ^ alts workloads))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1108,9 +1053,10 @@ let profile_cmd =
           message handlers, simulator events, pool workers).  Probe \
           numbers are non-deterministic by nature; the deterministic \
           metrics/trace streams are the --metrics-out/--trace-out flags \
-          of run, async and chaos.")
+          of run, async, chaos and dht.")
     Term.(
-      const run $ kind_arg $ seed_arg $ topology_arg $ n_arg $ tokens_arg
+      const run $ kind_arg
+      $ workload ~threshold:(Term.const 1.0) ()
       $ jobs_arg)
 
 (* ---------------------- ocd explain -------------------------------- *)
@@ -1137,238 +1083,121 @@ let explain_cmd =
       print_string (Ocd_bench.Explain.notes d);
       print_newline ()
   in
-  let flush_path_out ~path_out sink =
-    match path_out with
-    | None -> Ok ()
-    | Some path ->
-      let* oc = open_out_result path in
-      let jsonl = Ocd_obs.Sink.jsonl oc in
-      List.iter (Ocd_obs.Sink.emit jsonl) (Ocd_obs.Sink.events sink);
-      Ocd_obs.Sink.close jsonl;
-      close_out oc;
-      Ok ()
+  let explain_run ~obs (seed, inst) strategy =
+    let strategy =
+      Option.fold strategy ~none:Ocd_heuristics.Local_rarest.strategy ~some:snd
+    in
+    let r = Ocd_engine.Engine.run ~strategy ~seed:(seed + 1) inst in
+    (match r.Ocd_engine.Engine.outcome with
+    | Ocd_engine.Engine.Completed ->
+      (* sync rounds are the tick unit here (pace 1): the attribution
+         is the schedule's token-dependency critical path *)
+      render_dec ~label:strategy.Ocd_engine.Strategy.name ~completion:None
+        (Ocd_bench.Explain.of_schedule ~instance:inst
+           r.Ocd_engine.Engine.schedule)
+    | Ocd_engine.Engine.Stalled step ->
+      Printf.printf "%s stalled at step %d — no completion to explain\n"
+        strategy.Ocd_engine.Strategy.name step
+    | Ocd_engine.Engine.Step_limit ->
+      Printf.printf "%s hit the step limit — no completion to explain\n"
+        strategy.Ocd_engine.Strategy.name);
+    if obs.Ocd_obs.on then
+      Printf.eprintf
+        "note: run mode keeps no causal log, so the --path-out trace is \
+         empty; the path applies to the async and chaos-cell modes\n"
   in
-  let run mode seed topology n tokens threshold protocol_name strategy_name
-      profile_name loss pace grid_name cell_label trial jobs path_out =
-    match mode with
-    | "run" ->
-      let inst =
-        build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-          ~multi_sender:false
-      in
-      let strategy =
-        let name = Option.value strategy_name ~default:"local" in
-        match
-          List.find_opt
-            (fun s -> s.Ocd_engine.Strategy.name = name)
-            (all_strategies ())
-        with
-        | Some s -> s
-        | None ->
-          Printf.eprintf "unknown strategy %S\n" name;
-          exit 2
-      in
-      let r = Ocd_engine.Engine.run ~strategy ~seed:(seed + 1) inst in
-      (match r.Ocd_engine.Engine.outcome with
-      | Ocd_engine.Engine.Completed ->
-        (* sync rounds are the tick unit here (pace 1): the attribution
-           is the schedule's token-dependency critical path *)
-        render_dec ~label:strategy.Ocd_engine.Strategy.name ~completion:None
-          (Ocd_bench.Explain.of_schedule ~instance:inst
-             r.Ocd_engine.Engine.schedule)
-      | Ocd_engine.Engine.Stalled step ->
-        Printf.printf "%s stalled at step %d — no completion to explain\n"
-          strategy.Ocd_engine.Strategy.name step
-      | Ocd_engine.Engine.Step_limit ->
-        Printf.printf "%s hit the step limit — no completion to explain\n"
-          strategy.Ocd_engine.Strategy.name);
-      if path_out <> None then
-        Printf.eprintf
-          "note: --path-out needs a causal log; it applies to the async and \
-           chaos-cell modes\n";
-      Ok ()
-    | "async" ->
-      let inst =
-        build_instance ~seed ~topology ~n ~tokens ~threshold ~files:1
-          ~multi_sender:false
-      in
-      let base_profile =
-        match profile_name with
-        | "default" -> Ocd_async.Net.default
-        | "lockstep" -> Ocd_async.Net.lockstep
-        | other ->
-          Printf.eprintf "unknown profile %S (default, lockstep)\n" other;
-          exit 2
-      in
-      let profile =
-        {
-          base_profile with
-          Ocd_async.Net.loss =
-            (match loss with
-            | Some l -> l
-            | None -> base_profile.Ocd_async.Net.loss);
-          pace =
-            (match pace with
-            | Some p -> p
-            | None -> base_profile.Ocd_async.Net.pace);
-        }
-      in
-      let chosen =
-        match protocol_name with
-        | None -> Ocd_dht.Registry.names
-        | Some name ->
-          if List.mem name Ocd_dht.Registry.names then [ name ]
-          else begin
-            Printf.eprintf "%s\n"
-              (Ocd_async.Registry.unknown ~available:Ocd_dht.Registry.names
-                 name);
-            exit 2
-          end
-      in
-      Printf.printf
-        "instance: n=%d m=%d deficit=%d; profile=%s pace=%d loss=%.2f\n\n"
-        (Instance.vertex_count inst)
-        inst.Instance.token_count (Instance.total_deficit inst) profile_name
-        profile.Ocd_async.Net.pace profile.Ocd_async.Net.loss;
-      let sink =
-        if path_out <> None then Ocd_obs.Sink.memory () else Ocd_obs.Sink.null
-      in
-      let obs =
-        if path_out <> None then Ocd_obs.create ~sink () else Ocd_obs.disabled
-      in
-      (* One causal log per protocol, filled in the worker; extraction
-         and rendering happen in protocol order afterwards, so stdout
-         and the --path-out file are byte-identical for any --jobs. *)
-      let results =
-        Pool.map ~obs ~jobs
-          (fun name ->
-            let protocol = Ocd_dht.Registry.find_exn name in
-            let causal = Ocd_obs.Causal.create () in
-            let pobs = Ocd_obs.child obs in
-            let r =
-              Ocd_async.Runtime.run ~obs:pobs ~causal ~profile ~protocol ~seed
-                inst
-            in
-            (r, causal, pobs))
-          chosen
-      in
-      List.iteri
-        (fun i (name, ((_ : Ocd_async.Runtime.run), causal, pobs)) ->
-          if obs.Ocd_obs.on then
-            Ocd_obs.absorb ~into:obs ~pid:i ~prefix:(name ^ "/") pobs;
-          Ocd_bench.Explain.flow_overlay ~sink ~pid:i causal)
-        (List.combine chosen results);
-      List.iter2
-        (fun name ((r : Ocd_async.Runtime.run), causal, _) ->
-          render_dec ~label:name
-            ~completion:r.Ocd_async.Runtime.completion_ticks
-            (Ocd_bench.Explain.of_causal ~pace:profile.Ocd_async.Net.pace
-               ~instance:inst causal))
-        chosen results;
-      flush_path_out ~path_out sink
-    | "chaos-cell" ->
-      let grid =
-        match grid_name with
-        | "smoke" -> Ocd_bench.Chaos.smoke_grid
-        | "default" -> Ocd_bench.Chaos.default_grid
-        | "failing" -> Ocd_bench.Chaos.failing_grid
-        | other ->
-          Printf.eprintf
-            "unknown grid %S (expected smoke, default or failing)\n" other;
-          exit 2
-      in
-      let cell_label =
-        match cell_label with
-        | Some c -> c
-        | None ->
-          Printf.eprintf
-            "chaos-cell needs --cell LABEL (the campaign report's env \
-             column)\n";
-          exit 2
-      in
-      let protocol = Option.value protocol_name ~default:"async-local" in
-      (match
-         Ocd_bench.Chaos.trial_setup ~seed grid ~cell_label ~protocol ~trial
-       with
-      | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-      | Ok ts ->
-        let sink =
-          if path_out <> None then Ocd_obs.Sink.memory ()
-          else Ocd_obs.Sink.null
-        in
-        let obs =
-          if path_out <> None then Ocd_obs.create ~sink ()
-          else Ocd_obs.disabled
-        in
-        let causal = Ocd_obs.Causal.create () in
-        let r =
-          Ocd_async.Runtime.run ~obs ~causal
-            ~profile:ts.Ocd_bench.Chaos.t_profile
-            ~condition:ts.Ocd_bench.Chaos.t_condition
-            ~faults:ts.Ocd_bench.Chaos.t_faults
-            ~monitor:(Ocd_async.Monitor.create ())
-            ~protocol:ts.Ocd_bench.Chaos.t_protocol
-            ~seed:ts.Ocd_bench.Chaos.t_run_seed ts.Ocd_bench.Chaos.t_instance
-        in
-        Printf.printf "cell %s, protocol %s, trial %d (run seed %d)\n\n"
-          cell_label protocol trial ts.Ocd_bench.Chaos.t_run_seed;
-        Ocd_bench.Explain.flow_overlay ~sink ~pid:0 causal;
-        render_dec
-          ~label:(cell_label ^ "/" ^ protocol)
+  let explain_async ~obs ~jobs (seed, inst) protocol (profile_name, profile) =
+    let chosen = chosen_protocols protocol in
+    Printf.printf
+      "instance: n=%d m=%d deficit=%d; profile=%s pace=%d loss=%.2f\n\n"
+      (Instance.vertex_count inst)
+      inst.Instance.token_count (Instance.total_deficit inst) profile_name
+      profile.Ocd_async.Net.pace profile.Ocd_async.Net.loss;
+    (* One causal log per protocol, filled in the worker; extraction
+       and rendering happen in protocol order afterwards, so stdout
+       and the --path-out file are byte-identical for any --jobs. *)
+    let results =
+      Pool.map ~obs ~jobs
+        (fun name ->
+          let protocol = Ocd_dht.Registry.find_exn name in
+          let causal = Ocd_obs.Causal.create () in
+          let pobs = Ocd_obs.child obs in
+          let r =
+            Ocd_async.Runtime.run ~obs:pobs ~causal ~profile ~protocol ~seed
+              inst
+          in
+          (r, causal, pobs))
+        chosen
+    in
+    List.iteri
+      (fun i (name, ((_ : Ocd_async.Runtime.run), causal, pobs)) ->
+        if obs.Ocd_obs.on then
+          Ocd_obs.absorb ~into:obs ~pid:i ~prefix:(name ^ "/") pobs;
+        Ocd_bench.Explain.flow_overlay ~sink:obs.Ocd_obs.sink ~pid:i causal)
+      (List.combine chosen results);
+    List.iter2
+      (fun name ((r : Ocd_async.Runtime.run), causal, _) ->
+        render_dec ~label:name
           ~completion:r.Ocd_async.Runtime.completion_ticks
-          (Ocd_bench.Explain.of_causal ~faults:ts.Ocd_bench.Chaos.t_faults
-             ~pace:ts.Ocd_bench.Chaos.t_profile.Ocd_async.Net.pace
-             ~instance:ts.Ocd_bench.Chaos.t_instance causal);
-        flush_path_out ~path_out sink)
-    | other ->
-      Printf.eprintf "unknown explain mode %S (run, async, chaos-cell)\n" other;
-      exit 2
+          (Ocd_bench.Explain.of_causal ~pace:profile.Ocd_async.Net.pace
+             ~instance:inst causal))
+      chosen results
+  in
+  let explain_chaos_cell ~obs seed (_, grid) cell protocol trial =
+    let* cell_label =
+      Option.to_result cell
+        ~none:
+          (`Msg
+             "chaos-cell needs --cell LABEL (the campaign report's env column)")
+    in
+    let protocol = Option.fold protocol ~none:"async-local" ~some:fst in
+    let* ts =
+      Result.map_error
+        (fun msg -> `Msg msg)
+        (Ocd_bench.Chaos.trial_setup ~seed grid ~cell_label ~protocol ~trial)
+    in
+    let causal = Ocd_obs.Causal.create () in
+    let r =
+      Ocd_async.Runtime.run ~obs ~causal ~profile:ts.Ocd_bench.Chaos.t_profile
+        ~condition:ts.Ocd_bench.Chaos.t_condition
+        ~faults:ts.Ocd_bench.Chaos.t_faults
+        ~monitor:(Ocd_async.Monitor.create ())
+        ~protocol:ts.Ocd_bench.Chaos.t_protocol
+        ~seed:ts.Ocd_bench.Chaos.t_run_seed ts.Ocd_bench.Chaos.t_instance
+    in
+    Printf.printf "cell %s, protocol %s, trial %d (run seed %d)\n\n" cell_label
+      protocol trial ts.Ocd_bench.Chaos.t_run_seed;
+    Ocd_bench.Explain.flow_overlay ~sink:obs.Ocd_obs.sink ~pid:0 causal;
+    render_dec
+      ~label:(cell_label ^ "/" ^ protocol)
+      ~completion:r.Ocd_async.Runtime.completion_ticks
+      (Ocd_bench.Explain.of_causal ~faults:ts.Ocd_bench.Chaos.t_faults
+         ~pace:ts.Ocd_bench.Chaos.t_profile.Ocd_async.Net.pace
+         ~instance:ts.Ocd_bench.Chaos.t_instance causal);
+    Ok ()
+  in
+  let run (_, mode) workload protocol strategy network grid cell trial jobs
+      (obs, finish) =
+    Result.map finish
+      (match mode with
+      | `Run -> Ok (explain_run ~obs workload strategy)
+      | `Async -> Ok (explain_async ~obs ~jobs workload protocol network)
+      | `Chaos_cell ->
+        explain_chaos_cell ~obs (fst workload) grid cell protocol trial)
+  in
+  let modes =
+    [ ("run", `Run); ("async", `Async); ("chaos-cell", `Chaos_cell) ]
   in
   let mode_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (choice modes)) None
       & info [] ~docv:"MODE"
           ~doc:
-            "What to explain: run (a synchronous schedule's \
-             token-dependency critical path), async (an async protocol run \
-             under a live causal log), or chaos-cell (replay one chaos \
-             campaign grid point).")
-  in
-  let protocol_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"NAME"
-          ~doc:
-            "Async protocol (async mode default: all; chaos-cell default: \
-             async-local).")
-  in
-  let profile_arg =
-    Arg.(
-      value & opt string "default"
-      & info [ "profile" ] ~docv:"PROFILE"
-          ~doc:"Network profile for async mode: default or lockstep.")
-  in
-  let loss_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "loss" ] ~docv:"P" ~doc:"Override per-message loss probability.")
-  in
-  let pace_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "pace" ] ~docv:"TICKS" ~doc:"Override ticks per round.")
-  in
-  let grid_arg =
-    Arg.(
-      value & opt string "smoke"
-      & info [ "grid" ] ~docv:"GRID"
-          ~doc:"Chaos grid for chaos-cell mode: smoke, default or failing.")
+            ("What to explain: run (a synchronous schedule's \
+              token-dependency critical path), async (an async protocol run \
+              under a live causal log), or chaos-cell (replay one chaos \
+              campaign grid point).  " ^ alts modes))
   in
   let cell_arg =
     Arg.(
@@ -1381,20 +1210,26 @@ let explain_cmd =
   in
   let trial_arg =
     Arg.(
-      value & opt int 0
+      value & opt natural 0
       & info [ "trial" ] ~docv:"T" ~doc:"Trial index within the cell.")
   in
-  let path_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "path-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the run's trace plus its critical path as Chrome \
-             trace-event JSON: the path is emitted as flow events (ph \
-             s/t/f, id 1, name critical-path), which Perfetto draws as \
-             arrows across the per-node tracks.  Timestamps are simulator \
-             ticks, so the file is byte-identical across $(b,--jobs).")
+  let path_out =
+    let path_out_arg =
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "path-out" ] ~docv:"FILE"
+            ~doc:
+              "Write the run's trace plus its critical path as Chrome \
+               trace-event JSON: the path is emitted as flow events (ph \
+               s/t/f, id 1, name critical-path), which Perfetto draws as \
+               arrows across the per-node tracks.  Timestamps are simulator \
+               ticks, so the file is byte-identical across $(b,--jobs).")
+    in
+    Term.(
+      term_result
+        (const (fun trace_out -> observe ~trace_out ~metrics_out:None)
+        $ path_out_arg))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1405,9 +1240,15 @@ let explain_cmd =
           the completion time, next to the paper's lower bound")
     Term.(
       term_result
-        (const run $ mode_arg $ seed_arg $ topology_arg $ n_arg $ tokens_arg
-       $ threshold_arg $ protocol_arg $ strategy_arg $ profile_arg $ loss_arg
-       $ pace_arg $ grid_arg $ cell_arg $ trial_arg $ jobs_arg $ path_out_arg))
+        (const run $ mode_arg $ workload ()
+        $ protocol_arg
+            ~doc:
+              "Async protocol (async mode default: all; chaos-cell default: \
+               async-local)."
+        $ strategy_arg ~doc:"Strategy for run mode (default: local)."
+        $ network
+        $ grid_arg ~default:"smoke" ~doc:"Chaos grid for chaos-cell mode."
+        $ cell_arg $ trial_arg $ jobs_arg $ path_out))
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
