@@ -17,13 +17,15 @@ val find : string -> Protocol.t option
 
 val find_exn : string -> Protocol.t
 (** Like {!find}, but an unknown name raises [Invalid_argument] with a
-    message that lists the available protocol names — the text cmdliner
-    surfaces when a user mistypes [--protocol]. *)
+    message that lists the available protocol names.  Library callers
+    (the chaos campaign, the experiments) reach it with names from
+    their own tables; the CLI never does, since cmdliner's enum
+    converter rejects a mistyped [--protocol] with its own message
+    first. *)
 
 val unknown : available:string list -> string -> string
 (** [unknown ~available name] renders that same "unknown protocol …
-    (available: …)" message, for registries layered on top of this one
-    and for cmdliner converters that want the text without the
-    exception. *)
+    (available: …)" message, for registries layered on top of this
+    one. *)
 
 val all : unit -> Protocol.t list

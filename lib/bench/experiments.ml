@@ -1267,6 +1267,8 @@ let engine_scale ?n:size_override () =
           "tick_ms";
           "ticks_per_s";
           "alloc_MB_per_step";
+          "lb";
+          "lb_ms";
         ]
   in
   let sizes =
@@ -1300,6 +1302,9 @@ let engine_scale ?n:size_override () =
     let bytes = Gc.allocated_bytes () -. bytes0 in
     let steps = max 1 (Schedule.length run.Ocd_engine.Engine.schedule) in
     let per_tick = dt /. float_of_int steps in
+    let t1 = Sys.time () in
+    let lb = Bounds.makespan_lower_bound inst in
+    let lb_dt = Sys.time () -. t1 in
     Report.row table
       [
         string_of_int (Ocd_graph.Digraph.vertex_count g);
@@ -1309,6 +1314,8 @@ let engine_scale ?n:size_override () =
         Printf.sprintf "%.2f" (1.0 /. Float.max 1e-9 per_tick);
         Printf.sprintf "%.1f"
           (bytes /. float_of_int steps /. (1024.0 *. 1024.0));
+        string_of_int lb;
+        Printf.sprintf "%.1f" (lb_dt *. 1000.0);
       ]
   in
   List.iter measure sizes;
@@ -1317,8 +1324,10 @@ let engine_scale ?n:size_override () =
     "tick = one full local-rarest round (decide + apply + incremental \
      aggregate update) on a transit-stub graph, single source, 8 tokens, \
      all receivers; alloc_MB_per_step = Gc.allocated_bytes over the run \
-     divided by steps.  Timings are machine-dependent, so this \
-     experiment is not part of run_all"
+     divided by steps; lb = the §5.1 makespan lower bound of the \
+     instance (Bounds.makespan_lower_bound), lb_ms its CPU time.  \
+     Timings are machine-dependent, so this experiment is not part of \
+     run_all"
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path attribution (extension)                               *)

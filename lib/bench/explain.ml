@@ -236,53 +236,63 @@ let flow_overlay ~sink ~pid log =
    segments [parent_visible, move_round + 1) telescope to exactly the
    schedule length in rounds. *)
 let of_schedule ?(pace = 1) ~instance sched =
-  let rounds = ref 0 and last_move = ref None in
-  (* (dst, token) -> (visible_round, src, move_round); (src, round)
-     presence marks the vertex busy that round *)
-  let acq = Hashtbl.create 64 and busy = Hashtbl.create 64 in
-  Schedule.iter_moves sched (fun ~step m ->
-      let { Move.src; dst; token } = m in
-      if step + 1 > !rounds then rounds := step + 1;
-      if not (Hashtbl.mem acq (dst, token)) then
-        Hashtbl.replace acq (dst, token) (step + 1, src, step);
-      Hashtbl.replace busy (src, step) ();
-      last_move := Some (step, src, dst, token));
-  match !last_move with
-  | None -> None
-  | Some (r_last, src0, _, tok0) ->
-      let counts = Array.make 7 0 in
-      let add c n = counts.(cat_idx c) <- counts.(cat_idx c) + n in
-      let hops = ref 0 in
-      (* walk: the move at [r] needed its source to hold the token,
-         which happened at [pr]; rounds [pr, r) are gap, [r] the move *)
-      let rec back r src token =
-        incr hops;
-        add Transmit 1;
-        let pr, psrc, pround =
-          if Bitset.mem instance.Instance.have.(src) token then (0, -1, -1)
-          else
-            match Hashtbl.find_opt acq (src, token) with
-            | Some v -> v
-            | None -> (0, -1, -1)
-        in
-        for g = pr to r - 1 do
-          if Hashtbl.mem busy (src, g) then add Queue 1 else add Protocol_idle 1
-        done;
-        if psrc >= 0 then back pround psrc token
+  let n = Instance.vertex_count instance in
+  let token_count = instance.Instance.token_count in
+  let len = Schedule.length sched in
+  (* Flat tables: the first move delivering [token] to [dst] at
+     [dst * token_count + token] (source, round; -1 = none yet), and
+     the busy (vertex, round) pairs at [src * len + round]. *)
+  let acq_src = Array.make (n * token_count) (-1) in
+  let acq_round = Array.make (n * token_count) 0 in
+  let busy = Bitset.create (n * len) in
+  let rounds = ref 0 and last_src = ref (-1) and last_token = ref 0 in
+  for step = 0 to len - 1 do
+    Schedule.iter_step sched step (fun ~src ~dst ~token ->
+        rounds := step + 1;
+        let k = (dst * token_count) + token in
+        if acq_src.(k) < 0 then begin
+          acq_src.(k) <- src;
+          acq_round.(k) <- step
+        end;
+        Bitset.add busy ((src * len) + step);
+        last_src := src;
+        last_token := token)
+  done;
+  if !last_src < 0 then None
+  else begin
+    let counts = Array.make 7 0 in
+    let add c n = counts.(cat_idx c) <- counts.(cat_idx c) + n in
+    let hops = ref 0 in
+    (* walk: the move at [r] needed its source to hold the token,
+       which happened at [pr]; rounds [pr, r) are gap, [r] the move *)
+    let rec back r src token =
+      incr hops;
+      add Transmit 1;
+      let k = (src * token_count) + token in
+      let psrc =
+        if Bitset.mem instance.Instance.have.(src) token then -1
+        else acq_src.(k)
       in
-      back r_last src0 tok0;
-      let scale (c, n) = (c, n * pace) in
-      Some
-        {
-          makespan = !rounds * pace;
-          by_category =
-            List.map scale
-              (List.map (fun c -> (c, counts.(cat_idx c))) categories);
-          path_events = !hops + 1;
-          path_hops = !hops;
-          lower_bound = Bounds.makespan_lower_bound instance * pace;
-          deliveries = None;
-        }
+      let pr = if psrc < 0 then 0 else acq_round.(k) + 1 in
+      for g = pr to r - 1 do
+        if Bitset.mem busy ((src * len) + g) then add Queue 1
+        else add Protocol_idle 1
+      done;
+      if psrc >= 0 then back acq_round.(k) psrc token
+    in
+    back (!rounds - 1) !last_src !last_token;
+    let scale (c, n) = (c, n * pace) in
+    Some
+      {
+        makespan = !rounds * pace;
+        by_category =
+          List.map scale (List.map (fun c -> (c, counts.(cat_idx c))) categories);
+        path_events = !hops + 1;
+        path_hops = !hops;
+        lower_bound = Bounds.makespan_lower_bound instance * pace;
+        deliveries = None;
+      }
+  end
 
 let pct n total =
   if total = 0 then "0.0%" else Printf.sprintf "%.1f%%" (100. *. float n /. float total)

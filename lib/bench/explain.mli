@@ -91,7 +91,13 @@ val of_schedule :
     sending something else are {!Queue}; remaining gaps are
     {!Protocol_idle}.  Rounds scale by [pace] (default 1) so sync and
     async decompositions are comparable.  [None] on an empty
-    schedule. *)
+    schedule.
+
+    Precondition: [sched] passed {!Ocd_core.Validate.check} against
+    [instance], so every vertex and token it names is in range.  The
+    walk indexes flat arrays by [(vertex, token)] and [(vertex,
+    round)] and costs O(n·m + n·t/w + moves) for [t] rounds, plus the
+    §5.1 bound. *)
 
 val table : ?title:string -> decomposition -> Report.table
 (** The attribution table: one row per category with ticks and share,

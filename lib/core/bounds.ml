@@ -108,35 +108,59 @@ let vertex_bound distances in_capacity =
     done;
     !best
 
+(* One forward multi-source BFS per needed token, seeded from that
+   token's current holders, gives every vertex lacking the token its
+   nearest-holder distance.  The queue and distance array are reused
+   across tokens, so the whole bound costs O(T·(n + m)). *)
 let remaining_makespan (inst : Instance.t) ~have =
   let g = inst.graph in
   let n = Instance.vertex_count inst in
-  let reversed = Digraph.reverse g in
+  let { Digraph.row_off; row_dst; _ } = Digraph.succ_rows g in
+  let needs v token =
+    Bitset.mem inst.want.(v) token && not (Bitset.mem have.(v) token)
+  in
+  let needed = Bitset.create inst.token_count in
+  for v = 0 to n - 1 do
+    Bitset.iter
+      (fun token -> if needs v token then Bitset.add needed token)
+      inst.want.(v)
+  done;
+  let distances = Array.make n [] in
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  Bitset.iter
+    (fun token ->
+      Array.fill dist 0 n (-1);
+      let tail = ref 0 in
+      for v = 0 to n - 1 do
+        if Bitset.mem have.(v) token then begin
+          dist.(v) <- 0;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done;
+      let head = ref 0 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        for i = row_off.(u) to row_off.(u + 1) - 1 do
+          let w = row_dst.(i) in
+          if dist.(w) < 0 then begin
+            dist.(w) <- dist.(u) + 1;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
+      done;
+      for v = 0 to n - 1 do
+        if needs v token then
+          if dist.(v) < 0 then
+            invalid_arg "Bounds.remaining_makespan: unreachable token"
+          else distances.(v) <- dist.(v) :: distances.(v)
+      done)
+    needed;
   let best = ref 0 in
   for v = 0 to n - 1 do
-    let deficit = deficit_at inst have v in
-    if not (Bitset.is_empty deficit) then begin
-      (* dist_to_v.(u) = hop distance u -> v in the original graph. *)
-      let dist_to_v = Ocd_graph.Traversal.bfs_levels reversed v in
-      let nearest_holder token =
-        let best = ref max_int in
-        for u = 0 to n - 1 do
-          if Bitset.mem have.(u) token && dist_to_v.(u) >= 0 then
-            best := min !best dist_to_v.(u)
-        done;
-        !best
-      in
-      let distances =
-        Bitset.fold
-          (fun token acc ->
-            let d = nearest_holder token in
-            if d = max_int then
-              invalid_arg "Bounds.remaining_makespan: unreachable token"
-            else d :: acc)
-          deficit []
-      in
-      best := max !best (vertex_bound distances (Digraph.in_capacity g v))
-    end
+    best := max !best (vertex_bound distances.(v) (Digraph.in_capacity g v))
   done;
   !best
 

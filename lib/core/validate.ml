@@ -45,13 +45,13 @@ let check_validity (inst : Instance.t) schedule =
   let error = ref None in
   let fail e = if !error = None then error := Some e in
   (* Int-packed keys — [(src·n + dst)·m + token] and [src·n + dst] —
-     instead of tuples: no per-move boxing and monomorphic hashing.
-     Tables are hoisted out of the step loop and cleared in place. *)
-  let seen = Hashtbl.create 64 in
-  let arc_load = Hashtbl.create 64 in
+     in stamped tables hoisted out of the step loop: clearing is O(1)
+     per step and a probe allocates nothing. *)
+  let seen = Int_tab.create () in
+  let arc_load = Int_tab.create () in
   let run_step step =
-    Hashtbl.clear seen;
-    Hashtbl.clear arc_load;
+    Int_tab.clear seen;
+    Int_tab.clear arc_load;
     let check_move ~src ~dst ~token =
       let cap = Digraph.capacity g src dst in
       let in_range = token >= 0 && token < token_count in
@@ -63,13 +63,10 @@ let check_validity (inst : Instance.t) schedule =
            way. *)
         if in_range then begin
           let key = ((src * n) + dst) * token_count + token in
-          if Hashtbl.mem seen key then
+          if Int_tab.incr seen key > 1 then
             fail (Duplicate_assignment { step; move = { Move.src; dst; token } })
-          else Hashtbl.replace seen key ()
         end;
-        let arc = (src * n) + dst in
-        let load = 1 + Option.value (Hashtbl.find_opt arc_load arc) ~default:0 in
-        Hashtbl.replace arc_load arc load;
+        let load = Int_tab.incr arc_load ((src * n) + dst) in
         if load > cap then
           fail (Capacity_exceeded { step; src; dst; sent = load; capacity = cap });
         if not (in_range && Bitset.mem before.(src) token) then

@@ -202,6 +202,122 @@ let test_of_schedule_empty () =
     "empty schedule has no path" true
     (Explain.of_schedule ~instance:inst Schedule.empty = None)
 
+(* The tuple-keyed [of_schedule] that the flat-array walk replaced,
+   kept verbatim as the differential oracle: [(dst, token)] and
+   [(src, round)] tuples in polymorphic [Hashtbl]s. *)
+module Hashtbl_oracle = struct
+  open Explain
+
+  let cat_idx = function
+    | Transmit -> 0
+    | Queue -> 1
+    | Backoff -> 2
+    | Suspicion -> 3
+    | Crash_down -> 4
+    | Partition_down -> 5
+    | Protocol_idle -> 6
+
+  let of_schedule ?(pace = 1) ~instance sched =
+    let rounds = ref 0 and last_move = ref None in
+    let acq = Hashtbl.create 64 and busy = Hashtbl.create 64 in
+    Schedule.iter_moves sched (fun ~step m ->
+        let { Move.src; dst; token } = m in
+        if step + 1 > !rounds then rounds := step + 1;
+        if not (Hashtbl.mem acq (dst, token)) then
+          Hashtbl.replace acq (dst, token) (step + 1, src, step);
+        Hashtbl.replace busy (src, step) ();
+        last_move := Some (step, src, dst, token));
+    match !last_move with
+    | None -> None
+    | Some (r_last, src0, _, tok0) ->
+        let counts = Array.make 7 0 in
+        let add c n = counts.(cat_idx c) <- counts.(cat_idx c) + n in
+        let hops = ref 0 in
+        let rec back r src token =
+          incr hops;
+          add Transmit 1;
+          let pr, psrc, pround =
+            if Bitset.mem instance.Instance.have.(src) token then (0, -1, -1)
+            else
+              match Hashtbl.find_opt acq (src, token) with
+              | Some v -> v
+              | None -> (0, -1, -1)
+          in
+          for g = pr to r - 1 do
+            if Hashtbl.mem busy (src, g) then add Queue 1
+            else add Protocol_idle 1
+          done;
+          if psrc >= 0 then back pround psrc token
+        in
+        back r_last src0 tok0;
+        let scale (c, n) = (c, n * pace) in
+        Some
+          {
+            makespan = !rounds * pace;
+            by_category =
+              List.map scale
+                (List.map (fun c -> (c, counts.(cat_idx c))) categories);
+            path_events = !hops + 1;
+            path_hops = !hops;
+            lower_bound = Bounds.makespan_lower_bound instance * pace;
+            deliveries = None;
+          }
+end
+
+let test_of_schedule_matches_oracle () =
+  (* The five heuristics and the [ocd run] baselines, on single-file
+     random and transit-stub instances and a multi-sender split, at
+     paces 1 and 3: every validated schedule decomposes exactly as the
+     oracle does. *)
+  let strategies =
+    Ocd_heuristics.Registry.all
+    @ [
+        Ocd_heuristics.Flow_step.strategy;
+        Ocd_baselines.Tree_push.strategy ();
+        Ocd_baselines.Split_forest.strategy ~k:4 ();
+        Ocd_baselines.Fast_replica.strategy ();
+        Ocd_baselines.Serial_steiner.strategy;
+      ]
+  in
+  let instances =
+    let rng = Prng.create ~seed:61 in
+    let ts =
+      Ocd_topology.Topology.generate rng Ocd_topology.Topology.Transit_stub
+        ~n:24 ()
+    in
+    [
+      ("random", random_instance ~seed:41 ~n:20 ~tokens:10);
+      ( "transit-stub",
+        (Scenario.single_file rng ~graph:ts ~tokens:8 ()).Scenario.instance );
+      ( "multi-sender",
+        (Scenario.subdivide_files rng
+           ~graph:(Ocd_topology.Random_graph.erdos_renyi rng ~n:18 ())
+           ~total_tokens:12 ~files:3 ~multi_sender:true ())
+          .Scenario.instance );
+    ]
+  in
+  List.iter
+    (fun (label, inst) ->
+      List.iter
+        (fun (s : Ocd_engine.Strategy.t) ->
+          let sched =
+            (Ocd_engine.Engine.run ~strategy:s ~seed:7 inst)
+              .Ocd_engine.Engine.schedule
+          in
+          let msg = label ^ "/" ^ s.Ocd_engine.Strategy.name in
+          Alcotest.(check bool) (msg ^ ": valid") true
+            (Validate.check inst sched = Ok ());
+          List.iter
+            (fun pace ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: pace %d" msg pace)
+                true
+                (Explain.of_schedule ~pace ~instance:inst sched
+                = Hashtbl_oracle.of_schedule ~pace ~instance:inst sched))
+            [ 1; 3 ])
+        strategies)
+    instances
+
 (* ------------------- flow overlay ----------------------------------- *)
 
 let test_flow_overlay () =
@@ -274,6 +390,8 @@ let () =
           Alcotest.test_case "chaos smoke cells" `Quick test_chaos_cells_exact;
           Alcotest.test_case "sync schedule" `Quick test_of_schedule_exact;
           Alcotest.test_case "empty schedule" `Quick test_of_schedule_empty;
+          Alcotest.test_case "sync schedule = oracle" `Quick
+            test_of_schedule_matches_oracle;
         ] );
       ( "invisibility",
         [
