@@ -6,7 +6,8 @@
      ocd exact      — solve a small instance exactly (search and/or IP)
      ocd reduce     — the Dominating Set -> FOCD reduction demo
      ocd bounds     — print the §5.1 lower bounds for a workload
-     ocd experiment — run an extension experiment
+     ocd experiment — run an extension experiment, or `all` figures and
+                      experiments
      ocd export     — dump a workload/schedule in the text codec
      ocd trace      — render a run's progress timeline
      ocd async      — run the asynchronous message-passing protocols
@@ -428,32 +429,30 @@ let run_cmd =
       $ strategy_arg ~doc:"Strategy to run (default: all)."
       $ observed)
 
-(* ---------------------- ocd figure -------------------------------- *)
+(* ---------------------- ocd figure / ocd experiment --------------- *)
 
-let figure_cmd =
-  let figures =
-    let open Ocd_bench.Experiments in
-    [
-      ("1", fun ~full:_ ~jobs:_ -> figure1 ());
-      ("2", fun ~full ~jobs -> figure2 ~full ~jobs ());
-      ("3", fun ~full ~jobs -> figure3 ~full ~jobs ());
-      ("4", fun ~full ~jobs -> figure4 ~full ~jobs ());
-      ("5", fun ~full ~jobs -> figure5 ~full ~jobs ());
-      ("6", fun ~full ~jobs -> figure6 ~full ~jobs ());
-      ("7", fun ~full:_ ~jobs:_ -> figure7 ());
-    ]
-  in
-  let figure =
+(* One command per Ocd_bench.Experiments table, the entry named by a
+   positional argument. *)
+let registry_cmd name ~doc ~docv ~what table =
+  let entry =
     Arg.(
       required
-      & pos 0 (some (choice figures)) None
-      & info [] ~docv:"FIGURE" ~doc:("Figure number.  " ^ alts figures))
+      & pos 0 (some (choice table)) None
+      & info [] ~docv ~doc:(what ^ "  " ^ alts table))
   in
-  Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun (_, f) full jobs -> f ~full ~jobs)
-      $ figure $ full_arg $ jobs_arg)
+      const (fun (_, run) full jobs -> run ~full ~jobs)
+      $ entry $ full_arg $ jobs_arg)
+
+let figure_cmd =
+  registry_cmd "figure" ~doc:"Regenerate one of the paper's figures"
+    ~docv:"FIGURE" ~what:"Figure number." Ocd_bench.Experiments.figures
+
+let experiment_cmd =
+  registry_cmd "experiment"
+    ~doc:"Run one of the extension experiments, or all figures and experiments"
+    ~docv:"NAME" ~what:"Experiment." Ocd_bench.Experiments.experiments
 
 (* ---------------------- ocd exact --------------------------------- *)
 
@@ -569,70 +568,6 @@ let bounds_cmd =
   Cmd.v
     (Cmd.info "bounds" ~doc:"Print the §5.1 lower bounds for a workload")
     Term.(const run $ workload ())
-
-(* ---------------------- ocd experiment ----------------------------- *)
-
-let experiment_cmd =
-  let experiments =
-    [
-      ( "adversary",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.adversary () );
-      ( "ip-vs-search",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.ip_vs_search () );
-      ( "optimality-gap",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.optimality_gap () );
-      ( "baselines",
-        fun ~jobs ~full:_ ~n:_ () -> Ocd_bench.Experiments.baselines ~jobs () );
-      ( "ablation",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.ablation_subdivision ~jobs () );
-      ( "staleness",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.ablation_staleness ~jobs () );
-      ( "dynamics",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.dynamics () );
-      ( "async-overhead",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.async_overhead ~jobs () );
-      ( "dht-lookup",
-        fun ~jobs ~full:_ ~n:_ () -> Ocd_bench.Experiments.dht_lookup ~jobs () );
-      ( "partition-heal",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.partition_heal ~jobs () );
-      ( "explain",
-        fun ~jobs ~full:_ ~n:_ () ->
-          Ocd_bench.Experiments.explain_attribution ~jobs () );
-      ("coding", fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.coding ());
-      ( "underlay",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.underlay () );
-      ( "timeline-perf",
-        fun ~jobs:_ ~full:_ ~n:_ () -> Ocd_bench.Experiments.timeline_perf () );
-      ( "graph-scale",
-        fun ~jobs:_ ~full ~n:_ () -> Ocd_bench.Experiments.graph_scale ~full () );
-      ( "engine-scale",
-        fun ~jobs:_ ~full:_ ~n () -> Ocd_bench.Experiments.engine_scale ?n () );
-    ]
-  in
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some (choice experiments)) None
-      & info [] ~docv:"NAME" ~doc:("Experiment.  " ^ alts experiments))
-  in
-  (* engine-scale builds transit-stub graphs, which need n >= 8 *)
-  let n_override =
-    n_arg
-      (Arg.some (bounded Arg.int (fun n -> n >= 8) "an integer >= 8"))
-      None
-      ~doc:
-        "Restrict a scale experiment to a single vertex count, at least 8 \
-         (engine-scale only)."
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one of the extension experiments")
-    Term.(
-      const (fun (_, f) full jobs n -> f ~jobs ~full ~n ())
-      $ name_arg $ full_arg $ jobs_arg $ n_override)
 
 (* ---------------------- ocd export --------------------------------- *)
 

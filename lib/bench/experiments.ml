@@ -23,7 +23,8 @@ let seed_explain = 1033
 (* Figure 1                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let figure1 () =
+(** The time/bandwidth tension instance, solved exactly. *)
+let figure1 ~full:_ ~jobs:_ =
   Report.section "Figure 1: time vs bandwidth tension (exact)";
   let inst = Figure1.instance () in
   let table =
@@ -82,14 +83,17 @@ let size_sweep ~full ~jobs ~seed ~title ~generate =
   in
   Sweep.report ~title ~x_column:"n" points
 
-let figure2 ?(full = false) ?(jobs = 1) () =
+(** Moves & bandwidth vs graph size; random `2 ln n / n` graphs,
+    single source and file, all receivers. *)
+let figure2 ~full ~jobs =
   Report.section
     "Figure 2: moves & bandwidth vs graph size (random 2ln n/n graph, single \
      source & file, all receivers)";
   size_sweep ~full ~jobs ~seed:seed_fig2 ~title:"figure2 random graph"
     ~generate:(fun rng n -> Ocd_topology.Random_graph.erdos_renyi rng ~n ())
 
-let figure3 ?(full = false) ?(jobs = 1) () =
+(** As figure 2 on transit-stub topologies. *)
+let figure3 ~full ~jobs =
   Report.section
     "Figure 3: moves & bandwidth vs graph size (transit-stub topology)";
   size_sweep ~full ~jobs ~seed:seed_fig3 ~title:"figure3 transit-stub"
@@ -101,7 +105,8 @@ let figure3 ?(full = false) ?(jobs = 1) () =
 (* Figure 4: receiver density                                          *)
 (* ------------------------------------------------------------------ *)
 
-let figure4 ?(full = false) ?(jobs = 1) () =
+(** Moves & bandwidth vs receiver-density threshold; n = 200. *)
+let figure4 ~full ~jobs =
   Report.section
     "Figure 4: moves & bandwidth vs receiver-density threshold (n = 200, \
      random graph, single source)";
@@ -163,7 +168,9 @@ let subdivision_sweep ~full ~jobs ~seed ~title ~multi_sender =
   in
   Sweep.report ~title ~x_column:"files" points
 
-let figure5 ?(full = false) ?(jobs = 1) () =
+(** Moves & bandwidth vs number of files (subdivision of one token
+    pool), single source. *)
+let figure5 ~full ~jobs =
   Report.section
     "Figure 5: moves & bandwidth vs number of files (single source, 200 \
      vertices)";
@@ -173,7 +180,8 @@ let figure5 ?(full = false) ?(jobs = 1) () =
     "expected shape: flooding heuristics level off after the 1-file point; \
      only the bandwidth heuristic's consumption falls with more files"
 
-let figure6 ?(full = false) ?(jobs = 1) () =
+(** As figure 5 with a random sender per file. *)
+let figure6 ~full ~jobs =
   Report.section "Figure 6: as figure 5 with random per-file senders";
   subdivision_sweep ~full ~jobs ~seed:seed_fig6
     ~title:"figure6 multiple senders" ~multi_sender:true
@@ -182,7 +190,9 @@ let figure6 ?(full = false) ?(jobs = 1) () =
 (* Figure 7: the reduction                                             *)
 (* ------------------------------------------------------------------ *)
 
-let figure7 () =
+(** Appendix reduction: Dominating Set ⇔ 2-step FOCD equivalence
+    counts over exhaustive small-graph samples. *)
+let figure7 ~full:_ ~jobs:_ =
   Report.section
     "Figure 7: Dominating Set -> FOCD reduction (appendix, Theorem 5)";
   let table =
@@ -224,7 +234,9 @@ let figure7 () =
 (* Theorem 4 adversary                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let adversary () =
+(** Theorem 4 family: per-heuristic worst-case makespan vs the
+    prescient optimum as decoys scale. *)
+let adversary ~full:_ ~jobs:_ =
   Report.section
     "Theorem 4: adversarial family (worst-case makespan vs prescient optimum)";
   let distance = 5 in
@@ -266,7 +278,8 @@ let adversary () =
 (* IP vs search                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let ip_vs_search () =
+(** §3.4 IP vs combinatorial search cross-validation table. *)
+let ip_vs_search ~full:_ ~jobs:_ =
   Report.section "Cross-validation: time-indexed IP (§3.4) vs exact search";
   let table =
     Report.create ~title:"ip vs search"
@@ -315,7 +328,8 @@ let ip_vs_search () =
 (* Baselines (extension)                                               *)
 (* ------------------------------------------------------------------ *)
 
-let baselines ?(jobs = 1) () =
+(** Extension: related-work baseline systems vs the §5.1 heuristics. *)
+let baselines ~full:_ ~jobs =
   Report.section
     "Extension: related-work baselines vs the paper's heuristics";
   let strategies =
@@ -360,7 +374,9 @@ let baselines ?(jobs = 1) () =
 (* Ablation (extension)                                                *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_subdivision ?(jobs = 1) () =
+(** Extension: the Local heuristic with and without request
+    subdivision (duplicate-suppression ablation). *)
+let ablation_subdivision ~full:_ ~jobs =
   Report.section
     "Ablation: Local heuristic with vs without request subdivision";
   let strategies =
@@ -393,7 +409,9 @@ let ablation_subdivision ?(jobs = 1) () =
 (* Heuristic optimality gaps on exactly solvable instances             *)
 (* ------------------------------------------------------------------ *)
 
-let optimality_gap () =
+(** Heuristics vs exact FOCD/EOCD optima on exactly solvable
+    instances — §5's stated purpose for computing bounds. *)
+let optimality_gap ~full:_ ~jobs:_ =
   Report.section
     "Heuristic quality against exact optima (the §5 goal: 'a rough notion \
      of the quality of our local and global heuristics')";
@@ -453,7 +471,9 @@ let optimality_gap () =
 (* Staleness ablation (extension, suggested in §5.1)                   *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_staleness ?(jobs = 1) () =
+(** Extension (suggested in §5.1's Random description): peer-state
+    knowledge that is k turns old — bandwidth cost of staleness. *)
+let ablation_staleness ~full:_ ~jobs =
   Report.section
     "Ablation: Random heuristic with k-turns-stale peer knowledge (the \
      relaxation §5.1 suggests exploring)";
@@ -487,7 +507,10 @@ let ablation_staleness ?(jobs = 1) () =
 (* Dynamics (extension)                                                *)
 (* ------------------------------------------------------------------ *)
 
-let dynamics () =
+(** Extension (§6 "Changing network conditions"): heuristic makespan
+    inflation under cross traffic, link flaps and churn, against the
+    static network. *)
+let dynamics ~full:_ ~jobs:_ =
   Report.section
     "Extension: time-varying network conditions (§6 open problem)";
   let table =
@@ -556,7 +579,9 @@ let dynamics () =
 (* Coding (extension)                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let coding () =
+(** Extension (§6 "Encoding"): makespan of a k-of-n rateless-coded
+    download as redundancy grows. *)
+let coding ~full:_ ~jobs:_ =
   Report.section "Extension: rateless coding (§6 open problem)";
   let table =
     Report.create ~title:"coding redundancy sweep"
@@ -604,7 +629,10 @@ let coding () =
 (* Underlay (extension, §6 "Realistic topologies")                     *)
 (* ------------------------------------------------------------------ *)
 
-let underlay () =
+(** Extension (§6 "Realistic topologies"): overlay arcs routed over a
+    shared physical network; makespan inflation from physical-link
+    contention. *)
+let underlay ~full:_ ~jobs:_ =
   Report.section
     "Extension: physical underlay beneath the overlay (§6 'Realistic \
      topologies')";
@@ -682,7 +710,12 @@ let underlay () =
 (* Async overhead (extension)                                          *)
 (* ------------------------------------------------------------------ *)
 
-let async_overhead ?(jobs = 1) () =
+(** Extension: the {!Ocd_async} message-passing runtime across network
+    profiles (lockstep, default latency, loss, link flaps) — rounds to
+    completion, control overhead, retransmissions, duplicates and
+    goodput per protocol, against the synchronous engine's makespan.
+    Deterministic for any [jobs] value. *)
+let async_overhead ~full:_ ~jobs =
   Report.section
     "Extension: asynchronous message-passing runtime (Ocd_async) — latency, \
      loss and retry overhead vs the synchronous engine";
@@ -831,7 +864,14 @@ let dht_ring_probe ~n ~lookups =
   ignore (Ocd_async.Sim.run sim);
   (stats, !wrong, !messages)
 
-let dht_lookup ?(jobs = 1) () =
+(** Extension: the {!Ocd_dht} Chord overlay.  Two tables: routed-lookup
+    scaling on converged rings at n = 10^2..10^4 (mean/max hops vs the
+    2*log2(n) bound, correctness vs the ideal owner, message volume),
+    and dht-rarest vs the omniscient async-local baseline across
+    chaos-style cells (loss, crashes, churn) — makespan inflation,
+    control overhead, lookup hops and ring repairs.  Deterministic for
+    any [jobs] value. *)
+let dht_lookup ~full:_ ~jobs =
   Report.section
     "Extension: Chord-style DHT (Ocd_dht) — routed-lookup scaling and \
      dht-rarest vs the omniscient local-rarest oracle";
@@ -1014,7 +1054,12 @@ let dht_lookup ?(jobs = 1) () =
 (* Partition and heal                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let partition_heal ?(jobs = 1) () =
+(** Extension (robustness): every async protocol across one explicit
+    network partition window (split during rounds [5, 25), then heal)
+    under the {!Ocd_async.Monitor} runtime invariant monitor —
+    cut-dropped traffic, post-heal completion, and the monitor's
+    violation count (expected 0).  Deterministic for any [jobs]. *)
+let partition_heal ~full:_ ~jobs =
   Report.section
     "Extension: partition and heal — a correlated network split across every \
      async protocol, under the runtime invariant monitor";
@@ -1080,111 +1125,12 @@ let partition_heal ?(jobs = 1) () =
      violations"
     n tokens (fst window) (snd window)
 
-(* ------------------------------------------------------------------ *)
-(* Timeline micro-benchmark                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The pre-Timeline derivation path, kept here verbatim as the
-   comparison baseline: a full copy of every vertex bitset per step
-   boundary, then a per-vertex scan of the history for completion
-   times — O(steps · n · m) work and allocation per consumer. *)
-let legacy_completion_times (inst : Instance.t) schedule =
-  let current = Array.map Bitset.copy inst.have in
-  let snapshot () = Array.map Bitset.copy current in
-  let history = ref [ snapshot () ] in
-  List.iter
-    (fun moves ->
-      List.iter
-        (fun (m : Move.t) ->
-          if m.token >= 0 && m.token < inst.token_count then
-            Bitset.add current.(m.dst) m.token)
-        moves;
-      history := snapshot () :: !history)
-    (Schedule.steps schedule);
-  let history = Array.of_list (List.rev !history) in
-  Array.mapi
-    (fun v want ->
-      let rec earliest i =
-        if i >= Array.length history then -1
-        else if Bitset.subset want history.(i).(v) then i
-        else earliest (i + 1)
-      in
-      earliest 0)
-    inst.want
-
-let timeline_perf () =
-  Report.section "Timeline: one-pass derivation vs snapshot replay";
-  let table =
-    Report.create ~title:"timeline-perf"
-      ~columns:
-        [ "n"; "tokens"; "steps"; "moves"; "legacy_ms"; "timeline_ms"; "speedup" ]
-  in
-  let reps = 5 in
-  let time f =
-    (* warm-up pass, then CPU time over [reps] passes *)
-    ignore (f ());
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Sys.time () -. t0) *. 1000.0 /. float_of_int reps
-  in
-  (* Bidirectional rings: capacity-1 arcs force long pipelined
-     schedules (makespan ~ n/2 + tokens), the regime where the legacy
-     snapshot history is O(steps · n · m) while one pass stays linear.
-     Dense graphs finish in 2-3 steps and never exercise the gap. *)
-  let ring_instance ~n ~tokens =
-    let arcs =
-      List.concat_map
-        (fun v -> [ (v, (v + 1) mod n, 1); ((v + 1) mod n, v, 1) ])
-        (Order.range n)
-    in
-    let g = Ocd_graph.Digraph.of_edges ~vertex_count:n arcs in
-    let all = Order.range tokens in
-    Instance.make ~graph:g ~token_count:tokens
-      ~have:[ (0, all) ]
-      ~want:
-        (List.filter_map
-           (fun v -> if v = 0 then None else Some (v, all))
-           (Order.range n))
-  in
-  List.iter
-    (fun (n, tokens) ->
-      let inst = ring_instance ~n ~tokens in
-      let run =
-        Ocd_engine.Engine.run
-          ~strategy:Ocd_heuristics.Local_rarest.strategy ~seed:1014 inst
-      in
-      let schedule = run.Ocd_engine.Engine.schedule in
-      let legacy_ms = time (fun () -> legacy_completion_times inst schedule) in
-      let timeline_ms =
-        time (fun () -> Timeline.completion_times (Timeline.run inst schedule))
-      in
-      (* both derivations must agree before the timings mean anything *)
-      if
-        legacy_completion_times inst schedule
-        <> Timeline.completion_times (Timeline.run inst schedule)
-      then failwith "timeline_perf: derivations disagree";
-      Report.row table
-        [
-          string_of_int n;
-          string_of_int tokens;
-          string_of_int (Schedule.length schedule);
-          string_of_int (Schedule.move_count schedule);
-          Printf.sprintf "%.3f" legacy_ms;
-          Printf.sprintf "%.3f" timeline_ms;
-          Printf.sprintf "%.1fx" (legacy_ms /. Float.max 1e-9 timeline_ms);
-        ])
-    [ (40, 40); (80, 80); (160, 160); (240, 240); (400, 400) ];
-  Report.render table;
-  Report.note
-    "legacy = full possession snapshot per step + history scan (the \
-     pre-Timeline path of Metrics/Trace/Prune, O(steps*n*m) each); \
-     timeline = single mutating pass with incremental counters; \
-     timings are machine-dependent, so this experiment is not part of \
-     run_all"
-
-let graph_scale ?(full = false) () =
+(** Scale curve for the flat CSR graph core: build time, resident
+    bytes per node ({!Obj.reachable_words}) and one-round tick rate
+    for Erdős–Rényi and transit-stub graphs at n = 10^3..10^5
+    ([full] adds 10^6).  Timings are machine-dependent, so this
+    experiment is deliberately {e not} part of [all]. *)
+let graph_scale ~full ~jobs:_ =
   Report.section "Graph scale: CSR build time, footprint, and tick rate";
   let table =
     Report.create ~title:"graph-scale"
@@ -1250,10 +1196,17 @@ let graph_scale ?(full = false) () =
     "build = generator + CSR construction + connectivity repair; \
      bytes_per_node = Obj.reachable_words over the whole graph record; \
      tick = one local-rarest round (single source, 8 tokens, all \
-     receivers).  Timings are machine-dependent, so this experiment \
-     is not part of run_all"
+     receivers).  Timings are machine-dependent, so 'all' does \
+     not run this experiment"
 
-let engine_scale ?n:size_override () =
+(** Scale curve for the allocation-free engine round (packed CSR
+    schedule, incremental aggregates, per-run strategy scratch): tick
+    time, tick rate and allocated bytes per step for a local-rarest
+    round on transit-stub graphs at n = 10^3..10^5, with the §5.1
+    makespan bound of each instance and its CPU time.  Timings are
+    machine-dependent, so this experiment is deliberately {e not} part
+    of [all]. *)
+let engine_scale ~full:_ ~jobs:_ =
   Report.section
     "Engine scale: allocation-free rounds (packed schedule, incremental \
      aggregates, strategy scratch)";
@@ -1270,11 +1223,6 @@ let engine_scale ?n:size_override () =
           "lb";
           "lb_ms";
         ]
-  in
-  let sizes =
-    match size_override with
-    | Some n -> [ n ]
-    | None -> [ 1_000; 10_000; 100_000 ]
   in
   let measure n =
     let p = Ocd_topology.Transit_stub.params_for_size n in
@@ -1318,7 +1266,7 @@ let engine_scale ?n:size_override () =
         Printf.sprintf "%.1f" (lb_dt *. 1000.0);
       ]
   in
-  List.iter measure sizes;
+  List.iter measure [ 1_000; 10_000; 100_000 ];
   Report.render table;
   Report.note
     "tick = one full local-rarest round (decide + apply + incremental \
@@ -1326,14 +1274,21 @@ let engine_scale ?n:size_override () =
      all receivers; alloc_MB_per_step = Gc.allocated_bytes over the run \
      divided by steps; lb = the §5.1 makespan lower bound of the \
      instance (Bounds.makespan_lower_bound), lb_ms its CPU time.  \
-     Timings are machine-dependent, so this experiment is not part of \
-     run_all"
+     Timings are machine-dependent, so 'all' does not run this \
+     experiment"
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path attribution (extension)                               *)
 (* ------------------------------------------------------------------ *)
 
-let explain_attribution ?(jobs = 1) () =
+(** Extension (observability): async-local under a live
+    {!Ocd_obs.Causal} log across lockstep / default / loss / crash
+    profiles, decomposed by {!Explain.of_causal} — one row per
+    profile with the makespan's ticks split over the attribution
+    categories next to the paper's scaled lower bound.  Each row's
+    categories sum to its makespan exactly (asserted).  Deterministic
+    for any [jobs] value. *)
+let explain_attribution ~full:_ ~jobs =
   Report.section
     "Extension: causal critical-path attribution (Ocd_obs.Causal + Explain) — \
      where the makespan's ticks went, vs the paper's lower bound";
@@ -1402,24 +1357,43 @@ let explain_attribution ?(jobs = 1) () =
     "each row's category ticks sum to its makespan exactly (telescoping \
      parent-chain property); lb is the paper's makespan bound scaled to ticks"
 
-let run_all ?(full = false) ?(jobs = 1) () =
-  figure1 ();
-  figure2 ~full ~jobs ();
-  figure3 ~full ~jobs ();
-  figure4 ~full ~jobs ();
-  figure5 ~full ~jobs ();
-  figure6 ~full ~jobs ();
-  figure7 ();
-  adversary ();
-  ip_vs_search ();
-  optimality_gap ();
-  baselines ~jobs ();
-  ablation_subdivision ~jobs ();
-  ablation_staleness ~jobs ();
-  dynamics ();
-  coding ();
-  underlay ();
-  async_overhead ~jobs ();
-  dht_lookup ~jobs ();
-  partition_heal ~jobs ();
-  explain_attribution ~jobs ()
+(* ------------------------------------------------------------------ *)
+(* Registry                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let figures =
+  [
+    ("1", figure1);
+    ("2", figure2);
+    ("3", figure3);
+    ("4", figure4);
+    ("5", figure5);
+    ("6", figure6);
+    ("7", figure7);
+  ]
+
+(* The extensions whose output is a pure function of their seeds, in
+   the order [all] prints them. *)
+let deterministic =
+  [
+    ("adversary", adversary);
+    ("ip-vs-search", ip_vs_search);
+    ("optimality-gap", optimality_gap);
+    ("baselines", baselines);
+    ("ablation", ablation_subdivision);
+    ("staleness", ablation_staleness);
+    ("dynamics", dynamics);
+    ("coding", coding);
+    ("underlay", underlay);
+    ("async-overhead", async_overhead);
+    ("dht-lookup", dht_lookup);
+    ("partition-heal", partition_heal);
+    ("explain", explain_attribution);
+  ]
+
+let all ~full ~jobs =
+  List.iter (fun (_, run) -> run ~full ~jobs) (figures @ deterministic)
+
+let experiments =
+  deterministic
+  @ [ ("graph-scale", graph_scale); ("engine-scale", engine_scale); ("all", all) ]
