@@ -6,7 +6,8 @@ module Digraph = Ocd_graph.Digraph
    given one vertex's round-start view, pick (holder, token) requests.
    Determinism of the differential test hangs on both callers driving
    this with identical rng states and identical views, so every random
-   draw lives here. *)
+   draw lives here.  [known i] is the believed possession of the [i]-th
+   in-neighbour of [preds]. *)
 let requests ~rng ~token_count ~have ~eligible ~alive ~preds ~known =
   let missing = Bitset.diff (Bitset.full token_count) have in
   if Bitset.is_empty missing then []
@@ -20,12 +21,14 @@ let requests ~rng ~token_count ~have ~eligible ~alive ~preds ~known =
     let tokens = Array.of_list (Bitset.elements missing) in
     Prng.shuffle rng tokens;
     let rarity token =
-      Digraph.View.fold
-        (fun acc u _ ->
-          match known u with
-          | Some s when alive u && Bitset.mem s token -> acc + 1
-          | _ -> acc)
-        0 preds
+      let count = ref 0 in
+      Digraph.View.iteri
+        (fun i u _ ->
+          match known i with
+          | Some s when alive u && Bitset.mem s token -> incr count
+          | _ -> ())
+        preds;
+      !count
     in
     let ranked = Order.sort_by rarity (Array.to_list tokens) in
     let budget = Digraph.View.caps preds in
@@ -37,7 +40,7 @@ let requests ~rng ~token_count ~have ~eligible ~alive ~preds ~known =
           Digraph.View.iteri
             (fun i u _ ->
               if budget.(i) > 0 && alive u then
-                match known u with
+                match known i with
                 | Some s when Bitset.mem s token ->
                     candidates := i :: !candidates
                 | _ -> ())
@@ -64,8 +67,12 @@ let protocol () =
     let preds = Digraph.pred graph v in
     let succs = Digraph.succ graph v in
     let n = Instance.vertex_count inst in
-    (* Latest announced possession per in-neighbour. *)
-    let belief : Bitset.t option array = Array.make n None in
+    (* Latest announced possession per in-neighbour, by slot in [preds];
+       only in-neighbours announce to us, and only their beliefs are
+       ever read. *)
+    let belief : Bitset.t option array =
+      Array.make (Digraph.View.length preds) None
+    in
     (* token -> retry deadline; attempts survive in a separate table so
        backoff keeps growing across timeouts. *)
     let pending : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -100,7 +107,7 @@ let protocol () =
         let picks =
           requests ~rng:ctx.rng ~token_count:inst.token_count
             ~have:(ctx.have_copy ()) ~eligible ~alive ~preds
-            ~known:(fun u -> belief.(u))
+            ~known:(fun i -> belief.(i))
         in
         List.iter
           (fun (holder, token) ->
@@ -129,7 +136,9 @@ let protocol () =
     let on_message ~src msg =
       Detector.heard detector src;
       match msg with
-      | Message.Announce s -> belief.(src) <- Some s
+      | Message.Announce s ->
+          let i = Digraph.View.index preds src in
+          if i >= 0 then belief.(i) <- Some s
       | Message.Request token ->
           if ctx.has token then ctx.send ~dst:src (Message.Data token)
       | Message.Data token ->
@@ -150,13 +159,14 @@ let sync_strategy ~seed =
     fun (ctx : Ocd_engine.Strategy.context) ->
       let moves = ref [] in
       for dst = 0 to n - 1 do
+        let preds = Digraph.pred graph dst in
         let picks =
           requests ~rng:rngs.(dst) ~token_count:inst.Instance.token_count
             ~have:ctx.have.(dst)
             ~eligible:(fun _ -> true)
             ~alive:(fun _ -> true)
-            ~preds:(Digraph.pred graph dst)
-            ~known:(fun u -> Some ctx.have.(u))
+            ~preds
+            ~known:(fun i -> Some ctx.have.(Digraph.View.dst preds i))
         in
         List.iter
           (fun (src, token) -> moves := { Move.src; dst; token } :: !moves)

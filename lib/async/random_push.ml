@@ -10,15 +10,18 @@ let protocol () =
     let preds = Digraph.pred graph v in
     let succs = Digraph.succ graph v in
     let n = Instance.vertex_count inst in
-    (* What we believe each out-neighbour holds: last announcement,
-       refined by acks and by our own optimistic pushes. *)
-    let belief : Bitset.t option array = Array.make n None in
-    let believed dst =
-      match belief.(dst) with
+    (* What we believe each out-neighbour holds, by slot in [succs]:
+       last announcement, refined by acks and by our own optimistic
+       pushes.  Only out-neighbours announce and ack to us. *)
+    let belief : Bitset.t option array =
+      Array.make (Digraph.View.length succs) None
+    in
+    let believed i =
+      match belief.(i) with
       | Some s -> s
       | None ->
           let s = Bitset.create inst.token_count in
-          belief.(dst) <- Some s;
+          belief.(i) <- Some s;
           s
     in
     (* (dst, token) pairs already pushed once, for the retransmission
@@ -33,10 +36,10 @@ let protocol () =
         ~now:ctx.now ~timeout:(4 * ctx.pace) ~n () in
     let push () =
       if not (ctx.finished ()) then
-        Digraph.View.iter
-          (fun dst cap ->
+        Digraph.View.iteri
+          (fun i dst cap ->
             if not (Detector.suspected detector dst) then begin
-            let target = believed dst in
+            let target = believed i in
             let useful = ctx.have_copy () in
             Bitset.diff_into useful target;
             let candidates = Array.of_list (Bitset.elements useful) in
@@ -65,11 +68,15 @@ let protocol () =
     let on_message ~src msg =
       Detector.heard detector src;
       match msg with
-      | Message.Announce s -> belief.(src) <- Some s
+      | Message.Announce s ->
+          let i = Digraph.View.index succs src in
+          if i >= 0 then belief.(i) <- Some s
       | Message.Data token ->
           ignore (ctx.receive ~src token);
           ctx.send ~dst:src (Message.Ack token)
-      | Message.Ack token -> Bitset.add (believed src) token
+      | Message.Ack token ->
+          let i = Digraph.View.index succs src in
+          if i >= 0 then Bitset.add (believed i) token
       | Message.Request _ | Message.State _ | Message.Dht _ -> ()
     in
     { Protocol.on_start = round; on_message }

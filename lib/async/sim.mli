@@ -1,10 +1,20 @@
 (** Deterministic discrete-event simulator.
 
     A thin scheduling core: events are thunks keyed by an integer tick
-    and drained from a {!Ocd_prelude.Pqueue} in [(tick, insertion)]
-    order.  Because the queue breaks ties FIFO and the runtime is
-    single-threaded, a simulation is a pure function of its seed and
-    initial events — re-running it yields the identical trace.
+    and drained in [(tick, insertion)] order.  Because ties break FIFO
+    and the runtime is single-threaded, a simulation is a pure function
+    of its seed and initial events — re-running it yields the identical
+    trace.
+
+    The queue is a calendar queue: a fixed ring of one-tick buckets
+    covers the 1024 ticks starting at the current one, each bucket a FIFO
+    of the events scheduled for its tick: scheduling an event costs
+    O(1), popping one O(1) plus the empty ticks it skips, and neither
+    sifts a heap.  Events scheduled further out
+    wait in an overflow {!Ocd_prelude.Pqueue} and move into their
+    bucket, in schedule order, as soon as the ring's window reaches
+    their tick — before anything else can be scheduled for it — so
+    same-tick events always run in the order they were scheduled.
 
     Events scheduled in the past (a delay of zero while handling the
     current tick) run later in the same tick, after everything already

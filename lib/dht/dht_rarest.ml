@@ -90,8 +90,11 @@ let protocol ?stats () =
        talks once per round, so silence means it is down.  Beliefs
        complement the DHT's provider records for candidate selection —
        the DHT supplies *global* rarity and far-provider knowledge,
-       announcements the fresh adjacent-possession view. *)
-    let belief : Bitset.t option array = Array.make n None in
+       announcements the fresh adjacent-possession view.  Indexed by
+       slot in [preds]: only in-neighbours announce to us. *)
+    let belief : Bitset.t option array =
+      Array.make (Digraph.View.length preds) None
+    in
     (* DHT-sourced provider knowledge per token, with its refresh round *)
     let prov_holders : (int, int list) Hashtbl.t = Hashtbl.create 8 in
     let prov_round : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -186,16 +189,16 @@ let protocol ?stats () =
                   | Some l -> l
                   | None -> []
                 in
-                let has u =
+                let has i u =
                   List.mem u holders
-                  || (match belief.(u) with
+                  || (match belief.(i) with
                      | Some s -> Bitset.mem s token
                      | None -> false)
                 in
                 let candidates = ref [] in
                 Digraph.View.iteri
                   (fun i u _ ->
-                    if budget.(i) > 0 && alive u && has u then
+                    if budget.(i) > 0 && alive u && has i u then
                       candidates := i :: !candidates)
                   preds;
                 match !candidates with
@@ -256,7 +259,9 @@ let protocol ?stats () =
         if ctx.receive ~src token then
           (* newly held: advertise promptly, off the republish cadence *)
           Hashtbl.remove publish_due token
-      | Message.Announce s -> belief.(src) <- Some s
+      | Message.Announce s ->
+        let i = Digraph.View.index preds src in
+        if i >= 0 then belief.(i) <- Some s
       | Message.Ack _ | Message.State _ -> ()
     in
     {

@@ -101,6 +101,7 @@ type t = {
   mutable succs : int list;  (* ascending ring distance from self; no self *)
   mutable pred : int option;
   fingers : int array;  (* Id.bits entries; -1 = unknown *)
+  finger_ids : int array;  (* identifier of each known finger, else 0 *)
   mutable fix_cursor : int;
   mutable joining : bool;
   mutable join_via : int list;
@@ -161,21 +162,22 @@ let traced t = t.env.obs.Ocd_obs.on && Ocd_obs.Sink.enabled t.env.obs.Ocd_obs.si
    keeps them grounded in actual contact. *)
 let closest_preceding t ~target ~banned =
   let best = ref (-1) and best_id = ref 0 in
-  let consider u =
-    if u >= 0 && u <> t.env.self && not (List.mem u banned) then begin
-      let uid = vid t u in
-      if
-        Id.in_oo ~lo:t.id ~hi:target uid
-        && (!best < 0 || Id.in_oo ~lo:!best_id ~hi:target uid)
-      then begin
-        best := u;
-        best_id := uid
-      end
+  let consider u uid =
+    if
+      u >= 0 && u <> t.env.self
+      && (not (List.mem u banned))
+      && Id.in_oo ~lo:t.id ~hi:target uid
+      && (!best < 0 || Id.in_oo ~lo:!best_id ~hi:target uid)
+    then begin
+      best := u;
+      best_id := uid
     end
   in
-  Array.iter consider t.fingers;
-  List.iter consider t.succs;
-  (match t.pred with Some p -> consider p | None -> ());
+  for k = 0 to Id.bits - 1 do
+    consider t.fingers.(k) t.finger_ids.(k)
+  done;
+  List.iter (fun u -> consider u (vid t u)) t.succs;
+  (match t.pred with Some p -> consider p (vid t p) | None -> ());
   !best
 
 let finish_lookup t tk lk ~owner =
@@ -270,6 +272,16 @@ let providers t ~token =
   | Some l -> Order.take t.config.providers_cap !l
   | None -> []
 
+(* [x] inserted into the strictly ascending list [l], which is returned
+   itself when it already holds [x].  Stops at the first entry not
+   below [x] and copies only the prefix before it. *)
+let rec insert_ascending x = function
+  | y :: rest as l when y < x ->
+    let rest' = insert_ascending x rest in
+    if rest' == rest then l else y :: rest'
+  | y :: _ as l when y = x -> l
+  | l -> x :: l
+
 let add_holder t token holder =
   let l =
     match Hashtbl.find_opt t.store token with
@@ -279,7 +291,12 @@ let add_holder t token holder =
       Hashtbl.add t.store token l;
       l
   in
-  if not (List.mem holder !l) then l := List.sort compare (holder :: !l)
+  l := insert_ascending holder !l
+
+(* (token, holder) records in ascending lexicographic order *)
+let compare_record (t1, h1) (t2, h2) =
+  let c = Int.compare t1 t2 in
+  if c <> 0 then c else Int.compare h1 h2
 
 let on_store t ~token ~holder ~replica =
   add_holder t token holder;
@@ -303,7 +320,7 @@ let re_replicate t =
   in
   if fresh <> [] && Hashtbl.length t.primaries > 0 then begin
     let records = Hashtbl.fold (fun k () acc -> k :: acc) t.primaries [] in
-    let records = List.sort compare records in
+    let records = List.sort compare_record records in
     List.iter
       (fun (token, holder) ->
         List.iter
@@ -353,11 +370,12 @@ let find_providers t ~token cb = find_providers_go t ~token ~attempts:0 cb
 
 (* ----------------------------- maintenance ---------------------------- *)
 
+(* Ascending ring distance from self, one entry per distance.  Each
+   node's distance is computed once, not once per comparison. *)
 let ring_sorted t nodes =
-  List.sort_uniq
-    (fun a b ->
-      compare (Id.dist ~from:t.id (vid t a)) (Id.dist ~from:t.id (vid t b)))
-    nodes
+  List.map (fun u -> (Id.dist ~from:t.id (vid t u), u)) nodes
+  |> List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 let start_join t =
   if not t.join_pending then begin
@@ -493,7 +511,7 @@ let handoff_misowned t =
                 (Message.Store { token; holder; replica = false })
             end)
           ~on_fail:(fun () -> ()))
-      (Order.take 2 (List.sort compare mis))
+      (Order.take 2 (List.sort compare_record mis))
 
 (* One Get_neighbors probe per period at a retired peer, round-robin.
    While the peer is genuinely dead (or the cut is still up) the probe
@@ -588,7 +606,9 @@ let fix_finger t =
   let k = t.fix_cursor in
   t.fix_cursor <- (t.fix_cursor + 1) mod Id.bits;
   start_lookup t ~account:false ~target:(Id.finger_target t.id k)
-    ~on_done:(fun ~owner ~hops:_ -> t.fingers.(k) <- owner)
+    ~on_done:(fun ~owner ~hops:_ ->
+      t.fingers.(k) <- owner;
+      t.finger_ids.(k) <- vid t owner)
     ~on_fail:(fun () -> ())
 
 let on_find_succ t ~src ~target ~ticket =
@@ -693,6 +713,7 @@ let create ~env ~config init =
       succs = [];
       pred = None;
       fingers = Array.make Id.bits (-1);
+      finger_ids = Array.make Id.bits 0;
       fix_cursor = 0;
       joining = false;
       join_via = [];
@@ -714,6 +735,9 @@ let create ~env ~config init =
     t.succs <- Order.take config.succ_count succs;
     t.pred <- pred;
     Array.blit fingers 0 t.fingers 0 (min (Array.length fingers) Id.bits);
+    Array.iteri
+      (fun k u -> if u >= 0 then t.finger_ids.(k) <- vid t u)
+      t.fingers;
     t.replica_targets <- replica_set t
   | Join { via } ->
     t.joining <- true;

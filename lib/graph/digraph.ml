@@ -62,6 +62,23 @@ module View = struct
     if Array.length out < v.len then invalid_arg "Digraph.View.dsts_into";
     Array.blit v.dsts v.off out 0 v.len
   let to_array v = Array.init v.len (fun i -> (dst v i, cap v i))
+
+  let index v u =
+    (* Rows are sorted ascending: binary search.  [capacity] keeps its
+       own copy of this loop; routing both through one shared helper
+       made the synchronous sweep measurably slower. *)
+    let lo = ref 0 and hi = ref (v.len - 1) and found = ref (-1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let d = v.dsts.(v.off + mid) in
+      if d = u then begin
+        found := mid;
+        lo := !hi + 1
+      end
+      else if d < u then lo := mid + 1
+      else hi := mid - 1
+    done;
+    !found
 end
 
 let vertex_count g = g.vertex_count

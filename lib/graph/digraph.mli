@@ -64,6 +64,11 @@ module View : sig
 
   val to_array : view -> (vertex * int) array
   (** Fresh boxed copy, for tests and cold paths. *)
+
+  val index : view -> vertex -> int
+  (** [index v u] is the position [i] with [dst v i = u], or [-1] when
+      [u] is not in the row.  Binary search: O(log length), no
+      allocation. *)
 end
 
 val vertex_count : t -> int

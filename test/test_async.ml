@@ -52,6 +52,172 @@ let test_sim_limit () =
   | Sim.Drained -> ()
   | Sim.Horizon_reached -> Alcotest.fail "nothing discarded, must report Drained"
 
+(* The simulator's former queue, a single binary heap ordered by
+   (tick, push order), kept here as the oracle the calendar queue must
+   match event for event. *)
+module Heap_sim = struct
+  type t = {
+    queue : (unit -> unit) Pqueue.t;
+    mutable clock : int;
+    mutable processed : int;
+    obs : Ocd_obs.t;
+    depth : Ocd_obs.Metrics.histogram;
+  }
+
+  let create ?(obs = Ocd_obs.disabled) () =
+    {
+      queue = Pqueue.create ();
+      clock = 0;
+      processed = 0;
+      obs;
+      depth =
+        Ocd_obs.Metrics.histogram obs.Ocd_obs.metrics "sim/queue_depth"
+          ~buckets:[| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.;
+                      1024.; 2048.; 4096. |];
+    }
+
+  let now sim = sim.clock
+
+  let at sim tick f =
+    Pqueue.push sim.queue ~priority:(max tick sim.clock) f
+
+  let after sim d f = at sim (sim.clock + max 0 d) f
+  let events_processed sim = sim.processed
+
+  let run ?(limit = max_int) sim =
+    let start_processed = sim.processed in
+    let discarded = ref false in
+    let rec loop () =
+      match Pqueue.pop sim.queue with
+      | None -> ()
+      | Some (tick, f) ->
+          if tick <= limit then begin
+            sim.clock <- tick;
+            sim.processed <- sim.processed + 1;
+            if sim.obs.Ocd_obs.on then
+              Ocd_obs.Metrics.observe_int sim.depth (Pqueue.length sim.queue);
+            f ()
+          end
+          else discarded := true;
+          loop ()
+    in
+    loop ();
+    if sim.obs.Ocd_obs.on then begin
+      let reg = sim.obs.Ocd_obs.metrics in
+      Ocd_obs.Metrics.add reg "sim/events_processed"
+        (sim.processed - start_processed);
+      Ocd_obs.Metrics.set_int
+        (Ocd_obs.Metrics.gauge reg "sim/horizon_hit")
+        (if !discarded then 1 else 0)
+    end;
+    if !discarded then Sim.Horizon_reached else Sim.Drained
+end
+
+module type SIM = sig
+  type t
+
+  val create : ?obs:Ocd_obs.t -> unit -> t
+  val now : t -> int
+  val at : t -> int -> (unit -> unit) -> unit
+  val after : t -> int -> (unit -> unit) -> unit
+  val events_processed : t -> int
+  val run : ?limit:int -> t -> Sim.stop
+end
+
+(* One seeded random script: events that log (id, now) and schedule
+   more events — same-tick chains, clamped past ticks and negative
+   delays, near-future ticks, ticks on both sides of the calendar
+   ring's 1024-tick edge and far beyond it — then a horizon-cut drain,
+   a second round of outside scheduling, and an unbounded drain.  Every
+   draw comes from one stream consumed in execution order, so two
+   simulators that agree on the order make the same choices. *)
+let sim_script (module S : SIM) ~seed =
+  let obs = Ocd_obs.create () in
+  let sim = S.create ~obs () in
+  let rng = Prng.create ~seed in
+  let log = ref [] and next_id = ref 0 and budget = ref 0 in
+  let rec schedule () =
+    if !budget > 0 then begin
+      decr budget;
+      let id = !next_id in
+      incr next_id;
+      let ev () =
+        log := (id, S.now sim) :: !log;
+        for _ = 1 to Prng.int rng 3 do
+          schedule ()
+        done
+      in
+      let now = S.now sim in
+      match Prng.int rng 8 with
+      | 0 -> S.after sim 0 ev
+      | 1 -> S.at sim (now + Prng.int rng 3) ev
+      | 2 -> S.at sim (now - 1 - Prng.int rng 50) ev
+      | 3 -> S.after sim (-Prng.int rng 5) ev
+      | 4 -> S.after sim (1 + Prng.int rng 64) ev
+      | 5 -> S.at sim (now + 1020 + Prng.int rng 8) ev
+      | 6 -> S.after sim (1024 + Prng.int rng 4000) ev
+      | _ ->
+          (* a same-tick burst past the ring: FIFO through the overflow *)
+          let tick = now + 1500 + Prng.int rng 600 in
+          S.at sim tick ev;
+          for _ = 1 to Prng.int rng 6 do
+            if !budget > 0 then begin
+              decr budget;
+              let id = !next_id in
+              incr next_id;
+              S.at sim tick (fun () -> log := (id, S.now sim) :: !log)
+            end
+          done
+    end
+  in
+  let outside k =
+    budget := !budget + k;
+    for _ = 1 to k do
+      schedule ()
+    done
+  in
+  let snapshot stop = (stop, S.now sim, S.events_processed sim) in
+  outside 40;
+  budget := !budget + 400;
+  let first = S.run ~limit:(500 + Prng.int rng 4000) sim |> snapshot in
+  (* the horizon drain may have carried the queue's window past the
+     clock: schedule again, at, before and just after [now] *)
+  outside 30;
+  budget := !budget + 300;
+  let second = S.run sim |> snapshot in
+  outside 5;
+  let third = S.run ~limit:(S.now sim + 2000) sim |> snapshot in
+  (List.rev !log, [ first; second; third ], Ocd_obs.Metrics.render obs.Ocd_obs.metrics)
+
+let test_sim_matches_heap_oracle () =
+  for seed = 1 to 60 do
+    let log, stops, metrics = sim_script (module Sim) ~seed in
+    let log', stops', metrics' = sim_script (module Heap_sim) ~seed in
+    let ctx = Printf.sprintf "seed %d: " seed in
+    Alcotest.(check (list (pair int int))) (ctx ^ "execution order") log' log;
+    List.iter2
+      (fun (stop, now, n) (stop', now', n') ->
+        Alcotest.(check bool) (ctx ^ "stop") true (stop = stop');
+        Alcotest.(check int) (ctx ^ "now") now' now;
+        Alcotest.(check int) (ctx ^ "events processed") n' n)
+      stops stops';
+    Alcotest.(check string) (ctx ^ "sim/* metrics render") metrics' metrics
+  done;
+  (* the scripts must reach the cases they exist for *)
+  let log, stops, metrics = sim_script (module Sim) ~seed:1 in
+  Alcotest.(check bool) "events ran" true (List.length log > 100);
+  Alcotest.(check bool) "a horizon cut something" true
+    (List.exists (fun (stop, _, _) -> stop = Sim.Horizon_reached) stops);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "queue depth rendered" true
+    (contains metrics "sim/queue_depth")
+
 (* ------------------------- instances ------------------------------ *)
 
 let random_instance ~seed ~n ~tokens =
@@ -664,6 +830,8 @@ let () =
           Alcotest.test_case "event order" `Quick test_sim_order;
           Alcotest.test_case "same-tick chain" `Quick test_sim_same_tick_chain;
           Alcotest.test_case "horizon" `Quick test_sim_limit;
+          Alcotest.test_case "calendar queue = heap oracle" `Quick
+            test_sim_matches_heap_oracle;
         ] );
       ( "lockstep differential",
         [

@@ -180,7 +180,13 @@ let test_sequential_joins () =
   done;
   ignore (Sim.run ~limit:(horizon + 10_000) h.sim);
   Alcotest.(check int) "all post-join lookups answered" lookups !answered;
-  Alcotest.(check int) "every key owned by its ideal successor" 0 !wrong
+  Alcotest.(check int) "every key owned by its ideal successor" 0 !wrong;
+  (* Exact routing cost, pinned: these fingers were all learned by
+     fix_finger, and a finger whose cached identifier went stale would
+     still reach the right owner, only by a different number of hops. *)
+  Alcotest.(check (triple int int int))
+    "lookups, hops, max hops" (64, 96, 3)
+    (h.stats.Node.lookups, h.stats.Node.hops, h.stats.Node.max_hops)
 
 (* --------------------- lookup hop bound at 10^4 --------------------- *)
 
@@ -208,11 +214,50 @@ let test_lookup_hop_bound () =
   Alcotest.(check int) "all lookups accounted" lookups h.stats.Node.lookups;
   Alcotest.(check int) "no wrong or failed answers" 0 !wrong;
   Alcotest.(check int) "no lookup failures" 0 h.stats.Node.failures;
+  Alcotest.(check (triple int int int))
+    "lookups, hops, max hops (pinned)" (256, 1541, 10)
+    (h.stats.Node.lookups, h.stats.Node.hops, h.stats.Node.max_hops);
   let bound = 2.0 *. (log (float_of_int n) /. log 2.0) in
   let mean = Node.mean_hops h.stats in
   Alcotest.(check bool)
     (Printf.sprintf "mean hops %.2f within 2*log2(n) = %.1f" mean bound)
     true (mean <= bound)
+
+(* ------------------- provider store holder lists -------------------- *)
+
+let test_holder_store () =
+  let seed = 3 and token = 9 and cap = 16 in
+  let h = make_harness ~n:1 ~seed ~period:32 in
+  let cfg = Node.config ~providers_cap:cap ~period:32 () in
+  let node =
+    Node.create ~env:(env h 0) ~config:cfg
+      (Node.converged ~seed ~succ_count:cfg.Node.succ_count [| 0 |] 0)
+  in
+  (* holders 0..39, each stored one to three times, in shuffled order *)
+  let rng = Prng.create ~seed in
+  let stores =
+    Array.of_list
+      (List.concat_map
+         (fun holder -> List.init (1 + Prng.int rng 3) (fun _ -> holder))
+         (Order.range 40))
+  in
+  Prng.shuffle rng stores;
+  let seen = ref [] in
+  Array.iter
+    (fun holder ->
+      Node.handle node ~src:holder
+        (Ocd_async.Message.Store { token; holder; replica = true });
+      if not (List.mem holder !seen) then seen := holder :: !seen;
+      let expect = Order.take cap (List.sort compare !seen) in
+      Alcotest.(check (list int))
+        "providers: ascending, deduplicated, capped" expect
+        (Node.providers node ~token))
+    stores;
+  Alcotest.(check int) "every store counted" (Array.length stores)
+    h.stats.Node.stores;
+  Alcotest.(check (list (pair string string)))
+    "holder list strictly sorted" []
+    (Node.invariant_violations node)
 
 (* ------------- replication survives killing the owner -------------- *)
 
@@ -470,6 +515,7 @@ let () =
             test_store_survives_owner_kill;
           Alcotest.test_case "partition heal" `Quick test_partition_heal;
           Alcotest.test_case "concurrent joins" `Quick test_concurrent_joins;
+          Alcotest.test_case "holder store" `Quick test_holder_store;
         ] );
       ( "dht-rarest",
         [

@@ -143,7 +143,21 @@ let check_against_naive n arcs g =
     if Digraph.View.to_array (Digraph.pred g v) <> pred_ref.(v) then ok := false;
     Array.iter
       (fun (w, c) -> if Digraph.capacity g v w <> c then ok := false)
-      succ_ref.(v)
+      succ_ref.(v);
+    (* View.index binary-searches both sides, so pred rows must be
+       sorted too: every listed neighbour is found at its position and
+       every other vertex is absent. *)
+    List.iter
+      (fun (view, row) ->
+        for w = 0 to n - 1 do
+          let expect =
+            match Array.find_index (fun (u, _) -> u = w) row with
+            | Some i -> i
+            | None -> -1
+          in
+          if Digraph.View.index view w <> expect then ok := false
+        done)
+      [ (Digraph.succ g v, succ_ref.(v)); (Digraph.pred g v, pred_ref.(v)) ]
   done;
   !ok
 
