@@ -10,7 +10,6 @@
 type t = {
   now : unit -> int;
   timeout : int;
-  n : int;
   birth : int;
   last : (int, int) Hashtbl.t;
   (* members are peers whose current silence has already been observed
@@ -21,12 +20,11 @@ type t = {
   on_suspect : (int -> unit) option;
 }
 
-let create ?on_suspect ~now ~timeout ~n () =
+let create ?on_suspect ~now ~timeout () =
   if timeout <= 0 then invalid_arg "Detector.create: timeout must be positive";
   {
     now;
     timeout;
-    n;
     birth = now ();
     last = Hashtbl.create 16;
     in_episode = Hashtbl.create 8;
@@ -54,10 +52,3 @@ let suspected t peer =
     match t.on_suspect with Some f -> f peer | None -> ()
   end;
   s
-
-let suspects t =
-  let acc = ref [] in
-  for peer = t.n - 1 downto 0 do
-    if suspected t peer then acc := peer :: !acc
-  done;
-  !acc

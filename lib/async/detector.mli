@@ -21,17 +21,16 @@
     suspect the whole world at tick 0.
 
     The contact table is sparse (hashed on peer id), so a detector
-    over [n] peers costs memory proportional to the peers actually
-    heard from, not [n] — a DHT node tracking O(log n) fingers out of
-    a 10^4-node ring pays for just those fingers. *)
+    costs memory proportional to the peers actually heard from, not to
+    the vertex count — a DHT node tracking O(log n) fingers out of a
+    10^4-node ring pays for just those fingers. *)
 
 type t
 
 val create :
-  ?on_suspect:(int -> unit) -> now:(unit -> int) -> timeout:int -> n:int ->
-  unit -> t
-(** [create ~now ~timeout ~n ()] tracks peers [0 .. n-1]; [now] is the
-    owner's clock (typically [ctx.now]).  [on_suspect] is an
+  ?on_suspect:(int -> unit) -> now:(unit -> int) -> timeout:int -> unit -> t
+(** [create ~now ~timeout ()] tracks any peer it is asked about; [now]
+    is the owner's clock (typically [ctx.now]).  [on_suspect] is an
     observability hook fired the first time each silence episode of a
     peer is observed by {!suspected} (protocols wire it to
     [ctx.note_suspicion]); it is re-armed by {!heard} and never
@@ -53,6 +52,3 @@ val suspected : t -> int -> bool
 
 val last_heard : t -> int -> int
 (** Tick of the last sign of life (creation tick if none yet). *)
-
-val suspects : t -> int list
-(** Currently suspected peers, ascending.  For diagnosis displays. *)

@@ -40,7 +40,7 @@ let protocol () =
     (* Any traffic from a neighbour proves it is alive; the detector
        only ranks refetch candidates, it never blocks planned sends. *)
     let detector = Detector.create ~on_suspect:(fun _ -> ctx.note_suspicion ())
-        ~now:ctx.now ~timeout:(4 * ctx.pace) ~n () in
+        ~now:ctx.now ~timeout:(4 * ctx.pace) () in
     (* token -> round the plan delivers it to us; filled from the plan. *)
     let expected : (int, int) Hashtbl.t = Hashtbl.create 8 in
     let expected_filled = ref false in

@@ -2,14 +2,15 @@
     message-passing form).
 
     Each round a node (a) announces its possession set to its
-    out-neighbours, and (b) one tick later ranks the tokens it still
-    lacks by {e neighbour-local} rarity — how many in-neighbours it
-    believes hold each token, per their latest announcements — and
-    requests each token from one believed holder chosen at random,
-    respecting per-arc capacity budgets.  Holders answer requests with
-    [Data]; non-holders stay silent and the request times out.
+    out-neighbours, and (b) one tick later runs a {!Pull} round: it
+    ranks the tokens it still lacks by {e neighbour-local} rarity — how
+    many live in-neighbours it believes hold each token, per their
+    latest announcements — and requests each token from one believed
+    holder chosen at random, respecting per-arc capacity budgets.
+    Holders answer requests with [Data]; non-holders stay silent and
+    the request times out.
 
-    Retry: an unanswered request backs off exponentially
+    Retry ({!Pull.t}): an unanswered request backs off exponentially
     ([pace * 2^min(attempts, 6)] ticks) and re-issues, counting a
     retransmission.  Duplicate data is suppressed by the runtime.
 
@@ -21,12 +22,14 @@
     of riding the exponential backoff against a crashed peer.  A
     restarted neighbour clears its suspicion with its first announce.
 
-    The decision core is shared with {!sync_strategy}, the synchronous
+    The ranking and holder choice are {!Pull.requests}, called with the
+    same rarity and holder tests by {!sync_strategy}, the synchronous
     twin used by the differential test: under {!Net.lockstep} (zero
     latency, zero loss, no pacing) announcements deliver perfect
     round-start knowledge and every request is answered within its
     round, so the async run replays the synchronous engine's schedule
-    move for move. *)
+    move for move.  [dht-rarest] runs the same core with DHT-sourced
+    rarity. *)
 
 val protocol : unit -> Protocol.t
 (** Name ["async-local"]. *)

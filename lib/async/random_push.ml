@@ -9,7 +9,6 @@ let protocol () =
     let v = ctx.vertex in
     let preds = Digraph.pred graph v in
     let succs = Digraph.succ graph v in
-    let n = Instance.vertex_count inst in
     (* What we believe each out-neighbour holds, by slot in [succs]:
        last announcement, refined by acks and by our own optimistic
        pushes.  Only out-neighbours announce and ack to us. *)
@@ -33,7 +32,7 @@ let protocol () =
        suspicion and resets our belief to its post-crash truth, which
        re-triggers pushes for anything it lost. *)
     let detector = Detector.create ~on_suspect:(fun _ -> ctx.note_suspicion ())
-        ~now:ctx.now ~timeout:(4 * ctx.pace) ~n () in
+        ~now:ctx.now ~timeout:(4 * ctx.pace) () in
     let push () =
       if not (ctx.finished ()) then
         Digraph.View.iteri

@@ -128,7 +128,28 @@ let churn_off = 13
 let crash_off = 17
 let part_off = 19
 
-let cell_faults c ~cell_seed =
+(* One (cell, trial) grid point, derived from the campaign seed and
+   the grid coordinates alone.  [run], [failures] and [trial_setup] all
+   derive their trials here, so a replayed trial cannot drift from the
+   campaign's.  Condition and Faults memoise Markov chains in a
+   Hashtbl: derive a point inside the Pool task that uses it, never
+   share one across domains. *)
+type point = {
+  p_cell : cell;
+  p_part_seed : int;
+  p_run_seed : int;
+  p_flap_seed : int option;
+  p_churn_seed : int option;
+  p_profile : Net.profile;
+  p_condition : Ocd_dynamics.Condition.t;
+  p_faults : Faults.t;
+}
+
+let point ~seed ~sources cells ~ci ~trial =
+  let c = cells.(ci) in
+  let cell_seed = seed + (7919 * ci) in
+  let flap_seed = if c.flaps then Some (cell_seed + flap_off) else None in
+  let churn_seed = if c.churn then Some (cell_seed + churn_off) else None in
   let crash =
     if c.crash_prob > 0.0 then
       Faults.crashes ~seed:(cell_seed + crash_off) ~crash_prob:c.crash_prob ()
@@ -140,7 +161,27 @@ let cell_faults c ~cell_seed =
         Faults.partitions ~seed:(cell_seed + part_off) ~split_prob ~heal_prob ()
     | None -> Faults.none
   in
-  Faults.compose crash part
+  {
+    p_cell = c;
+    p_part_seed = cell_seed + part_off;
+    p_run_seed = seed + (31 * trial) + 1;
+    p_flap_seed = flap_seed;
+    p_churn_seed = churn_seed;
+    p_profile = { Net.default with Net.loss = c.loss };
+    p_condition = Shrink.condition_of ~flap_seed ~churn_seed ~sources;
+    p_faults = Faults.compose crash part;
+  }
+
+(* Task grid: cells outer, protocols (registry order) inner, trials
+   innermost. *)
+let tasks (grid : grid) =
+  List.concat_map
+    (fun ci ->
+      List.concat_map
+        (fun name ->
+          List.map (fun trial -> (ci, name, trial)) (Order.range grid.trials))
+        Ocd_dht.Registry.names)
+    (Order.range (List.length grid.cells))
 
 type trial_setup = {
   t_instance : Instance.t;
@@ -176,23 +217,16 @@ let trial_setup ~seed grid ~cell_label ~protocol ~trial =
           else
             let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
             let sources = Shrink.sources_of inst ~n:grid.n in
-            let c = cells.(ci) in
-            let cell_seed = seed + (7919 * ci) in
+            let pt = point ~seed ~sources cells ~ci ~trial in
             Ok
               {
                 t_instance = inst;
-                t_profile = { Net.default with Net.loss = c.loss };
-                t_condition =
-                  Shrink.condition_of
-                    ~flap_seed:
-                      (if c.flaps then Some (cell_seed + flap_off) else None)
-                    ~churn_seed:
-                      (if c.churn then Some (cell_seed + churn_off) else None)
-                    ~sources;
-                t_faults = cell_faults c ~cell_seed;
-                t_run_seed = seed + (31 * trial) + 1;
+                t_profile = pt.p_profile;
+                t_condition = pt.p_condition;
+                t_faults = pt.p_faults;
+                t_run_seed = pt.p_run_seed;
                 t_protocol = p;
-                t_cell = c;
+                t_cell = pt.p_cell;
               })
 
 let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
@@ -200,18 +234,9 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
   let sources = Shrink.sources_of inst ~n:grid.n in
   let cells = Array.of_list grid.cells in
   let protocols = Ocd_dht.Registry.names in
-  (* Task grid: cells outer, protocols inner, trials innermost.  Every
-     seed below is a function of the base seed and grid coordinates
+  (* Every seed is a function of the base seed and grid coordinates
      only, so the observation list is identical for any [jobs]. *)
-  let tasks =
-    List.concat_map
-      (fun ci ->
-        List.concat_map
-          (fun name ->
-            List.map (fun trial -> (ci, name, trial)) (Order.range grid.trials))
-          protocols)
-      (Order.range (Array.length cells))
-  in
+  let tasks = tasks grid in
   let probe = Ocd_obs.probe obs in
   (* Each task runs its Runtime under a child scope (fresh registry and
      memory sink), so worker domains never share mutable observability
@@ -220,31 +245,21 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
   let results =
     Pool.map ~obs ~jobs
       (fun (ci, name, trial) ->
-        let c = cells.(ci) in
-        let cell_seed = seed + (7919 * ci) in
+        let pt = point ~seed ~sources cells ~ci ~trial in
         let task_obs = Ocd_obs.child obs in
-        let profile = { Net.default with Net.loss = c.loss } in
-        let condition =
-          Shrink.condition_of
-            ~flap_seed:(if c.flaps then Some (cell_seed + flap_off) else None)
-            ~churn_seed:(if c.churn then Some (cell_seed + churn_off) else None)
-            ~sources
-        in
-        let faults = cell_faults c ~cell_seed in
         let protocol = Ocd_dht.Registry.find_exn name in
         let monitor = Monitor.create () in
         let r =
           let go () =
-            Runtime.run ~obs:task_obs ~profile ~condition ~faults ~monitor
-              ~protocol
-              ~seed:(seed + (31 * trial) + 1)
-              inst
+            Runtime.run ~obs:task_obs ~profile:pt.p_profile
+              ~condition:pt.p_condition ~faults:pt.p_faults ~monitor ~protocol
+              ~seed:pt.p_run_seed inst
           in
           (* Per-cell wall time: call count per label is
              trials × protocols, so the profile row gives trials/sec. *)
           match probe with
           | None -> go ()
-          | Some p -> Ocd_obs.Probe.time p ("chaos/" ^ c.label) go
+          | Some p -> Ocd_obs.Probe.time p ("chaos/" ^ pt.p_cell.label) go
         in
         let completed = r.Runtime.outcome = Runtime.Completed in
         let valid =
@@ -348,43 +363,34 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
    evaluator's own judgement*, and Shrink.shrink cannot reject it. *)
 let failures ?(jobs = 1) ~seed grid =
   let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
+  let sources = Shrink.sources_of inst ~n:grid.n in
   let round_limit = Runtime.default_round_limit inst in
   let cells = Array.of_list grid.cells in
-  let tasks =
-    List.concat_map
-      (fun ci ->
-        List.concat_map
-          (fun name ->
-            List.map (fun trial -> (ci, name, trial)) (Order.range grid.trials))
-          Ocd_dht.Registry.names)
-      (Order.range (Array.length cells))
-  in
   let results =
     Pool.map ~jobs
       (fun (ci, name, trial) ->
-        let c = cells.(ci) in
-        let cell_seed = seed + (7919 * ci) in
-        let faults = cell_faults c ~cell_seed in
+        let pt = point ~seed ~sources cells ~ci ~trial in
+        let faults = pt.p_faults in
         let case =
           {
             Shrink.protocol = name;
             instance_seed = seed;
             n = grid.n;
             tokens = grid.tokens;
-            loss = c.loss;
-            flap_seed = (if c.flaps then Some (cell_seed + flap_off) else None);
-            churn_seed = (if c.churn then Some (cell_seed + churn_off) else None);
-            run_seed = seed + (31 * trial) + 1;
+            loss = pt.p_cell.loss;
+            flap_seed = pt.p_flap_seed;
+            churn_seed = pt.p_churn_seed;
+            run_seed = pt.p_run_seed;
             round_limit;
             durability = Faults.durability faults;
-            part_seed = cell_seed + part_off;
+            part_seed = pt.p_part_seed;
             groups = 2;
             downtime = Faults.downtime faults ~n:grid.n ~horizon:round_limit;
             windows = Faults.windows faults ~horizon:round_limit;
           }
         in
         (case, Shrink.run_case case))
-      tasks
+      (tasks grid)
   in
   List.filter_map
     (fun (case, outcome) -> Option.map (fun tag -> (case, tag)) outcome)

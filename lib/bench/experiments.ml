@@ -750,11 +750,7 @@ let async_overhead ~full:_ ~jobs =
   let results =
     Pool.map ~jobs
       (fun ((plabel, profile, condition), name) ->
-        let protocol =
-          match Ocd_async.Registry.find name with
-          | Some p -> p
-          | None -> assert false
-        in
+        let protocol = Ocd_async.Registry.find_exn name in
         ( plabel,
           Ocd_async.Runtime.run ~profile ~condition ~protocol ~seed:seed_async
             inst ))

@@ -4,9 +4,8 @@ module Digraph = Ocd_graph.Digraph
 module Protocol = Ocd_async.Protocol
 module Message = Ocd_async.Message
 module Detector = Ocd_async.Detector
+module Pull = Ocd_async.Pull
 module Monitor = Ocd_async.Monitor
-
-let max_backoff_exp = 6
 
 (* Soft-state cadences, in rounds.  Republishing keeps provider
    records alive across owner crashes between re-replications; the
@@ -61,7 +60,7 @@ let protocol ?stats () =
     let detector =
       Detector.create
         ~on_suspect:(fun _ -> ctx.note_suspicion ())
-        ~now:ctx.now ~timeout:(4 * ctx.pace) ~n ()
+        ~now:ctx.now ~timeout:(4 * ctx.pace) ()
     in
     let alive u = not (Detector.suspected detector u) in
     let env =
@@ -99,19 +98,11 @@ let protocol ?stats () =
     let prov_holders : (int, int list) Hashtbl.t = Hashtbl.create 8 in
     let prov_round : (int, int) Hashtbl.t = Hashtbl.create 8 in
     let querying : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    (* request bookkeeping, as in Local_rarest *)
-    let pending : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let attempts : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let target : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    let pull = Pull.create ctx in
     (* token -> round its next advertisement is due *)
     let publish_due : (int, int) Hashtbl.t = Hashtbl.create 8 in
     let adv_cursor = ref 0 in
     let round_no () = ctx.now () / ctx.pace in
-    let eligible token =
-      match Hashtbl.find_opt pending token with
-      | None -> true
-      | Some deadline -> ctx.now () >= deadline
-    in
     let advertise_step () =
       let round = round_no () in
       let budget = ref max_adverts_per_round in
@@ -155,72 +146,29 @@ let protocol ?stats () =
     in
     let decide () =
       if not (ctx.finished ()) then begin
-        (* a suspected target releases its token for immediate
-           re-targeting instead of waiting out the backoff *)
-        let stale =
-          Hashtbl.fold
-            (fun token holder acc -> if alive holder then acc else token :: acc)
-            target []
+        Pull.release_suspected pull ~alive;
+        (* true rarest-first without omniscience: ascending global
+           provider count as reported by the DHT, unknown-count tokens
+           last; a candidate holds the token per the DHT or per its
+           announcement *)
+        let rarity token =
+          match Hashtbl.find_opt prov_holders token with
+          | Some l -> List.length l
+          | None -> max_int
+        in
+        let holds token =
+          let holders =
+            Option.value (Hashtbl.find_opt prov_holders token) ~default:[]
+          in
+          fun i ->
+            List.mem (Digraph.View.dst preds i) holders
+            || match belief.(i) with Some s -> Bitset.mem s token | None -> false
         in
         List.iter
-          (fun token ->
-            Hashtbl.remove pending token;
-            Hashtbl.remove target token)
-          stale;
-        let missing = Bitset.diff (Bitset.full tokens) (ctx.have_copy ()) in
-        if not (Bitset.is_empty missing) then begin
-          (* true rarest-first without omniscience: ascending global
-             provider count as reported by the DHT, random tie-breaks,
-             unknown-count tokens last *)
-          let toks = Array.of_list (Bitset.elements missing) in
-          Prng.shuffle ctx.rng toks;
-          let rarity token =
-            match Hashtbl.find_opt prov_holders token with
-            | Some l -> List.length l
-            | None -> max_int
-          in
-          let ranked = Order.sort_by rarity (Array.to_list toks) in
-          let budget = Digraph.View.caps preds in
-          List.iter
-            (fun token ->
-              if eligible token then begin
-                let holders =
-                  match Hashtbl.find_opt prov_holders token with
-                  | Some l -> l
-                  | None -> []
-                in
-                let has i u =
-                  List.mem u holders
-                  || (match belief.(i) with
-                     | Some s -> Bitset.mem s token
-                     | None -> false)
-                in
-                let candidates = ref [] in
-                Digraph.View.iteri
-                  (fun i u _ ->
-                    if budget.(i) > 0 && alive u && has i u then
-                      candidates := i :: !candidates)
-                  preds;
-                match !candidates with
-                | [] -> ()
-                | cs ->
-                  let i = Prng.pick_list ctx.rng cs in
-                  budget.(i) <- budget.(i) - 1;
-                  let holder = Digraph.View.dst preds i in
-                  let a =
-                    match Hashtbl.find_opt attempts token with
-                    | Some a -> a
-                    | None -> 0
-                  in
-                  if a > 0 then ctx.note_retransmission ();
-                  Hashtbl.replace attempts token (a + 1);
-                  let backoff = ctx.pace * (1 lsl min a max_backoff_exp) in
-                  Hashtbl.replace pending token (ctx.now () + backoff);
-                  Hashtbl.replace target token holder;
-                  ctx.send ~dst:holder (Message.Request token)
-              end)
-            ranked
-        end
+          (fun (holder, token) -> Pull.request pull ~holder token)
+          (Pull.requests ~rng:ctx.rng ~token_count:tokens
+             ~have:(ctx.have_copy ()) ~eligible:(Pull.eligible pull) ~alive
+             ~preds ~rarity ~holds)
       end
     in
     let rec round () =
@@ -254,8 +202,7 @@ let protocol ?stats () =
       | Message.Request token ->
         if ctx.has token then ctx.send ~dst:src (Message.Data token)
       | Message.Data token ->
-        Hashtbl.remove pending token;
-        Hashtbl.remove target token;
+        Pull.arrived pull token;
         if ctx.receive ~src token then
           (* newly held: advertise promptly, off the republish cadence *)
           Hashtbl.remove publish_due token

@@ -1,11 +1,13 @@
 (** Rarest-first dissemination without the omniscient oracle.
 
-    The fourth async protocol.  Structurally it is {!
-    Ocd_async.Local_rarest} — pull-based, per-round in-arc budgets,
-    exponential backoff, detector-driven re-targeting — but where
-    local-rarest reads provider knowledge out of neighbour [Announce]s
-    (and its rarity signal is neighbourhood-local), dht-rarest learns
-    who holds what from the Chord overlay:
+    The fourth async protocol.  Its data plane is the pull core of
+    {!Ocd_async.Local_rarest}, {!Ocd_async.Pull} — the same ranking,
+    holder choice under per-round in-arc budgets, exponential backoff
+    and detector-driven re-targeting — but where local-rarest feeds it
+    rarity read out of neighbour [Announce]s (a neighbourhood-local
+    signal), dht-rarest learns who holds what from the Chord overlay
+    and feeds it provider counts ([max_int] while unknown) and a holder
+    test that accepts a DHT provider or an announced holder:
 
     - every node advertises each token it holds into the DHT (a
       [(token, holder)] record stored at the key's owner, replicated

@@ -302,6 +302,235 @@ let test_lockstep_many_seeds () =
         ~seed)
     [ 1; 2; 3; 4; 5 ]
 
+(* ------------------ pull core vs its former copies ----------------- *)
+
+module Digraph = Ocd_graph.Digraph
+module View = Digraph.View
+
+(* The rarest-first round as [Local_rarest.requests] wrote it before
+   the pull core existed, verbatim: the oracle for async-local (belief
+   rarity) and its lockstep twin (true possession). *)
+let oracle_local_requests ~rng ~token_count ~have ~eligible ~alive ~preds
+    ~known =
+  let missing = Bitset.diff (Bitset.full token_count) have in
+  if Bitset.is_empty missing then []
+  else begin
+    let tokens = Array.of_list (Bitset.elements missing) in
+    Prng.shuffle rng tokens;
+    let rarity token =
+      let count = ref 0 in
+      View.iteri
+        (fun i u _ ->
+          match known i with
+          | Some s when alive u && Bitset.mem s token -> incr count
+          | _ -> ())
+        preds;
+      !count
+    in
+    let ranked = Order.sort_by rarity (Array.to_list tokens) in
+    let budget = View.caps preds in
+    let picks = ref [] in
+    List.iter
+      (fun token ->
+        if eligible token then begin
+          let candidates = ref [] in
+          View.iteri
+            (fun i u _ ->
+              if budget.(i) > 0 && alive u then
+                match known i with
+                | Some s when Bitset.mem s token ->
+                    candidates := i :: !candidates
+                | _ -> ())
+            preds;
+          match !candidates with
+          | [] -> ()
+          | cs ->
+              let i = Prng.pick_list rng cs in
+              budget.(i) <- budget.(i) - 1;
+              let src = View.dst preds i in
+              picks := (src, token) :: !picks
+        end)
+      ranked;
+    List.rev !picks
+  end
+
+(* dht-rarest's decide loop as it was written inline, with the request
+   send replaced by recording the pick. *)
+let oracle_dht_requests ~rng ~token_count ~have ~eligible ~alive ~preds
+    ~prov_holders ~belief =
+  let picks = ref [] in
+  let missing = Bitset.diff (Bitset.full token_count) have in
+  if not (Bitset.is_empty missing) then begin
+    let toks = Array.of_list (Bitset.elements missing) in
+    Prng.shuffle rng toks;
+    let rarity token =
+      match Hashtbl.find_opt prov_holders token with
+      | Some l -> List.length l
+      | None -> max_int
+    in
+    let ranked = Order.sort_by rarity (Array.to_list toks) in
+    let budget = View.caps preds in
+    List.iter
+      (fun token ->
+        if eligible token then begin
+          let holders =
+            match Hashtbl.find_opt prov_holders token with
+            | Some l -> l
+            | None -> []
+          in
+          let has i u =
+            List.mem u holders
+            || (match belief.(i) with
+               | Some s -> Bitset.mem s token
+               | None -> false)
+          in
+          let candidates = ref [] in
+          View.iteri
+            (fun i u _ ->
+              if budget.(i) > 0 && alive u && has i u then
+                candidates := i :: !candidates)
+            preds;
+          match !candidates with
+          | [] -> ()
+          | cs ->
+              let i = Prng.pick_list rng cs in
+              budget.(i) <- budget.(i) - 1;
+              picks := (View.dst preds i, token) :: !picks
+        end)
+      ranked
+  end;
+  List.rev !picks
+
+(* One node's round-start view: vertex 0 decides over its in-arcs. *)
+type pull_view = {
+  pv_tokens : int;
+  pv_preds : View.t;
+  pv_have : Bitset.t;
+  pv_possession : Bitset.t array;  (** true sets, by vertex *)
+  pv_belief : Bitset.t option array;  (** by slot in [pv_preds] *)
+  pv_providers : (int, int list) Hashtbl.t;
+  pv_alive : bool array;
+  pv_eligible : bool array;
+}
+
+let random_pull_view rng =
+  let n = 1 + Prng.int rng 10 in
+  let tokens = 1 + Prng.int rng 12 in
+  let arcs =
+    List.filter_map
+      (fun u ->
+        if Prng.bernoulli rng 0.7 then
+          Some
+            {
+              Digraph.src = u;
+              dst = 0;
+              capacity = 1 + Prng.int rng 3;
+            }
+        else None)
+      (List.init (n - 1) (fun u -> u + 1))
+  in
+  let preds = Digraph.pred (Digraph.of_arcs ~vertex_count:n arcs) 0 in
+  let subset density =
+    Bitset.of_list tokens
+      (List.filter (fun _ -> Prng.bernoulli rng density) (Order.range tokens))
+  in
+  let providers = Hashtbl.create 8 in
+  List.iter
+    (fun token ->
+      if Prng.bernoulli rng 0.7 then
+        Hashtbl.replace providers token
+          (List.filter (fun _ -> Prng.bernoulli rng 0.4) (Order.range n)))
+    (Order.range tokens);
+  {
+    pv_tokens = tokens;
+    pv_preds = preds;
+    pv_have = subset (Prng.float rng 1.0);
+    pv_possession = Array.init n (fun _ -> subset (Prng.float rng 1.0));
+    pv_belief =
+      Array.init (View.length preds) (fun _ ->
+          if Prng.bernoulli rng 0.2 then None
+          else Some (subset (Prng.float rng 1.0)));
+    pv_providers = providers;
+    pv_alive = Array.init n (fun _ -> Prng.bernoulli rng 0.8);
+    pv_eligible = Array.init tokens (fun _ -> Prng.bernoulli rng 0.8);
+  }
+
+let test_pull_matches_former_copies () =
+  let gen = Prng.create ~seed:19 in
+  for trial = 1 to 400 do
+    let v = random_pull_view gen in
+    let seed = Prng.int gen 1_000_000 in
+    let preds = v.pv_preds in
+    let eligible token = v.pv_eligible.(token) in
+    (* Each side runs from a fresh copy of the same stream and logs its
+       [alive] probes: picks, the next draw and the probe sequence must
+       all agree. *)
+    let run ~alive_of decide =
+      let probes = ref [] in
+      let alive u =
+        probes := u :: !probes;
+        alive_of u
+      in
+      let rng = Prng.create ~seed in
+      let picks = decide ~rng ~alive in
+      (picks, Prng.int rng 1_000_000_000, List.rev !probes)
+    in
+    let check label ~alive_of ~oracle ~pull =
+      let p0, d0, a0 = run ~alive_of oracle and p1, d1, a1 = run ~alive_of pull in
+      let label = Printf.sprintf "trial %d %s" trial label in
+      Alcotest.(check (list (pair int int))) (label ^ ": picks") p0 p1;
+      Alcotest.(check int) (label ^ ": next draw") d0 d1;
+      Alcotest.(check (list int)) (label ^ ": alive probes") a0 a1
+    in
+    let belief_pull ~known ~rng ~alive =
+      let rarity token =
+        let count = ref 0 in
+        View.iteri
+          (fun i u _ ->
+            match known i with
+            | Some s when alive u && Bitset.mem s token -> incr count
+            | _ -> ())
+          preds;
+        !count
+      in
+      let holds token i =
+        match known i with Some s -> Bitset.mem s token | None -> false
+      in
+      Pull.requests ~rng ~token_count:v.pv_tokens ~have:v.pv_have ~eligible
+        ~alive ~preds ~rarity ~holds
+    in
+    let belief_oracle ~known ~rng ~alive =
+      oracle_local_requests ~rng ~token_count:v.pv_tokens ~have:v.pv_have
+        ~eligible ~alive ~preds ~known
+    in
+    let believed i = v.pv_belief.(i) in
+    check "async-local" ~alive_of:(fun u -> v.pv_alive.(u))
+      ~oracle:(belief_oracle ~known:believed) ~pull:(belief_pull ~known:believed);
+    let truth i = Some v.pv_possession.(View.dst preds i) in
+    check "lockstep twin" ~alive_of:(fun _ -> true)
+      ~oracle:(belief_oracle ~known:truth) ~pull:(belief_pull ~known:truth);
+    let prov token = Hashtbl.find_opt v.pv_providers token in
+    check "dht-rarest" ~alive_of:(fun u -> v.pv_alive.(u))
+      ~oracle:(fun ~rng ~alive ->
+        oracle_dht_requests ~rng ~token_count:v.pv_tokens ~have:v.pv_have
+          ~eligible ~alive ~preds ~prov_holders:v.pv_providers
+          ~belief:v.pv_belief)
+      ~pull:(fun ~rng ~alive ->
+        let rarity token =
+          match prov token with Some l -> List.length l | None -> max_int
+        in
+        let holds token =
+          let holders = Option.value (prov token) ~default:[] in
+          fun i ->
+            List.mem (View.dst preds i) holders
+            || match v.pv_belief.(i) with
+               | Some s -> Bitset.mem s token
+               | None -> false
+        in
+        Pull.requests ~rng ~token_count:v.pv_tokens ~have:v.pv_have ~eligible
+          ~alive ~preds ~rarity ~holds)
+  done
+
 (* ------------------------ determinism ----------------------------- *)
 
 let test_same_seed_same_run () =
@@ -458,17 +687,18 @@ let test_jobs_determinism () =
 
 let test_detector_basics () =
   let clock = ref 0 in
-  let d = Detector.create ~now:(fun () -> !clock) ~timeout:10 ~n:3 () in
-  Alcotest.(check (list int)) "no suspects at creation" [] (Detector.suspects d);
+  let d = Detector.create ~now:(fun () -> !clock) ~timeout:10 () in
+  let suspects () = List.filter (Detector.suspected d) [ 0; 1; 2 ] in
+  Alcotest.(check (list int)) "no suspects at creation" [] (suspects ());
   clock := 10;
   Alcotest.(check bool)
     "silence equal to timeout is tolerated" false
     (Detector.suspected d 1);
   clock := 11;
   Alcotest.(check (list int))
-    "all suspected after silence" [ 0; 1; 2 ] (Detector.suspects d);
+    "all suspected after silence" [ 0; 1; 2 ] (suspects ());
   Detector.heard d 1;
-  Alcotest.(check (list int)) "contact clears" [ 0; 2 ] (Detector.suspects d);
+  Alcotest.(check (list int)) "contact clears" [ 0; 2 ] (suspects ());
   Alcotest.(check int) "last_heard updated" 11 (Detector.last_heard d 1);
   clock := 22;
   Alcotest.(check bool) "suspicion returns" true (Detector.suspected d 1)
@@ -476,14 +706,14 @@ let test_detector_basics () =
 let test_detector_rejects_bad_timeout () =
   Alcotest.check_raises "timeout must be positive"
     (Invalid_argument "Detector.create: timeout must be positive") (fun () ->
-      ignore (Detector.create ~now:(fun () -> 0) ~timeout:0 ~n:2 ()))
+      ignore (Detector.create ~now:(fun () -> 0) ~timeout:0 ()))
 
 (* Satellite edge cases: a heartbeat landing exactly on the timeout
    boundary, and a node that is suspected, restarts, and makes contact
    again within the same round. *)
 let test_detector_boundary () =
   let clock = ref 0 in
-  let d = Detector.create ~now:(fun () -> !clock) ~timeout:10 ~n:3 () in
+  let d = Detector.create ~now:(fun () -> !clock) ~timeout:10 () in
   clock := 5;
   Detector.heard d 2;
   clock := 15;
@@ -501,7 +731,7 @@ let test_detector_restart_same_round () =
     Detector.create
       ~on_suspect:(fun u -> fired := u :: !fired)
       ~now:(fun () -> !clock)
-      ~timeout:10 ~n:3 ()
+      ~timeout:10 ()
   in
   clock := 11;
   Alcotest.(check bool) "suspected" true (Detector.suspected d 1);
@@ -519,7 +749,7 @@ let test_detector_restart_same_round () =
 
 let test_detector_watch () =
   let clock = ref 0 in
-  let d = Detector.create ~now:(fun () -> !clock) ~timeout:10 ~n:4 () in
+  let d = Detector.create ~now:(fun () -> !clock) ~timeout:10 () in
   clock := 25;
   Alcotest.(check bool)
     "birth-silent peer is suspected" true (Detector.suspected d 3);
@@ -838,6 +1068,11 @@ let () =
           Alcotest.test_case "random graph" `Quick test_lockstep_random;
           Alcotest.test_case "transit-stub" `Quick test_lockstep_transit_stub;
           Alcotest.test_case "seed sweep" `Quick test_lockstep_many_seeds;
+        ] );
+      ( "pull core",
+        [
+          Alcotest.test_case "requests = former copies" `Quick
+            test_pull_matches_former_copies;
         ] );
       ( "determinism",
         [

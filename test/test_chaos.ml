@@ -313,6 +313,50 @@ let test_chaos_smoke_invariants () =
        (fun (a : Chaos.agg) -> a.Chaos.completed = a.Chaos.trials)
        crash_cells)
 
+(* [trial_setup] is what [ocd explain chaos-cell] replays: for every
+   smoke-grid cell and protocol, running each trial from its setup
+   must reproduce the campaign's sums exactly. *)
+let test_trial_setup_replays_campaign () =
+  let seed = 7 and grid = Chaos.smoke_grid in
+  let module Runtime = Ocd_async.Runtime in
+  List.iter
+    (fun (a : Chaos.agg) ->
+      let runs =
+        List.init grid.Chaos.trials (fun trial ->
+            match
+              Chaos.trial_setup ~seed grid ~cell_label:a.Chaos.env
+                ~protocol:a.Chaos.protocol ~trial
+            with
+            | Error e -> Alcotest.fail e
+            | Ok s ->
+                let monitor = Ocd_async.Monitor.create () in
+                Runtime.run ~profile:s.Chaos.t_profile
+                  ~condition:s.Chaos.t_condition ~faults:s.Chaos.t_faults
+                  ~monitor ~protocol:s.Chaos.t_protocol ~seed:s.Chaos.t_run_seed
+                  s.Chaos.t_instance)
+      in
+      let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+      let label = a.Chaos.env ^ "/" ^ a.Chaos.protocol in
+      Alcotest.(check (list int))
+        (label ^ ": completed, crashes, restarts, lost, failed, violations")
+        [
+          a.Chaos.completed;
+          a.Chaos.crashes;
+          a.Chaos.restarts;
+          a.Chaos.lost_tokens;
+          a.Chaos.failed_jobs;
+          a.Chaos.violations;
+        ]
+        [
+          sum (fun r -> if r.Runtime.outcome = Runtime.Completed then 1 else 0);
+          sum (fun r -> r.Runtime.crashes);
+          sum (fun r -> r.Runtime.restarts);
+          sum (fun r -> r.Runtime.lost_tokens);
+          sum (fun r -> r.Runtime.failed_jobs);
+          sum (fun r -> r.Runtime.violations);
+        ])
+    (Chaos.run ~jobs:1 ~seed grid)
+
 (* ---------------------------- shrinking ---------------------------- *)
 
 (* A case that fails for exactly one reason — a permanent partition —
@@ -455,6 +499,8 @@ let () =
             test_chaos_jobs_determinism;
           Alcotest.test_case "smoke invariants" `Quick
             test_chaos_smoke_invariants;
+          Alcotest.test_case "trial_setup replays run" `Quick
+            test_trial_setup_replays_campaign;
         ] );
       ( "shrinking",
         [
