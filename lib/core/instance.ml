@@ -25,15 +25,6 @@ let validate inst =
     invalid_arg "Instance: some token has no initial holder";
   inst
 
-let make_bitsets ~graph ~token_count ~have ~want =
-  validate
-    {
-      graph;
-      token_count;
-      have = Array.map Bitset.copy have;
-      want = Array.map Bitset.copy want;
-    }
-
 let make ~graph ~token_count ~have ~want =
   if token_count < 0 then invalid_arg "Instance.make: negative token count";
   let n = Digraph.vertex_count graph in
@@ -47,6 +38,11 @@ let make ~graph ~token_count ~have ~want =
     sets
   in
   validate { graph; token_count; have = build have; want = build want }
+
+let with_graph inst graph =
+  if Digraph.vertex_count graph <> Digraph.vertex_count inst.graph then
+    invalid_arg "Instance.with_graph: vertex count mismatch";
+  { inst with graph }
 
 let vertex_count inst = Digraph.vertex_count inst.graph
 

@@ -26,13 +26,12 @@ val make :
     initially held by at least one vertex — otherwise no schedule can
     be successful — and that vertex/token ids are in range. *)
 
-val make_bitsets :
-  graph:Ocd_graph.Digraph.t ->
-  token_count:int ->
-  have:Bitset.t array ->
-  want:Bitset.t array ->
-  t
-(** As {!make} from pre-built bitsets (copied defensively). *)
+val with_graph : t -> Ocd_graph.Digraph.t -> t
+(** [with_graph inst graph] is [inst] on another topology over the same
+    vertices, such as one step's effective graph under link faults.
+    [have] and [want] are shared with [inst], not copied, so the
+    result is valid whenever [inst] is.
+    @raise Invalid_argument if the vertex counts differ. *)
 
 val vertex_count : t -> int
 

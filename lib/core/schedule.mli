@@ -46,7 +46,6 @@ val drop_trailing_empty : t -> t
 val moves_on_arc : t -> src:int -> dst:int -> (int * int) list
 (** [(step, token)] pairs carried by one arc, in order. *)
 
-val concat_map_moves : t -> (step:int -> Move.t -> 'a option) -> 'a list
 val iter_moves : t -> (step:int -> Move.t -> unit) -> unit
 
 val pp : Format.formatter -> t -> unit

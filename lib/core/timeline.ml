@@ -106,7 +106,6 @@ type t = {
   completion_times : int array;
   deficits : int array;
   satisfied_counts : int array;
-  move_counts : int array;
   fresh : int;
   final : Bitset.t array;
 }
@@ -115,7 +114,6 @@ let run (inst : Instance.t) schedule =
   let length = Schedule.length schedule in
   let deficits = Array.make (length + 1) 0 in
   let satisfied_counts = Array.make (length + 1) 0 in
-  let move_counts = Array.make (length + 1) 0 in
   (* Same pass as [fold], inlined so the tracker (and its per-vertex
      completion array) is ours to keep in the result. *)
   let tracker = Tracker.create inst in
@@ -123,7 +121,6 @@ let run (inst : Instance.t) schedule =
   let token_count = inst.token_count in
   deficits.(0) <- Tracker.deficit tracker;
   satisfied_counts.(0) <- Tracker.satisfied tracker;
-  let moves_so_far = ref 0 in
   for i = 0 to Schedule.length schedule - 1 do
     let step = i + 1 in
     Schedule.iter_step schedule i (fun ~src:_ ~dst ~token ->
@@ -135,10 +132,8 @@ let run (inst : Instance.t) schedule =
           Bitset.add have.(dst) token;
           Tracker.deliver tracker ~step ~dst ~token
         end);
-    moves_so_far := !moves_so_far + Schedule.step_move_count schedule i;
     deficits.(step) <- Tracker.deficit tracker;
-    satisfied_counts.(step) <- Tracker.satisfied tracker;
-    move_counts.(step) <- !moves_so_far
+    satisfied_counts.(step) <- Tracker.satisfied tracker
   done;
   {
     length;
@@ -146,7 +141,6 @@ let run (inst : Instance.t) schedule =
     completion_times = Tracker.completion_times tracker;
     deficits;
     satisfied_counts;
-    move_counts;
     fresh = Tracker.fresh_deliveries tracker;
     final = have;
   }
@@ -169,10 +163,6 @@ let deficit_at t i =
 let satisfied_at t i =
   boundary t "satisfied_at" i;
   t.satisfied_counts.(i)
-
-let moves_at t i =
-  boundary t "moves_at" i;
-  t.move_counts.(i)
 
 let fresh_deliveries t = t.fresh
 let final t = t.final

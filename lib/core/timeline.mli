@@ -111,9 +111,6 @@ val deficit_at : t -> int -> int
 val satisfied_at : t -> int -> int
 (** Satisfied-vertex count at a boundary. *)
 
-val moves_at : t -> int -> int
-(** Moves executed strictly before a boundary. *)
-
 val fresh_deliveries : t -> int
 (** Distinct [(dst, token)] deliveries over the whole schedule. *)
 

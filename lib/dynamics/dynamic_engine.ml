@@ -17,9 +17,7 @@ type run = {
 let run ?stall_patience ~condition ~strategy ~seed (inst : Instance.t) =
   let visible step =
     match Condition.graph_at condition ~step inst.graph with
-    | Some graph ->
-      Instance.make_bitsets ~graph ~token_count:inst.token_count
-        ~have:inst.have ~want:inst.want
+    | Some graph -> Instance.with_graph inst graph
     | None -> inst
   in
   let admission =

@@ -29,9 +29,6 @@ val step : t -> unit
 
 val knows : t -> viewer:int -> subject:int -> bool
 
-val vertex_complete : t -> int -> bool
-(** Does [viewer] know every vertex's state? *)
-
 val complete : t -> bool
 
 val steps_to_complete : Instance.t -> int

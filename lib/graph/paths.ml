@@ -2,9 +2,6 @@ open Ocd_prelude
 
 let hop_distances g src = Traversal.bfs_levels g src
 
-let all_pairs_hops g =
-  Array.init (Digraph.vertex_count g) (fun v -> hop_distances g v)
-
 let dijkstra g ~cost src =
   let n = Digraph.vertex_count g in
   let dist = Array.make n max_int in

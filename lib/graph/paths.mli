@@ -9,10 +9,6 @@
 val hop_distances : Digraph.t -> Digraph.vertex -> int array
 (** BFS hop distance from a source; [-1] if unreachable. *)
 
-val all_pairs_hops : Digraph.t -> int array array
-(** [all_pairs_hops g].(u).(v) is the hop distance u -> v; [-1] if
-    unreachable.  O(n·(n+m)). *)
-
 val dijkstra :
   Digraph.t ->
   cost:(Digraph.vertex -> Digraph.vertex -> int) ->

@@ -21,40 +21,40 @@ let sample_tokens_into rng set count out =
       set
   end
 
+(* One push round: every arc [src -> dst] carries a uniform sample, up
+   to its capacity, of the tokens [src] holds now and [peer.(dst)]
+   lacks.  [peer] is the senders' view of the receivers' possession. *)
+let push (ctx : Ocd_engine.Strategy.context) peer =
+  let graph = ctx.instance.Instance.graph in
+  let scratch = ctx.scratch in
+  let useful = scratch.Ocd_engine.Strategy.tokens_a in
+  let sample = scratch.Ocd_engine.Strategy.candidates in
+  let moves = ref [] in
+  for src = 0 to Digraph.vertex_count graph - 1 do
+    if not (Bitset.is_empty ctx.have.(src)) then
+      Digraph.View.iter
+        (fun dst cap ->
+          Bitset.assign useful ctx.have.(src);
+          Bitset.diff_into useful peer.(dst);
+          sample_tokens_into ctx.rng useful cap sample;
+          Int_vec.iter
+            (fun token -> moves := { Move.src; dst; token } :: !moves)
+            sample)
+        (Digraph.succ graph src)
+  done;
+  !moves
+
 let strategy =
-  let make inst _rng =
-    let n = Instance.vertex_count inst in
-    fun (ctx : Ocd_engine.Strategy.context) ->
-      let graph = ctx.instance.Instance.graph in
-      let scratch = ctx.scratch in
-      let useful = scratch.Ocd_engine.Strategy.tokens_a in
-      let sample = scratch.Ocd_engine.Strategy.candidates in
-      let moves = ref [] in
-      for src = 0 to n - 1 do
-        if not (Bitset.is_empty ctx.have.(src)) then
-          Digraph.View.iter
-            (fun dst cap ->
-              Bitset.assign useful ctx.have.(src);
-              Bitset.diff_into useful ctx.have.(dst);
-              sample_tokens_into ctx.rng useful cap sample;
-              Int_vec.iter
-                (fun token -> moves := { Move.src; dst; token } :: !moves)
-                sample)
-            (Digraph.succ graph src)
-      done;
-      !moves
-  in
+  let make _inst _rng (ctx : Ocd_engine.Strategy.context) = push ctx ctx.have in
   { Ocd_engine.Strategy.name = "random"; make }
 
 let with_staleness ~turns =
   if turns < 0 then invalid_arg "Random_push.with_staleness: negative turns";
-  let make inst _rng =
-    let n = Instance.vertex_count inst in
+  let make (inst : Instance.t) _rng =
     (* Ring buffer of possession snapshots; index step mod (turns+1)
        holds the state at the start of that step. *)
     let history = Array.make (turns + 1) None in
     fun (ctx : Ocd_engine.Strategy.context) ->
-      let graph = ctx.instance.Instance.graph in
       history.(ctx.step mod (turns + 1)) <- Some (Array.map Bitset.copy ctx.have);
       let stale =
         if ctx.step < turns then inst.have
@@ -63,25 +63,9 @@ let with_staleness ~turns =
           | Some snapshot -> snapshot
           | None -> inst.have
       in
-      let scratch = ctx.scratch in
-      let useful = scratch.Ocd_engine.Strategy.tokens_a in
-      let sample = scratch.Ocd_engine.Strategy.candidates in
-      let moves = ref [] in
-      for src = 0 to n - 1 do
-        if not (Bitset.is_empty ctx.have.(src)) then
-          Digraph.View.iter
-            (fun dst cap ->
-              (* The sender's own possession is current; only the
-                 peer's state is stale. *)
-              Bitset.assign useful ctx.have.(src);
-              Bitset.diff_into useful stale.(dst);
-              sample_tokens_into ctx.rng useful cap sample;
-              Int_vec.iter
-                (fun token -> moves := { Move.src; dst; token } :: !moves)
-                sample)
-            (Digraph.succ graph src)
-      done;
-      !moves
+      (* The sender's own possession is current; only the peer's state
+         is stale. *)
+      push ctx stale
   in
   {
     Ocd_engine.Strategy.name = Printf.sprintf "random-stale-%d" turns;

@@ -181,7 +181,6 @@ let node t i = t.nodes.(i)
 let parent t i = t.parents.(i)
 let peer t i = t.peers.(i)
 let depart t i = t.auxs.(i)
-let epoch_of t i = t.auxs.(i)
 let token t i = t.tokens.(i)
 let is_retry t i = t.kinds.(i) land flag_retry <> 0
 let is_fresh t i = t.kinds.(i) land flag_fresh <> 0

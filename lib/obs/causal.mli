@@ -118,9 +118,6 @@ val peer : t -> int -> int
 val depart : t -> int -> int
 (** [Send]: departure tick (queue exit).  Unspecified otherwise. *)
 
-val epoch_of : t -> int -> int
-(** [Boot]/[Restart]: incarnation number. *)
-
 val token : t -> int -> int
 (** [Send]/[Deliver]: the data/request token, [-1] for other payloads
     and kinds. *)

@@ -47,7 +47,6 @@ let counter t name =
       c
 
 let incr ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
 let add t name n = if t.live then incr ~by:n (counter t name)
 
 let gauge t name =

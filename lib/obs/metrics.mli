@@ -33,7 +33,6 @@ val counter : t -> string -> counter
     registered as a different instrument kind. *)
 
 val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
 
 val add : t -> string -> int -> unit
 (** [add t name n] is [incr ~by:n (counter t name)] — the one-shot

@@ -62,9 +62,6 @@ let time t label f =
   let s = start t label in
   Fun.protect ~finally:(fun () -> stop s) f
 
-let add_wall t label ~calls wall =
-  fold t label ~calls ~wall ~minor:0.0 ~major:0.0 ~minor_c:0 ~major_c:0
-
 type row = {
   label : string;
   calls : int;

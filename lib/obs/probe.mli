@@ -34,11 +34,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t label f] runs [f] inside a section, returning its result
     (exceptions propagate after the section is closed). *)
 
-val add_wall : t -> string -> calls:int -> float -> unit
-(** Fold externally-measured wall seconds into a label — used by the
-    domain pool, whose per-worker busy/idle accounting cannot wrap a
-    single section around channel-fed task loops. *)
-
 type row = {
   label : string;
   calls : int;

@@ -65,7 +65,3 @@ let summarize xs =
     }
 
 let summarize_ints xs = summarize (List.map float_of_int xs)
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.0f med=%.1f max=%.0f"
-    s.count s.mean s.stddev s.min s.median s.max

@@ -21,5 +21,3 @@ val percentile : float list -> float -> float
     minimum and [p = 1.0] the maximum (no interpolation or float-noise
     overshoot), matching [Ocd_obs.Metrics.quantile]'s contract at
     p0/p100. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -1,13 +1,6 @@
 open Ocd_prelude
 open Ocd_graph
 
-(* Below this vertex count the generators keep their original per-pair
-   Bernoulli code paths verbatim, so paper-size instances (the figures
-   use n <= 1000) draw the exact same seed stream and stay byte-
-   identical.  At or above it they switch to the O(m)-expected skip
-   samplers, which are a different (documented) deterministic stream. *)
-let legacy_threshold = 2048
-
 let paper_p n =
   if n <= 1 then 1.0
   else Float.min 1.0 (2.0 *. log (float_of_int n) /. float_of_int n)
@@ -38,174 +31,60 @@ let connect_repair rng ~weights ~connect g =
       let weighted_extra = Weights.assign rng weights extra in
       Digraph.add_undirected_edges g weighted_extra
 
-let finalize rng ~n ~weights ~connect edges =
-  let weighted = Weights.assign rng weights edges in
-  let g = Digraph.of_edges ~vertex_count:n weighted in
-  connect_repair rng ~weights ~connect g
-
-let skip = Prng.geometric
-
-(* Weight draws for bulk (array) edges, in edge order — an explicit
-   loop, because [Array.init]'s evaluation order is unspecified and the
-   stream must be deterministic. *)
-let draw_caps rng weights count =
-  let caps = Array.make count 0 in
-  for i = 0 to count - 1 do
-    caps.(i) <- Weights.draw rng weights
-  done;
-  caps
-
-let bulk_graph rng ~n ~weights ~connect src dst =
-  let count = Int_vec.length src in
+(* Runs [sample] with an edge sink, then draws the capacities in edge
+   order and builds the graph. *)
+let build rng ~n ~weights ~connect sample =
+  let src = Int_vec.create () in
+  let dst = Int_vec.create () in
+  sample (fun u v ->
+      Int_vec.push src u;
+      Int_vec.push dst v);
+  let cap = Weights.draw_array rng weights (Int_vec.length src) in
   let src = Int_vec.to_array src and dst = Int_vec.to_array dst in
-  assert (Array.length dst = count);
-  let cap = draw_caps rng weights count in
   let g = Digraph.of_undirected_arrays ~vertex_count:n ~src ~dst ~cap in
   connect_repair rng ~weights ~connect g
 
-(* Enumerates the pairs (w, v) with w < v in column-major order (v
-   ascending, w ascending within v), jumping over non-edges with
-   geometric skips: O(m) expected draws instead of n(n-1)/2. *)
-let er_skip_edges rng ~n ~p =
-  let src = Int_vec.create ~capacity:1024 () in
-  let dst = Int_vec.create ~capacity:1024 () in
+let skip_pairs rng ~k ~p f =
   if p > 0.0 then begin
     let v = ref 1 and w = ref (-1) in
-    while !v < n do
-      w := !w + 1 + skip rng p;
-      while !v < n && !w >= !v do
+    while !v < k do
+      w := !w + 1 + Prng.geometric rng p;
+      while !v < k && !w >= !v do
         w := !w - !v;
         incr v
       done;
-      if !v < n then begin
-        Int_vec.push src !w;
-        Int_vec.push dst !v
-      end
+      if !v < k then f !w !v
     done
-  end;
-  (src, dst)
+  end
 
 let erdos_renyi rng ~n ?p ?(weights = Weights.paper_default) ?(connect = true)
     () =
   if n <= 0 then invalid_arg "Random_graph.erdos_renyi: n <= 0";
   let p = match p with Some p -> p | None -> paper_p n in
   if p < 0.0 || p > 1.0 then invalid_arg "Random_graph.erdos_renyi: bad p";
-  if n <= legacy_threshold then begin
-    let edges = ref [] in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if Prng.bernoulli rng p then edges := (u, v) :: !edges
-      done
-    done;
-    finalize rng ~n ~weights ~connect !edges
-  end
-  else begin
-    let src, dst = er_skip_edges rng ~n ~p in
-    bulk_graph rng ~n ~weights ~connect src dst
-  end
-
-let gnm rng ~n ~m ?(weights = Weights.paper_default) ?(connect = true) () =
-  if n <= 0 then invalid_arg "Random_graph.gnm: n <= 0";
-  let max_edges = n * (n - 1) / 2 in
-  if m < 0 || m > max_edges then invalid_arg "Random_graph.gnm: bad m";
-  if 2 * m <= max_edges then begin
-    (* Sparse half: the original rejection sampler, whose expected
-       iteration count stays below 2m here. *)
-    let chosen = Hashtbl.create (2 * m) in
-    while Hashtbl.length chosen < m do
-      let u = Prng.int rng n and v = Prng.int rng n in
-      if u <> v then begin
-        let e = (min u v, max u v) in
-        if not (Hashtbl.mem chosen e) then Hashtbl.replace chosen e ()
-      end
-    done;
-    let edges = Hashtbl.fold (fun e () acc -> e :: acc) chosen [] in
-    let lex (u1, v1) (u2, v2) =
-      if u1 <> u2 then Int.compare u1 u2 else Int.compare v1 v2
-    in
-    finalize rng ~n ~weights ~connect (List.sort lex edges)
-  end
-  else begin
-    (* Dense half: rejection sampling degenerates as m approaches
-       max_edges (expected draws ~ max_edges/(max_edges - picked)), so
-       sample the [max_edges - m] *excluded* pairs instead — a
-       different deterministic stream from the sparse half — and emit
-       the complement in lexicographic order. *)
-    let excl_count = max_edges - m in
-    let excluded = Hashtbl.create (2 * excl_count + 1) in
-    while Hashtbl.length excluded < excl_count do
-      let u = Prng.int rng n and v = Prng.int rng n in
-      if u <> v then begin
-        let e = ((min u v * n) + max u v) in
-        if not (Hashtbl.mem excluded e) then Hashtbl.replace excluded e ()
-      end
-    done;
-    let src = Int_vec.create ~capacity:(m + 1) () in
-    let dst = Int_vec.create ~capacity:(m + 1) () in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if not (Hashtbl.mem excluded ((u * n) + v)) then begin
-          Int_vec.push src u;
-          Int_vec.push dst v
-        end
-      done
-    done;
-    bulk_graph rng ~n ~weights ~connect src dst
-  end
+  build rng ~n ~weights ~connect (skip_pairs rng ~k:n ~p)
 
 let waxman rng ~n ?(alpha = 0.4) ?(beta = 0.2)
     ?(weights = Weights.paper_default) ?(connect = true) () =
   if n <= 0 then invalid_arg "Random_graph.waxman: n <= 0";
   if alpha <= 0.0 || beta <= 0.0 then invalid_arg "Random_graph.waxman: params";
-  if n <= legacy_threshold then begin
-    let xs = Array.init n (fun _ -> Prng.float rng 1.0) in
-    let ys = Array.init n (fun _ -> Prng.float rng 1.0) in
-    let max_dist = sqrt 2.0 in
-    let edges = ref [] in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        let d = Float.hypot (xs.(u) -. xs.(v)) (ys.(u) -. ys.(v)) in
-        let p = alpha *. exp (-.d /. (beta *. max_dist)) in
-        if Prng.bernoulli rng p then edges := (u, v) :: !edges
-      done
-    done;
-    finalize rng ~n ~weights ~connect !edges
-  end
-  else begin
-    (* Thinned skip sampling: the acceptance probability is bounded by
-       the envelope [alpha] (distance only lowers it), so skip-sample
-       candidate pairs at rate alpha and accept each with
-       p(d)/alpha = exp (-d / (beta * sqrt 2)).  Expected work is
-       proportional to the candidate count alpha * n(n-1)/2 — linear in
-       the edge count for fixed parameters, with different draws than
-       the per-pair loop. *)
-    let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      xs.(i) <- Prng.float rng 1.0
-    done;
-    for i = 0 to n - 1 do
-      ys.(i) <- Prng.float rng 1.0
-    done;
-    let max_dist = sqrt 2.0 in
-    let env = Float.min alpha 1.0 in
-    let src = Int_vec.create ~capacity:1024 () in
-    let dst = Int_vec.create ~capacity:1024 () in
-    let v = ref 1 and w = ref (-1) in
-    while !v < n do
-      w := !w + 1 + skip rng env;
-      while !v < n && !w >= !v do
-        w := !w - !v;
-        incr v
-      done;
-      if !v < n then begin
-        let u = !w and x = !v in
-        let d = Float.hypot (xs.(u) -. xs.(x)) (ys.(u) -. ys.(x)) in
-        let accept = alpha *. exp (-.d /. (beta *. max_dist)) /. env in
-        if Prng.float rng 1.0 < accept then begin
-          Int_vec.push src u;
-          Int_vec.push dst x
-        end
-      end
-    done;
-    bulk_graph rng ~n ~weights ~connect src dst
-  end
+  (* Explicit loops: all x coordinates are drawn before any y. *)
+  let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    xs.(i) <- Prng.float rng 1.0
+  done;
+  for i = 0 to n - 1 do
+    ys.(i) <- Prng.float rng 1.0
+  done;
+  (* Thinned skip sampling: the acceptance probability is bounded by
+     the envelope [alpha] (distance only lowers it), so skip-sample
+     candidate pairs at rate alpha and accept each with
+     p(d)/alpha = exp (-d / (beta * sqrt 2)).  Expected work is
+     proportional to the candidate count alpha * n(n-1)/2. *)
+  let max_dist = sqrt 2.0 in
+  let env = Float.min alpha 1.0 in
+  build rng ~n ~weights ~connect (fun edge ->
+      skip_pairs rng ~k:n ~p:env (fun u v ->
+          let d = Float.hypot (xs.(u) -. xs.(v)) (ys.(u) -. ys.(v)) in
+          let accept = alpha *. exp (-.d /. (beta *. max_dist)) /. env in
+          if Prng.float rng 1.0 < accept then edge u v))

@@ -10,19 +10,11 @@
 
     {2 Seed streams}
 
-    All generators are deterministic per seed, but the *stream* — which
-    uniform draws are made in which order — depends on the regime:
-
-    - [n <= 2048]: the original per-pair Bernoulli loops run verbatim,
-      so graphs at paper sizes are bit-identical to earlier releases.
-    - [n > 2048]: {!erdos_renyi} and {!waxman} switch to geometric skip
-      sampling (Batagelj–Brandes): O(m) expected draws instead of
-      n(n-1)/2.  Same distribution, different (stable, documented)
-      stream.
-    - {!gnm} with [2m <= n(n-1)/2] keeps the original rejection
-      sampler; denser requests sample the *complement* (the excluded
-      pairs) instead, because rejection degenerates as [m] approaches
-      the maximum.  Again a distinct stable stream. *)
+    Each generator has one deterministic stream per seed, at every
+    size: geometric skip sampling (Batagelj–Brandes) over the vertex
+    pairs in column-major order, so a graph costs O(n + m) expected
+    draws instead of n(n-1)/2.  Edge capacities are then drawn in edge
+    order, and connectivity repair draws last. *)
 
 open Ocd_prelude
 
@@ -38,17 +30,6 @@ val erdos_renyi :
     to [2 ln n / n] (clamped to [\[0, 1\]]); [weights] defaults to
     {!Weights.paper_default}; [connect] (default true) repairs weak
     connectivity. *)
-
-val gnm :
-  Prng.t ->
-  n:int ->
-  m:int ->
-  ?weights:Weights.policy ->
-  ?connect:bool ->
-  unit ->
-  Ocd_graph.Digraph.t
-(** Uniform graph with exactly [m] distinct undirected edges (before
-    any connectivity repair). *)
 
 val waxman :
   Prng.t ->
@@ -66,3 +47,10 @@ val waxman :
 
 val paper_p : int -> float
 (** [2 ln n / n], the paper's edge probability. *)
+
+val skip_pairs : Prng.t -> k:int -> p:float -> (int -> int -> unit) -> unit
+(** [skip_pairs rng ~k ~p f] calls [f w v] for each pair [w < v < k]
+    of a G(k, p) sample, [v] ascending and [w] ascending within [v],
+    jumping over non-edges with one geometric draw each.  [f] may draw
+    from [rng] itself (thinning does); nothing is drawn when [p <= 0].
+    {!Transit_stub} samples its intra-domain edges with it. *)

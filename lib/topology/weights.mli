@@ -14,6 +14,11 @@ val paper_default : policy
 
 val draw : Ocd_prelude.Prng.t -> policy -> int
 
+val draw_array : Ocd_prelude.Prng.t -> policy -> int -> int array
+(** [draw_array rng policy count] is [count] capacities drawn in index
+    order, one {!draw} each — the weights of a generator's edge arrays,
+    edge [k] taking element [k]. *)
+
 val assign :
   Ocd_prelude.Prng.t ->
   policy ->

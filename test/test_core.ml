@@ -73,13 +73,21 @@ let test_instance_unsatisfiable_direction () =
   in
   Alcotest.(check bool) "unsatisfiable" false (Instance.satisfiable inst)
 
-let test_instance_make_bitsets_copies () =
+let test_instance_with_graph_shares () =
   let graph = Digraph.of_edges ~vertex_count:2 [ (0, 1, 1) ] in
-  let have = [| Bitset.of_list 1 [ 0 ]; Bitset.create 1 |] in
-  let want = [| Bitset.create 1; Bitset.of_list 1 [ 0 ] |] in
-  let inst = Instance.make_bitsets ~graph ~token_count:1 ~have ~want in
-  Bitset.add have.(1) 0;
-  Alcotest.(check int) "defensive copy" 1 (Instance.total_deficit inst)
+  let inst =
+    Instance.make ~graph ~token_count:1 ~have:[ (0, [ 0 ]) ] ~want:[ (1, [ 0 ]) ]
+  in
+  let wider = Digraph.of_edges ~vertex_count:2 [ (0, 1, 5) ] in
+  let view = Instance.with_graph inst wider in
+  Alcotest.(check bool) "graph replaced" true (view.Instance.graph == wider);
+  Alcotest.(check bool) "have shared" true (view.Instance.have == inst.have);
+  Alcotest.(check bool) "want shared" true (view.Instance.want == inst.want);
+  Alcotest.check_raises "vertex count mismatch"
+    (Invalid_argument "Instance.with_graph: vertex count mismatch") (fun () ->
+      ignore
+        (Instance.with_graph inst
+           (Digraph.of_edges ~vertex_count:3 [ (0, 1, 1) ])))
 
 (* ------------------------------------------------------------------ *)
 (* Schedule                                                            *)
@@ -970,7 +978,7 @@ let () =
             test_instance_rejects_bad_vertex;
           Alcotest.test_case "unsatisfiable direction" `Quick
             test_instance_unsatisfiable_direction;
-          Alcotest.test_case "bitsets copied" `Quick test_instance_make_bitsets_copies;
+          Alcotest.test_case "with_graph shares" `Quick test_instance_with_graph_shares;
         ] );
       ( "schedule",
         [

@@ -66,16 +66,6 @@ let test_erdos_renyi_no_connect () =
   let g = Random_graph.erdos_renyi rng ~n:10 ~p:0.0 ~connect:false () in
   Alcotest.(check int) "no edges" 0 (Ocd_graph.Digraph.arc_count g)
 
-let test_gnm_exact_count () =
-  let rng = Prng.create ~seed:6 in
-  let g = Random_graph.gnm rng ~n:20 ~m:30 ~connect:false () in
-  Alcotest.(check int) "arcs = 2m" 60 (Ocd_graph.Digraph.arc_count g)
-
-let test_gnm_bad_m () =
-  let rng = Prng.create ~seed:6 in
-  Alcotest.check_raises "too many" (Invalid_argument "Random_graph.gnm: bad m")
-    (fun () -> ignore (Random_graph.gnm rng ~n:3 ~m:4 ()))
-
 let test_waxman_connected () =
   let rng = Prng.create ~seed:7 in
   let g = Random_graph.waxman rng ~n:60 () in
@@ -170,24 +160,27 @@ let prop_er_connected_across_seeds =
       Ocd_graph.Components.is_strongly_connected
         (Random_graph.erdos_renyi rng ~n ()))
 
-(* ---- scale regime (skip samplers, bulk transit-stub) ---- *)
+(* ---- skip samplers and bulk CSR builds, at paper size and at scale ---- *)
 
-(* 3000 vertices is above [legacy_threshold], so these exercise the
-   Batagelj–Brandes skip-sampling path. *)
+(* A large instance for the skip samplers and bulk CSR builds: enough
+   vertices that a wrong skip recurrence shows in the arc count. *)
 let skip_n = 3000
 
 let test_er_skip_expected_degree () =
-  let rng = Prng.create ~seed:11 in
-  let g = Random_graph.erdos_renyi rng ~n:skip_n ~connect:false () in
-  let p = Random_graph.paper_p skip_n in
-  let expected = float_of_int (skip_n * (skip_n - 1)) *. p in
-  let arcs = float_of_int (Ocd_graph.Digraph.arc_count g) in
-  (* mean degree within 10% of p(n-1): loose enough for one sample,
-     tight enough to catch an off-by-one in the skip recurrence *)
-  Alcotest.(check bool)
-    (Printf.sprintf "arc count %.0f ~ %.0f" arcs expected)
-    true
-    (Float.abs (arcs -. expected) < 0.1 *. expected)
+  List.iter
+    (fun n ->
+      let rng = Prng.create ~seed:11 in
+      let g = Random_graph.erdos_renyi rng ~n ~connect:false () in
+      let p = Random_graph.paper_p n in
+      let expected = float_of_int (n * (n - 1)) *. p in
+      let arcs = float_of_int (Ocd_graph.Digraph.arc_count g) in
+      (* mean degree within 10% of p(n-1): loose enough for one sample,
+         tight enough to catch an off-by-one in the skip recurrence *)
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d arc count %.0f ~ %.0f" n arcs expected)
+        true
+        (Float.abs (arcs -. expected) < 0.1 *. expected))
+    [ 200; skip_n ]
 
 let test_er_skip_deterministic () =
   let g1 = Random_graph.erdos_renyi (Prng.create ~seed:12) ~n:skip_n () in
@@ -198,39 +191,41 @@ let test_er_skip_deterministic () =
     (Ocd_graph.Components.is_strongly_connected g1)
 
 let test_waxman_skip_deterministic () =
-  let g1 = Random_graph.waxman (Prng.create ~seed:13) ~n:skip_n () in
-  let g2 = Random_graph.waxman (Prng.create ~seed:13) ~n:skip_n () in
-  Alcotest.(check bool) "same arcs" true
-    (Ocd_graph.Digraph.arcs g1 = Ocd_graph.Digraph.arcs g2);
-  Alcotest.(check bool) "connected" true
-    (Ocd_graph.Components.is_strongly_connected g1)
+  List.iter
+    (fun n ->
+      let g1 = Random_graph.waxman (Prng.create ~seed:13) ~n () in
+      let g2 = Random_graph.waxman (Prng.create ~seed:13) ~n () in
+      Alcotest.(check int) "sized" n (Ocd_graph.Digraph.vertex_count g1);
+      Alcotest.(check bool) "same arcs" true
+        (Ocd_graph.Digraph.arcs g1 = Ocd_graph.Digraph.arcs g2);
+      Alcotest.(check bool) "connected" true
+        (Ocd_graph.Components.is_strongly_connected g1))
+    [ 200; skip_n ]
 
-let test_gnm_dense_complement () =
-  (* m > max_edges/2 exercises the complement sampler. *)
-  let n = 30 in
-  let max_edges = n * (n - 1) / 2 in
-  let m = max_edges - 35 in
-  let g1 = Random_graph.gnm (Prng.create ~seed:14) ~n ~m ~connect:false () in
-  let g2 = Random_graph.gnm (Prng.create ~seed:14) ~n ~m ~connect:false () in
-  Alcotest.(check int) "arcs = 2m" (2 * m) (Ocd_graph.Digraph.arc_count g1);
-  Alcotest.(check bool) "deterministic" true
-    (Ocd_graph.Digraph.arcs g1 = Ocd_graph.Digraph.arcs g2)
+(* Order-sensitive checksum over every [(src, dst, capacity)] arc —
+   all of them, unlike [Hashtbl.hash], which samples only a prefix of
+   a long list. *)
+let arc_checksum g =
+  let mix h x = ((h * 1_000_003) lxor x) land max_int in
+  List.fold_left
+    (fun h (a : Ocd_graph.Digraph.arc) -> mix (mix (mix h a.src) a.dst) a.capacity)
+    (Ocd_graph.Digraph.arc_count g)
+    (Ocd_graph.Digraph.arcs g)
 
-let test_gnm_complete () =
-  let n = 12 in
-  let m = n * (n - 1) / 2 in
-  let rng = Prng.create ~seed:15 in
-  let g = Random_graph.gnm rng ~n ~m ~connect:false () in
-  Alcotest.(check int) "complete graph" (n * (n - 1))
-    (Ocd_graph.Digraph.arc_count g);
-  Alcotest.(check bool) "every pair present" true
-    (let ok = ref true in
-     for u = 0 to n - 1 do
-       for v = 0 to n - 1 do
-         if u <> v && not (Ocd_graph.Digraph.mem_arc g u v) then ok := false
-       done
-     done;
-     !ok)
+(* Pins the exact seed streams of the scale samplers: a change to the
+   draw order or to a skip recurrence changes these graphs silently,
+   so any difference here must be deliberate. *)
+let test_stream_pin () =
+  let pin name expected g =
+    Alcotest.(check int) name expected (arc_checksum g)
+  in
+  pin "erdos-renyi n=3000" 1301383629389165766
+    (Random_graph.erdos_renyi (Prng.create ~seed:21) ~n:skip_n ());
+  pin "waxman n=3000" 2798816989280665868
+    (Random_graph.waxman (Prng.create ~seed:22) ~n:skip_n ());
+  pin "transit-stub n=10000" 55943894190606390
+    (Transit_stub.generate (Prng.create ~seed:23)
+       (Transit_stub.params_for_size 10_000))
 
 let test_transit_stub_for_size_bulk () =
   List.iter
@@ -245,16 +240,18 @@ let test_transit_stub_for_size_bulk () =
     [ 5000; 20_000; 100_000 ]
 
 let test_transit_stub_bulk_generate () =
-  let n = 10_000 in
-  let p = Transit_stub.params_for_size n in
-  let g1 = Transit_stub.generate (Prng.create ~seed:16) p in
-  let g2 = Transit_stub.generate (Prng.create ~seed:16) p in
-  Alcotest.(check bool) "sized" true
-    (Ocd_graph.Digraph.vertex_count g1 >= n);
-  Alcotest.(check bool) "connected" true
-    (Ocd_graph.Components.is_strongly_connected g1);
-  Alcotest.(check bool) "deterministic" true
-    (Ocd_graph.Digraph.arcs g1 = Ocd_graph.Digraph.arcs g2)
+  List.iter
+    (fun n ->
+      let p = Transit_stub.params_for_size n in
+      let g1 = Transit_stub.generate (Prng.create ~seed:16) p in
+      let g2 = Transit_stub.generate (Prng.create ~seed:16) p in
+      Alcotest.(check bool) "sized" true
+        (Ocd_graph.Digraph.vertex_count g1 >= n);
+      Alcotest.(check bool) "connected" true
+        (Ocd_graph.Components.is_strongly_connected g1);
+      Alcotest.(check bool) "deterministic" true
+        (Ocd_graph.Digraph.arcs g1 = Ocd_graph.Digraph.arcs g2))
+    [ 200; 10_000 ]
 
 (* CSR views on generated topologies must agree with the arc list (the
    differential counterpart of the raw-input tests in test_graph). *)
@@ -321,8 +318,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_erdos_renyi_deterministic;
           Alcotest.test_case "p=0 repaired" `Quick test_erdos_renyi_p_zero_repairs;
           Alcotest.test_case "no connect" `Quick test_erdos_renyi_no_connect;
-          Alcotest.test_case "gnm count" `Quick test_gnm_exact_count;
-          Alcotest.test_case "gnm bad m" `Quick test_gnm_bad_m;
           Alcotest.test_case "waxman connected" `Quick test_waxman_connected;
           qtest prop_er_capacities_in_range;
           qtest prop_er_connected_across_seeds;
@@ -336,13 +331,11 @@ let () =
             test_er_skip_deterministic;
           Alcotest.test_case "waxman skip deterministic" `Quick
             test_waxman_skip_deterministic;
-          Alcotest.test_case "gnm dense complement" `Quick
-            test_gnm_dense_complement;
-          Alcotest.test_case "gnm complete" `Quick test_gnm_complete;
           Alcotest.test_case "params for size (bulk)" `Quick
             test_transit_stub_for_size_bulk;
           Alcotest.test_case "bulk generate" `Quick
             test_transit_stub_bulk_generate;
+          Alcotest.test_case "stream pin" `Quick test_stream_pin;
         ] );
       ( "transit-stub",
         [
