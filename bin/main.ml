@@ -687,42 +687,43 @@ let async_cmd =
 (* ---------------------- ocd chaos ---------------------------------- *)
 
 let chaos_cmd =
-  let run seed (_, base) n tokens trials shrink shrink_out jobs (obs, finish) =
+  let run seed (_, (base : Ocd_bench.Chaos.grid)) n tokens trials shrink
+      shrink_out jobs (obs, finish) =
     let grid =
       {
         base with
-        Ocd_bench.Chaos.n = Option.value n ~default:base.Ocd_bench.Chaos.n;
-        tokens = Option.value tokens ~default:base.Ocd_bench.Chaos.tokens;
-        trials = Option.value trials ~default:base.Ocd_bench.Chaos.trials;
+        n = Option.value n ~default:base.n;
+        tokens = Option.value tokens ~default:base.tokens;
+        trials = Option.value trials ~default:base.trials;
       }
     in
-    Ocd_bench.Chaos.report ~obs ~jobs ~seed grid;
+    let campaign = Ocd_bench.Chaos.run ~obs ~jobs ~seed grid in
+    Ocd_bench.Chaos.report campaign;
     finish ();
     if not shrink then Ok ()
     else begin
-      let fails = Ocd_bench.Chaos.failures ~jobs ~seed grid in
+      let fails = Ocd_bench.Chaos.failures campaign in
       Printf.printf "\nshrink: %d failing trial(s)\n" (List.length fails);
       match fails with
       | [] -> Ok ()
       | (case, tag) :: _ -> (
         Printf.printf "shrinking first failure: %s (%s)\n"
-          case.Ocd_bench.Shrink.protocol tag;
+          case.Ocd_bench.Chaos.protocol tag;
         match Ocd_bench.Shrink.shrink case with
         | Error e ->
           Printf.eprintf "shrink failed: %s\n" e;
           exit 1
-        | Ok s ->
+        | Ok { minimal; tests; _ } ->
           Printf.printf
             "minimal reproducer: %d crash span(s) + %d partition window(s) \
              (from %d + %d), %d replays\n"
-            (List.length s.Ocd_bench.Shrink.minimal.Ocd_bench.Shrink.downtime)
-            (List.length s.Ocd_bench.Shrink.minimal.Ocd_bench.Shrink.windows)
-            (List.length case.Ocd_bench.Shrink.downtime)
-            (List.length case.Ocd_bench.Shrink.windows)
-            s.Ocd_bench.Shrink.tests;
+            (List.length minimal.downtime)
+            (List.length minimal.windows)
+            (List.length case.downtime)
+            (List.length case.windows)
+            tests;
           let* () =
-            emit ~output:shrink_out
-              (Ocd_bench.Shrink.to_string s.Ocd_bench.Shrink.minimal)
+            emit ~output:shrink_out (Ocd_bench.Shrink.to_string minimal)
           in
           Option.iter (Printf.printf "wrote %s\n") shrink_out;
           Ok ())
@@ -775,28 +776,17 @@ let chaos_cmd =
 
 let dht_cmd =
   let run (seed, inst) loss crash churn jobs (obs, finish) =
-    let _, profile =
-      network_profile ("default", Ocd_async.Net.default) loss None
-    in
-    (* Conditions and fault plans memoise their Markov chains in a
-       Hashtbl, so each task builds its own: shared across domains, the
-       tables race and a run can spin forever. *)
-    let condition () =
-      if churn then begin
-        let sources =
-          List.filter
-            (fun v -> not (Bitset.is_empty inst.Instance.have.(v)))
-            (List.init (Instance.vertex_count inst) (fun v -> v))
-        in
-        Ocd_dynamics.Condition.churn ~seed:(seed + 13) ~protected:sources
-          ~leave_prob:0.02 ~return_prob:0.3
-      end
-      else Ocd_dynamics.Condition.static
-    in
-    let faults () =
-      match crash with
-      | None -> Ocd_dynamics.Faults.none
-      | Some p -> Ocd_dynamics.Faults.crashes ~seed:(seed + 17) ~crash_prob:p ()
+    (* A chaos cell seeded from --seed; the runs keep --seed as their
+       run seed. *)
+    let cell =
+      {
+        Ocd_bench.Chaos.label = "";
+        loss = Option.value loss ~default:Ocd_async.Net.default.loss;
+        flaps = false;
+        churn;
+        crash_prob = Option.value crash ~default:0.0;
+        partition = None;
+      }
     in
     (* The omniscient baseline first, then the DHT protocol it is
        measured against; both under the same profile/faults/seed. *)
@@ -805,9 +795,7 @@ let dht_cmd =
       "instance: n=%d m=%d deficit=%d; loss=%.2f crash=%.2f churn=%b\n\n"
       (Instance.vertex_count inst)
       inst.Instance.token_count (Instance.total_deficit inst)
-      profile.Ocd_async.Net.loss
-      (match crash with Some p -> p | None -> 0.0)
-      churn;
+      cell.loss cell.crash_prob churn;
     let runs =
       map_protocols ~obs ~jobs
         (fun pobs name ->
@@ -818,9 +806,16 @@ let dht_cmd =
             if name = "dht-rarest" then Ocd_dht.Dht_rarest.protocol ~stats ()
             else Ocd_dht.Registry.find_exn name
           in
+          (* The condition and fault plan memoise their chains, so each
+             task derives its own: shared across domains, the tables
+             race and a run can spin forever. *)
+          let profile, condition, faults =
+            Ocd_bench.Chaos.environment cell ~cell_seed:seed
+              ~sources:(Ocd_bench.Chaos.sources_of inst)
+          in
           let r =
-            Ocd_async.Runtime.run ~obs:pobs ~profile ~condition:(condition ())
-              ~faults:(faults ()) ~protocol ~seed inst
+            Ocd_async.Runtime.run ~obs:pobs ~profile ~condition ~faults
+              ~protocol ~seed inst
           in
           (r, stats))
         chosen

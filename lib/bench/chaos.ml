@@ -4,6 +4,7 @@ module Runtime = Ocd_async.Runtime
 module Diagnosis = Ocd_async.Diagnosis
 module Monitor = Ocd_async.Monitor
 module Net = Ocd_async.Net
+module Condition = Ocd_dynamics.Condition
 module Faults = Ocd_dynamics.Faults
 
 type cell = {
@@ -81,6 +82,79 @@ let failing_grid =
     cells = [ cell ~crash_prob:0.05 ~partition:(0.9, 0.02) () ];
   }
 
+(* The campaign instance: an Erdős–Rényi graph and a single-file
+   scenario drawn from one PRNG stream. *)
+let instance_of ~seed ~n ~tokens =
+  let rng = Prng.create ~seed in
+  let graph = Ocd_topology.Random_graph.erdos_renyi rng ~n () in
+  (Scenario.single_file rng ~graph ~tokens ()).Scenario.instance
+
+let sources_of inst =
+  List.filter
+    (fun v -> not (Bitset.is_empty inst.Instance.have.(v)))
+    (Order.range (Instance.vertex_count inst))
+
+(* Offsets from a cell's seed to the seeds of its four processes. *)
+let flap_off = 11
+let churn_off = 13
+let crash_off = 17
+let part_off = 19
+
+let environment c ~cell_seed ~sources =
+  let links =
+    (if c.flaps then
+       [
+         Condition.link_flaps ~seed:(cell_seed + flap_off) ~down_prob:0.1
+           ~up_prob:0.5;
+       ]
+     else [])
+    @
+    if c.churn then
+      [
+        Condition.churn ~seed:(cell_seed + churn_off) ~protected:sources
+          ~leave_prob:0.02 ~return_prob:0.3;
+      ]
+    else []
+  in
+  (* folding from [static] keeps a cell without link processes
+     physically [static], which Runtime's lockstep fast path tests *)
+  let condition = List.fold_left Condition.compose Condition.static links in
+  let crash =
+    if c.crash_prob > 0.0 then
+      Faults.crashes ~seed:(cell_seed + crash_off) ~crash_prob:c.crash_prob ()
+    else Faults.none
+  in
+  let part =
+    match c.partition with
+    | Some (split_prob, heal_prob) ->
+        Faults.partitions ~seed:(cell_seed + part_off) ~split_prob ~heal_prob ()
+    | None -> Faults.none
+  in
+  ({ Net.default with Net.loss = c.loss }, condition, Faults.compose crash part)
+
+let classify inst (r : Runtime.run) monitor =
+  let completed = r.Runtime.outcome = Runtime.Completed in
+  let checker =
+    if completed then Validate.check_successful else Validate.check
+  in
+  if Result.is_error (checker inst r.Runtime.schedule) then
+    Some "invalid-schedule"
+  else if Monitor.count monitor > 0 then
+    Some
+      ("monitor:"
+      ^
+      match Monitor.violations monitor with
+      | v :: _ -> v.Monitor.rule
+      | [] -> "uncaptured")
+  else if not completed then
+    Some
+      ("stall:"
+      ^
+      match r.Runtime.diagnosis with
+      | Some d -> Diagnosis.verdict_name d.Diagnosis.verdict
+      | None -> "undiagnosed")
+  else None
+
 type agg = {
   env : string;
   protocol : string;
@@ -110,7 +184,7 @@ type obs = {
   o_lost : int;
   o_failed : int;
   o_verdict : string option;
-  o_valid : bool;
+  o_tag : string option;
   o_violations : int;
   o_undiagnosed : bool;
 }
@@ -118,59 +192,11 @@ type obs = {
 let verdict_names =
   [ "unsat-partition"; "unsat-window"; "gave-up"; "protocol-stall" ]
 
-(* Per-cell seed offsets for the four stochastic processes.  These are
-   the contract with Shrink.case extraction in [failures]: the flap and
-   churn seeds are carried into the case verbatim, and the crash and
-   partition plans are re-derived from theirs before being flattened to
-   explicit spans/windows. *)
-let flap_off = 11
-let churn_off = 13
-let crash_off = 17
-let part_off = 19
-
-(* One (cell, trial) grid point, derived from the campaign seed and
-   the grid coordinates alone.  [run], [failures] and [trial_setup] all
-   derive their trials here, so a replayed trial cannot drift from the
-   campaign's.  Condition and Faults memoise Markov chains in a
-   Hashtbl: derive a point inside the Pool task that uses it, never
-   share one across domains. *)
-type point = {
-  p_cell : cell;
-  p_part_seed : int;
-  p_run_seed : int;
-  p_flap_seed : int option;
-  p_churn_seed : int option;
-  p_profile : Net.profile;
-  p_condition : Ocd_dynamics.Condition.t;
-  p_faults : Faults.t;
-}
-
-let point ~seed ~sources cells ~ci ~trial =
-  let c = cells.(ci) in
-  let cell_seed = seed + (7919 * ci) in
-  let flap_seed = if c.flaps then Some (cell_seed + flap_off) else None in
-  let churn_seed = if c.churn then Some (cell_seed + churn_off) else None in
-  let crash =
-    if c.crash_prob > 0.0 then
-      Faults.crashes ~seed:(cell_seed + crash_off) ~crash_prob:c.crash_prob ()
-    else Faults.none
-  in
-  let part =
-    match c.partition with
-    | Some (split_prob, heal_prob) ->
-        Faults.partitions ~seed:(cell_seed + part_off) ~split_prob ~heal_prob ()
-    | None -> Faults.none
-  in
-  {
-    p_cell = c;
-    p_part_seed = cell_seed + part_off;
-    p_run_seed = seed + (31 * trial) + 1;
-    p_flap_seed = flap_seed;
-    p_churn_seed = churn_seed;
-    p_profile = { Net.default with Net.loss = c.loss };
-    p_condition = Shrink.condition_of ~flap_seed ~churn_seed ~sources;
-    p_faults = Faults.compose crash part;
-  }
+(* A trial's seeds, from the campaign seed and its grid coordinates
+   alone: [run], [trial_setup] and [case] all derive them here, so a
+   replayed trial cannot drift from the campaign's. *)
+let cell_seed ~seed ci = seed + (7919 * ci)
+let run_seed ~seed trial = seed + (31 * trial) + 1
 
 (* Task grid: cells outer, protocols (registry order) inner, trials
    innermost. *)
@@ -186,27 +212,23 @@ let tasks (grid : grid) =
 type trial_setup = {
   t_instance : Instance.t;
   t_profile : Net.profile;
-  t_condition : Ocd_dynamics.Condition.t;
+  t_condition : Condition.t;
   t_faults : Faults.t;
   t_run_seed : int;
   t_protocol : Ocd_async.Protocol.t;
   t_cell : cell;
 }
 
-let trial_setup ~seed grid ~cell_label ~protocol ~trial =
-  let cells = Array.of_list grid.cells in
-  let rec find i =
-    if i >= Array.length cells then None
-    else if cells.(i).label = cell_label then Some i
-    else find (i + 1)
-  in
-  match find 0 with
+let trial_setup ~seed (grid : grid) ~cell_label ~protocol ~trial =
+  match
+    List.find_opt (fun (_, c) -> c.label = cell_label)
+      (List.mapi (fun ci c -> (ci, c)) grid.cells)
+  with
   | None ->
       Error
         (Printf.sprintf "unknown cell %S (grid has: %s)" cell_label
-           (String.concat ", "
-              (List.map (fun c -> c.label) grid.cells)))
-  | Some ci -> (
+           (String.concat ", " (List.map (fun c -> c.label) grid.cells)))
+  | Some (ci, cell) -> (
       match Ocd_dht.Registry.find protocol with
       | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
       | Some p ->
@@ -215,23 +237,49 @@ let trial_setup ~seed grid ~cell_label ~protocol ~trial =
               (Printf.sprintf "trial %d out of range (grid has %d)" trial
                  grid.trials)
           else
-            let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
-            let sources = Shrink.sources_of inst ~n:grid.n in
-            let pt = point ~seed ~sources cells ~ci ~trial in
+            let inst = instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
+            let t_profile, t_condition, t_faults =
+              environment cell ~cell_seed:(cell_seed ~seed ci)
+                ~sources:(sources_of inst)
+            in
             Ok
               {
                 t_instance = inst;
-                t_profile = pt.p_profile;
-                t_condition = pt.p_condition;
-                t_faults = pt.p_faults;
-                t_run_seed = pt.p_run_seed;
+                t_profile;
+                t_condition;
+                t_faults;
+                t_run_seed = run_seed ~seed trial;
                 t_protocol = p;
-                t_cell = pt.p_cell;
+                t_cell = cell;
               })
 
-let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
-  let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
-  let sources = Shrink.sources_of inst ~n:grid.n in
+type case = {
+  protocol : string;
+  instance_seed : int;
+  n : int;
+  tokens : int;
+  loss : float;
+  flaps : bool;
+  churn : bool;
+  cell_seed : int;
+  run_seed : int;
+  round_limit : int;
+  durability : Faults.durability;
+  groups : int;
+  downtime : (int * int * int) list;
+  windows : (int * int) list;
+}
+
+type campaign = {
+  seed : int;
+  grid : grid;
+  aggs : agg list;
+  tags : ((int * string * int) * string option) list;
+}
+
+let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed (grid : grid) =
+  let inst = instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
+  let sources = sources_of inst in
   let cells = Array.of_list grid.cells in
   let protocols = Ocd_dht.Registry.names in
   (* Every seed is a function of the base seed and grid coordinates
@@ -241,34 +289,28 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
   (* Each task runs its Runtime under a child scope (fresh registry and
      memory sink), so worker domains never share mutable observability
      state; children are absorbed in task order afterwards, which keeps
-     the merged metrics and trace byte-identical for any [jobs]. *)
+     the merged metrics and trace byte-identical for any [jobs].  The
+     condition and fault plan memoise their chains, so each task
+     derives its own. *)
   let results =
     Pool.map ~obs ~jobs
       (fun (ci, name, trial) ->
-        let pt = point ~seed ~sources cells ~ci ~trial in
+        let profile, condition, faults =
+          environment cells.(ci) ~cell_seed:(cell_seed ~seed ci) ~sources
+        in
         let task_obs = Ocd_obs.child obs in
         let protocol = Ocd_dht.Registry.find_exn name in
         let monitor = Monitor.create () in
         let r =
           let go () =
-            Runtime.run ~obs:task_obs ~profile:pt.p_profile
-              ~condition:pt.p_condition ~faults:pt.p_faults ~monitor ~protocol
-              ~seed:pt.p_run_seed inst
+            Runtime.run ~obs:task_obs ~profile ~condition ~faults ~monitor
+              ~protocol ~seed:(run_seed ~seed trial) inst
           in
           (* Per-cell wall time: call count per label is
              trials × protocols, so the profile row gives trials/sec. *)
           match probe with
           | None -> go ()
-          | Some p -> Ocd_obs.Probe.time p ("chaos/" ^ pt.p_cell.label) go
-        in
-        let completed = r.Runtime.outcome = Runtime.Completed in
-        let valid =
-          let checker =
-            if completed then Validate.check_successful else Validate.check
-          in
-          match checker inst r.Runtime.schedule with
-          | Ok () -> true
-          | Error _ -> false
+          | Some p -> Ocd_obs.Probe.time p ("chaos/" ^ cells.(ci).label) go
         in
         ( {
             o_ticks = r.Runtime.completion_ticks;
@@ -283,10 +325,10 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
                 (fun (d : Diagnosis.t) ->
                   Diagnosis.verdict_name d.Diagnosis.verdict)
                 r.Runtime.diagnosis;
-            o_valid = valid;
+            o_tag = classify inst r monitor;
             o_violations = r.Runtime.violations;
             o_undiagnosed =
-              (not completed)
+              r.Runtime.outcome <> Runtime.Completed
               && (match r.Runtime.diagnosis with
                  | None -> true
                  | Some d -> d.Diagnosis.outstanding = []);
@@ -305,96 +347,90 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
       tasks results;
   let obs_arr = Array.of_list (List.map fst results) in
   let num_protocols = List.length protocols in
-  List.concat
-    (List.mapi
-       (fun ci c ->
-         List.mapi
-           (fun pi name ->
-             let base = ((ci * num_protocols) + pi) * grid.trials in
-             let os =
-               List.init grid.trials (fun t -> obs_arr.(base + t))
-             in
-             let completed_ticks =
-               List.filter_map (fun o -> o.o_ticks) os
-             in
-             let sum f = List.fold_left (fun acc o -> acc + f o) 0 os in
-             let mean f =
-               float_of_int (sum f) /. float_of_int grid.trials
-             in
-             {
-               env = c.label;
-               protocol = name;
-               trials = grid.trials;
-               completed = List.length completed_ticks;
-               p95_ticks =
-                 (match completed_ticks with
-                 | [] -> None
-                 | ts ->
-                     Some
-                       (Stats.percentile (List.map float_of_int ts) 0.95));
-               retrans_mean = mean (fun o -> o.o_retrans);
-               duplicates_mean = mean (fun o -> o.o_dup);
-               crashes = sum (fun o -> o.o_crashes);
-               restarts = sum (fun o -> o.o_restarts);
-               lost_tokens = sum (fun o -> o.o_lost);
-               failed_jobs = sum (fun o -> o.o_failed);
-               verdicts =
-                 List.map
-                   (fun vn ->
-                     ( vn,
-                       List.length
-                         (List.filter (fun o -> o.o_verdict = Some vn) os) ))
-                   verdict_names;
-               invalid =
-                 List.length (List.filter (fun o -> not o.o_valid) os);
-               violations = sum (fun o -> o.o_violations);
-               undiagnosed =
-                 List.length (List.filter (fun o -> o.o_undiagnosed) os);
-             })
-           protocols)
-       (Array.to_list cells))
-
-(* Failing trials, re-expressed.  Each grid task is converted to an
-   explicit Shrink.case — crash and partition plans flattened to
-   literal spans/windows via Faults.downtime/Faults.windows, which the
-   Faults extraction contract guarantees replay byte-identically — and
-   evaluated through Shrink.run_case, the same evaluator ddmin probes
-   with.  So a case this function returns is failing *by that
-   evaluator's own judgement*, and Shrink.shrink cannot reject it. *)
-let failures ?(jobs = 1) ~seed grid =
-  let inst = Shrink.instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
-  let sources = Shrink.sources_of inst ~n:grid.n in
-  let round_limit = Runtime.default_round_limit inst in
-  let cells = Array.of_list grid.cells in
-  let results =
-    Pool.map ~jobs
-      (fun (ci, name, trial) ->
-        let pt = point ~seed ~sources cells ~ci ~trial in
-        let faults = pt.p_faults in
-        let case =
-          {
-            Shrink.protocol = name;
-            instance_seed = seed;
-            n = grid.n;
-            tokens = grid.tokens;
-            loss = pt.p_cell.loss;
-            flap_seed = pt.p_flap_seed;
-            churn_seed = pt.p_churn_seed;
-            run_seed = pt.p_run_seed;
-            round_limit;
-            durability = Faults.durability faults;
-            part_seed = pt.p_part_seed;
-            groups = 2;
-            downtime = Faults.downtime faults ~n:grid.n ~horizon:round_limit;
-            windows = Faults.windows faults ~horizon:round_limit;
-          }
-        in
-        (case, Shrink.run_case case))
-      (tasks grid)
+  let aggs =
+    List.concat
+      (List.mapi
+         (fun ci c ->
+           List.mapi
+             (fun pi name ->
+               let base = ((ci * num_protocols) + pi) * grid.trials in
+               let os =
+                 List.init grid.trials (fun t -> obs_arr.(base + t))
+               in
+               let completed_ticks =
+                 List.filter_map (fun o -> o.o_ticks) os
+               in
+               let sum f = List.fold_left (fun acc o -> acc + f o) 0 os in
+               let mean f =
+                 float_of_int (sum f) /. float_of_int grid.trials
+               in
+               let count p = List.length (List.filter p os) in
+               {
+                 env = c.label;
+                 protocol = name;
+                 trials = grid.trials;
+                 completed = List.length completed_ticks;
+                 p95_ticks =
+                   (match completed_ticks with
+                   | [] -> None
+                   | ts ->
+                       Some
+                         (Stats.percentile (List.map float_of_int ts) 0.95));
+                 retrans_mean = mean (fun o -> o.o_retrans);
+                 duplicates_mean = mean (fun o -> o.o_dup);
+                 crashes = sum (fun o -> o.o_crashes);
+                 restarts = sum (fun o -> o.o_restarts);
+                 lost_tokens = sum (fun o -> o.o_lost);
+                 failed_jobs = sum (fun o -> o.o_failed);
+                 verdicts =
+                   List.map
+                     (fun vn -> (vn, count (fun o -> o.o_verdict = Some vn)))
+                     verdict_names;
+                 invalid = count (fun o -> o.o_tag = Some "invalid-schedule");
+                 violations = sum (fun o -> o.o_violations);
+                 undiagnosed = count (fun o -> o.o_undiagnosed);
+               })
+             protocols)
+         grid.cells)
   in
+  {
+    seed;
+    grid;
+    aggs;
+    tags = List.map2 (fun task (o, _) -> (task, o.o_tag)) tasks results;
+  }
+
+(* A trial re-expressed as an explicit case: its crash and partition
+   plans flattened to literal spans and windows, which the Faults
+   extraction contract guarantees replay byte-identically within the
+   round limit. *)
+let case { seed; grid; _ } (ci, protocol, trial) =
+  let inst = instance_of ~seed ~n:grid.n ~tokens:grid.tokens in
+  let round_limit = Runtime.default_round_limit inst in
+  let cell = List.nth grid.cells ci in
+  let cell_seed = cell_seed ~seed ci in
+  let _, _, faults = environment cell ~cell_seed ~sources:(sources_of inst) in
+  {
+    protocol;
+    instance_seed = seed;
+    n = grid.n;
+    tokens = grid.tokens;
+    loss = cell.loss;
+    flaps = cell.flaps;
+    churn = cell.churn;
+    cell_seed;
+    run_seed = run_seed ~seed trial;
+    round_limit;
+    durability = Faults.durability faults;
+    groups = 2;
+    downtime = Faults.downtime faults ~n:grid.n ~horizon:round_limit;
+    windows = Faults.windows faults ~horizon:round_limit;
+  }
+
+let failures campaign =
   List.filter_map
-    (fun (case, outcome) -> Option.map (fun tag -> (case, tag)) outcome)
-    results
+    (fun (task, tag) -> Option.map (fun tag -> (case campaign task, tag)) tag)
+    campaign.tags
 
 let verdict_cell verdicts =
   let nonzero =
@@ -404,9 +440,8 @@ let verdict_cell verdicts =
   in
   match nonzero with [] -> "-" | vs -> String.concat " " vs
 
-let report ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed grid =
+let report { aggs; _ } =
   Report.section "Chaos campaign: crash-recovery robustness (Ocd_async)";
-  let aggs = run ~obs ~jobs ~seed grid in
   let table =
     Report.create ~title:"chaos"
       ~columns:

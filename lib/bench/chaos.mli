@@ -12,10 +12,19 @@
     violations, and — for timed-out runs — the {!Ocd_async.Diagnosis}
     verdict census.
 
+    Every trial is derived in one place: {!environment} maps a cell
+    and its seed to the trial's profile, link condition and fault plan,
+    and {!classify} maps a finished run to its failure tag, for the
+    aggregates and the shrinker's replays alike.
+
     Determinism: every task derives its run, condition, and fault seeds
     from the campaign's base seed and the task's grid coordinates
     alone, and {!Ocd_prelude.Pool.map} preserves input order, so the
     rendered report is byte-identical for any [--jobs]. *)
+
+module Net := Ocd_async.Net
+module Condition := Ocd_dynamics.Condition
+module Faults := Ocd_dynamics.Faults
 
 type cell = {
   label : string;  (** stable row label for the report *)
@@ -50,6 +59,47 @@ val failing_grid : grid
     (near-permanent partition): the input for the [--shrink] CI
     smoke.  See {!failures} and {!Shrink}. *)
 
+val instance_of : seed:int -> n:int -> tokens:int -> Ocd_core.Instance.t
+(** The campaign instance: an Erdős–Rényi graph and a single-file
+    scenario drawn from one PRNG stream. *)
+
+val sources_of : Ocd_core.Instance.t -> int list
+(** Vertices with initial content, ascending (the churn-protected
+    set). *)
+
+val environment :
+  cell ->
+  cell_seed:int ->
+  sources:int list ->
+  Net.profile * Condition.t * Faults.t
+(** The one trial derivation: the cell's network profile (default
+    with the cell's loss), its link condition (flaps down 0.1 / up 0.5
+    seeded [cell_seed + flap_off]; churn leave 0.02 / return 0.3
+    seeded [cell_seed + churn_off], [sources] protected) and its fault
+    plan (crashes seeded [cell_seed + 17]; a two-group partition
+    process seeded [cell_seed + part_off]).  The condition and plan
+    memoise their chains: call this inside the domain that runs the
+    trial. *)
+
+val flap_off : int
+val churn_off : int
+val part_off : int
+(** Offsets from a cell seed to the seeds of its flap, churn and
+    partition processes, which the reproducer artifact
+    ({!Shrink.to_string}) prints.  Crashes are seeded
+    [cell_seed + 17]. *)
+
+val classify :
+  Ocd_core.Instance.t ->
+  Ocd_async.Runtime.run ->
+  Ocd_async.Monitor.t ->
+  string option
+(** The failure tag of a finished run: [None] when it completed with a
+    valid schedule and no monitor violation, otherwise, in this order,
+    ["invalid-schedule"] ({!Ocd_core.Validate} rejects the schedule),
+    ["monitor:<rule>"] (the first violation's rule) or
+    ["stall:<verdict>"] ({!Ocd_async.Diagnosis.verdict_name}). *)
+
 type agg = {
   env : string;
   protocol : string;
@@ -72,9 +122,9 @@ type agg = {
 
 type trial_setup = {
   t_instance : Ocd_core.Instance.t;
-  t_profile : Ocd_async.Net.profile;
-  t_condition : Ocd_dynamics.Condition.t;
-  t_faults : Ocd_dynamics.Faults.t;
+  t_profile : Net.profile;
+  t_condition : Condition.t;
+  t_faults : Faults.t;
   t_run_seed : int;
   t_protocol : Ocd_async.Protocol.t;
   t_cell : cell;
@@ -96,7 +146,38 @@ val trial_setup :
     [env] column) and a protocol by registry name.  [Error] carries a
     human-readable message listing valid labels. *)
 
-val run : ?obs:Ocd_obs.t -> ?jobs:int -> seed:int -> grid -> agg list
+type case = {
+  protocol : string;  (** async protocol registry name *)
+  instance_seed : int;  (** the campaign seed: see {!instance_of} *)
+  n : int;
+  tokens : int;
+  loss : float;  (** the cell's loss *)
+  flaps : bool;  (** the cell's link flaps *)
+  churn : bool;  (** the cell's churn *)
+  cell_seed : int;  (** seeds the {!environment} *)
+  run_seed : int;  (** the runtime seed of the trial *)
+  round_limit : int;
+  durability : Faults.durability;
+  groups : int;  (** partition group count *)
+  downtime : (int * int * int) list;  (** explicit (node, from, until) *)
+  windows : (int * int) list;  (** explicit partition (from, until) *)
+}
+(** One trial in explicit form: the {!environment} of a cell with the
+    same loss, flaps and churn, and its crash and partition plans as
+    the literal spans and windows {!Faults.of_downtime} and
+    {!Faults.of_windows} replay (partition sides seeded
+    [cell_seed + part_off]).  {!Shrink} replays and reduces it. *)
+
+type campaign = {
+  seed : int;
+  grid : grid;
+  aggs : agg list;  (** per (cell, protocol), cells outer *)
+  tags : ((int * string * int) * string option) list;
+      (** every trial's {!classify} tag, keyed by (cell index,
+          protocol, trial), in task order *)
+}
+
+val run : ?obs:Ocd_obs.t -> ?jobs:int -> seed:int -> grid -> campaign
 (** Executes the campaign.  Order: cells outer, protocols (registry
     order) inner.  Every trial runs under a fresh {!Ocd_async.Monitor}
     — the monitor only observes (no coin draws, no messages), so
@@ -112,15 +193,18 @@ val run : ?obs:Ocd_obs.t -> ?jobs:int -> seed:int -> grid -> agg list
     [chaos/<cell>] (calls = trials {m \times} protocols, so the
     profile row reads as trials/sec). *)
 
-val failures : ?jobs:int -> seed:int -> grid -> (Shrink.case * string) list
-(** Re-runs the campaign's task grid through {!Shrink.run_case} —
-    each trial converted to an explicit, self-contained {!Shrink.case}
-    (probabilistic crash and partition plans extracted to literal
-    spans/windows, which replay byte-identically) — and returns the
-    failing cases with their failure tags, in task order.  Because the
-    evaluator is the very one {!Shrink.shrink} uses, every returned
-    case is guaranteed shrinkable.  Deterministic for any [jobs]. *)
+val case : campaign -> int * string * int -> case
+(** The explicit case of the trial at (cell index, protocol, trial):
+    its probabilistic crash and partition plans flattened to spans and
+    windows over the trial's round limit, which replay
+    byte-identically, so {!Shrink.run_case} of the case returns the
+    trial's tag in [tags]. *)
 
-val report : ?obs:Ocd_obs.t -> ?jobs:int -> seed:int -> grid -> unit
-(** Runs the campaign and renders the aggregate table (plus its CSV
-    mirror) to stdout. *)
+val failures : campaign -> (case * string) list
+(** The campaign's failing trials, in task order, as explicit cases
+    ({!case}) with their tags.  Reads the tags of the campaign's own
+    runs, so it runs nothing; every returned case is shrinkable by
+    {!Shrink.shrink}. *)
+
+val report : campaign -> unit
+(** Renders the aggregate table (plus its CSV mirror) to stdout. *)

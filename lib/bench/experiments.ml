@@ -901,64 +901,55 @@ let dht_lookup ~full:_ ~jobs =
   (* Table 2: the price of dropping the oracle.  dht-rarest discovers
      provider sets through routed lookups; async-local reads the shared
      instance state directly.  Same cells as the chaos smoke family. *)
-  let rng = Prng.create ~seed:seed_dht in
-  let n = 24 and tokens = 10 and trials = 2 in
-  let graph = Ocd_topology.Random_graph.erdos_renyi rng ~n () in
-  let inst = (Scenario.single_file rng ~graph ~tokens ()).Scenario.instance in
-  let sources =
-    List.filter
-      (fun v -> not (Bitset.is_empty inst.Instance.have.(v)))
-      (Order.range n)
+  let cell label ~loss ~churn ~crash_prob =
+    { Chaos.label; loss; flaps = false; churn; crash_prob; partition = None }
   in
-  let envs =
-    [
-      ("baseline", 0.0, `None);
-      ("loss-10%", 0.10, `None);
-      ("loss+crash", 0.05, `Crash 0.05);
-      ("churn+crash", 0.0, `Crash_churn 0.05);
-    ]
+  let grid =
+    {
+      Chaos.n = 24;
+      tokens = 10;
+      trials = 2;
+      cells =
+        [
+          cell "baseline" ~loss:0.0 ~churn:false ~crash_prob:0.0;
+          cell "loss-10%" ~loss:0.10 ~churn:false ~crash_prob:0.0;
+          cell "loss+crash" ~loss:0.05 ~churn:false ~crash_prob:0.05;
+          cell "churn+crash" ~loss:0.0 ~churn:true ~crash_prob:0.05;
+        ];
+    }
   in
+  let n = grid.n and tokens = grid.tokens and trials = grid.trials in
   let protocols = [ "async-local"; "dht-rarest" ] in
   let combos =
     List.concat_map
-      (fun (ei, env) ->
+      (fun (c : Chaos.cell) ->
         List.concat_map
           (fun name ->
-            List.map (fun trial -> (ei, env, name, trial)) (Order.range trials))
+            List.map (fun trial -> (c.label, name, trial)) (Order.range trials))
           protocols)
-      (List.mapi (fun i e -> (i, e)) envs)
+      grid.cells
   in
+  (* Each trial is the chaos campaign's own derivation of that grid
+     point; only dht-rarest is rebuilt, to read its lookup stats. *)
   let results =
     Pool.map ~jobs
-      (fun (ei, (label, loss, fault), name, trial) ->
-        let cell_seed = seed_dht + (7919 * ei) in
-        let profile =
-          { Ocd_async.Net.default with Ocd_async.Net.loss }
-        in
-        let condition =
-          match fault with
-          | `Crash_churn _ ->
-            Ocd_dynamics.Condition.churn ~seed:(cell_seed + 13)
-              ~protected:sources ~leave_prob:0.02 ~return_prob:0.3
-          | _ -> Ocd_dynamics.Condition.static
-        in
-        let faults =
-          match fault with
-          | `None -> Ocd_dynamics.Faults.none
-          | `Crash p | `Crash_churn p ->
-            Ocd_dynamics.Faults.crashes ~seed:(cell_seed + 17) ~crash_prob:p ()
+      (fun (cell_label, name, trial) ->
+        let s =
+          Result.get_ok
+            (Chaos.trial_setup ~seed:seed_dht grid ~cell_label ~protocol:name
+               ~trial)
         in
         let stats = Dht_node.fresh_stats () in
         let protocol =
           if name = "dht-rarest" then Ocd_dht.Dht_rarest.protocol ~stats ()
-          else Ocd_dht.Registry.find_exn name
+          else s.Chaos.t_protocol
         in
         let r =
-          Ocd_async.Runtime.run ~profile ~condition ~faults ~protocol
-            ~seed:(seed_dht + (31 * trial) + 1)
-            inst
+          Ocd_async.Runtime.run ~profile:s.Chaos.t_profile
+            ~condition:s.Chaos.t_condition ~faults:s.Chaos.t_faults ~protocol
+            ~seed:s.Chaos.t_run_seed s.Chaos.t_instance
         in
-        (label, name, r, stats))
+        (cell_label, name, r, stats))
       combos
   in
   let table2 =
@@ -989,7 +980,7 @@ let dht_lookup ~full:_ ~jobs =
         /. float_of_int (List.length ts))
   in
   List.iter
-    (fun (label, _, _) ->
+    (fun { Chaos.label; _ } ->
       let base_mean = mean_ticks (rows label "async-local") in
       List.iter
         (fun name ->
@@ -1037,7 +1028,7 @@ let dht_lookup ~full:_ ~jobs =
               | _ -> "-");
             ])
         protocols)
-    envs;
+    grid.cells;
   Report.render table2;
   Report.note
     "n = %d, %d tokens, %d trials per cell; inflation = dht-rarest mean \
@@ -1060,7 +1051,7 @@ let partition_heal ~full:_ ~jobs =
     "Extension: partition and heal — a correlated network split across every \
      async protocol, under the runtime invariant monitor";
   let n = 24 and tokens = 10 in
-  let inst = Shrink.instance_of ~seed:seed_part ~n ~tokens in
+  let inst = Chaos.instance_of ~seed:seed_part ~n ~tokens in
   (* One explicit window: whole -> split during rounds [2, 22) -> healed.
      Early enough that no protocol finishes first, long enough that both
      sides exhaust their local content and the DHT ring diverges; the

@@ -1,107 +1,54 @@
-open Ocd_core
-open Ocd_prelude
 module Runtime = Ocd_async.Runtime
-module Diagnosis = Ocd_async.Diagnosis
 module Monitor = Ocd_async.Monitor
-module Net = Ocd_async.Net
-module Condition = Ocd_dynamics.Condition
 module Faults = Ocd_dynamics.Faults
 
-type case = {
+type case = Chaos.case = {
   protocol : string;
   instance_seed : int;
   n : int;
   tokens : int;
   loss : float;
-  flap_seed : int option;
-  churn_seed : int option;
+  flaps : bool;
+  churn : bool;
+  cell_seed : int;
   run_seed : int;
   round_limit : int;
   durability : Faults.durability;
-  part_seed : int;
   groups : int;
   downtime : (int * int * int) list;
   windows : (int * int) list;
 }
 
-(* The instance and condition constructions mirror Chaos's exactly —
-   Chaos calls these same two functions — so a case replays the very
-   trial it was extracted from. *)
-let instance_of ~seed ~n ~tokens =
-  let rng = Prng.create ~seed in
-  let graph = Ocd_topology.Random_graph.erdos_renyi rng ~n () in
-  (Scenario.single_file rng ~graph ~tokens ()).Scenario.instance
-
-let sources_of inst ~n =
-  List.filter
-    (fun v -> not (Bitset.is_empty inst.Instance.have.(v)))
-    (List.init n (fun v -> v))
-
-let condition_of ~flap_seed ~churn_seed ~sources =
-  let parts =
-    (match flap_seed with
-    | Some s -> [ Condition.link_flaps ~seed:s ~down_prob:0.1 ~up_prob:0.5 ]
-    | None -> [])
-    @
-    match churn_seed with
-    | Some s ->
-        [
-          Condition.churn ~seed:s ~protected:sources ~leave_prob:0.02
-            ~return_prob:0.3;
-        ]
-    | None -> []
-  in
-  List.fold_left Condition.compose Condition.static parts
-
 let faults_of c =
   Faults.compose
     (Faults.of_downtime ~durability:c.durability c.downtime)
-    (Faults.of_windows ~seed:c.part_seed ~groups:c.groups c.windows)
+    (Faults.of_windows ~seed:(c.cell_seed + Chaos.part_off) ~groups:c.groups
+       c.windows)
 
 let run_case c =
-  match Ocd_dht.Registry.find c.protocol with
-  | None -> Some "unknown-protocol"
-  | Some protocol -> (
-      match faults_of c with
-      | exception Invalid_argument _ -> Some "invalid-schedule"
-      | faults ->
-          let inst = instance_of ~seed:c.instance_seed ~n:c.n ~tokens:c.tokens in
-          let sources = sources_of inst ~n:c.n in
-          let condition =
-            condition_of ~flap_seed:c.flap_seed ~churn_seed:c.churn_seed
-              ~sources
-          in
-          let profile = { Net.default with Net.loss = c.loss } in
-          let monitor = Monitor.create () in
-          let r =
-            Runtime.run ~profile ~condition ~faults ~monitor
-              ~round_limit:c.round_limit ~protocol ~seed:c.run_seed inst
-          in
-          let completed = r.Runtime.outcome = Runtime.Completed in
-          let valid =
-            let checker =
-              if completed then Validate.check_successful else Validate.check
-            in
-            match checker inst r.Runtime.schedule with
-            | Ok () -> true
-            | Error _ -> false
-          in
-          if not valid then Some "invalid-schedule"
-          else if Monitor.count monitor > 0 then
-            Some
-              ("monitor:"
-              ^
-              match Monitor.violations monitor with
-              | v :: _ -> v.Monitor.rule
-              | [] -> "uncaptured")
-          else if not completed then
-            Some
-              ("stall:"
-              ^
-              match r.Runtime.diagnosis with
-              | Some d -> Diagnosis.verdict_name d.Diagnosis.verdict
-              | None -> "undiagnosed")
-          else None)
+  let inst = Chaos.instance_of ~seed:c.instance_seed ~n:c.n ~tokens:c.tokens in
+  let cell =
+    {
+      Chaos.label = "";
+      loss = c.loss;
+      flaps = c.flaps;
+      churn = c.churn;
+      crash_prob = 0.0;
+      partition = None;
+    }
+  in
+  let profile, condition, _ =
+    Chaos.environment cell ~cell_seed:c.cell_seed
+      ~sources:(Chaos.sources_of inst)
+  in
+  let monitor = Monitor.create () in
+  let r =
+    Runtime.run ~profile ~condition ~faults:(faults_of c) ~monitor
+      ~round_limit:c.round_limit
+      ~protocol:(Ocd_dht.Registry.find_exn c.protocol)
+      ~seed:c.run_seed inst
+  in
+  Chaos.classify inst r monitor
 
 (* ----------------------------- shrinking ----------------------------- *)
 
@@ -195,115 +142,139 @@ let shrink c =
 
 let magic = "ocd-chaos-repro v1"
 
+let durabilities =
+  [
+    ("durable", Faults.Durable);
+    ("lost-unless-source", Faults.Lost_unless_source);
+  ]
+
+(* The cell seed prints as the seeds of the processes it drives, as v1
+   always has; [of_string] checks that they agree on one cell seed. *)
 let to_string c =
   let b = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let line fmt =
+    Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt
+  in
   line "%s" magic;
   line "protocol=%s" c.protocol;
   line "instance_seed=%d" c.instance_seed;
   line "n=%d" c.n;
   line "tokens=%d" c.tokens;
   line "loss=%.17g" c.loss;
-  (match c.flap_seed with Some s -> line "flap_seed=%d" s | None -> ());
-  (match c.churn_seed with Some s -> line "churn_seed=%d" s | None -> ());
+  if c.flaps then line "flap_seed=%d" (c.cell_seed + Chaos.flap_off);
+  if c.churn then line "churn_seed=%d" (c.cell_seed + Chaos.churn_off);
   line "run_seed=%d" c.run_seed;
   line "round_limit=%d" c.round_limit;
   line "durability=%s"
-    (match c.durability with
-    | Faults.Durable -> "durable"
-    | Faults.Lost_unless_source -> "lost-unless-source");
-  line "part_seed=%d" c.part_seed;
+    (fst (List.find (fun (_, d) -> d = c.durability) durabilities));
+  line "part_seed=%d" (c.cell_seed + Chaos.part_off);
   line "groups=%d" c.groups;
   List.iter (fun (v, a, u) -> line "down %d %d %d" v a u) c.downtime;
   List.iter (fun (a, u) -> line "win %d %d" a u) c.windows;
   Buffer.contents b
 
+let keys =
+  [
+    "protocol"; "instance_seed"; "n"; "tokens"; "loss"; "flap_seed";
+    "churn_seed"; "run_seed"; "round_limit"; "durability"; "part_seed";
+    "groups";
+  ]
+
+(* Every case [of_string] accepts replays through [run_case] under its
+   own tag: each check below rejects an input that would otherwise
+   raise there or replay as a different failure. *)
 let of_string s =
+  let ( let* ) = Result.bind in
   let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
+    List.filter (fun l -> l <> "")
+      (List.map String.trim (String.split_on_char '\n' s))
   in
-  match lines with
-  | first :: rest when String.trim first = magic -> (
-      let c =
-        ref
-          {
-            protocol = "";
-            instance_seed = 0;
-            n = 0;
-            tokens = 0;
-            loss = 0.0;
-            flap_seed = None;
-            churn_seed = None;
-            run_seed = 0;
-            round_limit = 0;
-            durability = Faults.Lost_unless_source;
-            part_seed = 0;
-            groups = 2;
-            downtime = [];
-            windows = [];
-          }
-      in
-      let err = ref None in
-      let fail l = if !err = None then err := Some ("bad line: " ^ l) in
-      List.iter
-        (fun l ->
-          let l = String.trim l in
-          match String.index_opt l '=' with
-          | Some i ->
-              let k = String.sub l 0 i in
-              let v = String.sub l (i + 1) (String.length l - i - 1) in
-              let int () =
-                match int_of_string_opt v with
-                | Some n -> n
-                | None ->
-                    fail l;
-                    0
-              in
-              (match k with
-              | "protocol" -> c := { !c with protocol = v }
-              | "instance_seed" -> c := { !c with instance_seed = int () }
-              | "n" -> c := { !c with n = int () }
-              | "tokens" -> c := { !c with tokens = int () }
-              | "loss" -> (
-                  match float_of_string_opt v with
-                  | Some f -> c := { !c with loss = f }
-                  | None -> fail l)
-              | "flap_seed" -> c := { !c with flap_seed = Some (int ()) }
-              | "churn_seed" -> c := { !c with churn_seed = Some (int ()) }
-              | "run_seed" -> c := { !c with run_seed = int () }
-              | "round_limit" -> c := { !c with round_limit = int () }
-              | "durability" -> (
-                  match v with
-                  | "durable" -> c := { !c with durability = Faults.Durable }
-                  | "lost-unless-source" ->
-                      c := { !c with durability = Faults.Lost_unless_source }
-                  | _ -> fail l)
-              | "part_seed" -> c := { !c with part_seed = int () }
-              | "groups" -> c := { !c with groups = int () }
-              | _ -> fail l)
-          | None -> (
-              match String.split_on_char ' ' l with
-              | [ "down"; v; a; u ] -> (
-                  match
-                    ( int_of_string_opt v,
-                      int_of_string_opt a,
-                      int_of_string_opt u )
-                  with
-                  | Some v, Some a, Some u ->
-                      c := { !c with downtime = !c.downtime @ [ (v, a, u) ] }
-                  | _ -> fail l)
-              | [ "win"; a; u ] -> (
-                  match (int_of_string_opt a, int_of_string_opt u) with
-                  | Some a, Some u ->
-                      c := { !c with windows = !c.windows @ [ (a, u) ] }
-                  | _ -> fail l)
-              | _ -> fail l))
-        rest;
-      match !err with
-      | Some e -> Error e
-      | None ->
-          if !c.protocol = "" || !c.n <= 0 || !c.tokens <= 0
-             || !c.round_limit <= 0
-          then Error "missing or invalid header fields"
-          else Ok !c)
-  | _ -> Error (Printf.sprintf "expected leading %S line" magic)
+  let* rest =
+    match lines with
+    | first :: rest when first = magic -> Ok rest
+    | _ -> Error (Printf.sprintf "expected leading %S line" magic)
+  in
+  let line (fields, events) l =
+    let ints = List.map int_of_string_opt in
+    match (String.index_opt l '=', String.split_on_char ' ' l) with
+    | Some i, _ when List.mem (String.sub l 0 i) keys ->
+        let k = String.sub l 0 i in
+        if List.mem_assoc k fields then Error ("duplicate key: " ^ k)
+        else
+          let v = String.sub l (i + 1) (String.length l - i - 1) in
+          Ok ((k, v) :: fields, events)
+    | None, "down" :: vs -> (
+        match ints vs with
+        | [ Some v; Some a; Some u ] -> Ok (fields, Down (v, a, u) :: events)
+        | _ -> Error ("bad line: " ^ l))
+    | None, "win" :: vs -> (
+        match ints vs with
+        | [ Some a; Some u ] -> Ok (fields, Win (a, u) :: events)
+        | _ -> Error ("bad line: " ^ l))
+    | _ -> Error ("bad line: " ^ l)
+  in
+  let* fields, events =
+    List.fold_left (fun acc l -> Result.bind acc (fun acc -> line acc l))
+      (Ok ([], [])) rest
+  in
+  let parse k of_string ok =
+    let* v =
+      Option.to_result ~none:("missing " ^ k) (List.assoc_opt k fields)
+    in
+    match of_string v with
+    | Some x when ok x -> Ok x
+    | _ -> Error (Printf.sprintf "bad %s=%s" k v)
+  in
+  let int k ok = parse k int_of_string_opt ok in
+  let any _ = true in
+  let* protocol =
+    parse "protocol" Option.some (fun p -> Ocd_dht.Registry.find p <> None)
+  in
+  let* instance_seed = int "instance_seed" any in
+  let* n = int "n" (fun n -> n > 0) in
+  let* tokens = int "tokens" (fun t -> t > 0) in
+  let* loss =
+    parse "loss" float_of_string_opt (fun p -> p >= 0.0 && p <= 1.0)
+  in
+  let* run_seed = int "run_seed" any in
+  let* round_limit = int "round_limit" (fun r -> r > 0) in
+  let* durability =
+    parse "durability" (Fun.flip List.assoc_opt durabilities) any
+  in
+  let* part_seed = int "part_seed" any in
+  let* groups = int "groups" (fun g -> g >= 2) in
+  let cell_seed = part_seed - Chaos.part_off in
+  (* a flap or churn seed must belong to the partition seed's cell *)
+  let process k off =
+    if List.mem_assoc k fields then
+      Result.map (fun _ -> true) (int k (( = ) (cell_seed + off)))
+    else Ok false
+  in
+  let* flaps = process "flap_seed" Chaos.flap_off in
+  let* churn = process "churn_seed" Chaos.churn_off in
+  let c =
+    with_events
+      {
+        protocol;
+        instance_seed;
+        n;
+        tokens;
+        loss;
+        flaps;
+        churn;
+        cell_seed;
+        run_seed;
+        round_limit;
+        durability;
+        groups;
+        downtime = [];
+        windows = [];
+      }
+      (List.rev events)
+  in
+  if List.exists (fun (v, _, _) -> v < 0 || v >= n) c.downtime then
+    Error "down: node out of range"
+  else
+    match faults_of c with
+    | _ -> Ok c
+    | exception Invalid_argument e -> Error e

@@ -11,57 +11,39 @@
     the {e same} failure tag.  The result round-trips through a small
     text artifact, so a reproducer found in CI replays anywhere.
 
-    A {!case} is a fully self-contained trial description: the
-    instance is rebuilt from [(instance_seed, n, tokens)] with the
-    exact construction Chaos uses, the link conditions from the
-    optional flap/churn seeds, and the fault plan from the explicit
-    event lists.  {!run_case} is the single evaluator used for the
-    original failure, every ddmin probe, and the final replay — there
-    is no separate "check" path to drift out of sync. *)
+    A {!case} ({!Chaos.case}) is a fully self-contained trial
+    description: {!run_case} rebuilds the instance with
+    {!Chaos.instance_of}, the profile and link condition with
+    {!Chaos.environment}, runs the explicit fault plan and tags the
+    result with {!Chaos.classify}, so a replay derives and judges a
+    trial exactly as the campaign did.  {!run_case} is the single
+    evaluator for every ddmin probe and the final replay. *)
 
 module Faults := Ocd_dynamics.Faults
-module Condition := Ocd_dynamics.Condition
-open Ocd_core
 
-type case = {
-  protocol : string;  (** async protocol registry name *)
-  instance_seed : int;  (** seeds graph + scenario construction *)
+type case = Chaos.case = {
+  protocol : string;
+  instance_seed : int;
   n : int;
   tokens : int;
-  loss : float;  (** network profile loss *)
-  flap_seed : int option;  (** link-flap condition seed, if any *)
-  churn_seed : int option;  (** churn condition seed, if any *)
-  run_seed : int;  (** the runtime seed of the trial *)
+  loss : float;
+  flaps : bool;
+  churn : bool;
+  cell_seed : int;
+  run_seed : int;
   round_limit : int;
   durability : Faults.durability;
-  part_seed : int;  (** side-assignment seed for partition windows *)
-  groups : int;  (** partition group count *)
-  downtime : (int * int * int) list;  (** explicit (node, from, until) *)
-  windows : (int * int) list;  (** explicit partition (from, until) *)
+  groups : int;
+  downtime : (int * int * int) list;
+  windows : (int * int) list;
 }
 
-val instance_of : seed:int -> n:int -> tokens:int -> Instance.t
-(** The chaos campaign instance: an Erdős–Rényi graph and a
-    single-file scenario drawn from one PRNG stream.  Chaos and the
-    shrinker share this function, so a case rebuilds the very instance
-    its trial ran on. *)
-
-val sources_of : Instance.t -> n:int -> int list
-(** Vertices with initial content (churn-protected set). *)
-
-val condition_of :
-  flap_seed:int option -> churn_seed:int option -> sources:int list ->
-  Condition.t
-(** The chaos campaign's link-condition stack (flaps down 0.1/up 0.5;
-    churn leave 0.02/return 0.3, sources protected), shared with
-    Chaos for the same reason as {!instance_of}. *)
-
 val run_case : case -> string option
-(** Replay the case under a fresh monitor and classify: [None] when
-    the trial completes with a valid schedule and no violations,
-    otherwise a stable failure tag — ["invalid-schedule"],
-    ["monitor:<rule>"] (first violation's rule), or
-    ["stall:<verdict>"] ({!Ocd_async.Diagnosis.verdict_name}). *)
+(** Replay the case under a fresh monitor and return its
+    {!Chaos.classify} tag: [None] when the trial completes with a valid
+    schedule and no violations.
+    @raise Invalid_argument on a case {!of_string} would reject (an
+    unknown protocol, a malformed span or window). *)
 
 val max_tests : int
 (** Budget of {!run_case} probes per {!shrink} call (256): ddmin is
@@ -87,8 +69,16 @@ val to_string : case -> string
     ["ocd-chaos-repro v1"], one [key=value] line per scalar field
     (floats printed with [%.17g], so round-trips are exact), one
     [down v from until] line per crash span and [win from until] per
-    partition window. *)
+    partition window.  The cell seed prints as the seeds it gives the
+    processes: [part_seed] always, [flap_seed] and [churn_seed] when
+    the case has flaps or churn. *)
 
 val of_string : string -> (case, string) result
 (** Inverse of {!to_string}; tolerant of blank lines and surrounding
-    whitespace. *)
+    whitespace.  [Error] unless every [key=value] line appears once
+    and the input describes a case {!run_case} replays under its own
+    tag: a registered protocol, [n], [tokens] and [round_limit]
+    positive, [loss] in [\[0,1\]], [groups >= 2], flap and churn seeds
+    of the partition seed's cell, crash spans on nodes in [\[0, n)]
+    with [1 <= from < until] and no overlap per node, and windows
+    with [1 <= from < until] that do not overlap. *)

@@ -1,4 +1,5 @@
 open Ocd_graph
+module Int_vec = Ocd_prelude.Int_vec
 
 type t = { effective : step:int -> src:int -> dst:int -> base:int -> int }
 
@@ -36,43 +37,50 @@ let cross_traffic ~seed ~prob ~severity =
   in
   { effective }
 
-(* Two-state Markov chain with memoised per-(key, step) states.  State
-   at step 0 is "up"; transitions draw keyed coins so every query
-   order yields the same trajectory. *)
-let markov_chain ~seed ~down_prob ~up_prob =
-  let memo : (int * int * int, bool) Hashtbl.t = Hashtbl.create 256 in
-  let rec up ~step ~a ~b =
-    if step <= 0 then true
-    else
-      match Hashtbl.find_opt memo (step, a, b) with
-      | Some state -> state
-      | None ->
-        let previous = up ~step:(step - 1) ~a ~b in
-        let c = coin ~seed ~a:step ~b:a ~c:b in
-        let state = if previous then c >= down_prob else c < up_prob in
-        Hashtbl.replace memo (step, a, b) state;
-        state
-  in
-  up
+(* One keyed two-state Markov chain per (b, c) key, memoised per key
+   as an Int_vec of states filled forward from the last step computed:
+   any query order yields the same trajectory and deep steps never
+   recurse.  A state is the step its down-run began, or -1 while up. *)
+let chain ~seed ~down_prob ~up_prob =
+  if down_prob < 0.0 || down_prob > 1.0 || up_prob < 0.0 || up_prob > 1.0 then
+    invalid_arg "Condition.chain: probabilities out of [0,1]";
+  let runs : (int * int, Int_vec.t) Hashtbl.t = Hashtbl.create 64 in
+  fun ~b ~c ~step ->
+    if step <= 0 then -1
+    else begin
+      let states =
+        match Hashtbl.find_opt runs (b, c) with
+        | Some states -> states
+        | None ->
+            let states = Int_vec.create () in
+            Int_vec.push states (-1);
+            Hashtbl.add runs (b, c) states;
+            states
+      in
+      for r = Int_vec.length states to step do
+        let prev = Int_vec.get states (r - 1) in
+        let x = coin ~seed ~a:r ~b ~c in
+        Int_vec.push states
+          (if prev < 0 then if x < down_prob then r else -1
+           else if x < up_prob then -1
+           else prev)
+      done;
+      Int_vec.get states step
+    end
 
 let link_flaps ~seed ~down_prob ~up_prob =
-  if down_prob < 0.0 || down_prob > 1.0 || up_prob < 0.0 || up_prob > 1.0 then
-    invalid_arg "Condition.link_flaps: parameters out of [0,1]";
-  let up = markov_chain ~seed ~down_prob ~up_prob in
+  let down = chain ~seed ~down_prob ~up_prob in
   {
     effective =
-      (fun ~step ~src ~dst ~base -> if up ~step ~a:src ~b:dst then base else 0);
+      (fun ~step ~src ~dst ~base ->
+        if down ~b:src ~c:dst ~step < 0 then base else 0);
   }
 
+(* A vertex's presence draws on the (v, -1) key, disjoint from every
+   arc's (src, dst) key under the same seed. *)
 let churn ~seed ~protected ~leave_prob ~return_prob =
-  if leave_prob < 0.0 || leave_prob > 1.0 || return_prob < 0.0 || return_prob > 1.0
-  then invalid_arg "Condition.churn: parameters out of [0,1]";
-  let present_chain = markov_chain ~seed ~down_prob:leave_prob ~up_prob:return_prob in
-  let is_protected = Hashtbl.create 8 in
-  List.iter (fun v -> Hashtbl.replace is_protected v ()) protected;
-  let present ~step v =
-    Hashtbl.mem is_protected v || present_chain ~step ~a:v ~b:(-1)
-  in
+  let away = chain ~seed ~down_prob:leave_prob ~up_prob:return_prob in
+  let present ~step v = List.mem v protected || away ~b:v ~c:(-1) ~step < 0 in
   {
     effective =
       (fun ~step ~src ~dst ~base ->

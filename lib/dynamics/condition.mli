@@ -15,9 +15,12 @@
       geometric phase lengths — intermittent connectivity;
     - {!churn}: whole vertices depart and return (all incident arcs at
       0 while away), the paper's arrivals/departures variant.  The
-      initial holders of tokens never depart (content must survive),
-      and at most a bounded fraction of vertices is away at once so
-      the network stays usable. *)
+      initial holders of tokens never depart (content must survive);
+      every other vertex follows its own chain, so nothing bounds how
+      many are away at once.
+
+    Link flaps, churn and the crash and partition plans of {!Faults}
+    all draw from one keyed two-state chain, {!chain}. *)
 
 type t
 
@@ -44,6 +47,24 @@ val keyed_coin : seed:int -> a:int -> b:int -> c:int -> float
     ({!Faults}) can derive decorrelated-but-reproducible streams with
     the same mixing. *)
 
+val chain :
+  seed:int ->
+  down_prob:float ->
+  up_prob:float ->
+  b:int ->
+  c:int ->
+  step:int ->
+  int
+(** [chain ~seed ~down_prob ~up_prob] is a family of two-state Markov
+    chains, one per key [(b, c)].  Each is up at step 0 and, at every
+    later step, draws [keyed_coin ~seed ~a:step ~b ~c]: an up chain goes
+    down when the coin falls below [down_prob], a down one comes back
+    up when it falls below [up_prob].  Applied to a key and a step it
+    returns the step the current down-run began, or [-1] while up.
+    Memoised per key, so apply the partial application, not [chain]
+    itself, and never share it across domains.
+    @raise Invalid_argument when a probability is outside [\[0,1\]]. *)
+
 val static : t
 
 val cross_traffic : seed:int -> prob:float -> severity:float -> t
@@ -53,13 +74,15 @@ val cross_traffic : seed:int -> prob:float -> severity:float -> t
 val link_flaps : seed:int -> down_prob:float -> up_prob:float -> t
 (** Per-arc two-state Markov chain: an up link goes down next step
     with probability [down_prob]; a down link recovers with
-    probability [up_prob].  All links start up. *)
+    probability [up_prob].  All links start up.  Arc [(src, dst)] is
+    the {!chain} key [(src, dst)]. *)
 
 val churn :
   seed:int -> protected:int list -> leave_prob:float -> return_prob:float -> t
 (** Per-vertex two-state Markov chain over presence; a departed vertex
     zeroes every incident arc.  Vertices in [protected] (typically the
-    content sources) never leave. *)
+    content sources) never leave.  Vertex [v] is the {!chain} key
+    [(v, -1)]. *)
 
 val graph_at : t -> step:int -> Ocd_graph.Digraph.t -> Ocd_graph.Digraph.t option
 (** The effective topology at [step]: arcs with zero effective

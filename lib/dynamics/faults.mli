@@ -15,9 +15,9 @@
     views to reconcile.
 
     A plan is a deterministic process derived from a seed — per-node
-    up/down Markov chains for crashes, a network-wide split/heal chain
-    for partitions — sampled with the same keyed-coin mixing as the
-    built-in conditions, so any query order yields the same trajectory
+    up/down chains for crashes, one network-wide split/heal chain for
+    partitions — drawn from {!Condition.chain}, the same keyed chain as
+    link flaps and churn, so any query order yields the same trajectory
     and runs stay reproducible.  Plans also exist in {e explicit} form
     ({!of_downtime}, {!of_windows}): the same semantics driven by
     literal event lists, which is what lets the chaos shrinker
@@ -25,7 +25,8 @@
     {!windows}), delta-debug the event list, and replay any subset
     byte-identically.  A value of type {!t} carries at most one crash
     component and one partition component; {!compose} combines
-    plans. *)
+    plans.  Neither form keeps state of its own beyond the chain's
+    memo, so build a plan inside the domain that queries it. *)
 
 type durability =
   | Durable
@@ -59,7 +60,8 @@ val crashes :
     at the next round boundary with probability [crash_prob]; a down
     node restarts with probability [recover_prob] (default [0.5]).
     All nodes start up.  Vertices in [protected] never crash.
-    [durability] defaults to [Lost_unless_source].
+    [durability] defaults to [Lost_unless_source].  Node [v] is the
+    {!Condition.chain} key [(v, -2)].
     @raise Invalid_argument when a probability is outside [\[0,1\]]. *)
 
 val of_downtime : ?durability:durability -> (int * int * int) list -> t
@@ -68,7 +70,9 @@ val of_downtime : ?durability:durability -> (int * int * int) list -> t
     must be disjoint; [1 <= from < until].  The materialised form of
     a {!crashes} plan (see {!downtime}) replays identically to the
     original within the extraction horizon.  [of_downtime []] is
-    {!none}. *)
+    {!none}.
+    @raise Invalid_argument on a span with [from < 1] or
+    [until <= from], or on two overlapping spans of one node. *)
 
 val partitions :
   seed:int -> ?groups:int -> ?split_prob:float -> ?heal_prob:float -> unit -> t
@@ -79,7 +83,8 @@ val partitions :
     [heal_prob] (default 0.25).  Each window assigns every vertex a
     side by a coin keyed on the window's start round, so the grouping
     is correlated, stable for the window's lifetime, and reproducible
-    from the seed alone.
+    from the seed alone.  The split/heal chain is the {!Condition.chain}
+    key [(-1, -3)].
     @raise Invalid_argument on bad probabilities or [groups < 2]. *)
 
 val of_windows : seed:int -> ?groups:int -> (int * int) list -> t
@@ -89,7 +94,9 @@ val of_windows : seed:int -> ?groups:int -> (int * int) list -> t
     vertex)] keying as {!partitions}, so a window list extracted from
     a seeded plan via {!windows} (with the same seed and [groups])
     reproduces the exact same groupings.  [of_windows ~seed []] is
-    {!none}. *)
+    {!none}.
+    @raise Invalid_argument on [groups < 2], on a window with
+    [from < 1] or [until <= from], or on two overlapping windows. *)
 
 val compose : t -> t -> t
 (** Merge a crash plan and a partition plan into one.
@@ -105,8 +112,7 @@ val up : t -> round:int -> int -> bool
 val transitions : t -> node:int -> horizon:int -> (int * [ `Crash | `Restart ]) list
 (** The node's state changes over rounds [1..horizon], in round order:
     [(r, `Crash)] means the node is down from round [r] (it was up in
-    [r - 1]), [(r, `Restart)] the converse.  O(horizon) per node,
-    memoised. *)
+    [r - 1]), [(r, `Restart)] the converse.  O(horizon) per node. *)
 
 val downtime : t -> n:int -> horizon:int -> (int * int * int) list
 (** The crash component materialised as explicit [(node, from, until)]
