@@ -179,6 +179,63 @@ let test_engine_rejects_invalid_move () =
 let test_engine_rejects_missing_arc () =
   expect_strategy_error "missing-arc" (fun _ -> [ mv 0 2 0 ])
 
+(* Possession is checked at the word boundary of the flat store
+   (63 tokens per word).  Vertex 0 holds token 63 only, the first bit
+   of its second word; vertex 2 holds every other token.  Vertex 0
+   sending 62 or 64, or vertex 1 sending 63 before it has it (or 62
+   or 64 after), is a strategy bug.  Sending 63 down the line is not,
+   so the delivery lands in vertex 1's second word. *)
+let test_engine_possession_word_boundary () =
+  let graph =
+    Digraph.of_arcs ~vertex_count:3
+      [
+        { Digraph.src = 0; dst = 1; capacity = 2 };
+        { Digraph.src = 1; dst = 2; capacity = 2 };
+      ]
+  in
+  let inst =
+    Instance.make ~graph ~token_count:65
+      ~have:[ (0, [ 63 ]); (2, List.filter (( <> ) 63) (List.init 65 Fun.id)) ]
+      ~want:[ (2, [ 63 ]) ]
+  in
+  let unheld =
+    [
+      ("token 62", fun _ -> [ mv 0 1 62 ]);
+      ("token 64", fun _ -> [ mv 0 1 64 ]);
+      ("token 63 from 1", fun _ -> [ mv 1 2 63 ]);
+      ( "token 62 from 1 after 63",
+        fun ctx ->
+          if ctx.Strategy.step = 0 then [ mv 0 1 63 ] else [ mv 1 2 62 ] );
+      ( "token 64 from 1 after 63",
+        fun ctx ->
+          if ctx.Strategy.step = 0 then [ mv 0 1 63 ] else [ mv 1 2 64 ] );
+    ]
+  in
+  List.iter
+    (fun (name, decide) ->
+      let bad = Strategy.stateless ~name decide in
+      List.iter
+        (fun (runner, _, run) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s raises under %s" name runner)
+            true (raises_strategy_error run bad))
+        (runners inst))
+    unheld;
+  let held =
+    Strategy.stateless ~name:"held-63" (fun ctx ->
+        match ctx.Strategy.step with
+        | 0 -> [ mv 0 1 63 ]
+        | 1 -> [ mv 1 2 63 ]
+        | _ -> [])
+  in
+  List.iter
+    (fun (runner, _, run) ->
+      let schedule, dropped = run held in
+      Alcotest.(check int) (runner ^ " drops nothing") 0 dropped;
+      Alcotest.(check bool) (runner ^ " records both moves") true
+        (Schedule.steps schedule = [ [ mv 0 1 63 ]; [ mv 1 2 63 ] ]))
+    (runners inst)
+
 (* One move over an arc's capacity: a strategy bug under exact
    admission, a dropped move under lossy admission. *)
 let test_engine_rejects_overcapacity () =
@@ -434,6 +491,8 @@ let () =
             test_engine_rejects_duplicate_assignment;
           Alcotest.test_case "rejects reverse arc" `Quick
             test_engine_rejects_reverse_arc;
+          Alcotest.test_case "possession at the word boundary" `Quick
+            test_engine_possession_word_boundary;
           Alcotest.test_case "rejects missing arc" `Quick
             test_engine_rejects_missing_arc;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic_given_seed;
