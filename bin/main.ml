@@ -160,9 +160,8 @@ let jobs_arg =
     & opt positive (Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the sweep (default: OCD_BENCH_JOBS or the \
-           recommended domain count).  Output is byte-identical for any \
-           value.")
+          "Worker domains for the sweep (default: the recommended domain \
+           count).  Output is byte-identical for any value.")
 
 let strategy_arg ~doc =
   Arg.(

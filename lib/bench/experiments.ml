@@ -1189,8 +1189,9 @@ let graph_scale ~full ~jobs:_ =
 (** Scale curve for the allocation-free engine round (packed CSR
     schedule, incremental aggregates, per-run strategy scratch): tick
     time, tick rate and allocated bytes per step for a local-rarest
-    round on transit-stub graphs at n = 10^3..10^5, with the §5.1
-    makespan bound of each instance and its CPU time.  Timings are
+    round on transit-stub graphs at n = 10^3..10^5, with 8 tokens (one
+    possession word per vertex) and 100 (two), and the §5.1 makespan
+    bound of each instance and its CPU time.  Timings are
     machine-dependent, so this experiment is deliberately {e not} part
     of [all]. *)
 let engine_scale ~full:_ ~jobs:_ =
@@ -1203,6 +1204,7 @@ let engine_scale ~full:_ ~jobs:_ =
         [
           "n";
           "arcs";
+          "tokens";
           "steps";
           "tick_ms";
           "ticks_per_s";
@@ -1211,12 +1213,7 @@ let engine_scale ~full:_ ~jobs:_ =
           "lb_ms";
         ]
   in
-  let measure n =
-    let p = Ocd_topology.Transit_stub.params_for_size n in
-    let g =
-      Ocd_topology.Transit_stub.generate (Prng.create ~seed:(1070 + n)) p
-    in
-    let tokens = 8 in
+  let measure g tokens =
     let all = Order.range tokens in
     let inst =
       Instance.make ~graph:g ~token_count:tokens
@@ -1244,6 +1241,7 @@ let engine_scale ~full:_ ~jobs:_ =
       [
         string_of_int (Ocd_graph.Digraph.vertex_count g);
         string_of_int (Ocd_graph.Digraph.arc_count g);
+        string_of_int tokens;
         string_of_int steps;
         Printf.sprintf "%.1f" (per_tick *. 1000.0);
         Printf.sprintf "%.2f" (1.0 /. Float.max 1e-9 per_tick);
@@ -1253,12 +1251,20 @@ let engine_scale ~full:_ ~jobs:_ =
         Printf.sprintf "%.1f" (lb_dt *. 1000.0);
       ]
   in
-  List.iter measure [ 1_000; 10_000; 100_000 ];
+  List.iter
+    (fun n ->
+      let p = Ocd_topology.Transit_stub.params_for_size n in
+      let g =
+        Ocd_topology.Transit_stub.generate (Prng.create ~seed:(1070 + n)) p
+      in
+      List.iter (measure g) [ 8; 100 ])
+    [ 1_000; 10_000; 100_000 ];
   Report.render table;
   Report.note
     "tick = one full local-rarest round (decide + apply + incremental \
-     aggregate update) on a transit-stub graph, single source, 8 tokens, \
-     all receivers; alloc_MB_per_step = Gc.allocated_bytes over the run \
+     aggregate update) on a transit-stub graph, single source, all \
+     receivers; 8 tokens fit one possession word per vertex, 100 take \
+     two; alloc_MB_per_step = Gc.allocated_bytes over the run \
      divided by steps; lb = the §5.1 makespan lower bound of the \
      instance (Bounds.makespan_lower_bound), lb_ms its CPU time.  \
      Timings are machine-dependent, so 'all' does not run this \

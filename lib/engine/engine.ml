@@ -48,11 +48,11 @@ type goal = Track of Timeline.Tracker.t | Decode of decoder
 
 (* Per-run kernel state.  [seen], [load] and [links] are int-packed
    keys into stamped open-addressing tables, so the per-step reset is
-   O(1) and a checked move costs allocation-free probes.  [mirror] is
-   a flat one-word-per-vertex possession mirror (token_count <= 63
-   only, [[||]] otherwise) kept in sync with [have] below — a
-   possession test on it is one indexed load instead of the bitset's
-   three dependent pointer chases. *)
+   O(1) and a checked move costs allocation-free probes.  [words] is
+   possession as [stride] words per vertex in [Bitset]'s bit layout,
+   kept equal to [have] by every delivery: a possession test on it is
+   one indexed load instead of the bitset's three dependent pointer
+   chases, and strategies read it through the context. *)
 type kernel = {
   inst : Instance.t;
   admission : admission;
@@ -63,19 +63,29 @@ type kernel = {
   seen : Int_tab.t;
   load : Int_tab.t;
   links : Int_tab.t;
-  mirror : int array;
+  words : int array;
+  stride : int;
   mutable fresh_total : int;
   mutable dropped_total : int;
 }
 
+(* Index and bit of [token] among vertex [v]'s words. *)
+let word ~stride v token = (v * stride) + (token / Bitset.bits_per_word)
+let bit token = 1 lsl (token mod Bitset.bits_per_word)
+
 let kernel_create obs admission goal (inst : Instance.t) =
   let n = Instance.vertex_count inst in
   let have = Array.map Bitset.copy inst.have in
-  let mirror = if inst.token_count <= 63 then Array.make n 0 else [||] in
-  if Array.length mirror > 0 then
-    for v = 0 to n - 1 do
-      Bitset.iter (fun t -> mirror.(v) <- mirror.(v) lor (1 lsl t)) have.(v)
-    done;
+  let stride = Bitset.words_for inst.token_count in
+  let words = Array.make (n * stride) 0 in
+  Array.iteri
+    (fun v s ->
+      Bitset.iter
+        (fun t ->
+          let i = word ~stride v t in
+          words.(i) <- words.(i) lor bit t)
+        s)
+    have;
   {
     inst;
     admission;
@@ -86,7 +96,8 @@ let kernel_create obs admission goal (inst : Instance.t) =
     seen = Int_tab.create ~capacity:1024 ();
     load = Int_tab.create ~capacity:1024 ();
     links = Int_tab.create ();
-    mirror;
+    words;
+    stride;
     fresh_total = 0;
     dropped_total = 0;
   }
@@ -100,8 +111,7 @@ let apply_step k step moves =
   let n = Instance.vertex_count inst in
   let token_count = inst.token_count in
   let seen = k.seen and load = k.load in
-  let mirror = k.mirror in
-  let use_mirror = Array.length mirror > 0 in
+  let words = k.words and stride = k.stride in
   let exact = match k.admission with Exact -> true | Lossy _ -> false in
   Int_tab.clear seen;
   Int_tab.clear load;
@@ -127,10 +137,7 @@ let apply_step k step moves =
       if l > cap && exact then
         strategy_fail "step %d: capacity of %d->%d exceeded (%d > %d)" step
           m.src m.dst l cap;
-      if
-        (if use_mirror then mirror.(m.src) land (1 lsl m.token) = 0
-         else not (Bitset.mem have.(m.src) m.token))
-      then
+      if words.(word ~stride m.src m.token) land bit m.token = 0 then
         strategy_fail "step %d: %d sends token %d it does not hold" step m.src
           m.token;
       validate tl
@@ -178,13 +185,10 @@ let apply_step k step moves =
   let rec deliver = function
     | [] -> ()
     | (m : Move.t) :: tl ->
-      if
-        (if use_mirror then mirror.(m.dst) land (1 lsl m.token) = 0
-         else not (Bitset.mem have.(m.dst) m.token))
-      then begin
+      let i = word ~stride m.dst m.token and b = bit m.token in
+      if words.(i) land b = 0 then begin
         k.fresh_total <- k.fresh_total + 1;
-        if use_mirror then
-          mirror.(m.dst) <- mirror.(m.dst) lor (1 lsl m.token);
+        words.(i) <- words.(i) lor b;
         Bitset.add have.(m.dst) m.token;
         (match k.goal with
         | Track tracker ->
@@ -264,7 +268,8 @@ let rounds ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~admission
         match admission with Exact -> inst | Lossy l -> l.visible step
       in
       let ctx =
-        { Strategy.instance; have = k.have; step; rng; scratch = k.scratch }
+        { Strategy.instance; have = k.have; words = k.words;
+          stride = k.stride; step; rng; scratch = k.scratch }
       in
       let moves =
         match probe with

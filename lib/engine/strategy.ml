@@ -5,7 +5,6 @@ type scratch = {
   tokens_a : Bitset.t;
   tokens_b : Bitset.t;
   mutable budget_buf : int array;
-  mutable pred_buf : int array;
   mutable elig_buf : int array;
   mutable cand_buf : int array;
   candidates : Int_vec.t;
@@ -18,7 +17,6 @@ let scratch_create ~token_count =
     tokens_a = Bitset.create token_count;
     tokens_b = Bitset.create token_count;
     budget_buf = [||];
-    pred_buf = [||];
     elig_buf = [||];
     cand_buf = [||];
     candidates = Int_vec.create ();
@@ -32,11 +30,6 @@ let budget scratch len =
   if Array.length scratch.budget_buf < len then
     scratch.budget_buf <- grow scratch.budget_buf len;
   scratch.budget_buf
-
-let preds scratch len =
-  if Array.length scratch.pred_buf < len then
-    scratch.pred_buf <- grow scratch.pred_buf len;
-  scratch.pred_buf
 
 let elig scratch len =
   if Array.length scratch.elig_buf < len then
@@ -54,6 +47,8 @@ let notify_deliver scratch ~dst ~token =
 type context = {
   instance : Instance.t;
   have : Bitset.t array;
+  words : int array;
+  stride : int;
   step : int;
   rng : Prng.t;
   scratch : scratch;

@@ -32,7 +32,6 @@ type scratch = {
   tokens_a : Bitset.t;  (** token-capacity work set (e.g. missing) *)
   tokens_b : Bitset.t;  (** second token-capacity work set *)
   mutable budget_buf : int array;  (** backing store for {!budget} *)
-  mutable pred_buf : int array;  (** backing store for {!preds} *)
   mutable elig_buf : int array;  (** backing store for {!elig} *)
   mutable cand_buf : int array;  (** backing store for {!cand} *)
   candidates : Int_vec.t;  (** per-decision candidate accumulator *)
@@ -51,18 +50,12 @@ val budget : scratch -> int -> int array
     (contents stale — overwrite before reading).  Grows the backing
     store on demand; only the first [len] cells are meant for use. *)
 
-val preds : scratch -> int -> int array
-(** Like {!budget}, a second independent reusable row — typically a
-    blitted copy of a neighbour view ({!Ocd_graph.Digraph.View.dsts_into}),
-    so inner loops index a flat local array instead of calling through
-    the view. *)
-
 val elig : scratch -> int -> int array
-(** Like {!budget}, a third independent reusable row — typically
+(** Like {!budget}, a second independent reusable row — typically
     per-neighbour possession words cached for a candidate scan. *)
 
 val cand : scratch -> int -> int array
-(** Like {!budget}, a fourth independent reusable row — a flat
+(** Like {!budget}, a third independent reusable row — a flat
     candidate accumulator for inner scans where even an
     {!Ocd_prelude.Int_vec.push} call per hit is measurable. *)
 
@@ -76,6 +69,11 @@ type context = {
   instance : Instance.t;
   have : Bitset.t array;
       (** possession at the start of the current step; read-only *)
+  words : int array;
+      (** the same possession as flat words, read-only: vertex [v]
+          holds token [t] iff bit [t mod Bitset.bits_per_word] of
+          [words.((v * stride) + (t / Bitset.bits_per_word))] is set *)
+  stride : int;  (** words per vertex, [Bitset.words_for token_count] *)
   step : int;
   rng : Prng.t;
   scratch : scratch;  (** per-run reusable buffers, see {!scratch} *)
@@ -84,7 +82,7 @@ type context = {
 val on_deliver : context -> (dst:int -> token:int -> unit) -> unit
 (** Registers a fresh-delivery listener for the remainder of the run.
     The callback fires during the engine's apply phase, after the
-    delivery has been added to the possession array it tracks. *)
+    delivery has been added to both [have] and [words]. *)
 
 type decide = context -> Move.t list
 

@@ -25,14 +25,9 @@ type t = {
 }
 
 val compute : Instance.t -> Bitset.t array -> t
-(** From-scratch O(n·m) scan; the oracle for {!update}/{!tracked}. *)
+(** From-scratch O(n·m) scan; the oracle for {!tracked}. *)
 
 val copy : t -> t
-
-val update : t -> Instance.t -> dst:int -> token:int -> unit
-(** [update t inst ~dst ~token] applies one {e fresh} delivery (the
-    caller guarantees [dst] lacked [token] before): one more holder,
-    one less outstanding need if [dst] wants the token.  O(1). *)
 
 val tracked : Instance.t -> Ocd_engine.Strategy.context -> t
 (** [tracked inst] is a per-run aggregate source: partially applied at

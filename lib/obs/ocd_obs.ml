@@ -41,6 +41,3 @@ let absorb ~into ?pid ?prefix src =
     | None -> List.iter (Sink.emit into.sink) (Sink.events src.sink));
     Metrics.merge ~into:into.metrics ?prefix src.metrics
   end
-
-let time t label f =
-  match probe t with Some p -> Probe.time p label f | None -> f ()

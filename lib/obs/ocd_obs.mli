@@ -67,8 +67,3 @@ val absorb : into:t -> ?pid:int -> ?prefix:string -> t -> unit
     given), and the child registry is {!Metrics.merge}d under
     [prefix].  Call sequentially, in task order, for a stream that is
     byte-identical for any worker count. *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Probe-timed section when profiling is on; plain call otherwise.
-    (Allocates a closure — avoid in per-step hot loops, where callers
-    should branch on {!probe} themselves.) *)

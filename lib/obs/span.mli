@@ -31,11 +31,6 @@ val instant :
   unit
 (** An ['i'] (instant) event — crashes, restarts, completion marks. *)
 
-val counter :
-  Sink.t -> pid:int -> tid:int -> name:string -> ts:int ->
-  (string * Sink.value) list -> unit
-(** A ['C'] (counter) event — sampled series such as queue depth. *)
-
 val flow :
   Sink.t ->
   pid:int ->

@@ -13,6 +13,15 @@
 
 type t
 
+val bits_per_word : int
+(** Elements per word: element [x] is bit [x mod bits_per_word] of
+    word [x / bits_per_word].  Flat possession stores that mirror a
+    set word for word use the same layout. *)
+
+val words_for : int -> int
+(** [words_for capacity] is the number of words a set over
+    [\[0, capacity)] occupies. *)
+
 val create : int -> t
 (** [create capacity] is the empty set over universe [\[0, capacity)]. *)
 

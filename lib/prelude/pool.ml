@@ -45,13 +45,7 @@ module Chan = struct
     result
 end
 
-let default_jobs () =
-  match Sys.getenv_opt "OCD_BENCH_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+let default_jobs () = Domain.recommended_domain_count ()
 
 (* True inside a pool worker: nested maps run inline rather than
    spawning domains from domains (which could oversubscribe without

@@ -20,9 +20,7 @@
     of scheduling. *)
 
 val default_jobs : unit -> int
-(** Worker count used by the benchmark harness when none is given on
-    the command line: the [OCD_BENCH_JOBS] environment variable if it
-    parses as a positive integer, otherwise
+(** Worker count when [--jobs] is not given:
     [Domain.recommended_domain_count ()]. *)
 
 val map : ?obs:Ocd_obs.t -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list

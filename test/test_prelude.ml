@@ -725,6 +725,32 @@ let test_order_min_score () =
     (Order.min_score Fun.id [ 3; 1; 2 ]);
   Alcotest.(check (option int)) "empty" None (Order.min_score Fun.id [])
 
+(* Both stable sorts against [List.stable_sort] on element ids with
+   few distinct keys (many ties), at lengths on both sides of the
+   insertion-sort cutoff. *)
+let prop_int_vec_stable_sorts =
+  QCheck.Test.make ~name:"Int_vec stable sorts = List.stable_sort" ~count:300
+    QCheck.(pair (int_range 0 150) (int_range 0 1000))
+    (fun (len, seed) ->
+      let rng = Prng.create ~seed in
+      let key = Array.init len (fun _ -> Prng.int rng 5) in
+      let ids = List.init len Fun.id in
+      let shuffled = Array.of_list ids in
+      Prng.shuffle rng shuffled;
+      let expected =
+        List.stable_sort
+          (fun a b -> compare key.(a) key.(b))
+          (Array.to_list shuffled)
+      in
+      let sorted sort =
+        let v = Int_vec.create () in
+        Array.iter (Int_vec.push v) shuffled;
+        sort v;
+        Array.to_list (Int_vec.to_array v)
+      in
+      sorted (Int_vec.stable_sort_by_key key) = expected
+      && sorted (Int_vec.stable_sort_by (fun x -> key.(x))) = expected)
+
 let () =
   Alcotest.run "ocd_prelude"
     [
@@ -834,4 +860,5 @@ let () =
           Alcotest.test_case "range" `Quick test_order_range;
           Alcotest.test_case "min_score" `Quick test_order_min_score;
         ] );
+      ("int_vec", [ qtest prop_int_vec_stable_sorts ]);
     ]
