@@ -87,17 +87,19 @@ let sync_strategy ~seed =
     let graph = inst.Instance.graph in
     let n = Instance.vertex_count inst in
     let rngs = Array.init n (fun v -> Protocol.node_rng ~seed v) in
+    let held = Array.map Bitset.copy inst.Instance.have in
     fun (ctx : Ocd_engine.Strategy.context) ->
+      Array.iteri (fun v s -> Bitset.Rows.into s ctx.have v) held;
       let moves = ref [] in
       for dst = 0 to n - 1 do
         let preds = Digraph.pred graph dst in
         let picks =
           requests ~rng:rngs.(dst) ~token_count:inst.Instance.token_count
-            ~have:ctx.have.(dst)
+            ~have:held.(dst)
             ~eligible:(fun _ -> true)
             ~alive:(fun _ -> true)
             ~preds
-            ~known:(fun i -> Some ctx.have.(Digraph.View.dst preds i))
+            ~known:(fun i -> Some held.(Digraph.View.dst preds i))
         in
         List.iter
           (fun (src, token) -> moves := { Move.src; dst; token } :: !moves)

@@ -46,20 +46,14 @@ let widest_path_tree g ~root =
   Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
   { Mst.root; parent; children }
 
-let send_down_arc ?buf ~have ~src ~dst ~cap ~only () =
-  let candidates =
-    match buf with
-    | Some b ->
-      Bitset.assign b have.(src);
-      b
-    | None -> Bitset.copy have.(src)
-  in
-  Bitset.diff_into candidates have.(dst);
-  (match only with Some s -> Bitset.inter_into candidates s | None -> ());
+let send_down_arc ~buf ~have ~src ~dst ~cap ~only () =
+  Bitset.Rows.into buf have src;
+  Bitset.Rows.diff_into buf have dst;
+  (match only with Some s -> Bitset.inter_into buf s | None -> ());
   let rec collect cursor left acc =
     if left = 0 then List.rev acc
     else
-      match Bitset.next_member candidates cursor with
+      match Bitset.next_member buf cursor with
       | None -> List.rev acc
       | Some token ->
         collect (token + 1) (left - 1) ({ Move.src; dst; token } :: acc)

@@ -14,12 +14,12 @@ val widest_path_tree :
     (a max-bottleneck Dijkstra over directed arcs). *)
 
 val send_down_arc :
-  ?buf:Bitset.t ->
-  have:Bitset.t array -> src:int -> dst:int -> cap:int -> only:Bitset.t option ->
-  unit ->
+  buf:Bitset.t ->
+  have:Bitset.Rows.t -> src:int -> dst:int -> cap:int ->
+  only:Bitset.t option -> unit ->
   Move.t list
 (** Up to [cap] lowest-id tokens held by [src], lacked by [dst] and
     (when [only] is given) within [only]; the building block of the
-    tree-pipelining baselines.  [buf] is an optional reusable work
-    bitset (token capacity) that avoids the per-call candidate
-    allocation; its previous contents are overwritten. *)
+    tree-pipelining baselines.  [have] is possession, one row per
+    vertex; [buf] is a reusable work set (token capacity) whose
+    previous contents are overwritten. *)

@@ -62,7 +62,7 @@ let strategy ?source () =
         out;
       (* Everyone else: pairwise exchange of whatever helps. *)
       for src = 0 to Instance.vertex_count inst - 1 do
-        if src <> source && not (Bitset.is_empty ctx.have.(src)) then
+        if src <> source && not (Bitset.Rows.is_empty ctx.have src) then
           Digraph.View.iter
             (fun dst cap ->
               moves :=

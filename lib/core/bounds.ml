@@ -78,16 +78,17 @@ let relay_aware_bandwidth_lower_bound (inst : Instance.t) =
 let ceil_div a b = (a + b - 1) / b
 
 (* M_i(v) maximised over i, for one vertex: given the multiset of
-   nearest-holder distances of v's deficit tokens, the tokens farther
-   than i hops cannot have arrived within i steps, and thereafter at
-   most [in_capacity v] tokens arrive per step. *)
+   nearest-holder distances of v's deficit tokens, as (distance,
+   multiplicity) pairs, the tokens farther than i hops cannot have
+   arrived within i steps, and thereafter at most [in_capacity v]
+   tokens arrive per step. *)
 let vertex_bound distances in_capacity =
   match distances with
   | [] -> 0
   | distances ->
-    let sorted = List.sort Int.compare distances in
-    let total = List.length sorted in
-    let max_d = List.fold_left max 0 sorted in
+    let sorted = List.sort compare distances in
+    let total = List.fold_left (fun acc (_, k) -> acc + k) 0 sorted in
+    let max_d = fst (List.nth sorted (List.length sorted - 1)) in
     let intake = max 1 in_capacity in
     (* Only radii at distance thresholds matter; scanning all i in
        [0, max_d] is fine at evaluation sizes. *)
@@ -95,7 +96,7 @@ let vertex_bound distances in_capacity =
       (* count = |{d > i}| given [rest] sorted ascending with [count]
          elements remaining > previous threshold *)
       match rest with
-      | d :: tl when d <= i -> outside i tl (count - 1)
+      | (d, k) :: tl when d <= i -> outside i tl (count - k)
       | _ -> (count, rest)
     in
     let best = ref 0 in
@@ -108,36 +109,43 @@ let vertex_bound distances in_capacity =
     done;
     !best
 
-(* One forward multi-source BFS per needed token, seeded from that
-   token's current holders, gives every vertex lacking the token its
-   nearest-holder distance.  The queue and distance array are reused
-   across tokens, so the whole bound costs O(T·(n + m)). *)
+(* Needed tokens with the same holders share one forward multi-source
+   BFS from them, which gives each vertex one distance for all the
+   group's tokens it lacks: one source holding everything costs one
+   BFS.  O(T·n + G·(n + m + n·T/63)) for G distinct holder sets. *)
 let remaining_makespan (inst : Instance.t) ~have =
   let g = inst.graph in
-  let n = Instance.vertex_count inst in
+  let n = Instance.vertex_count inst and m = inst.token_count in
   let { Digraph.row_off; row_dst; _ } = Digraph.succ_rows g in
-  let needs v token =
-    Bitset.mem inst.want.(v) token && not (Bitset.mem have.(v) token)
-  in
-  let needed = Bitset.create inst.token_count in
-  for v = 0 to n - 1 do
-    Bitset.iter
-      (fun token -> if needs v token then Bitset.add needed token)
-      inst.want.(v)
-  done;
-  let distances = Array.make n [] in
-  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  let deficit = Array.init n (deficit_at inst have) in
+  let needed = Bitset.create m in
+  Array.iter (Bitset.union_into needed) deficit;
+  let holders = Array.init m (fun _ -> Bitset.create n) in
+  Array.iteri
+    (fun v s -> Bitset.iter (fun t -> Bitset.add holders.(t) v) s)
+    have;
+  (* holder set -> the needed tokens with exactly those holders *)
+  let groups = Hashtbl.create 8 in
   Bitset.iter
     (fun token ->
+      let key = holders.(token) in
+      if not (Hashtbl.mem groups key) then
+        Hashtbl.add groups key (Bitset.create m);
+      Bitset.add (Hashtbl.find groups key) token)
+    needed;
+  let distances = Array.make n [] in
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  let lacking = Bitset.create m in
+  Hashtbl.iter
+    (fun seeds tokens ->
       Array.fill dist 0 n (-1);
       let tail = ref 0 in
-      for v = 0 to n - 1 do
-        if Bitset.mem have.(v) token then begin
+      Bitset.iter
+        (fun v ->
           dist.(v) <- 0;
           queue.(!tail) <- v;
-          incr tail
-        end
-      done;
+          incr tail)
+        seeds;
       let head = ref 0 in
       while !head < !tail do
         let u = queue.(!head) in
@@ -152,12 +160,15 @@ let remaining_makespan (inst : Instance.t) ~have =
         done
       done;
       for v = 0 to n - 1 do
-        if needs v token then
+        Bitset.assign lacking tokens;
+        Bitset.inter_into lacking deficit.(v);
+        let k = Bitset.cardinal lacking in
+        if k > 0 then
           if dist.(v) < 0 then
             invalid_arg "Bounds.remaining_makespan: unreachable token"
-          else distances.(v) <- dist.(v) :: distances.(v)
+          else distances.(v) <- (dist.(v), k) :: distances.(v)
       done)
-    needed;
+    groups;
   let best = ref 0 in
   for v = 0 to n - 1 do
     best := max !best (vertex_bound distances.(v) (Digraph.in_capacity g v))

@@ -45,10 +45,11 @@ val relay_aware_bandwidth_lower_bound : Instance.t -> int
 
 val remaining_makespan : Instance.t -> have:Bitset.t array -> int
 (** The [max_v max_i M_i(v)] bound from the current state; 0 when all
-    wants are met.  One forward multi-source BFS per token some vertex
-    still needs, seeded from the token's current holders, gives every
-    vertex its deficit tokens' nearest-holder distances: O(T·(n + m))
-    time for [T] needed tokens, plus sorting each vertex's distances.
+    wants are met.  One forward multi-source BFS per distinct holder
+    set of the tokens some vertex still needs, seeded from those
+    holders, gives every vertex its deficit tokens' nearest-holder
+    distances: O(T·n + G·(n + m)) time for [T] needed tokens with [G]
+    distinct holder sets, plus sorting each vertex's distances.
     @raise Invalid_argument if some wanted token is unreachable from
     every current holder. *)
 

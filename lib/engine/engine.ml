@@ -48,56 +48,34 @@ type goal = Track of Timeline.Tracker.t | Decode of decoder
 
 (* Per-run kernel state.  [seen], [load] and [links] are int-packed
    keys into stamped open-addressing tables, so the per-step reset is
-   O(1) and a checked move costs allocation-free probes.  [words] is
-   possession as [stride] words per vertex in [Bitset]'s bit layout,
-   kept equal to [have] by every delivery: a possession test on it is
-   one indexed load instead of the bitset's three dependent pointer
-   chases, and strategies read it through the context. *)
+   O(1) and a checked move costs allocation-free probes.  [have] is
+   possession, one row per vertex; strategies read it through the
+   context. *)
 type kernel = {
   inst : Instance.t;
   admission : admission;
   goal : goal;
-  have : Bitset.t array;
+  have : Bitset.Rows.t;
   scratch : Strategy.scratch;
   obs : Ocd_obs.t;
   seen : Int_tab.t;
   load : Int_tab.t;
   links : Int_tab.t;
-  words : int array;
-  stride : int;
   mutable fresh_total : int;
   mutable dropped_total : int;
 }
 
-(* Index and bit of [token] among vertex [v]'s words. *)
-let word ~stride v token = (v * stride) + (token / Bitset.bits_per_word)
-let bit token = 1 lsl (token mod Bitset.bits_per_word)
-
 let kernel_create obs admission goal (inst : Instance.t) =
-  let n = Instance.vertex_count inst in
-  let have = Array.map Bitset.copy inst.have in
-  let stride = Bitset.words_for inst.token_count in
-  let words = Array.make (n * stride) 0 in
-  Array.iteri
-    (fun v s ->
-      Bitset.iter
-        (fun t ->
-          let i = word ~stride v t in
-          words.(i) <- words.(i) lor bit t)
-        s)
-    have;
   {
     inst;
     admission;
     goal;
-    have;
+    have = Bitset.Rows.of_sets inst.token_count inst.have;
     scratch = Strategy.scratch_create ~token_count:inst.token_count;
     obs;
     seen = Int_tab.create ~capacity:1024 ();
     load = Int_tab.create ~capacity:1024 ();
     links = Int_tab.create ();
-    words;
-    stride;
     fresh_total = 0;
     dropped_total = 0;
   }
@@ -111,7 +89,6 @@ let apply_step k step moves =
   let n = Instance.vertex_count inst in
   let token_count = inst.token_count in
   let seen = k.seen and load = k.load in
-  let words = k.words and stride = k.stride in
   let exact = match k.admission with Exact -> true | Lossy _ -> false in
   Int_tab.clear seen;
   Int_tab.clear load;
@@ -137,7 +114,7 @@ let apply_step k step moves =
       if l > cap && exact then
         strategy_fail "step %d: capacity of %d->%d exceeded (%d > %d)" step
           m.src m.dst l cap;
-      if words.(word ~stride m.src m.token) land bit m.token = 0 then
+      if not (Bitset.Rows.mem have m.src m.token) then
         strategy_fail "step %d: %d sends token %d it does not hold" step m.src
           m.token;
       validate tl
@@ -176,8 +153,8 @@ let apply_step k step moves =
       in
       admit moves
   in
-  (* All constraints hold; deliveries land simultaneously.  The
-     membership test before each add counts each (dst, token) pair once
+  (* All constraints hold; deliveries land simultaneously.  The fresh
+     result of each add counts each (dst, token) pair once
      even when several sources deliver it in the same step, and keeps
      the completion bookkeeping O(1) per fresh arrival. *)
   let obs = k.obs in
@@ -185,11 +162,8 @@ let apply_step k step moves =
   let rec deliver = function
     | [] -> ()
     | (m : Move.t) :: tl ->
-      let i = word ~stride m.dst m.token and b = bit m.token in
-      if words.(i) land b = 0 then begin
+      if Bitset.Rows.add have m.dst m.token then begin
         k.fresh_total <- k.fresh_total + 1;
-        words.(i) <- words.(i) lor b;
-        Bitset.add have.(m.dst) m.token;
         (match k.goal with
         | Track tracker ->
           Timeline.Tracker.deliver tracker ~step:(step + 1) ~dst:m.dst
@@ -268,8 +242,7 @@ let rounds ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~admission
         match admission with Exact -> inst | Lossy l -> l.visible step
       in
       let ctx =
-        { Strategy.instance; have = k.have; words = k.words;
-          stride = k.stride; step; rng; scratch = k.scratch }
+        { Strategy.instance; have = k.have; step; rng; scratch = k.scratch }
       in
       let moves =
         match probe with

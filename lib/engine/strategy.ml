@@ -46,15 +46,27 @@ let notify_deliver scratch ~dst ~token =
 
 type context = {
   instance : Instance.t;
-  have : Bitset.t array;
-  words : int array;
-  stride : int;
+  have : Bitset.Rows.t;
   step : int;
   rng : Prng.t;
   scratch : scratch;
 }
 
 let on_deliver ctx f = ctx.scratch.listeners <- f :: ctx.scratch.listeners
+
+let assign_first_holder ctx preds budget ~dst token moves =
+  let module View = Ocd_graph.Digraph.View in
+  let rec first i =
+    i < View.length preds
+    && (let src = View.dst preds i in
+        if budget.(i) > 0 && Bitset.Rows.mem ctx.have src token then begin
+          budget.(i) <- budget.(i) - 1;
+          moves := { Move.src; dst; token } :: !moves;
+          true
+        end
+        else first (i + 1))
+  in
+  first 0
 
 type decide = context -> Move.t list
 

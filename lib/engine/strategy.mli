@@ -67,13 +67,10 @@ val notify_deliver : scratch -> dst:int -> token:int -> unit
 
 type context = {
   instance : Instance.t;
-  have : Bitset.t array;
-      (** possession at the start of the current step; read-only *)
-  words : int array;
-      (** the same possession as flat words, read-only: vertex [v]
-          holds token [t] iff bit [t mod Bitset.bits_per_word] of
-          [words.((v * stride) + (t / Bitset.bits_per_word))] is set *)
-  stride : int;  (** words per vertex, [Bitset.words_for token_count] *)
+  have : Bitset.Rows.t;
+      (** possession at the start of the current step, one row per
+          vertex; read-only.  Strategies that iterate a vertex's set
+          copy its row into a scratch set ({!Bitset.Rows.into}). *)
   step : int;
   rng : Prng.t;
   scratch : scratch;  (** per-run reusable buffers, see {!scratch} *)
@@ -82,7 +79,15 @@ type context = {
 val on_deliver : context -> (dst:int -> token:int -> unit) -> unit
 (** Registers a fresh-delivery listener for the remainder of the run.
     The callback fires during the engine's apply phase, after the
-    delivery has been added to both [have] and [words]. *)
+    delivery has been added to [have]. *)
+
+val assign_first_holder :
+  context -> Ocd_graph.Digraph.View.t -> int array -> dst:int -> int ->
+  Move.t list ref -> bool
+(** [assign_first_holder ctx preds budget ~dst token moves] gives
+    [token] to the first in-neighbour in [preds] that holds it and has
+    [budget] left at its slot: takes one unit of that budget, pushes
+    the move onto [moves], returns true.  False if there is none. *)
 
 type decide = context -> Move.t list
 

@@ -7,10 +7,12 @@ let compute (inst : Instance.t) have =
   let m = inst.token_count in
   let have_count = Array.make m 0 in
   let need_count = Array.make m 0 in
+  let row = Bitset.create m in
   for v = 0 to Instance.vertex_count inst - 1 do
-    Bitset.iter (fun t -> have_count.(t) <- have_count.(t) + 1) have.(v);
+    Bitset.Rows.into row have v;
+    Bitset.iter (fun t -> have_count.(t) <- have_count.(t) + 1) row;
     Bitset.iter
-      (fun t -> if not (Bitset.mem have.(v) t) then need_count.(t) <- need_count.(t) + 1)
+      (fun t -> if not (Bitset.mem row t) then need_count.(t) <- need_count.(t) + 1)
       inst.want.(v)
   done;
   { have_count; need_count }
@@ -42,6 +44,3 @@ let tracked (inst : Instance.t) =
       Ocd_engine.Strategy.on_deliver ctx (fun ~dst ~token ->
           update agg inst ~dst ~token);
       agg
-
-let rarity t token = t.have_count.(token)
-let needed t token = t.need_count.(token) > 0

@@ -19,13 +19,15 @@ open Ocd_prelude
 
 type t = {
   have_count : int array;
-      (** per token: number of vertices currently holding it ("knowledge") *)
+      (** per token: number of vertices currently holding it
+          ("knowledge"), the paper's rarity measure (lower = rarer) *)
   need_count : int array;
       (** per token: number of vertices wanting but lacking it ("need") *)
 }
 
-val compute : Instance.t -> Bitset.t array -> t
-(** From-scratch O(n·m) scan; the oracle for {!tracked}. *)
+val compute : Instance.t -> Bitset.Rows.t -> t
+(** From-scratch O(n·m) scan of possession, one row per vertex; the
+    oracle for {!tracked}. *)
 
 val copy : t -> t
 
@@ -36,9 +38,3 @@ val tracked : Instance.t -> Ocd_engine.Strategy.context -> t
     fresh-delivery listener to keep them exact thereafter.  All
     decisions of the run receive the same (mutating) [t]; {!copy} it
     to snapshot a step. *)
-
-val rarity : t -> int -> int
-(** [have_count], the paper's rarity measure (lower = rarer). *)
-
-val needed : t -> int -> bool
-(** Still wanted by someone who lacks it. *)

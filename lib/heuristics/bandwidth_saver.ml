@@ -16,17 +16,17 @@ let relay_tokens (inst : Instance.t) have ~relay ~label ~needers ~one_hop
   for token = 0 to inst.token_count - 1 do
     Int_vec.clear needers;
     for x = 0 to n - 1 do
-      if Bitset.mem inst.want.(x) token && not (Bitset.mem have.(x) token) then
-        Int_vec.push needers x
+      if Bitset.mem inst.want.(x) token && not (Bitset.Rows.mem have x token)
+      then Int_vec.push needers x
     done;
     if Int_vec.length needers > 0 then begin
       (* One-hop set: lacks the token, an in-neighbour holds it. *)
       Int_vec.clear one_hop;
       for u = 0 to n - 1 do
         if
-          (not (Bitset.mem have.(u) token))
+          (not (Bitset.Rows.mem have u token))
           && Digraph.View.exists
-               (fun w _ -> Bitset.mem have.(w) token)
+               (fun w _ -> Bitset.Rows.mem have w token)
                (Digraph.pred g u)
         then Int_vec.push one_hop u
       done;
@@ -84,9 +84,9 @@ let strategy =
       let moves = ref [] in
       for dst = 0 to n - 1 do
         Bitset.assign wanted inst.want.(dst);
-        Bitset.diff_into wanted ctx.have.(dst);
+        Bitset.Rows.diff_into wanted ctx.have dst;
         Bitset.assign relayed relay.(dst);
-        Bitset.diff_into relayed ctx.have.(dst);
+        Bitset.Rows.diff_into relayed ctx.have dst;
         Bitset.diff_into relayed wanted;
         if not (Bitset.is_empty wanted && Bitset.is_empty relayed) then begin
           let preds = Digraph.pred graph dst in
@@ -94,25 +94,17 @@ let strategy =
             Ocd_engine.Strategy.budget scratch (Digraph.View.length preds)
           in
           Digraph.View.caps_into preds budget;
-          let assign token =
-            let chosen = ref (-1) in
-            Digraph.View.iteri
-              (fun i u _ ->
-                if !chosen = -1 && budget.(i) > 0 && Bitset.mem ctx.have.(u) token
-                then chosen := i)
-              preds;
-            if !chosen >= 0 then begin
-              budget.(!chosen) <- budget.(!chosen) - 1;
-              let src = Digraph.View.dst preds !chosen in
-              moves := { Move.src; dst; token } :: !moves
-            end
-          in
           (* Pull wanted tokens rarest-first, then relay duty. *)
           let assign_by_rarity set =
             Int_vec.clear order;
             Bitset.iter (fun t -> Int_vec.push order t) set;
-            Int_vec.stable_sort_by (fun t -> Aggregates.rarity agg t) order;
-            Int_vec.iter assign order
+            Int_vec.stable_sort_by_key agg.Aggregates.have_count order;
+            Int_vec.iter
+              (fun token ->
+                ignore
+                  (Ocd_engine.Strategy.assign_first_holder ctx preds budget
+                     ~dst token moves))
+              order
           in
           assign_by_rarity wanted;
           assign_by_rarity relayed

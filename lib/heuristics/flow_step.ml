@@ -22,7 +22,7 @@ let assign_exact ~have ~preds tokens =
         Maxflow.add_edge flow ~src:(arc_node i) ~dst:1 ~capacity:cap;
         List.iteri
           (fun j t ->
-            if Bitset.mem have.(u) t then
+            if Bitset.Rows.mem have u t then
               Maxflow.add_edge flow ~src:(token_node j) ~dst:(arc_node i)
                 ~capacity:1)
           tokens)
@@ -53,7 +53,7 @@ let strategy =
         let preds = Digraph.pred graph dst in
         if Digraph.View.length preds > 0 then begin
           Bitset.assign wanted inst.want.(dst);
-          Bitset.diff_into wanted ctx.have.(dst);
+          Bitset.Rows.diff_into wanted ctx.have dst;
           let assigned =
             assign_exact ~have:ctx.have ~preds (Bitset.elements wanted)
           in
@@ -70,24 +70,16 @@ let strategy =
           (* Fill leftover budget with rarest-first relay flooding
              (tokens the vertex lacks and was not just assigned). *)
           Bitset.fill missing;
-          Bitset.diff_into missing ctx.have.(dst);
+          Bitset.Rows.diff_into missing ctx.have dst;
           List.iter (fun (token, _) -> Bitset.remove missing token) assigned;
           Int_vec.clear order;
           Bitset.iter (fun t -> Int_vec.push order t) missing;
-          Int_vec.stable_sort_by (fun t -> Aggregates.rarity agg t) order;
+          Int_vec.stable_sort_by_key agg.Aggregates.have_count order;
           Int_vec.iter
             (fun token ->
-              let chosen = ref (-1) in
-              Digraph.View.iteri
-                (fun i u _ ->
-                  if !chosen = -1 && budget.(i) > 0 && Bitset.mem ctx.have.(u) token
-                  then chosen := i)
-                preds;
-              if !chosen >= 0 then begin
-                budget.(!chosen) <- budget.(!chosen) - 1;
-                let src = Digraph.View.dst preds !chosen in
-                moves := { Move.src; dst; token } :: !moves
-              end)
+              ignore
+                (Ocd_engine.Strategy.assign_first_holder ctx preds budget ~dst
+                   token moves))
             order
         end
       done;

@@ -35,30 +35,22 @@ let strategy =
           in
           Digraph.View.caps_into preds budget;
           let assign token =
-            let chosen = ref (-1) in
-            Digraph.View.iteri
-              (fun i u _ ->
-                if !chosen = -1 && budget.(i) > 0 && Bitset.mem ctx.have.(u) token
-                then chosen := i)
-              preds;
-            if !chosen >= 0 then begin
-              budget.(!chosen) <- budget.(!chosen) - 1;
-              working.(token) <- working.(token) + 1;
-              let src = Digraph.View.dst preds !chosen in
-              moves := { Move.src; dst; token } :: !moves
-            end
+            if
+              Ocd_engine.Strategy.assign_first_holder ctx preds budget ~dst
+                token moves
+            then working.(token) <- working.(token) + 1
           in
           let assign_by_working tokens =
             Int_vec.clear order;
             Bitset.iter (fun t -> Int_vec.push order t) tokens;
-            Int_vec.stable_sort_by (fun t -> working.(t)) order;
+            Int_vec.stable_sort_by_key working order;
             Int_vec.iter assign order
           in
           Bitset.assign wanted inst.want.(dst);
-          Bitset.diff_into wanted ctx.have.(dst);
+          Bitset.Rows.diff_into wanted ctx.have dst;
           assign_by_working wanted;
           Bitset.fill extra;
-          Bitset.diff_into extra ctx.have.(dst);
+          Bitset.Rows.diff_into extra ctx.have dst;
           Bitset.diff_into extra wanted;
           assign_by_working extra
         end

@@ -21,7 +21,7 @@ let rank_by_rarity rng (agg : Aggregates.t) tokens (order : Int_vec.t) =
    graph is a subgraph of it, so a zero stays exact on a step where
    an arc that was down at step 0 is back up.  Possession only grows,
    so a vertex's first token bumps the counter of each out-neighbour
-   exactly once: the listener sees the kernel's words after the
+   exactly once: the listener sees the kernel's rows after the
    delivery, so a first token is the only bit set. *)
 let holding_preds_tracked (inst : Instance.t) =
   let cell = ref None in
@@ -30,7 +30,7 @@ let holding_preds_tracked (inst : Instance.t) =
     | Some hp -> hp
     | None ->
       let n = Instance.vertex_count inst in
-      let words = ctx.words and stride = ctx.stride in
+      let have = ctx.have in
       let succ = Digraph.succ_rows inst.graph in
       let s_off = succ.Digraph.row_off and s_dst = succ.Digraph.row_dst in
       let holding_preds = Array.make n 0 in
@@ -42,8 +42,8 @@ let holding_preds_tracked (inst : Instance.t) =
       in
       let nonzero v =
         let c = ref 0 in
-        for w = v * stride to ((v + 1) * stride) - 1 do
-          if words.(w) <> 0 then incr c
+        for j = 0 to Bitset.Rows.stride have - 1 do
+          if Bitset.Rows.word have v j <> 0 then incr c
         done;
         !c
       in
@@ -51,9 +51,9 @@ let holding_preds_tracked (inst : Instance.t) =
         if nonzero v > 0 then bump v
       done;
       Ocd_engine.Strategy.on_deliver ctx (fun ~dst ~token ->
-          let b = 1 lsl (token mod Bitset.bits_per_word) in
+          let bpw = Bitset.bits_per_word in
           if
-            words.((dst * stride) + (token / Bitset.bits_per_word)) = b
+            Bitset.Rows.word have dst (token / bpw) = 1 lsl (token mod bpw)
             && nonzero dst = 1
           then bump dst);
       cell := Some holding_preds;
@@ -66,9 +66,9 @@ let popcount x =
 (* The request-assignment core shared by [strategy] and the delayed
    variant: rank the tokens each vertex lacks by the supplied rarity
    aggregate, then assign each to one holding in-neighbour at random
-   (the "request" subdivision).  Possession is read from the kernel's
-   flat words, [stride] per vertex, so the missing set, the
-   availability test and the candidate scan are integer arithmetic.
+   (the "request" subdivision).  Possession is read word by word from
+   the kernel's rows, so the missing set, the availability test and
+   the candidate scan are integer arithmetic.
    Every rng draw is that of the plain per-token scan:
 
    - missing tokens are listed in ascending order and ranked by
@@ -88,7 +88,7 @@ let subdivided_requests (inst : Instance.t) (ctx : Ocd_engine.Strategy.context)
   and row_dst = rows.Digraph.row_dst
   and row_cap = rows.Digraph.row_cap in
   let n = Instance.vertex_count inst in
-  let words = ctx.words and stride = ctx.stride in
+  let have = ctx.have and stride = Bitset.Rows.stride ctx.have in
   let bpw = Bitset.bits_per_word in
   let rng = ctx.rng and scratch = ctx.scratch in
   let order = scratch.Ocd_engine.Strategy.order in
@@ -114,7 +114,7 @@ let subdivided_requests (inst : Instance.t) (ctx : Ocd_engine.Strategy.context)
     for j = 0 to stride - 1 do
       let m =
         (if j = stride - 1 then last else -1)
-        land lnot words.((dst * stride) + j)
+        land lnot (Bitset.Rows.word have dst j)
       in
       missing.(j) <- m;
       if m <> 0 then lacks := true
@@ -133,7 +133,7 @@ let subdivided_requests (inst : Instance.t) (ctx : Ocd_engine.Strategy.context)
         for j = 0 to stride - 1 do
           let row = j * plen and u = ref 0 in
           for i = 0 to plen - 1 do
-            let w = words.((row_dst.(base + i) * stride) + j) in
+            let w = Bitset.Rows.word have row_dst.(base + i) j in
             elig.(row + i) <- w;
             u := !u lor w
           done;
@@ -192,11 +192,12 @@ let strategy =
 
 let with_aggregate_delay ~turns =
   if turns < 0 then invalid_arg "Local_rarest.with_aggregate_delay: negative";
-  let make inst _rng =
+  let make (inst : Instance.t) _rng =
     (* The warm-up (and the never-taken [None] fallback) always ranks
        by the instance's initial aggregate: compute it once per run
        instead of once per warm-up step. *)
-    let initial = Aggregates.compute inst inst.have in
+    let have = Bitset.Rows.of_sets inst.token_count inst.have in
+    let initial = Aggregates.compute inst have in
     let tracked = Aggregates.tracked inst in
     let holding_preds = holding_preds_tracked inst in
     let history = Array.make (turns + 1) None in
@@ -231,11 +232,11 @@ let strategy_without_subdivision =
       let order = scratch.Ocd_engine.Strategy.order in
       let moves = ref [] in
       for src = 0 to n - 1 do
-        if not (Bitset.is_empty ctx.have.(src)) then
+        if not (Bitset.Rows.is_empty ctx.have src) then
           Digraph.View.iter
             (fun dst cap ->
-              Bitset.assign useful ctx.have.(src);
-              Bitset.diff_into useful ctx.have.(dst);
+              Bitset.Rows.into useful ctx.have src;
+              Bitset.Rows.diff_into useful ctx.have dst;
               rank_by_rarity ctx.rng agg useful order;
               let take = min cap (Int_vec.length order) in
               for k = 0 to take - 1 do

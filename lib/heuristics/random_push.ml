@@ -22,8 +22,8 @@ let sample_tokens_into rng set count out =
   end
 
 (* One push round: every arc [src -> dst] carries a uniform sample, up
-   to its capacity, of the tokens [src] holds now and [peer.(dst)]
-   lacks.  [peer] is the senders' view of the receivers' possession. *)
+   to its capacity, of the tokens [src] holds now and [dst] lacks in
+   [peer], the senders' view of the receivers' possession. *)
 let push (ctx : Ocd_engine.Strategy.context) peer =
   let graph = ctx.instance.Instance.graph in
   let scratch = ctx.scratch in
@@ -31,11 +31,11 @@ let push (ctx : Ocd_engine.Strategy.context) peer =
   let sample = scratch.Ocd_engine.Strategy.candidates in
   let moves = ref [] in
   for src = 0 to Digraph.vertex_count graph - 1 do
-    if not (Bitset.is_empty ctx.have.(src)) then
+    if not (Bitset.Rows.is_empty ctx.have src) then
       Digraph.View.iter
         (fun dst cap ->
-          Bitset.assign useful ctx.have.(src);
-          Bitset.diff_into useful peer.(dst);
+          Bitset.Rows.into useful ctx.have src;
+          Bitset.Rows.diff_into useful peer dst;
           sample_tokens_into ctx.rng useful cap sample;
           Int_vec.iter
             (fun token -> moves := { Move.src; dst; token } :: !moves)
@@ -54,14 +54,15 @@ let with_staleness ~turns =
     (* Ring buffer of possession snapshots; index step mod (turns+1)
        holds the state at the start of that step. *)
     let history = Array.make (turns + 1) None in
+    let initial = Bitset.Rows.of_sets inst.token_count inst.have in
     fun (ctx : Ocd_engine.Strategy.context) ->
-      history.(ctx.step mod (turns + 1)) <- Some (Array.map Bitset.copy ctx.have);
+      history.(ctx.step mod (turns + 1)) <- Some (Bitset.Rows.copy ctx.have);
       let stale =
-        if ctx.step < turns then inst.have
+        if ctx.step < turns then initial
         else
           match history.((ctx.step - turns) mod (turns + 1)) with
           | Some snapshot -> snapshot
-          | None -> inst.have
+          | None -> initial
       in
       (* The sender's own possession is current; only the peer's state
          is stale. *)

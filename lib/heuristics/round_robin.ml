@@ -25,9 +25,10 @@ let strategy =
     let cursors = Hashtbl.create (4 * n) in
     fun (ctx : Ocd_engine.Strategy.context) ->
       let graph = ctx.instance.Instance.graph in
+      let have = ctx.scratch.Ocd_engine.Strategy.tokens_a in
       let moves = ref [] in
       for src = 0 to n - 1 do
-        let have = ctx.have.(src) in
+        Bitset.Rows.into have ctx.have src;
         if not (Bitset.is_empty have) then
           Digraph.View.iter
             (fun dst cap ->

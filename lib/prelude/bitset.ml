@@ -184,6 +184,55 @@ let random_element rng s =
   let n = cardinal s in
   if n = 0 then None else Some (nth s (Prng.int rng n))
 
+module Rows = struct
+  type set = t
+
+  (* Row [v] is [words.(v * stride) .. words.(v * stride + stride - 1)];
+     this module is the only place that offset is computed. *)
+  type t = { capacity : int; stride : int; words : int array }
+
+  let of_sets capacity (sets : set array) =
+    let stride = words_for capacity in
+    let words = Array.make (Array.length sets * stride) 0 in
+    Array.iteri
+      (fun v (s : set) ->
+        if s.capacity <> capacity then invalid_arg "Bitset: capacity mismatch";
+        Array.blit s.words 0 words (v * stride) stride)
+      sets;
+    { capacity; stride; words }
+
+  let copy r = { r with words = Array.copy r.words }
+  let stride r = r.stride
+  let word r v j = r.words.((v * r.stride) + j)
+
+  (* Index of [x]'s word in row [v]. *)
+  let index r v x =
+    if x < 0 || x >= r.capacity then invalid_arg "Bitset: element out of range";
+    (v * r.stride) + (x / bits_per_word)
+
+  let mem r v x = r.words.(index r v x) land (1 lsl (x mod bits_per_word)) <> 0
+
+  let add r v x =
+    let i = index r v x and b = 1 lsl (x mod bits_per_word) in
+    let w = r.words.(i) in
+    r.words.(i) <- w lor b;
+    w land b = 0
+
+  let is_empty r v =
+    let rec go j = j >= r.stride || (word r v j = 0 && go (j + 1)) in
+    go 0
+
+  let into (s : set) r v =
+    if s.capacity <> r.capacity then invalid_arg "Bitset: capacity mismatch";
+    Array.blit r.words (v * r.stride) s.words 0 r.stride
+
+  let diff_into (s : set) r v =
+    if s.capacity <> r.capacity then invalid_arg "Bitset: capacity mismatch";
+    for j = 0 to r.stride - 1 do
+      s.words.(j) <- s.words.(j) land lnot (word r v j)
+    done
+end
+
 let pp ppf s =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

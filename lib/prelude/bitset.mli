@@ -15,8 +15,7 @@ type t
 
 val bits_per_word : int
 (** Elements per word: element [x] is bit [x mod bits_per_word] of
-    word [x / bits_per_word].  Flat possession stores that mirror a
-    set word for word use the same layout. *)
+    word [x / bits_per_word]; {!Rows} uses the same layout. *)
 
 val words_for : int -> int
 (** [words_for capacity] is the number of words a set over
@@ -99,6 +98,42 @@ val next_member : t -> int -> int option
 
 val random_element : Prng.t -> t -> int option
 (** Uniformly random element, or [None] if empty. *)
+
+(** {1 Rows}
+
+    [n] sets of one capacity stored flat, row [v] being [words_for
+    capacity] consecutive words of one [int array] in a set's bit
+    layout.  The round kernel keeps possession here. *)
+
+module Rows : sig
+  type set := t
+  type t
+
+  val of_sets : int -> set array -> t
+  (** [of_sets capacity sets]: one row per set, all of [capacity]. *)
+
+  val copy : t -> t
+
+  val stride : t -> int
+  (** Words per row, [words_for capacity]. *)
+
+  val word : t -> int -> int -> int
+  (** [word r v j] is word [j] of row [v], read-only. *)
+
+  val mem : t -> int -> int -> bool
+  (** [mem r v x]: row [v] holds [x]. *)
+
+  val add : t -> int -> int -> bool
+  (** [add r v x] adds [x] to row [v]; true when it was not there. *)
+
+  val is_empty : t -> int -> bool
+
+  val into : set -> t -> int -> unit
+  (** [into s r v] overwrites [s] with row [v] (same capacity). *)
+
+  val diff_into : set -> t -> int -> unit
+  (** [diff_into s r v] sets [s := s \ row v] (same capacity). *)
+end
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [{e1, e2, ...}]. *)

@@ -99,39 +99,3 @@ let stable_sort_by_key (key : int array) v =
     done;
     if !src != v.data then Array.blit !src 0 v.data 0 n
   end
-
-let stable_sort_by key v =
-  (* Bottom-up merge sort on the live prefix; ties take the left run's
-     element first, so the order matches [List.stable_sort] /
-     [Array.stable_sort] with the same integer keys. *)
-  let n = v.len in
-  if n > 1 then begin
-    if Array.length v.aux < n then v.aux <- Array.make (Array.length v.data) 0;
-    let src = ref v.data and dst = ref v.aux in
-    let width = ref 1 in
-    while !width < n do
-      let a = !src and b = !dst in
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = min (!lo + !width) n in
-        let hi = min (mid + !width) n in
-        let i = ref !lo and j = ref mid and k = ref !lo in
-        while !i < mid && !j < hi do
-          if key a.(!i) <= key a.(!j) then begin
-            b.(!k) <- a.(!i); incr i
-          end else begin
-            b.(!k) <- a.(!j); incr j
-          end;
-          incr k
-        done;
-        while !i < mid do b.(!k) <- a.(!i); incr i; incr k done;
-        while !j < hi do b.(!k) <- a.(!j); incr j; incr k done;
-        lo := hi
-      done;
-      let tmp = !src in
-      src := !dst;
-      dst := tmp;
-      width := 2 * !width
-    done;
-    if !src != v.data then Array.blit !src 0 v.data 0 n
-  end

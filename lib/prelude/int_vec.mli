@@ -28,14 +28,10 @@ val shuffle : Prng.t -> t -> unit
 (** In-place Fisher–Yates; draws exactly the same rng sequence as
     [Prng.shuffle] on an array of the same length. *)
 
-val stable_sort_by : (int -> int) -> t -> unit
-(** [stable_sort_by key v] sorts the live prefix by [key] ascending,
-    preserving the relative order of equal-key elements (same result as
-    [List.stable_sort] on the same sequence with the same keys).  Reuses
-    an internal scratch buffer across calls — no steady-state
-    allocation. *)
-
 val stable_sort_by_key : int array -> t -> unit
-(** [stable_sort_by_key key v] is [stable_sort_by (fun x -> key.(x)) v]
-    without the per-comparison closure call; every element must index
-    into [key].  The hot path of the rarity-ranked heuristics. *)
+(** [stable_sort_by_key key v] sorts the live prefix by [key.(x)]
+    ascending, preserving the relative order of equal-key elements
+    (same result as [List.stable_sort] on the same sequence with the
+    same keys); every element must index into [key].  Reuses an internal
+    scratch buffer across calls — no steady-state allocation.  The hot
+    path of the rarity-ranked heuristics. *)

@@ -36,16 +36,20 @@ let test_widest_path_tree () =
   Alcotest.(check int) "2 via 1" 1 tree.Ocd_graph.Mst.parent.(2)
 
 let test_send_down_arc () =
-  let have = [| Bitset.of_list 5 [ 0; 2; 4 ]; Bitset.of_list 5 [ 0 ] |] in
+  let have =
+    Bitset.Rows.of_sets 5
+      [| Bitset.of_list 5 [ 0; 2; 4 ]; Bitset.of_list 5 [ 0 ] |]
+  in
+  let buf = Bitset.create 5 in
   let moves =
-    Baseline_util.send_down_arc ~have ~src:0 ~dst:1 ~cap:2 ~only:None ()
+    Baseline_util.send_down_arc ~buf ~have ~src:0 ~dst:1 ~cap:2 ~only:None ()
   in
   Alcotest.(check (list int)) "lowest ids first, skip held" [ 2; 4 ]
     (List.map (fun m -> m.Move.token) moves);
   let stripe = Bitset.of_list 5 [ 4 ] in
   let striped =
-    Baseline_util.send_down_arc ~have ~src:0 ~dst:1 ~cap:2 ~only:(Some stripe)
-      ()
+    Baseline_util.send_down_arc ~buf ~have ~src:0 ~dst:1 ~cap:2
+      ~only:(Some stripe) ()
   in
   Alcotest.(check (list int)) "stripe filter" [ 4 ]
     (List.map (fun m -> m.Move.token) striped)

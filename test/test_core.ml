@@ -769,28 +769,46 @@ let same_bound inst ~have =
   bound_outcome (fun () -> Bounds.remaining_makespan inst ~have)
   = bound_outcome (fun () -> Reverse_bfs_oracle.remaining_makespan inst ~have)
 
+(* The tokens' distinct holder sets, each as its ascending vertex list. *)
+let holder_sets (inst : Instance.t) =
+  let n = Instance.vertex_count inst in
+  List.sort_uniq compare
+    (List.init inst.token_count (fun t ->
+         List.filter (fun v -> Bitset.mem inst.have.(v) t) (List.init n Fun.id)))
+
 (* Random, transit-stub and Waxman graphs under the three §5.2–5.3
    workload shapes, run through one of the five heuristics: the bound
-   must agree with the oracle at every step boundary of the schedule. *)
+   must agree with the oracle at every step boundary of the schedule.
+   The bound runs one BFS per distinct holder set, the oracle one
+   search per deficit vertex, so two shapes stress the grouping:
+   multi-sender files that start in at least two holder sets, and a
+   single file of 64 to 130 tokens, whose holder sets span two or three
+   words and split apart as the run spreads them. *)
 let prop_bound_matches_oracle_on_timelines =
   QCheck.Test.make
     ~name:"engine schedules: bound = reverse-BFS oracle"
-    ~count:30
+    ~count:50
     QCheck.(pair (int_range 0 5_000) (int_range 10 40))
     (fun (seed, n) ->
       let rng = Prng.create ~seed in
       let kinds = Ocd_topology.Topology.all_kinds in
       let kind = List.nth kinds (seed mod List.length kinds) in
       let graph = Ocd_topology.Topology.generate rng kind ~n () in
+      let shape = seed / 3 mod 5 in
       let sc =
-        match seed / 3 mod 3 with
+        match shape with
         | 0 -> Scenario.single_file rng ~graph ~tokens:(1 + (seed mod 9)) ()
         | 1 -> Scenario.receiver_density rng ~graph ~tokens:6 ~threshold:0.4 ()
-        | _ ->
+        | 2 ->
           Scenario.subdivide_files rng ~graph ~total_tokens:8 ~files:4
             ~multi_sender:true ()
+        | 3 ->
+          Scenario.subdivide_files rng ~graph ~total_tokens:12
+            ~files:(2 + (seed mod 2)) ~multi_sender:true ()
+        | _ -> Scenario.single_file rng ~graph ~tokens:(64 + (seed mod 67)) ()
       in
       let inst = sc.Scenario.instance in
+      QCheck.assume (shape <> 3 || List.length (holder_sets inst) >= 2);
       let heuristics = Ocd_heuristics.Registry.all in
       let strategy = List.nth heuristics (seed mod List.length heuristics) in
       let run = Ocd_engine.Engine.run ~strategy ~seed inst in

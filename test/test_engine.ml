@@ -28,7 +28,9 @@ let forward ctx =
   for src = 0 to Instance.vertex_count inst - 1 do
     Digraph.View.iter
       (fun dst cap ->
-        let useful = Bitset.diff ctx.Strategy.have.(src) ctx.Strategy.have.(dst) in
+        let useful = Bitset.create inst.Instance.token_count in
+        Bitset.Rows.into useful ctx.Strategy.have src;
+        Bitset.Rows.diff_into useful ctx.Strategy.have dst;
         let taken = ref 0 in
         Bitset.iter
           (fun token ->

@@ -293,16 +293,16 @@ let test_aggregates () =
     Instance.make ~graph ~token_count:2 ~have:[ (0, [ 0; 1 ]); (1, [ 0 ]) ]
       ~want:[ (1, [ 0; 1 ]); (2, [ 0 ]) ]
   in
-  let agg = Ocd_heuristics.Aggregates.compute inst inst.Instance.have in
-  Alcotest.(check int) "token 0 held by 2" 2
-    (Ocd_heuristics.Aggregates.rarity agg 0);
-  Alcotest.(check int) "token 1 held by 1" 1
-    (Ocd_heuristics.Aggregates.rarity agg 1);
-  Alcotest.(check bool) "token 0 needed (by 2)" true
-    (Ocd_heuristics.Aggregates.needed agg 0);
-  Alcotest.(check bool) "token 1 needed (by 1)" true
-    (Ocd_heuristics.Aggregates.needed agg 1);
-  Alcotest.(check int) "need counts" 1 agg.Ocd_heuristics.Aggregates.need_count.(0)
+  let agg =
+    Ocd_heuristics.Aggregates.compute inst
+      (Bitset.Rows.of_sets 2 inst.Instance.have)
+  in
+  let have_count = agg.Ocd_heuristics.Aggregates.have_count
+  and need_count = agg.Ocd_heuristics.Aggregates.need_count in
+  Alcotest.(check int) "token 0 held by 2" 2 have_count.(0);
+  Alcotest.(check int) "token 1 held by 1" 1 have_count.(1);
+  Alcotest.(check int) "token 0 needed (by 2)" 1 need_count.(0);
+  Alcotest.(check int) "token 1 needed (by 1)" 1 need_count.(1)
 
 (* A strategy wrapper that, on every decision, checks the incremental
    aggregate (Aggregates.tracked, fed by delivery notifications)
@@ -364,13 +364,17 @@ let prop_aggregates_update_matches_compute_dynamic =
 (* ------------------------------------------------------------------ *)
 
 (* The request subdivision of [Local_rarest] written as a plain scan
-   over [ctx.have]: per receiver, fill the missing set, shuffle it and
-   stably sort it by holder count, then give each token to a random
-   in-neighbour that holds it and has budget left.  [turns] delays the
-   rarity ranking as [Local_rarest.with_aggregate_delay] does. *)
+   over [ctx.have] through [Bitset]: per receiver, fill the missing
+   set, shuffle it and stably sort it by holder count, then give each
+   token to a random in-neighbour that holds it and has budget left.
+   [turns] delays the rarity ranking as
+   [Local_rarest.with_aggregate_delay] does. *)
 let oracle_local ~turns =
   let make (inst : Instance.t) _rng =
-    let initial = Ocd_heuristics.Aggregates.compute inst inst.have in
+    let initial =
+      Ocd_heuristics.Aggregates.compute inst
+        (Bitset.Rows.of_sets inst.token_count inst.have)
+    in
     let tracked = Ocd_heuristics.Aggregates.tracked inst in
     let history = Array.make (turns + 1) None in
     let missing = Bitset.create inst.token_count in
@@ -390,7 +394,7 @@ let oracle_local ~turns =
       let moves = ref [] in
       for dst = 0 to Instance.vertex_count inst - 1 do
         Bitset.fill missing;
-        Bitset.diff_into missing ctx.have.(dst);
+        Bitset.Rows.diff_into missing ctx.have dst;
         if not (Bitset.is_empty missing) then begin
           let preds = Ocd_graph.Digraph.pred graph dst in
           let budget = Ocd_graph.Digraph.View.caps preds in
@@ -405,7 +409,8 @@ let oracle_local ~turns =
               let cand =
                 List.filter
                   (fun i ->
-                    budget.(i) > 0 && Bitset.mem ctx.have.(pred_ids.(i)) token)
+                    budget.(i) > 0
+                    && Bitset.Rows.mem ctx.have pred_ids.(i) token)
                   (List.init (Array.length pred_ids) Fun.id)
               in
               let c = List.length cand in

@@ -476,6 +476,68 @@ let prop_bitset_fill =
       Bitset.fill s;
       Bitset.cardinal s = cap && Bitset.elements s = List.init cap Fun.id)
 
+(* [Bitset.Rows] against an array of sets, at capacities on both sides
+   of each word boundary: a random run of adds, a copy taken halfway
+   through, and a random set to subtract each row from. *)
+let rows_gen =
+  QCheck.Gen.(
+    let* cap = oneofl [ 1; 62; 63; 64; 65; 126; 127 ] in
+    let* n = int_range 1 6 in
+    let* adds =
+      list_size (int_range 0 80)
+        (pair (int_range 0 (n - 1)) (int_range 0 (cap - 1)))
+    in
+    let* other = list_size (int_range 0 40) (int_range 0 (cap - 1)) in
+    return (cap, n, adds, other))
+
+let prop_bitset_rows =
+  QCheck.Test.make ~name:"bitset rows = array-of-sets model" ~count:300
+    (QCheck.make rows_gen) (fun (cap, n, adds, other) ->
+      let model = Array.init n (fun _ -> Bitset.create cap) in
+      let rows = Bitset.Rows.of_sets cap model in
+      let half = List.length adds / 2 in
+      let snapshot = ref (Bitset.Rows.copy rows, Array.map Bitset.copy model) in
+      let fresh_ok =
+        List.for_all Fun.id
+          (List.mapi
+             (fun i (v, x) ->
+               if i = half then
+                 snapshot := (Bitset.Rows.copy rows, Array.map Bitset.copy model);
+               let fresh = not (Bitset.mem model.(v) x) in
+               Bitset.add model.(v) x;
+               Bitset.Rows.add rows v x = fresh)
+             adds)
+      in
+      let agrees rows model =
+        let other = Bitset.of_list cap other in
+        let row = Bitset.create cap and rest = Bitset.copy other in
+        let bpw = Bitset.bits_per_word in
+        List.for_all
+          (fun v ->
+            Bitset.Rows.into row rows v;
+            Bitset.assign rest other;
+            Bitset.Rows.diff_into rest rows v;
+            Bitset.equal row model.(v)
+            && Bitset.equal rest (Bitset.diff other model.(v))
+            && Bitset.Rows.is_empty rows v = Bitset.is_empty model.(v)
+            && List.for_all
+                 (fun x ->
+                   let in_word =
+                     Bitset.Rows.word rows v (x / bpw) land (1 lsl (x mod bpw))
+                     <> 0
+                   in
+                   Bitset.Rows.mem rows v x = Bitset.mem model.(v) x
+                   && in_word = Bitset.mem model.(v) x)
+                 (List.init cap Fun.id))
+          (List.init n Fun.id)
+      in
+      let copy_rows, copy_model = !snapshot in
+      fresh_ok
+      && Bitset.Rows.stride rows = Bitset.words_for cap
+      && agrees rows model
+      && agrees (Bitset.Rows.of_sets cap model) model
+      && agrees copy_rows copy_model)
+
 let prop_bitset_nth =
   QCheck.Test.make ~name:"bitset nth = model nth" ~count:300
     (QCheck.make bitset_model_gen) (fun (cap, elts) ->
@@ -725,7 +787,7 @@ let test_order_min_score () =
     (Order.min_score Fun.id [ 3; 1; 2 ]);
   Alcotest.(check (option int)) "empty" None (Order.min_score Fun.id [])
 
-(* Both stable sorts against [List.stable_sort] on element ids with
+(* [stable_sort_by_key] against [List.stable_sort] on element ids with
    few distinct keys (many ties), at lengths on both sides of the
    insertion-sort cutoff. *)
 let prop_int_vec_stable_sorts =
@@ -748,8 +810,7 @@ let prop_int_vec_stable_sorts =
         sort v;
         Array.to_list (Int_vec.to_array v)
       in
-      sorted (Int_vec.stable_sort_by_key key) = expected
-      && sorted (Int_vec.stable_sort_by (fun x -> key.(x))) = expected)
+      sorted (Int_vec.stable_sort_by_key key) = expected)
 
 let () =
   Alcotest.run "ocd_prelude"
@@ -817,6 +878,7 @@ let () =
           qtest prop_bitset_full;
           qtest prop_bitset_fill;
           qtest prop_bitset_nth;
+          qtest prop_bitset_rows;
         ] );
       ( "int_tab",
         [
