@@ -1,39 +1,16 @@
 open Ocd_prelude
 
 (* Both passes are flag sweeps over the packed schedule: [keep] holds
-   one byte per move (global emission order), step [i]'s moves are
-   [off.(i) .. off.(i+1) - 1], and the rebuilt schedule is the kept
-   subset pushed through a builder.  The historical implementation
-   materialised a [Move.t list list] per pass and kept a tuple-keyed
-   hashtable of forwarded (vertex, token) pairs; on 10^5-vertex runs
-   that dominated the post-run phase, and the (vertex, token) universe
-   is small enough for a bitset. *)
+   one byte per move (global emission order), and the rebuilt schedule
+   is the kept subset pushed through a builder. *)
 
 let prune (inst : Instance.t) schedule =
   let n = Instance.vertex_count inst in
   let token_count = inst.token_count in
   let len = Schedule.length schedule in
-  let keep = Bytes.make (Schedule.move_count schedule) '\000' in
-  let off = Array.make (len + 1) 0 in
   (* Pass 1: keep only the first delivery of each token to each vertex,
-     and only when the vertex did not already hold the token — exactly
-     the per-step [arrivals] of the possession timeline. *)
-  let have = Array.map Bitset.copy inst.have in
-  let idx = ref 0 in
-  for i = 0 to len - 1 do
-    off.(i) <- !idx;
-    Schedule.iter_step schedule i (fun ~src:_ ~dst ~token ->
-        (if
-           token >= 0
-           && token < token_count
-           && not (Bitset.mem have.(dst) token)
-         then begin
-           Bitset.add have.(dst) token;
-           Bytes.set keep !idx '\001'
-         end);
-        incr idx)
-  done;
-  off.(len) <- !idx;
+     and only when the vertex did not already hold the token. *)
+  let keep = Timeline.first_deliveries inst schedule in
   (* Pass 2: backwards sweep.  A delivery (step i, u->v, t) is useful
      iff v wants t, or v forwards t in a retained move at some step
      strictly after i — so each step filters against [fw] before its
@@ -42,28 +19,31 @@ let prune (inst : Instance.t) schedule =
      marks from out-of-range sources are unreadable (pass 1 already
      range-checked every destination) and are skipped. *)
   let fw = Bitset.create (n * token_count) in
+  let next = ref (Schedule.move_count schedule) in
   for i = len - 1 downto 0 do
-    let j = ref off.(i) in
+    let first = !next - Schedule.step_move_count schedule i in
+    let j = ref first in
     Schedule.iter_step schedule i (fun ~src:_ ~dst ~token ->
-        (if Bytes.get keep !j = '\001' then
-           if
-             not
+        if
+          Bytes.get keep !j = '\001'
+          && not
                (Bitset.mem inst.want.(dst) token
                || Bitset.mem fw ((dst * token_count) + token))
-           then Bytes.set keep !j '\000');
+        then Bytes.set keep !j '\000';
         incr j);
-    let j = ref off.(i) in
+    let j = ref first in
     Schedule.iter_step schedule i (fun ~src ~dst:_ ~token ->
-        (if Bytes.get keep !j = '\001' && src >= 0 && src < n then
-           Bitset.add fw ((src * token_count) + token));
-        incr j)
+        if Bytes.get keep !j = '\001' && src >= 0 && src < n then
+          Bitset.add fw ((src * token_count) + token);
+        incr j);
+    next := first
   done;
   let b = Schedule.Builder.create ~steps_hint:len () in
   let j = ref 0 in
   for i = 0 to len - 1 do
     Schedule.iter_step schedule i (fun ~src ~dst ~token ->
-        (if Bytes.get keep !j = '\001' then
-           Schedule.Builder.push_move b ~src ~dst ~token);
+        if Bytes.get keep !j = '\001' then
+          Schedule.Builder.push_move b ~src ~dst ~token;
         incr j);
     Schedule.Builder.end_step b
   done;

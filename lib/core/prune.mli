@@ -7,9 +7,9 @@
     removing moves that deliver tokens which were never used by the
     destination vertex."
 
-    Pass 1 keeps, for every (vertex, token), only the chronologically
-    first delivery (and drops deliveries of tokens the vertex started
-    with).  Pass 2 walks timesteps backwards and drops a kept delivery
+    Pass 1 keeps {!Timeline.first_deliveries}: for every (vertex,
+    token) only the chronologically first delivery, and none of a token
+    the vertex started with.  Pass 2 walks timesteps backwards and drops a kept delivery
     when the destination neither wants the token nor forwards it in
     any retained later move.
 

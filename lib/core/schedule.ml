@@ -1,122 +1,98 @@
-(* Packed CSR representation, mirroring PR 6's [Digraph]: moves live in
-   three flat int arrays ([src]/[dst]/[tok]) and [offs] gives each
-   step's half-open slice, so a million-move schedule is four arrays
-   instead of a million boxed [Move.t]s threaded through lists.
+(* Packed CSR representation, mirroring [Digraph]: moves live in three
+   flat int arrays ([src]/[dst]/[tok]) and [offs] gives each step's
+   half-open slice, so a million-move schedule is four arrays instead
+   of a million boxed [Move.t]s threaded through lists.
 
-   Values are persistent: a [t] is an immutable (steps, moves) prefix
-   of a shared growable buffer.  [append_step] extends the buffer in
-   place when the value being extended is the buffer's tip (the common
-   build-a-schedule-left-to-right case, amortized O(1)) and copies the
-   prefix otherwise, so older values never observe the extension.
-   [empty] is a shared global, hence permanently frozen: appends to it
-   always copy. *)
+   Every schedule is filled by a [Builder]; a value is an immutable
+   view of the first [steps] steps of the builder's arrays.  Builder
+   writes only ever land past that view (or in fresh arrays after a
+   grow), so no later push can change a value already handed out. *)
 
-type buf = {
-  mutable offs : int array; (* offs.(i)..offs.(i+1) delimit step i *)
-  mutable src : int array;
-  mutable dst : int array;
-  mutable tok : int array;
-  mutable nsteps : int;
-  mutable nmoves : int;
-  mutable frozen : bool;
+type t = {
+  offs : int array; (* offs.(i)..offs.(i+1) delimit step i *)
+  src : int array;
+  dst : int array;
+  tok : int array;
+  steps : int;
 }
 
-type t = { buf : buf; steps : int; moves : int }
+module Builder = struct
+  type schedule = t
 
-let create_buf ?(steps_hint = 8) ?(moves_hint = 16) () =
-  {
-    offs = Array.make (max 2 (steps_hint + 1)) 0;
-    src = Array.make (max 1 moves_hint) 0;
-    dst = Array.make (max 1 moves_hint) 0;
-    tok = Array.make (max 1 moves_hint) 0;
-    nsteps = 0;
-    nmoves = 0;
-    frozen = false;
+  type t = {
+    mutable offs : int array;
+    mutable src : int array;
+    mutable dst : int array;
+    mutable tok : int array;
+    mutable nsteps : int;
+    mutable nmoves : int;
   }
 
-let grow a len = Array.append a (Array.make (max len (Array.length a)) 0)
+  let create ?(steps_hint = 8) ?(moves_hint = 16) () =
+    {
+      offs = Array.make (max 2 (steps_hint + 1)) 0;
+      src = Array.make (max 1 moves_hint) 0;
+      dst = Array.make (max 1 moves_hint) 0;
+      tok = Array.make (max 1 moves_hint) 0;
+      nsteps = 0;
+      nmoves = 0;
+    }
 
-let push_move_buf b ~src ~dst ~token =
-  if b.nmoves = Array.length b.src then begin
-    b.src <- grow b.src b.nmoves;
-    b.dst <- grow b.dst b.nmoves;
-    b.tok <- grow b.tok b.nmoves
-  end;
-  b.src.(b.nmoves) <- src;
-  b.dst.(b.nmoves) <- dst;
-  b.tok.(b.nmoves) <- token;
-  b.nmoves <- b.nmoves + 1
+  let grow a len = Array.append a (Array.make (max len (Array.length a)) 0)
 
-let end_step_buf b =
-  if b.nsteps + 1 >= Array.length b.offs then b.offs <- grow b.offs (b.nsteps + 2);
-  b.nsteps <- b.nsteps + 1;
-  b.offs.(b.nsteps) <- b.nmoves
+  let push_move b ~src ~dst ~token =
+    if b.nmoves = Array.length b.src then begin
+      b.src <- grow b.src b.nmoves;
+      b.dst <- grow b.dst b.nmoves;
+      b.tok <- grow b.tok b.nmoves
+    end;
+    b.src.(b.nmoves) <- src;
+    b.dst.(b.nmoves) <- dst;
+    b.tok.(b.nmoves) <- token;
+    b.nmoves <- b.nmoves + 1
 
-let empty =
-  let b = create_buf ~steps_hint:1 ~moves_hint:1 () in
-  b.frozen <- true;
-  { buf = b; steps = 0; moves = 0 }
+  let end_step b =
+    if b.nsteps + 1 >= Array.length b.offs then
+      b.offs <- grow b.offs (b.nsteps + 2);
+    b.nsteps <- b.nsteps + 1;
+    b.offs.(b.nsteps) <- b.nmoves
 
-(* A value owns the buffer tip iff its prefix is the whole buffer. *)
-let is_tip t =
-  (not t.buf.frozen) && t.steps = t.buf.nsteps && t.moves = t.buf.nmoves
+  let to_schedule b : schedule =
+    { offs = b.offs; src = b.src; dst = b.dst; tok = b.tok; steps = b.nsteps }
+end
 
-let copy_prefix t ~steps_hint ~moves_hint =
-  let b = create_buf ~steps_hint ~moves_hint () in
-  Array.blit t.buf.offs 0 b.offs 0 (t.steps + 1);
-  Array.blit t.buf.src 0 b.src 0 t.moves;
-  Array.blit t.buf.dst 0 b.dst 0 t.moves;
-  Array.blit t.buf.tok 0 b.tok 0 t.moves;
-  b.nsteps <- t.steps;
-  b.nmoves <- t.moves;
-  b
-
-let append_step t ms =
-  let b =
-    if is_tip t then t.buf
-    else
-      copy_prefix t ~steps_hint:(t.steps + 2)
-        ~moves_hint:(t.moves + List.length ms + 1)
-  in
-  List.iter
-    (fun (m : Move.t) -> push_move_buf b ~src:m.src ~dst:m.dst ~token:m.token)
-    ms;
-  end_step_buf b;
-  { buf = b; steps = b.nsteps; moves = b.nmoves }
+let empty = Builder.to_schedule (Builder.create ~steps_hint:1 ~moves_hint:1 ())
 
 let of_steps steps =
-  let b = create_buf ~steps_hint:(List.length steps) () in
+  let b = Builder.create ~steps_hint:(List.length steps) () in
   List.iter
     (fun ms ->
       List.iter
         (fun (m : Move.t) ->
-          push_move_buf b ~src:m.src ~dst:m.dst ~token:m.token)
+          Builder.push_move b ~src:m.src ~dst:m.dst ~token:m.token)
         ms;
-      end_step_buf b)
+      Builder.end_step b)
     steps;
-  { buf = b; steps = b.nsteps; moves = b.nmoves }
+  Builder.to_schedule b
 
 let length t = t.steps
-let move_count t = t.moves
+let move_count t = t.offs.(t.steps)
 
 let step_move_count t i =
-  if i < 0 || i >= t.steps then 0 else t.buf.offs.(i + 1) - t.buf.offs.(i)
+  if i < 0 || i >= t.steps then 0 else t.offs.(i + 1) - t.offs.(i)
 
 let iter_step t i f =
-  if i >= 0 && i < t.steps then begin
-    let b = t.buf in
-    for k = b.offs.(i) to b.offs.(i + 1) - 1 do
-      f ~src:b.src.(k) ~dst:b.dst.(k) ~token:b.tok.(k)
+  if i >= 0 && i < t.steps then
+    for k = t.offs.(i) to t.offs.(i + 1) - 1 do
+      f ~src:t.src.(k) ~dst:t.dst.(k) ~token:t.tok.(k)
     done
-  end
 
 let step t i =
   if i < 0 || i >= t.steps then []
   else begin
-    let b = t.buf in
     let acc = ref [] in
-    for k = b.offs.(i + 1) - 1 downto b.offs.(i) do
-      acc := { Move.src = b.src.(k); dst = b.dst.(k); token = b.tok.(k) } :: !acc
+    for k = t.offs.(i + 1) - 1 downto t.offs.(i) do
+      acc := { Move.src = t.src.(k); dst = t.dst.(k); token = t.tok.(k) } :: !acc
     done;
     !acc
   end
@@ -128,53 +104,11 @@ let drop_trailing_empty t =
   while !last >= 0 && step_move_count t !last = 0 do
     decr last
   done;
-  if !last = t.steps - 1 then t
-  else
-    (* Trailing steps are empty, so the move prefix is unchanged; the
-       shorter view shares the buffer (it is not the tip, so appends to
-       it copy). *)
-    { t with steps = !last + 1 }
+  (* Trailing steps are empty, so the move prefix is unchanged and the
+     shorter view shares the arrays. *)
+  if !last = t.steps - 1 then t else { t with steps = !last + 1 }
 
 let iter_moves t f =
   for i = 0 to t.steps - 1 do
-    iter_step t i (fun ~src ~dst ~token ->
-        f ~step:i { Move.src; dst; token })
+    iter_step t i (fun ~src ~dst ~token -> f ~step:i { Move.src; dst; token })
   done
-
-let concat_map_moves t f =
-  let acc = ref [] in
-  iter_moves t (fun ~step m ->
-      match f ~step m with Some x -> acc := x :: !acc | None -> ());
-  List.rev !acc
-
-let moves_on_arc t ~src ~dst =
-  concat_map_moves t (fun ~step (m : Move.t) ->
-      if m.src = src && m.dst = dst then Some (step, m.token) else None)
-
-let pp ppf t =
-  for i = 0 to t.steps - 1 do
-    Format.fprintf ppf "@[<h>step %d:" i;
-    iter_step t i (fun ~src ~dst ~token ->
-        Format.fprintf ppf " %a" Move.pp { Move.src; dst; token });
-    Format.fprintf ppf "@]@."
-  done
-
-module Builder = struct
-  type schedule = t
-  type t = buf
-
-  let create ?steps_hint ?moves_hint () = create_buf ?steps_hint ?moves_hint ()
-  let push_move = push_move_buf
-  let end_step = end_step_buf
-  let step_count (b : t) = b.nsteps
-  let total_moves (b : t) = b.nmoves
-
-  let to_schedule (b : t) =
-    (* The builder keeps ownership of the tip: freeze so the returned
-       value copies on append and later builder pushes cannot mutate
-       it through the shared arrays... except they could extend in
-       place past [nmoves].  Freezing also guards the returned value
-       against that: treat [to_schedule] as the end of the build. *)
-    b.frozen <- true;
-    { buf = b; steps = b.nsteps; moves = b.nmoves }
-end

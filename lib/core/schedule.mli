@@ -7,9 +7,8 @@
 
     Internally a schedule is a packed CSR structure (flat src/dst/token
     arrays plus step offsets), so engines can build million-move
-    schedules without per-move boxing; values are persistent —
-    [append_step] is amortized O(1) when extending the most recent
-    value and copies otherwise. *)
+    schedules without per-move boxing.  Every value is built through
+    {!Builder} and is immutable. *)
 
 type t
 
@@ -36,25 +35,15 @@ val iter_step : t -> int -> (src:int -> dst:int -> token:int -> unit) -> unit
 (** Iterates the moves of step [i] in emission order without
     materialising [Move.t] records. *)
 
-val append_step : t -> Move.t list -> t
-(** Amortized O(1) when [t] is the most recently built value. *)
-
 val drop_trailing_empty : t -> t
 (** Removes empty steps at the tail (pruning can empty final steps);
     O(trailing empties), shares the underlying move storage. *)
 
-val moves_on_arc : t -> src:int -> dst:int -> (int * int) list
-(** [(step, token)] pairs carried by one arc, in order. *)
-
 val iter_moves : t -> (step:int -> Move.t -> unit) -> unit
 
-val pp : Format.formatter -> t -> unit
-
-(** Mutable accumulator for engines that emit a schedule step by step.
-    Push the moves of each step with {!Builder.push_move}, close the
-    step with {!Builder.end_step}, and finish with
-    {!Builder.to_schedule} — after which the builder must not be used
-    again. *)
+(** Mutable accumulator, the one way a schedule is built.  Push the
+    moves of each step with {!Builder.push_move}, close the step with
+    {!Builder.end_step}, and finish with {!Builder.to_schedule}. *)
 module Builder : sig
   type schedule = t
   type t
@@ -63,11 +52,6 @@ module Builder : sig
   val push_move : t -> src:int -> dst:int -> token:int -> unit
   val end_step : t -> unit
 
-  val step_count : t -> int
-  (** Steps closed so far. *)
-
-  val total_moves : t -> int
-  (** Moves pushed so far (including any in the still-open step). *)
-
   val to_schedule : t -> schedule
+  (** The steps closed so far; later pushes do not change it. *)
 end

@@ -6,7 +6,6 @@ module Tracker = struct
     vertex_deficit : int array;
     mutable total_deficit : int;
     mutable satisfied : int;
-    mutable fresh : int;
     completion : int array;
   }
 
@@ -29,12 +28,10 @@ module Tracker = struct
       vertex_deficit;
       total_deficit = !total;
       satisfied = !satisfied;
-      fresh = 0;
       completion;
     }
 
   let deliver t ~step ~dst ~token =
-    t.fresh <- t.fresh + 1;
     if Bitset.mem t.want.(dst) token then begin
       let d = t.vertex_deficit.(dst) - 1 in
       t.vertex_deficit.(dst) <- d;
@@ -48,79 +45,24 @@ module Tracker = struct
   let all_satisfied t = t.total_deficit = 0
   let satisfied t = t.satisfied
   let deficit t = t.total_deficit
-  let fresh_deliveries t = t.fresh
   let completion_times t = t.completion
 end
 
-type view = {
-  step : int;
-  have : Bitset.t array;
-  deficit : int;
-  satisfied : int;
-  moves : int;
-  arrivals : Move.t list;
-}
-
-let fold (inst : Instance.t) schedule ~init ~f =
-  let tracker = Tracker.create inst in
+(* The one replay of a schedule.  A move is a first delivery iff its
+   token is in range and its destination does not yet hold it; [first
+   k ~step ~dst ~token] is called for each, [k] being the move's index
+   in emission order and [step] the boundary it lands at, and
+   [boundary step have] for the initial state and after every step.
+   Adding a token the moment its first delivering move is seen is
+   equivalent to the simultaneous-delivery semantics: possession only
+   grows, and nothing here reads source possession.  The membership
+   test then doubles as the within-step (dst, token) dedup.  Returns
+   the final possession. *)
+let replay (inst : Instance.t) schedule ~first ~boundary =
   let have = Array.map Bitset.copy inst.have in
   let token_count = inst.token_count in
-  let view step moves arrivals =
-    {
-      step;
-      have;
-      deficit = Tracker.deficit tracker;
-      satisfied = Tracker.satisfied tracker;
-      moves;
-      arrivals;
-    }
-  in
-  let acc = ref (f init (view 0 0 [])) in
-  let moves_so_far = ref 0 in
-  for i = 0 to Schedule.length schedule - 1 do
-    let step = i + 1 in
-    (* Adding a token the moment its first delivering move is seen is
-       equivalent to the simultaneous-delivery semantics: possession
-       only grows, and nothing here reads source possession.  The
-       membership test then doubles as the within-step (dst, token)
-       dedup. *)
-    let arrivals = ref [] in
-    Schedule.iter_step schedule i (fun ~src ~dst ~token ->
-        if
-          token >= 0
-          && token < token_count
-          && not (Bitset.mem have.(dst) token)
-        then begin
-          Bitset.add have.(dst) token;
-          Tracker.deliver tracker ~step ~dst ~token;
-          arrivals := { Move.src; dst; token } :: !arrivals
-        end);
-    moves_so_far := !moves_so_far + Schedule.step_move_count schedule i;
-    acc := f !acc (view step !moves_so_far (List.rev !arrivals))
-  done;
-  !acc
-
-type t = {
-  length : int;
-  complete : bool;
-  completion_times : int array;
-  deficits : int array;
-  satisfied_counts : int array;
-  fresh : int;
-  final : Bitset.t array;
-}
-
-let run (inst : Instance.t) schedule =
-  let length = Schedule.length schedule in
-  let deficits = Array.make (length + 1) 0 in
-  let satisfied_counts = Array.make (length + 1) 0 in
-  (* Same pass as [fold], inlined so the tracker (and its per-vertex
-     completion array) is ours to keep in the result. *)
-  let tracker = Tracker.create inst in
-  let have = Array.map Bitset.copy inst.have in
-  let token_count = inst.token_count in
-  deficits.(0) <- Tracker.deficit tracker;
-  satisfied_counts.(0) <- Tracker.satisfied tracker;
+  let k = ref 0 in
+  boundary 0 have;
   for i = 0 to Schedule.length schedule - 1 do
     let step = i + 1 in
     Schedule.iter_step schedule i (fun ~src:_ ~dst ~token ->
@@ -130,39 +72,59 @@ let run (inst : Instance.t) schedule =
           && not (Bitset.mem have.(dst) token)
         then begin
           Bitset.add have.(dst) token;
-          Tracker.deliver tracker ~step ~dst ~token
-        end);
-    deficits.(step) <- Tracker.deficit tracker;
-    satisfied_counts.(step) <- Tracker.satisfied tracker
+          first !k ~step ~dst ~token
+        end;
+        incr k);
+    boundary step have
   done;
-  {
-    length;
-    complete = Tracker.all_satisfied tracker;
-    completion_times = Tracker.completion_times tracker;
-    deficits;
-    satisfied_counts;
-    fresh = Tracker.fresh_deliveries tracker;
-    final = have;
-  }
+  have
 
-let length t = t.length
-let complete t = t.complete
-let completion_times t = t.completion_times
+let first_deliveries inst schedule =
+  let flags = Bytes.make (Schedule.move_count schedule) '\000' in
+  ignore
+    (replay inst schedule
+       ~first:(fun k ~step:_ ~dst:_ ~token:_ -> Bytes.set flags k '\001')
+       ~boundary:(fun _ _ -> ()));
+  flags
 
-let makespan t =
-  if t.complete then Some (Array.fold_left max 0 t.completion_times) else None
+type view = {
+  step : int;
+  have : Bitset.t array;
+  deficit : int;
+  satisfied : int;
+  moves : int;
+}
 
-let boundary t name i =
-  if i < 0 || i > t.length then
-    invalid_arg (Printf.sprintf "Timeline.%s: boundary %d out of range" name i)
+let fold inst schedule ~init ~f =
+  let tracker = Tracker.create inst in
+  let acc = ref init and moves = ref 0 in
+  ignore
+    (replay inst schedule ~first:(fun _ ~step ~dst ~token ->
+         Tracker.deliver tracker ~step ~dst ~token)
+       ~boundary:(fun step have ->
+         moves := !moves + Schedule.step_move_count schedule (step - 1);
+         acc :=
+           f !acc
+             {
+               step;
+               have;
+               deficit = Tracker.deficit tracker;
+               satisfied = Tracker.satisfied tracker;
+               moves = !moves;
+             }));
+  !acc
 
-let deficit_at t i =
-  boundary t "deficit_at" i;
-  t.deficits.(i)
+type t = { tracker : Tracker.t; final : Bitset.t array }
 
-let satisfied_at t i =
-  boundary t "satisfied_at" i;
-  t.satisfied_counts.(i)
+let run inst schedule =
+  let tracker = Tracker.create inst in
+  let final =
+    replay inst schedule ~first:(fun _ ~step ~dst ~token ->
+         Tracker.deliver tracker ~step ~dst ~token)
+      ~boundary:(fun _ _ -> ())
+  in
+  { tracker; final }
 
-let fresh_deliveries t = t.fresh
+let complete t = Tracker.all_satisfied t.tracker
+let completion_times t = Tracker.completion_times t.tracker
 let final t = t.final

@@ -1,24 +1,18 @@
 (** Single-pass possession timeline over a schedule.
 
-    Every post-hoc quantity this repo derives from a schedule — metrics
-    (completion times, makespan), progress traces, pruning, coded
-    decoding — is a function of how per-vertex possession evolves step
-    by step.  Materialising that evolution as a full copy of all [n]
-    vertex bitsets at every step boundary costs O(steps · n · m) time
-    *and* memory, rebuilt from scratch by each consumer.
+    Every post-hoc quantity derived from a schedule — completion times
+    and makespan, progress bars, pruning — is a function of how
+    per-vertex possession evolves step by step.  This module computes
+    that evolution in one forward pass, mutating a single possession
+    array and updating per-vertex deficit, total deficit, satisfied
+    count and completion steps in O(1) per first delivery, so a whole
+    pass costs O(n·m/w + moves + steps).
 
-    This module makes one forward pass instead, mutating a single
-    possession array and maintaining the derived counters
-    incrementally: per-vertex remaining deficit, the total deficit,
-    the satisfied-vertex count and per-vertex completion steps are all
-    updated in O(1) per fresh delivery, so a whole pass costs
-    O(n·m/w + total_moves + steps) — linear in the schedule instead of
-    multiplicative in it.
-
-    Two APIs are exposed: an event fold ({!fold}) for consumers that
-    stream over step boundaries without materialising anything, and a
-    materialized record ({!run} + accessors) for consumers that need
-    random access to the history. *)
+    A move is a first delivery iff its token is in range and its
+    destination does not yet hold it; the pass decides that once for
+    every consumer.  {!fold} streams the state at each step boundary,
+    {!run} keeps the end state, and {!first_deliveries} flags the
+    moves themselves. *)
 
 open Ocd_prelude
 
@@ -48,13 +42,17 @@ module Tracker : sig
   val deficit : t -> int
   (** Σ_v |w(v) \ p(v)| under the deliveries recorded so far. *)
 
-  val fresh_deliveries : t -> int
-  (** Distinct [(dst, token)] deliveries recorded so far. *)
-
   val completion_times : t -> int array
   (** Per-vertex step at which the vertex became satisfied (0 when
       satisfied initially, [-1] while unsatisfied); the live array. *)
 end
+
+val first_deliveries : Instance.t -> Schedule.t -> Bytes.t
+(** One byte per move in emission order (over {!Schedule.move_count}),
+    ['\001'] for a first delivery and ['\000'] otherwise: within a
+    step the first move of a [(dst, token)] counts, and a move to a
+    vertex already holding the token, or with an out-of-range token,
+    never does. *)
 
 (** {1 Event fold} *)
 
@@ -70,12 +68,6 @@ type view = {
   deficit : int;  (** Σ_v |w(v) \ p(v)| *)
   satisfied : int;  (** vertices with all wants met *)
   moves : int;  (** total moves in steps [0..step-1] *)
-  arrivals : Move.t list;
-      (** the fresh first-deliveries of step [step - 1], in schedule
-          order: moves whose [(dst, token)] was not possessed at the
-          previous boundary, first occurrence within the step kept.
-          Empty at [step = 0].  Moves with out-of-range tokens never
-          appear. *)
 }
 
 val fold : Instance.t -> Schedule.t -> init:'a -> f:('a -> view -> 'a) -> 'a
@@ -83,17 +75,12 @@ val fold : Instance.t -> Schedule.t -> init:'a -> f:('a -> view -> 'a) -> 'a
     ([step = 0]) through the schedule's end ([step = length]) —
     [length + 1] calls. *)
 
-(** {1 Materialized timeline} *)
+(** {1 End state} *)
 
 type t
 
 val run : Instance.t -> Schedule.t -> t
-(** One pass; O(n·m/w + moves + steps) time, O(n + steps) memory for
-    the history (the final possession adds n·m/w). *)
-
-val length : t -> int
-(** Number of schedule steps ([deficit_at] & friends accept
-    [0..length]). *)
+(** One pass; O(n·m/w + moves + steps) time. *)
 
 val complete : t -> bool
 (** Did every vertex end with its wants satisfied? *)
@@ -101,18 +88,6 @@ val complete : t -> bool
 val completion_times : t -> int array
 (** Per-vertex earliest boundary at which [w(v) ⊆ p(v)]; 0 when
     satisfied initially, [-1] if never. *)
-
-val makespan : t -> int option
-(** Largest completion time, [None] when the schedule is incomplete. *)
-
-val deficit_at : t -> int -> int
-(** Total remaining deficit at a boundary. *)
-
-val satisfied_at : t -> int -> int
-(** Satisfied-vertex count at a boundary. *)
-
-val fresh_deliveries : t -> int
-(** Distinct [(dst, token)] deliveries over the whole schedule. *)
 
 val final : t -> Bitset.t array
 (** The possession array at the last boundary (owned by [t]; copy

@@ -1,50 +1,22 @@
 open Ocd_core
 
-type snapshot = {
-  step : int;
-  remaining_deficit : int;
-  satisfied_vertices : int;
-  moves_so_far : int;
-}
-
-let timeline (inst : Instance.t) schedule =
-  (* One incremental pass: per-boundary deficit/satisfied counts and a
-     running move total, instead of the legacy full-bitset snapshots
-     with an O(i) move recount per boundary (O(steps²) overall). *)
-  List.rev
-    (Timeline.fold inst schedule ~init:[] ~f:(fun acc v ->
-         {
-           step = v.Timeline.step;
-           remaining_deficit = v.Timeline.deficit;
-           satisfied_vertices = v.Timeline.satisfied;
-           moves_so_far = v.Timeline.moves;
-         }
-         :: acc))
-
-let completion_cdf inst schedule =
-  let n = max 1 (Instance.vertex_count inst) in
-  List.map
-    (fun s -> (s.step, float_of_int s.satisfied_vertices /. float_of_int n))
-    (timeline inst schedule)
-
 let render ?(width = 30) inst schedule =
   let line = Buffer.create 256 in
-  let snapshots = timeline inst schedule in
-  let initial =
-    match snapshots with s :: _ -> max 1 s.remaining_deficit | [] -> 1
-  in
-  List.iter
-    (fun s ->
-      let done_frac =
-        1.0 -. (float_of_int s.remaining_deficit /. float_of_int initial)
-      in
-      let filled =
-        max 0 (min width (int_of_float (done_frac *. float_of_int width)))
-      in
-      Buffer.add_string line
-        (Printf.sprintf "step %3d |%s%s| %3.0f%% %d left\n" s.step
-           (String.make filled '#')
-           (String.make (width - filled) '.')
-           (100.0 *. done_frac) s.remaining_deficit))
-    snapshots;
+  ignore
+    (Timeline.fold inst schedule ~init:1 ~f:(fun initial v ->
+         let initial =
+           if v.Timeline.step = 0 then max 1 v.deficit else initial
+         in
+         let done_frac =
+           1.0 -. (float_of_int v.deficit /. float_of_int initial)
+         in
+         let filled =
+           max 0 (min width (int_of_float (done_frac *. float_of_int width)))
+         in
+         Buffer.add_string line
+           (Printf.sprintf "step %3d |%s%s| %3.0f%% %d left\n" v.step
+              (String.make filled '#')
+              (String.make (width - filled) '.')
+              (100.0 *. done_frac) v.deficit);
+         initial));
   Buffer.contents line

@@ -1,28 +1,9 @@
-(** Post-hoc run inspection: per-step progress timelines and
-    completion CDFs, reconstructed from a schedule.
-
-    These are the quantities a practitioner plots when debugging a
-    distribution system: how the aggregate deficit drains over time,
-    when each vertex finishes, and where the long tail is. *)
+(** Post-hoc run inspection: how the aggregate deficit of a schedule
+    drains over time, as a practitioner eyeballs it when debugging a
+    distribution system. *)
 
 open Ocd_core
 
-type snapshot = {
-  step : int;                 (** state *after* this many steps *)
-  remaining_deficit : int;    (** Σ_v |w(v) \ p(v)| *)
-  satisfied_vertices : int;   (** vertices with all wants met *)
-  moves_so_far : int;
-}
-
-val timeline : Instance.t -> Schedule.t -> snapshot list
-(** One snapshot per step boundary, from step 0 (initial state) to the
-    schedule's end. *)
-
-val completion_cdf : Instance.t -> Schedule.t -> (int * float) list
-(** [(step, fraction)] pairs: the fraction of vertices satisfied by
-    the end of each step (all vertices counted, including those
-    satisfied from the start). *)
-
 val render : ?width:int -> Instance.t -> Schedule.t -> string
-(** An ASCII progress bar per step — deficit drain at a glance:
+(** An ASCII progress bar per step boundary, one {!Timeline.fold}:
     {v step  3 |#############............| 52% 1043 left v} *)

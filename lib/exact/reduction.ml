@@ -120,14 +120,10 @@ let two_step_solvable g ~k =
     done;
     !ok
   in
-  let popcount m =
-    let rec go acc m = if m = 0 then acc else go (acc + 1) (m land (m - 1)) in
-    go 0 m
-  in
   if n > Sys.int_size - 2 then invalid_arg "Reduction.two_step_solvable: n too large";
   let rec scan mask =
     if mask >= 1 lsl n then false
-    else if popcount mask <= k && covers mask then true
+    else if Ocd_prelude.Bitset.popcount mask <= k && covers mask then true
     else scan (mask + 1)
   in
   scan 0

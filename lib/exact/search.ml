@@ -13,10 +13,6 @@ exception Out_of_budget
 let mask_of_bitset s =
   Bitset.fold (fun t acc -> acc lor (1 lsl t)) s 0
 
-let popcount =
-  let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-  fun w -> go 0 w
-
 let bits_of_mask mask =
   let rec go m acc =
     if m = 0 then List.rev acc
@@ -52,7 +48,7 @@ let submasks_up_to mask k =
     let sub = ref mask in
     let continue = ref true in
     while !continue do
-      if popcount !sub <= k then acc := !sub :: !acc;
+      if Bitset.popcount !sub <= k then acc := !sub :: !acc;
       if !sub = 0 then continue := false else sub := (!sub - 1) land mask
     done;
     !acc
@@ -138,7 +134,7 @@ let expand ctx state ~choices_for ~emit =
                 acc_moves (bits_of_mask mask)
           in
           product rest moves
-            (acc_count + popcount mask)
+            (acc_count + Bitset.popcount mask)
             (if mask = 0 then deliveries else (dst, mask) :: deliveries))
         choices;
   in
@@ -148,7 +144,7 @@ let expand ctx state ~choices_for ~emit =
 let focd_choices (src, dst, cap) state =
   let useful = state.(src) land lnot state.(dst) in
   if useful = 0 then [ 0 ]
-  else if popcount useful <= cap then [ useful ]
+  else if Bitset.popcount useful <= cap then [ useful ]
   else submasks_of_size useful cap
 
 (* EOCD choices: every useful subset within capacity. *)

@@ -59,10 +59,6 @@ let holding_preds_tracked (inst : Instance.t) =
       cell := Some holding_preds;
       holding_preds
 
-let popcount x =
-  let rec go x c = if x = 0 then c else go (x land (x - 1)) (c + 1) in
-  go x 0
-
 (* The request-assignment core shared by [strategy] and the delayed
    variant: rank the tokens each vertex lacks by the supplied rarity
    aggregate, then assign each to one holding in-neighbour at random
@@ -102,7 +98,7 @@ let subdivided_requests (inst : Instance.t) (ctx : Ocd_engine.Strategy.context)
   let skip_shuffle () =
     let count = ref 0 in
     for j = 0 to stride - 1 do
-      count := !count + popcount missing.(j)
+      count := !count + Bitset.popcount missing.(j)
     done;
     for i = !count - 1 downto 1 do
       Prng.skip_int rng (i + 1)

@@ -53,6 +53,9 @@ val fill : t -> unit
 val cardinal : t -> int
 (** Population count; O(capacity/63). *)
 
+val popcount : int -> int
+(** Set bits of one word (a set's word, or any int used as a mask). *)
+
 val is_empty : t -> bool
 
 val equal : t -> t -> bool

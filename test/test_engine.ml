@@ -412,24 +412,30 @@ let test_flood_optimal_heuristic_planner () =
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The per-boundary views of [Timeline.fold], the pass [Trace.render]
+   draws. *)
+let boundaries inst schedule =
+  List.rev
+    (Timeline.fold inst schedule ~init:[] ~f:(fun acc v -> v :: acc))
+
 let test_trace_timeline () =
   let inst = line () in
   let run = Engine.run ~strategy:forward_strategy ~seed:1 inst in
-  let timeline = Trace.timeline inst run.Engine.schedule in
+  let timeline = boundaries inst run.Engine.schedule in
   Alcotest.(check int) "steps + 1 snapshots"
     (Schedule.length run.Engine.schedule + 1)
     (List.length timeline);
   (match timeline with
   | first :: _ ->
-    Alcotest.(check int) "initial deficit" 2 first.Trace.remaining_deficit;
+    Alcotest.(check int) "initial deficit" 2 first.Timeline.deficit;
     Alcotest.(check int) "initially satisfied (0 and 1 want nothing)" 2
-      first.Trace.satisfied_vertices
+      first.Timeline.satisfied
   | [] -> Alcotest.fail "empty timeline");
   (match List.rev timeline with
   | last :: _ ->
-    Alcotest.(check int) "final deficit" 0 last.Trace.remaining_deficit;
-    Alcotest.(check int) "all satisfied" 3 last.Trace.satisfied_vertices;
-    Alcotest.(check int) "moves accounted" 4 last.Trace.moves_so_far
+    Alcotest.(check int) "final deficit" 0 last.Timeline.deficit;
+    Alcotest.(check int) "all satisfied" 3 last.Timeline.satisfied;
+    Alcotest.(check int) "moves accounted" 4 last.Timeline.moves
   | [] -> Alcotest.fail "empty timeline")
 
 let test_trace_deficit_monotone () =
@@ -441,8 +447,8 @@ let test_trace_deficit_monotone () =
   in
   let deficits =
     List.map
-      (fun s -> s.Trace.remaining_deficit)
-      (Trace.timeline inst run.Engine.schedule)
+      (fun v -> v.Timeline.deficit)
+      (boundaries inst run.Engine.schedule)
   in
   let rec monotone = function
     | a :: (b :: _ as rest) -> a >= b && monotone rest
@@ -451,14 +457,20 @@ let test_trace_deficit_monotone () =
   Alcotest.(check bool) "deficit never grows" true (monotone deficits)
 
 let test_trace_cdf () =
+  (* the satisfied fraction per boundary is the completion CDF *)
   let inst = line () in
   let run = Engine.run ~strategy:forward_strategy ~seed:1 inst in
-  let cdf = Trace.completion_cdf inst run.Engine.schedule in
+  let n = float_of_int (Instance.vertex_count inst) in
+  let cdf =
+    List.map
+      (fun v -> float_of_int v.Timeline.satisfied /. n)
+      (boundaries inst run.Engine.schedule)
+  in
   (match List.rev cdf with
-  | (_, last) :: _ -> Alcotest.(check (float 1e-9)) "ends at 1" 1.0 last
+  | last :: _ -> Alcotest.(check (float 1e-9)) "ends at 1" 1.0 last
   | [] -> Alcotest.fail "empty cdf");
   List.iter
-    (fun (_, f) ->
+    (fun f ->
       Alcotest.(check bool) "within [0,1]" true (f >= 0.0 && f <= 1.0))
     cdf
 

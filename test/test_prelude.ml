@@ -448,6 +448,15 @@ let test_bitset_full_word_boundaries () =
         (List.init cap Fun.id) (Bitset.elements s))
     [ 0; 1; 62; 63; 64; 125; 126; 127; 189 ]
 
+let test_bitset_popcount () =
+  (* every bit of a word counts, the sign bit included *)
+  List.iter
+    (fun (w, expected) ->
+      Alcotest.(check int) (Printf.sprintf "popcount %d" w) expected
+        (Bitset.popcount w))
+    [ (0, 0); (1, 1); (0b1011, 3); (max_int, Sys.int_size - 1);
+      (min_int, 1); (-1, Sys.int_size) ]
+
 let test_bitset_fill_matches_full () =
   List.iter
     (fun cap ->
@@ -870,6 +879,7 @@ let () =
             test_bitset_full_word_boundaries;
           Alcotest.test_case "fill matches full" `Quick
             test_bitset_fill_matches_full;
+          Alcotest.test_case "popcount" `Quick test_bitset_popcount;
           qtest prop_bitset_roundtrip;
           qtest prop_bitset_union;
           qtest prop_bitset_inter;

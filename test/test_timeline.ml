@@ -52,6 +52,45 @@ let naive_satisfied (inst : Instance.t) have =
     inst.want;
   !count
 
+(* §5.1 pruning over move lists: pass 1 keeps the first delivery of
+   each in-range (vertex, token) not held initially; pass 2 walks the
+   steps backwards keeping a delivery iff its destination wants the
+   token or forwards it in a kept later move. *)
+let naive_prune (inst : Instance.t) schedule =
+  let delivered = Hashtbl.create 64 in
+  let first (m : Move.t) =
+    m.token >= 0
+    && m.token < inst.token_count
+    && (not (Bitset.mem inst.have.(m.dst) m.token))
+    && not (Hashtbl.mem delivered (m.dst, m.token))
+    && (Hashtbl.replace delivered (m.dst, m.token) ();
+        true)
+  in
+  let pass1 =
+    List.map
+      (fun ms -> List.rev (List.fold_left (fun acc m -> if first m then m :: acc else acc) [] ms))
+      (Schedule.steps schedule)
+  in
+  let _, pass2 =
+    List.fold_left
+      (fun (forwarded, later) ms ->
+        let kept =
+          List.filter
+            (fun (m : Move.t) ->
+              Bitset.mem inst.want.(m.dst) m.token
+              || List.mem (m.dst, m.token) forwarded)
+            ms
+        in
+        ( List.map (fun (m : Move.t) -> (m.src, m.token)) kept @ forwarded,
+          kept :: later ))
+      ([], []) (List.rev pass1)
+  in
+  let rec drop_trailing = function
+    | [] :: rest -> drop_trailing rest
+    | steps -> steps
+  in
+  List.rev (drop_trailing (List.rev pass2))
+
 (* ------------------------------------------------------------------ *)
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -98,22 +137,21 @@ let check_against_naive (inst : Instance.t) schedule =
           v.Timeline.deficit;
         Alcotest.(check int) "satisfied" (naive_satisfied inst history.(i))
           v.Timeline.satisfied;
+        Alcotest.(check int) "running move count"
+          (List.fold_left
+             (fun acc step -> acc + List.length step)
+             0
+             (List.filteri (fun j _ -> j < i) (Schedule.steps schedule)))
+          v.Timeline.moves;
         i + 1)
   in
   Alcotest.(check int) "boundary count" (Schedule.length schedule + 1)
     boundaries;
-  (* the materialized record agrees with per-boundary rescans too *)
+  (* the end state agrees with the naive replay too *)
   let t = Timeline.run inst schedule in
-  Alcotest.(check int) "length" (Schedule.length schedule) (Timeline.length t);
   Alcotest.(check (array int)) "completion times"
     (naive_completion_times inst schedule)
     (Timeline.completion_times t);
-  for i = 0 to Timeline.length t do
-    Alcotest.(check int) "deficit_at" (naive_deficit inst history.(i))
-      (Timeline.deficit_at t i);
-    Alcotest.(check int) "satisfied_at" (naive_satisfied inst history.(i))
-      (Timeline.satisfied_at t i)
-  done;
   let final = Timeline.final t in
   Array.iteri
     (fun u bits ->
@@ -145,23 +183,15 @@ let test_empty_schedule () =
   let inst = single_file ~seed:7 ~n:6 ~tokens:3 in
   check_against_naive inst Schedule.empty;
   let t = Timeline.run inst Schedule.empty in
-  Alcotest.(check bool) "incomplete" false (Timeline.complete t);
-  Alcotest.(check (option int)) "no makespan" None (Timeline.makespan t)
-
-let test_boundary_range_checked () =
-  let inst = single_file ~seed:7 ~n:6 ~tokens:3 in
-  let t = Timeline.run inst Schedule.empty in
-  Alcotest.check_raises "past the end"
-    (Invalid_argument "Timeline.deficit_at: boundary 1 out of range")
-    (fun () -> ignore (Timeline.deficit_at t 1))
+  Alcotest.(check bool) "incomplete" false (Timeline.complete t)
 
 let test_makespan_matches_metrics () =
   let inst, schedule = engine_schedule ~seed:9 ~n:14 ~tokens:5 in
   let t = Timeline.run inst schedule in
   let m = Metrics.of_schedule inst schedule in
   Alcotest.(check bool) "complete" true (Timeline.complete t && m.Metrics.complete);
-  Alcotest.(check (option int)) "makespan agrees" (Some m.Metrics.makespan)
-    (Timeline.makespan t)
+  Alcotest.(check int) "makespan agrees" m.Metrics.makespan
+    (Array.fold_left max 0 (Timeline.completion_times t))
 
 (* ------------------------------------------------------------------ *)
 (* Tracker                                                             *)
@@ -189,8 +219,6 @@ let test_tracker_counts () =
   Timeline.Tracker.deliver tr ~step:3 ~dst:2 ~token:1;
   Alcotest.(check bool) "all satisfied" true
     (Timeline.Tracker.all_satisfied tr);
-  Alcotest.(check int) "fresh deliveries" 4
-    (Timeline.Tracker.fresh_deliveries tr);
   Alcotest.(check (array int)) "completion steps" [| 0; 2; 3 |]
     (Timeline.Tracker.completion_times tr)
 
@@ -247,18 +275,24 @@ let test_trace_running_sum_long_schedule () =
     List.init 2000 (fun _ -> [ { Move.src = 0; dst = 1; token = 0 } ])
   in
   let schedule = Schedule.of_steps steps in
-  let snapshots = Ocd_engine.Trace.timeline inst schedule in
-  Alcotest.(check int) "snapshot count" 2001 (List.length snapshots);
-  List.iter
-    (fun (s : Ocd_engine.Trace.snapshot) ->
-      Alcotest.(check int)
-        (Printf.sprintf "prefix sum at %d" s.Ocd_engine.Trace.step)
-        s.Ocd_engine.Trace.step s.Ocd_engine.Trace.moves_so_far)
-    snapshots
+  let boundaries =
+    Timeline.fold inst schedule ~init:0 ~f:(fun count v ->
+        Alcotest.(check int)
+          (Printf.sprintf "prefix sum at %d" v.Timeline.step)
+          v.Timeline.step v.Timeline.moves;
+        count + 1)
+  in
+  Alcotest.(check int) "snapshot count" 2001 boundaries
 
 let test_trace_cdf_monotone () =
+  (* the satisfied fraction per boundary is the completion CDF *)
   let inst, schedule = engine_schedule ~seed:31 ~n:14 ~tokens:5 in
-  let cdf = Ocd_engine.Trace.completion_cdf inst schedule in
+  let n = float_of_int (Instance.vertex_count inst) in
+  let cdf =
+    List.rev
+      (Timeline.fold inst schedule ~init:[] ~f:(fun acc v ->
+           (v.Timeline.step, float_of_int v.Timeline.satisfied /. n) :: acc))
+  in
   let rec monotone = function
     | (s1, f1) :: ((s2, f2) :: _ as rest) ->
       s1 < s2 && f1 <= f2 && monotone rest
@@ -267,6 +301,60 @@ let test_trace_cdf_monotone () =
   in
   Alcotest.(check bool) "steps increase, fraction nondecreasing to 1.0" true
     (monotone cdf)
+
+let relay_instance () =
+  (* 0 holds both tokens, 4 holds token 1; 3 wants both, 4 wants 0;
+     1 and 2 want nothing and can only relay. *)
+  let g = Ocd_graph.Digraph.of_edges ~vertex_count:5 [] in
+  Instance.make ~graph:g ~token_count:2
+    ~have:[ (0, [ 0; 1 ]); (4, [ 1 ]) ]
+    ~want:[ (3, [ 0; 1 ]); (4, [ 0 ]) ]
+
+let relay_schedule () =
+  let mv src dst token = { Move.src; dst; token } in
+  Schedule.of_steps
+    [
+      (* 0 -> 2 of token 0 only feeds a later duplicate: dropped *)
+      [ mv 0 1 0; mv 0 1 1; mv 0 2 0; mv 0 4 1 (* to an initial holder *) ];
+      (* two first-looking deliveries of (3, 0) in one step: the first
+         counts; 1 -> 2 of token 1 is a relay kept by step 2 *)
+      [ mv 1 3 0; mv 2 3 0; mv 1 2 1; mv 0 1 0 (* re-delivery *) ];
+      [ mv 2 3 1; mv 3 4 0 ];
+      (* nothing fresh is left: every trailing step empties *)
+      [ mv 1 2 0; mv 2 1 1; mv 0 1 5 (* out-of-range token *) ];
+      [];
+    ]
+
+let test_prune_matches_naive () =
+  let check (inst, schedule) =
+    let pruned = Prune.prune inst schedule in
+    Alcotest.(check (list (list (triple int int int))))
+      "kept moves"
+      (List.map
+         (List.map (fun (m : Move.t) -> (m.src, m.dst, m.token)))
+         (naive_prune inst schedule))
+      (List.map
+         (List.map (fun (m : Move.t) -> (m.src, m.dst, m.token)))
+         (Schedule.steps pruned));
+    Alcotest.(check int) "pruned bandwidth"
+      (Schedule.move_count pruned)
+      (Metrics.of_schedule inst schedule).Metrics.pruned_bandwidth
+  in
+  let inst = relay_instance () in
+  check (inst, relay_schedule ());
+  Alcotest.(check (list (list (triple int int int))))
+    "hand-built schedule pruned as worked out"
+    [ [ (0, 1, 0); (0, 1, 1) ]; [ (1, 3, 0); (1, 2, 1) ]; [ (2, 3, 1); (3, 4, 0) ] ]
+    (List.map
+       (List.map (fun (m : Move.t) -> (m.src, m.dst, m.token)))
+       (Schedule.steps (Prune.prune inst (relay_schedule ()))));
+  check (inst, Schedule.empty);
+  List.iter
+    (fun seed -> check (engine_schedule ~seed ~n:14 ~tokens:5))
+    [ 41; 42; 43 ];
+  List.iter
+    (fun seed -> check (dynamic_schedule ~seed ~n:12 ~tokens:4))
+    [ 11; 12; 13 ]
 
 let test_stalled_metrics_render_na () =
   (* vertex 1 can never be served: of_schedule must keep it visible
@@ -308,8 +396,6 @@ let () =
           Alcotest.test_case "dynamic schedules" `Quick
             test_differential_dynamic;
           Alcotest.test_case "empty schedule" `Quick test_empty_schedule;
-          Alcotest.test_case "boundary range" `Quick
-            test_boundary_range_checked;
           Alcotest.test_case "makespan vs metrics" `Quick
             test_makespan_matches_metrics;
         ] );
@@ -330,5 +416,6 @@ let () =
             test_stalled_metrics_render_na;
           Alcotest.test_case "prune invariants" `Quick
             test_prune_unchanged_by_rewire;
+          Alcotest.test_case "prune vs naive" `Quick test_prune_matches_naive;
         ] );
     ]
