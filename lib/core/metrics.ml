@@ -12,12 +12,16 @@ let of_schedule inst schedule =
   let timeline = Timeline.run inst schedule in
   let completion = Timeline.completion_times timeline in
   let makespan = Array.fold_left max 0 completion in
-  let pruned = Prune.prune inst schedule in
+  (* The flags belong to this pass's [timeline]; pass 2 may overwrite
+     them. *)
+  let pruned_bandwidth =
+    Prune.mark inst schedule (Timeline.first_deliveries timeline)
+  in
   {
     makespan;
     complete = Timeline.complete timeline;
     bandwidth = Schedule.move_count schedule;
-    pruned_bandwidth = Schedule.move_count pruned;
+    pruned_bandwidth;
     completion_times = completion;
   }
 

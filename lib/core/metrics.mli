@@ -25,7 +25,8 @@ type t = {
 }
 
 val of_schedule : Instance.t -> Schedule.t -> t
-(** Computes all metrics in a single {!Timeline} pass; the schedule is
+(** Computes all metrics from one {!Timeline} pass and one {!Prune.mark}
+    sweep over its first-delivery flags; the schedule is
     assumed valid (run {!Validate.check_successful} first). *)
 
 val makespan_cell : t -> string

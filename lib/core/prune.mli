@@ -17,4 +17,11 @@
     bandwidth or makespan (trailing steps that become empty are
     dropped). *)
 
+val mark : Instance.t -> Schedule.t -> Bytes.t -> int
+(** [mark inst s keep] runs pass 2 over [keep], the pass-1 flags of [s]
+    ({!Timeline.first_deliveries}), clearing in place every delivery
+    that pruning drops, and returns the number of moves left flagged —
+    the bandwidth of [prune inst s] without building it. *)
+
 val prune : Instance.t -> Schedule.t -> Schedule.t
+(** Both passes, the kept moves rebuilt as a schedule. *)

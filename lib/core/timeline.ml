@@ -79,14 +79,6 @@ let replay (inst : Instance.t) schedule ~first ~boundary =
   done;
   have
 
-let first_deliveries inst schedule =
-  let flags = Bytes.make (Schedule.move_count schedule) '\000' in
-  ignore
-    (replay inst schedule
-       ~first:(fun k ~step:_ ~dst:_ ~token:_ -> Bytes.set flags k '\001')
-       ~boundary:(fun _ _ -> ()));
-  flags
-
 type view = {
   step : int;
   have : Bitset.t array;
@@ -114,17 +106,21 @@ let fold inst schedule ~init ~f =
              }));
   !acc
 
-type t = { tracker : Tracker.t; final : Bitset.t array }
+type t = { tracker : Tracker.t; final : Bitset.t array; firsts : Bytes.t }
 
 let run inst schedule =
   let tracker = Tracker.create inst in
+  let firsts = Bytes.make (Schedule.move_count schedule) '\000' in
   let final =
-    replay inst schedule ~first:(fun _ ~step ~dst ~token ->
-         Tracker.deliver tracker ~step ~dst ~token)
+    replay inst schedule
+      ~first:(fun k ~step ~dst ~token ->
+        Bytes.set firsts k '\001';
+        Tracker.deliver tracker ~step ~dst ~token)
       ~boundary:(fun _ _ -> ())
   in
-  { tracker; final }
+  { tracker; final; firsts }
 
 let complete t = Tracker.all_satisfied t.tracker
 let completion_times t = Tracker.completion_times t.tracker
 let final t = t.final
+let first_deliveries t = t.firsts

@@ -11,8 +11,7 @@
     A move is a first delivery iff its token is in range and its
     destination does not yet hold it; the pass decides that once for
     every consumer.  {!fold} streams the state at each step boundary,
-    {!run} keeps the end state, and {!first_deliveries} flags the
-    moves themselves. *)
+    and {!run} keeps the end state and flags the moves themselves. *)
 
 open Ocd_prelude
 
@@ -46,13 +45,6 @@ module Tracker : sig
   (** Per-vertex step at which the vertex became satisfied (0 when
       satisfied initially, [-1] while unsatisfied); the live array. *)
 end
-
-val first_deliveries : Instance.t -> Schedule.t -> Bytes.t
-(** One byte per move in emission order (over {!Schedule.move_count}),
-    ['\001'] for a first delivery and ['\000'] otherwise: within a
-    step the first move of a [(dst, token)] counts, and a move to a
-    vertex already holding the token, or with an out-of-range token,
-    never does. *)
 
 (** {1 Event fold} *)
 
@@ -92,3 +84,10 @@ val completion_times : t -> int array
 val final : t -> Bitset.t array
 (** The possession array at the last boundary (owned by [t]; copy
     before mutating). *)
+
+val first_deliveries : t -> Bytes.t
+(** One byte per move in emission order (over {!Schedule.move_count}),
+    ['\001'] for a first delivery and ['\000'] otherwise: within a
+    step the first move of a [(dst, token)] counts, and a move to a
+    vertex already holding the token, or with an out-of-range token,
+    never does.  Owned by [t]. *)

@@ -34,54 +34,65 @@ let pp_error ppf = function
          Format.pp_print_int)
       missing
 
-let final_possessions inst schedule =
-  Array.map Bitset.copy (Timeline.final (Timeline.run inst schedule))
+let final_possessions inst schedule = Timeline.final (Timeline.run inst schedule)
 
 let check_validity (inst : Instance.t) schedule =
   let g = inst.graph in
-  let n = Instance.vertex_count inst in
+  let { Digraph.row_cap; _ } = Digraph.succ_rows g in
   let token_count = inst.token_count in
-  let before = Array.map Bitset.copy inst.have in
+  let have = Bitset.Rows.of_sets token_count inst.have in
   let error = ref None in
   let fail e = if !error = None then error := Some e in
-  (* Int-packed keys — [(src·n + dst)·m + token] and [src·n + dst] —
-     in stamped tables hoisted out of the step loop: clearing is O(1)
-     per step and a probe allocates nothing. *)
-  let seen = Int_tab.create () in
-  let arc_load = Int_tab.create () in
+  (* Per-step state indexed by the arc's CSR slot: [load] counts the
+     arc's moves, and [sent] holds one token bitset row per slot for
+     the (arc, token) duplicate test.  A slot is reset when first used
+     in a step ([stamp] is not that step), so a step costs only the
+     slots it touches; memory is arc count × (stride + 2) words. *)
+  let arcs = Digraph.arc_count g in
+  let stride = Bitset.words_for token_count in
+  let stamp = Array.make arcs (-1) in
+  let load = Array.make arcs 0 in
+  let sent = Array.make (arcs * stride) 0 in
   let run_step step =
-    Int_tab.clear seen;
-    Int_tab.clear arc_load;
     let check_move ~src ~dst ~token =
-      let cap = Digraph.capacity g src dst in
-      let in_range = token >= 0 && token < token_count in
-      if cap = 0 then fail (No_such_arc { step; move = { Move.src; dst; token } })
+      let slot = Digraph.slot g src dst in
+      if slot < 0 then fail (No_such_arc { step; move = { Move.src; dst; token } })
       else begin
-        (* Out-of-range tokens skip the dedup table (the packed key
-           cannot represent them); they fail [Not_possessed] below, so
-           any later duplicate is shadowed by that earlier error either
-           way. *)
-        if in_range then begin
-          let key = ((src * n) + dst) * token_count + token in
-          if Int_tab.incr seen key > 1 then
-            fail (Duplicate_assignment { step; move = { Move.src; dst; token } })
+        if stamp.(slot) <> step then begin
+          stamp.(slot) <- step;
+          load.(slot) <- 0;
+          Array.fill sent (slot * stride) stride 0
         end;
-        let load = Int_tab.incr arc_load ((src * n) + dst) in
-        if load > cap then
-          fail (Capacity_exceeded { step; src; dst; sent = load; capacity = cap });
-        if not (in_range && Bitset.mem before.(src) token) then
+        let in_range = token >= 0 && token < token_count in
+        (* Out-of-range tokens have no bit to dedup on; they fail
+           [Not_possessed] below, so any later duplicate is shadowed by
+           that earlier error either way. *)
+        if in_range then begin
+          let i = (slot * stride) + (token / Bitset.bits_per_word) in
+          let b = 1 lsl (token mod Bitset.bits_per_word) in
+          if sent.(i) land b <> 0 then
+            fail (Duplicate_assignment { step; move = { Move.src; dst; token } })
+          else sent.(i) <- sent.(i) lor b
+        end;
+        let l = load.(slot) + 1 in
+        load.(slot) <- l;
+        let cap = row_cap.(slot) in
+        if l > cap then
+          fail (Capacity_exceeded { step; src; dst; sent = l; capacity = cap });
+        if not (in_range && Bitset.Rows.mem have src token) then
           fail (Not_possessed { step; move = { Move.src; dst; token } })
       end
     in
     Schedule.iter_step schedule step check_move;
     (* Deliveries become visible only at the next step. *)
     Schedule.iter_step schedule step (fun ~src:_ ~dst ~token ->
-        if token >= 0 && token < token_count then Bitset.add before.(dst) token)
+        if token >= 0 && token < token_count then
+          ignore (Bitset.Rows.add have dst token))
   in
   for step = 0 to Schedule.length schedule - 1 do
     run_step step
   done;
-  match !error with Some e -> Error e | None -> Ok before
+  match !error with Some e -> Error e | None -> Ok have
 
 let check inst schedule =
   match check_validity inst schedule with Ok _ -> Ok () | Error e -> Error e
@@ -90,15 +101,14 @@ let check_successful (inst : Instance.t) schedule =
   match check_validity inst schedule with
   | Error e -> Error e
   | Ok final ->
+    let missing = Bitset.create inst.token_count in
     let rec scan v =
       if v >= Instance.vertex_count inst then Ok ()
-      else if Bitset.subset inst.want.(v) final.(v) then scan (v + 1)
-      else
-        Error
-          (Unsatisfied
-             {
-               vertex = v;
-               missing = Bitset.elements (Bitset.diff inst.want.(v) final.(v));
-             })
+      else begin
+        Bitset.assign missing inst.want.(v);
+        Bitset.Rows.diff_into missing final v;
+        if Bitset.is_empty missing then scan (v + 1)
+        else Error (Unsatisfied { vertex = v; missing = Bitset.elements missing })
+      end
     in
     scan 0

@@ -35,4 +35,5 @@ val check_successful : Instance.t -> Schedule.t -> (unit, error) result
 (** Validity plus success. *)
 
 val final_possessions : Instance.t -> Schedule.t -> Ocd_prelude.Bitset.t array
-(** [p_t]: possession after the last step. *)
+(** [p_t]: possession after the last step, as a fresh array the caller
+    owns. *)

@@ -46,11 +46,15 @@ let moves_buckets = [| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. |]
 
 type goal = Track of Timeline.Tracker.t | Decode of decoder
 
-(* Per-run kernel state.  [seen], [load] and [links] are int-packed
-   keys into stamped open-addressing tables, so the per-step reset is
-   O(1) and a checked move costs allocation-free probes.  [have] is
-   possession, one row per vertex; strategies read it through the
-   context. *)
+(* Per-run kernel state.  [have] is possession, one row per vertex;
+   strategies read it through the context.  The per-step §3.1 checks
+   are indexed by the arc's CSR slot in the run's instance graph:
+   [load] counts the slot's moves and [sent] holds one token bitset
+   row per slot for the (arc, token) duplicate test.  Each check phase
+   bumps [epoch], and a slot is reset when first touched in a phase
+   ([stamp] differs from [epoch]), so a step costs only the slots it
+   uses.  [links] counts the shared
+   underlay links of lossy admission. *)
 type kernel = {
   inst : Instance.t;
   admission : admission;
@@ -58,14 +62,19 @@ type kernel = {
   have : Bitset.Rows.t;
   scratch : Strategy.scratch;
   obs : Ocd_obs.t;
-  seen : Int_tab.t;
-  load : Int_tab.t;
+  stride : int;
+  stamp : int array;
+  load : int array;
+  sent : int array;
+  mutable epoch : int;
   links : Int_tab.t;
   mutable fresh_total : int;
   mutable dropped_total : int;
 }
 
 let kernel_create obs admission goal (inst : Instance.t) =
+  let arcs = Digraph.arc_count inst.graph in
+  let stride = Bitset.words_for inst.token_count in
   {
     inst;
     admission;
@@ -73,12 +82,23 @@ let kernel_create obs admission goal (inst : Instance.t) =
     have = Bitset.Rows.of_sets inst.token_count inst.have;
     scratch = Strategy.scratch_create ~token_count:inst.token_count;
     obs;
-    seen = Int_tab.create ~capacity:1024 ();
-    load = Int_tab.create ~capacity:1024 ();
+    stride;
+    stamp = Array.make arcs (-1);
+    load = Array.make arcs 0;
+    sent = Array.make (arcs * stride) 0;
+    epoch = -1;
     links = Int_tab.create ();
     fresh_total = 0;
     dropped_total = 0;
   }
+
+(* [slot]'s state, reset if it was last touched in an earlier phase. *)
+let[@inline] touch k slot =
+  if k.stamp.(slot) <> k.epoch then begin
+    k.stamp.(slot) <- k.epoch;
+    k.load.(slot) <- 0;
+    Array.fill k.sent (slot * k.stride) k.stride 0
+  end
 
 (* One step: check the proposal against §3.1, keep what the admission
    lets through, and deliver it.  Returns the kept moves; fresh and
@@ -86,12 +106,11 @@ let kernel_create obs admission goal (inst : Instance.t) =
 let apply_step k step moves =
   let inst = k.inst and have = k.have in
   let g = inst.graph in
-  let n = Instance.vertex_count inst in
+  let { Digraph.row_cap; _ } = Digraph.succ_rows g in
   let token_count = inst.token_count in
-  let seen = k.seen and load = k.load in
+  let load = k.load and sent = k.sent and stride = k.stride in
   let exact = match k.admission with Exact -> true | Lossy _ -> false in
-  Int_tab.clear seen;
-  Int_tab.clear load;
+  k.epoch <- k.epoch + 1;
   (* Direct recursion, not [List.iter]: the validation body runs once
      per move and the indirect closure call is measurable at engine
      scale.  Every admission runs these checks; only [Exact] also
@@ -101,16 +120,20 @@ let apply_step k step moves =
     | (m : Move.t) :: tl ->
       if m.token < 0 || m.token >= token_count then
         strategy_fail "step %d: token %d out of range" step m.token;
-      let cap = Digraph.capacity g m.src m.dst in
-      if cap = 0 then
+      let slot = Digraph.slot g m.src m.dst in
+      if slot < 0 then
         strategy_fail "step %d: no arc %d->%d" step m.src m.dst;
-      (* Token range was checked above, so the packed key is injective. *)
-      let arc = (m.src * n) + m.dst in
-      let key = (arc * token_count) + m.token in
-      if Int_tab.incr seen key > 1 then
+      touch k slot;
+      (* Token range was checked above, so the bit exists. *)
+      let i = (slot * stride) + (m.token / Bitset.bits_per_word) in
+      let b = 1 lsl (m.token mod Bitset.bits_per_word) in
+      if sent.(i) land b <> 0 then
         strategy_fail "step %d: duplicate assignment %d->%d:%d" step m.src
           m.dst m.token;
-      let l = Int_tab.incr load arc in
+      sent.(i) <- sent.(i) lor b;
+      let l = load.(slot) + 1 in
+      load.(slot) <- l;
+      let cap = row_cap.(slot) in
       if l > cap && exact then
         strategy_fail "step %d: capacity of %d->%d exceeded (%d > %d)" step
           m.src m.dst l cap;
@@ -127,22 +150,22 @@ let apply_step k step moves =
       (* First come, first served: a move is kept while its arc's
          effective capacity and every shared link on its route have
          room, and then takes one unit of each. *)
-      Int_tab.clear load;
+      k.epoch <- k.epoch + 1;
       Int_tab.clear k.links;
       let has_room id = Int_tab.find k.links id < l.link_capacity.(id) in
       let take id = ignore (Int_tab.incr k.links id) in
       let[@tail_mod_cons] rec admit = function
         | [] -> []
         | (m : Move.t) :: tl ->
-          let arc = (m.src * n) + m.dst in
-          let base = Digraph.capacity g m.src m.dst in
+          let slot = Digraph.slot g m.src m.dst in
+          touch k slot;
           let route = l.route ~src:m.src ~dst:m.dst in
           if
-            Int_tab.find load arc
-            < l.capacity ~step ~src:m.src ~dst:m.dst ~base
+            load.(slot)
+            < l.capacity ~step ~src:m.src ~dst:m.dst ~base:row_cap.(slot)
             && Array.for_all has_room route
           then begin
-            ignore (Int_tab.incr load arc);
+            load.(slot) <- load.(slot) + 1;
             Array.iter take route;
             m :: admit tl
           end

@@ -64,7 +64,7 @@ module View = struct
   let to_array v = Array.init v.len (fun i -> (dst v i, cap v i))
 
   let index v u =
-    (* Rows are sorted ascending: binary search.  [capacity] keeps its
+    (* Rows are sorted ascending: binary search.  [slot] keeps its
        own copy of this loop; routing both through one shared helper
        made the synchronous sweep measurably slower. *)
     let lo = ref 0 and hi = ref (v.len - 1) and found = ref (-1) in
@@ -369,21 +369,25 @@ let pred g v =
     len = g.pred_off.(v + 1) - g.pred_off.(v);
   }
 
-let capacity g u v =
+let slot g u v =
   (* Rows are sorted by destination: binary search. *)
   let lo = ref g.succ_off.(u) and hi = ref (g.succ_off.(u + 1) - 1) in
-  let found = ref 0 in
+  let found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let d = g.succ_dst.(mid) in
     if d = v then begin
-      found := g.succ_cap.(mid);
+      found := mid;
       lo := !hi + 1
     end
     else if d < v then lo := mid + 1
     else hi := mid - 1
   done;
   !found
+
+let capacity g u v =
+  let s = slot g u v in
+  if s < 0 then 0 else g.succ_cap.(s)
 
 let mem_arc g u v = capacity g u v > 0
 

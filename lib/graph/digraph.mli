@@ -119,6 +119,13 @@ val add_undirected_edges : t -> (vertex * vertex * int) list -> t
 val capacity : t -> vertex -> vertex -> int
 (** 0 when the arc is absent.  Binary search on the sorted row. *)
 
+val slot : t -> vertex -> vertex -> int
+(** [slot g u v] is the position of arc [u -> v] in {!succ_rows}'
+    parallel arrays ([row_cap.(slot g u v)] is its capacity), or [-1]
+    when the arc is absent.  Slots run over [0 .. arc_count g - 1], so
+    per-arc state can live in flat arrays of that length.  Binary
+    search on the sorted row. *)
+
 val mem_arc : t -> vertex -> vertex -> bool
 
 val succ : t -> vertex -> view

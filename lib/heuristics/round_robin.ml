@@ -2,46 +2,47 @@ open Ocd_core
 open Ocd_prelude
 open Ocd_graph
 
-(* Next [count] tokens of [have] starting at the cursor, cyclically.
-   Returns the chosen tokens and the new cursor (one past the last
-   token sent). *)
-let take_cyclic have cursor count =
-  let m = Bitset.capacity have in
-  let available = Bitset.cardinal have in
-  let take = min count available in
-  let rec go cursor taken acc =
-    if taken = take then (List.rev acc, cursor)
-    else
-      match Bitset.next_member have cursor with
-      | Some t -> go (t + 1) (taken + 1) (t :: acc)
-      | None -> go 0 taken acc (* wrap around *)
-  in
-  if take = 0 then ([], cursor) else go (cursor mod max 1 m) 0 []
-
 let strategy =
-  let make inst _rng =
+  let make (inst : Instance.t) _rng =
+    let base = inst.graph in
+    let { Digraph.row_off; row_dst; row_cap } = Digraph.succ_rows base in
     let n = Instance.vertex_count inst in
-    (* cursor per arc, int-packed key [src * n + dst] *)
-    let cursors = Hashtbl.create (4 * n) in
+    (* One cursor per arc, indexed by the arc's slot in the run's
+       graph: the token id to try next.  Runners that show a subgraph
+       per step (link flaps) keep the base graph's slots. *)
+    let cursors = Array.make (Digraph.arc_count base) 0 in
     fun (ctx : Ocd_engine.Strategy.context) ->
-      let graph = ctx.instance.Instance.graph in
-      let have = ctx.scratch.Ocd_engine.Strategy.tokens_a in
+      let have = ctx.have in
       let moves = ref [] in
+      (* The next [min cap available] tokens [src] holds from the
+         slot's cursor, cyclically; the cursor ends one past the last
+         token sent. *)
+      let send src dst slot cap available =
+        let cursor = ref cursors.(slot) and left = ref (min cap available) in
+        while !left > 0 do
+          let token = Bitset.Rows.next_member have src !cursor in
+          if token < 0 then cursor := 0
+          else begin
+            moves := { Move.src; dst; token } :: !moves;
+            cursor := token + 1;
+            decr left
+          end
+        done;
+        cursors.(slot) <- !cursor
+      in
+      let graph = ctx.instance.Instance.graph in
       for src = 0 to n - 1 do
-        Bitset.Rows.into have ctx.have src;
-        if not (Bitset.is_empty have) then
-          Digraph.View.iter
-            (fun dst cap ->
-              let arc = (src * n) + dst in
-              let cursor =
-                Option.value (Hashtbl.find_opt cursors arc) ~default:0
-              in
-              let tokens, cursor' = take_cyclic have cursor cap in
-              Hashtbl.replace cursors arc cursor';
-              List.iter
-                (fun token -> moves := { Move.src; dst; token } :: !moves)
-                tokens)
-            (Digraph.succ graph src)
+        let available = Bitset.Rows.cardinal have src in
+        if available > 0 then
+          if graph == base then
+            for slot = row_off.(src) to row_off.(src + 1) - 1 do
+              send src row_dst.(slot) slot row_cap.(slot) available
+            done
+          else
+            Digraph.View.iter
+              (fun dst cap ->
+                send src dst (Digraph.slot base src dst) cap available)
+              (Digraph.succ graph src)
       done;
       !moves
   in

@@ -222,6 +222,27 @@ module Rows = struct
     let rec go j = j >= r.stride || (word r v j = 0 && go (j + 1)) in
     go 0
 
+  let cardinal r v =
+    let acc = ref 0 in
+    for j = 0 to r.stride - 1 do
+      acc := !acc + popcount (word r v j)
+    done;
+    !acc
+
+  let next_member r v x =
+    if x < 0 || x >= r.capacity then -1
+    else begin
+      let base = v * r.stride in
+      let j = ref (x / bits_per_word) in
+      (* Bits below [x] in its word are masked off. *)
+      let w = ref (r.words.(base + !j) land (-1 lsl (x mod bits_per_word))) in
+      while !w = 0 && !j < r.stride - 1 do
+        incr j;
+        w := r.words.(base + !j)
+      done;
+      if !w = 0 then -1 else (!j * bits_per_word) + ctz_bit (!w land - !w)
+    end
+
   let into (s : set) r v =
     if s.capacity <> r.capacity then invalid_arg "Bitset: capacity mismatch";
     Array.blit r.words (v * r.stride) s.words 0 r.stride

@@ -131,6 +131,14 @@ module Rows : sig
 
   val is_empty : t -> int -> bool
 
+  val cardinal : t -> int -> int
+  (** [cardinal r v] is the population count of row [v]. *)
+
+  val next_member : t -> int -> int -> int
+  (** [next_member r v x] is the smallest element [>= x] of row [v],
+      or [-1] when there is none (also when [x] is outside
+      [\[0, capacity)]). *)
+
   val into : set -> t -> int -> unit
   (** [into s r v] overwrites [s] with row [v] (same capacity). *)
 

@@ -113,10 +113,10 @@ type run = {
 }
 
 (* Number the physical links the overlay's routes cross and lay each
-   overlay arc's route out as an array of link ids, indexed through the
-   arc's packed key, so admission never hashes a tuple. *)
+   overlay arc's route out as an array of link ids, indexed by the
+   arc's CSR slot ([Digraph.arcs] lists arcs in slot order), so
+   admission never hashes a tuple. *)
 let routes t (inst : Instance.t) =
-  let n = Instance.vertex_count inst in
   let ids = Hashtbl.create 64 and link_capacity = Int_vec.create () in
   let id link =
     match Hashtbl.find_opt ids link with
@@ -135,19 +135,16 @@ let routes t (inst : Instance.t) =
   in
   if Digraph.arc_count inst.graph <> Digraph.arc_count t.overlay then
     not_overlay ();
-  let slot = Int_tab.create () in
   let routes =
     Array.of_list
-      (List.mapi
-         (fun i { Digraph.src; dst; _ } ->
+      (List.map
+         (fun { Digraph.src; dst; _ } ->
            match Hashtbl.find_opt t.paths (src, dst) with
            | None -> not_overlay ()
-           | Some links ->
-             Int_tab.set slot ((src * n) + dst) i;
-             Array.of_list (List.map id links))
+           | Some links -> Array.of_list (List.map id links))
          (Digraph.arcs inst.graph))
   in
-  ( (fun ~src ~dst -> routes.(Int_tab.find slot ((src * n) + dst))),
+  ( (fun ~src ~dst -> routes.(Digraph.slot inst.graph src dst)),
     Int_vec.to_array link_capacity )
 
 let run t ~strategy ~seed (inst : Instance.t) =

@@ -395,6 +395,247 @@ let prop_validator_catches_mutations =
           | _ -> false))
       )
 
+(* The Int_tab checker that [Validate] ran before it indexed arcs by
+   CSR slot, kept verbatim as the oracle of the differential property
+   below: hashed (arc, token) and arc keys, cleared per step. *)
+let oracle_check_validity (inst : Instance.t) schedule =
+  let open Validate in
+  let g = inst.graph in
+  let n = Instance.vertex_count inst in
+  let token_count = inst.token_count in
+  let before = Array.map Bitset.copy inst.have in
+  let error = ref None in
+  let fail e = if !error = None then error := Some e in
+  (* Int-packed keys — [(src·n + dst)·m + token] and [src·n + dst] —
+     in stamped tables hoisted out of the step loop: clearing is O(1)
+     per step and a probe allocates nothing. *)
+  let seen = Int_tab.create () in
+  let arc_load = Int_tab.create () in
+  let run_step step =
+    Int_tab.clear seen;
+    Int_tab.clear arc_load;
+    let check_move ~src ~dst ~token =
+      let cap = Digraph.capacity g src dst in
+      let in_range = token >= 0 && token < token_count in
+      if cap = 0 then fail (No_such_arc { step; move = { Move.src; dst; token } })
+      else begin
+        (* Out-of-range tokens skip the dedup table (the packed key
+           cannot represent them); they fail [Not_possessed] below, so
+           any later duplicate is shadowed by that earlier error either
+           way. *)
+        if in_range then begin
+          let key = ((src * n) + dst) * token_count + token in
+          if Int_tab.incr seen key > 1 then
+            fail (Duplicate_assignment { step; move = { Move.src; dst; token } })
+        end;
+        let load = Int_tab.incr arc_load ((src * n) + dst) in
+        if load > cap then
+          fail (Capacity_exceeded { step; src; dst; sent = load; capacity = cap });
+        if not (in_range && Bitset.mem before.(src) token) then
+          fail (Not_possessed { step; move = { Move.src; dst; token } })
+      end
+    in
+    Schedule.iter_step schedule step check_move;
+    (* Deliveries become visible only at the next step. *)
+    Schedule.iter_step schedule step (fun ~src:_ ~dst ~token ->
+        if token >= 0 && token < token_count then Bitset.add before.(dst) token)
+  in
+  for step = 0 to Schedule.length schedule - 1 do
+    run_step step
+  done;
+  match !error with Some e -> Error e | None -> Ok before
+
+let oracle_check inst schedule =
+  match oracle_check_validity inst schedule with
+  | Ok _ -> Ok ()
+  | Error e -> Error e
+
+let oracle_check_successful (inst : Instance.t) schedule =
+  match oracle_check_validity inst schedule with
+  | Error e -> Error e
+  | Ok final ->
+    let rec scan v =
+      if v >= Instance.vertex_count inst then Ok ()
+      else if Bitset.subset inst.want.(v) final.(v) then scan (v + 1)
+      else
+        Error
+          (Validate.Unsatisfied
+             {
+               vertex = v;
+               missing = Bitset.elements (Bitset.diff inst.want.(v) final.(v));
+             })
+    in
+    scan 0
+
+(* [x] inserted into [l] at position [at] (clamped to the end). *)
+let insert_at at x l =
+  let rec go i = function
+    | rest when i = at -> x :: rest
+    | [] -> [ x ]
+    | y :: rest -> y :: go (i + 1) rest
+  in
+  go 0 l
+
+(* One categorised corruption of [steps] (a non-empty array):
+   0 a move from a random vertex on a random out-arc, token in range
+     (possessed or not); 1 a copy of an existing move in its own step;
+   2 a move over a missing arc (self-loops included); 3 every delivery
+   of one (dst, token) removed; 4 an out-of-range token on an arc;
+   5 one more distinct token than an arc's capacity in one step;
+   6 a move repeated in the next step (the arc's slot reused in
+   consecutive steps), sometimes with another token; 7 one step's
+   moves shuffled, which reorders the first error. *)
+let mutate rng (inst : Instance.t) steps kind =
+  let g = inst.graph in
+  let n = Instance.vertex_count inst and m = inst.token_count in
+  let len = Array.length steps in
+  let i = Prng.int rng len in
+  let put step x =
+    steps.(step) <-
+      insert_at (Prng.int rng (List.length steps.(step) + 1)) x steps.(step)
+  in
+  let random_arc () =
+    let rec pick tries =
+      let u = Prng.int rng n in
+      let row = Digraph.View.to_array (Digraph.succ g u) in
+      if Array.length row > 0 then
+        let v, c = Prng.pick rng row in
+        Some (u, v, c)
+      else if tries > 0 then pick (tries - 1)
+      else None
+    in
+    pick 20
+  in
+  let existing () =
+    match List.concat (Array.to_list steps) with
+    | [] -> None
+    | all -> Some (Prng.pick_list rng all)
+  in
+  match kind with
+  | 0 ->
+    Option.iter
+      (fun (u, v, _) -> put i (mv u v (Prng.int rng m)))
+      (random_arc ())
+  | 1 -> (
+    match steps.(i) with
+    | [] -> ()
+    | moves -> put i (Prng.pick_list rng moves))
+  | 2 ->
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if not (Digraph.mem_arc g u v) then put i (mv u v (Prng.int rng m))
+  | 3 ->
+    Option.iter
+      (fun (x : Move.t) ->
+        Array.iteri
+          (fun s moves ->
+            steps.(s) <-
+              List.filter
+                (fun (y : Move.t) -> (y.dst, y.token) <> (x.dst, x.token))
+                moves)
+          steps)
+      (existing ())
+  | 4 ->
+    Option.iter
+      (fun (u, v, _) -> put i (mv u v (Prng.pick rng [| -1; -64; m; m + 63 |])))
+      (random_arc ())
+  | 5 ->
+    Option.iter
+      (fun (u, v, c) ->
+        List.iter
+          (fun t -> put i (mv u v t))
+          (Prng.sample_without_replacement rng (min m (c + 1)) m))
+      (random_arc ())
+  | 6 ->
+    Option.iter
+      (fun (x : Move.t) ->
+        let next = min (len - 1) (i + 1) in
+        let token = if Prng.bool rng then x.token else Prng.int rng m in
+        put next { x with token })
+      (match steps.(i) with [] -> None | moves -> Some (Prng.pick_list rng moves))
+  | _ ->
+    let a = Array.of_list steps.(i) in
+    Prng.shuffle rng a;
+    steps.(i) <- Array.to_list a
+
+(* The slot-indexed [Validate] and the Int_tab oracle agree — same
+   result, same first error (variant, step, move, [sent]) — on
+   heuristic schedules with one to four corruptions, on capacities 1-3
+   (so duplicates land on arcs of capacity >= 2 as well as 1) and token
+   counts around the 63-token word boundary. *)
+let prop_validate_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_range 0 100_000 in
+      let* n = int_range 3 12 in
+      let* tokens = oneofl [ 1; 2; 5; 62; 63; 64; 65; 127 ] in
+      let* strategy = int_range 0 4 in
+      let* kinds = list_size (int_range 1 4) (int_range 0 7) in
+      return (seed, n, tokens, strategy, kinds))
+  in
+  QCheck.Test.make ~name:"validate = Int_tab oracle on mutated schedules"
+    ~count:300 (QCheck.make gen) (fun (seed, n, tokens, strategy, kinds) ->
+      let rng = Prng.create ~seed in
+      let g =
+        Ocd_topology.Random_graph.erdos_renyi rng ~n ~p:0.5
+          ~weights:(Ocd_topology.Weights.Uniform (1, 3)) ()
+      in
+      let inst = (Scenario.single_file rng ~graph:g ~tokens ()).Scenario.instance in
+      let run =
+        Ocd_engine.Engine.run ~step_limit:40
+          ~strategy:(List.nth Ocd_heuristics.Registry.all strategy)
+          ~seed:(seed + 1) inst
+      in
+      let steps =
+        match Schedule.steps run.Ocd_engine.Engine.schedule with
+        | [] -> [| []; [] |]
+        | steps -> Array.of_list (steps @ [ [] ])
+      in
+      List.iter (mutate rng inst steps) kinds;
+      let s = Schedule.of_steps (Array.to_list steps) in
+      Validate.check inst s = oracle_check inst s
+      && Validate.check_successful inst s = oracle_check_successful inst s)
+
+(* Metrics counts the moves §5.1 pruning keeps without building the
+   pruned schedule; the count must be that schedule's move count, on
+   every kind of schedule the tree produces: the five heuristics, the
+   four baselines, and the async protocols' delivery logs. *)
+let prop_metrics_pruned_bandwidth =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_range 0 100_000 in
+      let* n = int_range 4 16 in
+      let* tokens = int_range 1 10 in
+      let* source = int_range 0 12 in
+      return (seed, n, tokens, source))
+  in
+  QCheck.Test.make ~name:"metrics pruned bandwidth = pruned move count"
+    ~count:60 (QCheck.make gen) (fun (seed, n, tokens, source) ->
+      let rng = Prng.create ~seed in
+      let g = Ocd_topology.Random_graph.erdos_renyi rng ~n ~p:0.4 () in
+      let inst =
+        (Scenario.receiver_density rng ~graph:g ~tokens ~threshold:0.5 ())
+          .Scenario.instance
+      in
+      let engine strategy =
+        (Ocd_engine.Engine.run ~strategy ~seed:(seed + 1) inst)
+          .Ocd_engine.Engine.schedule
+      in
+      let schedule =
+        match source with
+        | k when k < 5 -> engine (List.nth Ocd_heuristics.Registry.all k)
+        | 5 -> Ocd_baselines.Serial_steiner.plan inst
+        | 6 -> engine (Ocd_baselines.Fast_replica.strategy ())
+        | 7 -> engine (Ocd_baselines.Tree_push.strategy ())
+        | 8 -> engine (Ocd_baselines.Split_forest.strategy ~k:2 ())
+        | k ->
+          let protocols = Ocd_async.Registry.all () in
+          let protocol = List.nth protocols ((k - 9) mod List.length protocols) in
+          (Ocd_async.Runtime.run ~protocol ~seed:(seed + 1) inst)
+            .Ocd_async.Runtime.schedule
+      in
+      (Metrics.of_schedule inst schedule).Metrics.pruned_bandwidth
+      = Schedule.move_count (Prune.prune inst schedule))
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1036,6 +1277,7 @@ let () =
           Alcotest.test_case "possessions evolution" `Quick test_possessions_evolution;
           Alcotest.test_case "final possessions" `Quick test_final_possessions;
           qtest prop_validator_catches_mutations;
+          qtest prop_validate_matches_oracle;
         ] );
       ( "metrics",
         [
@@ -1044,6 +1286,7 @@ let () =
             test_metrics_completion_times_partial;
           Alcotest.test_case "incomplete schedule" `Quick
             test_metrics_incomplete_schedule;
+          qtest prop_metrics_pruned_bandwidth;
         ] );
       ( "prune",
         [

@@ -181,6 +181,86 @@ let test_engine_rejects_invalid_move () =
 let test_engine_rejects_missing_arc () =
   expect_strategy_error "missing-arc" (fun _ -> [ mv 0 2 0 ])
 
+(* The text of each rejection, pinned under every runner: exact
+   admission (engine, coding) and lossy admission (dynamics, underlay)
+   run the same checks in the same order, so a proposal with several
+   faults reports its first.  Capacity is a strategy bug under exact
+   admission only; lossy admission drops the extra move instead. *)
+let test_engine_strategy_error_text () =
+  let resend_then bad ctx =
+    match ctx.Strategy.step with
+    | 0 | 1 -> [ mv 0 1 0; mv 0 1 1 ]
+    | _ -> bad
+  in
+  let cases =
+    [
+      ("bad token", (fun _ -> [ mv 0 1 99 ]), "step 0: token 99 out of range", true);
+      ("negative token", (fun _ -> [ mv 0 1 (-1) ]), "step 0: token -1 out of range", true);
+      ("token before arc", (fun _ -> [ mv 0 2 5 ]), "step 0: token 5 out of range", true);
+      ("missing arc", (fun _ -> [ mv 0 2 0 ]), "step 0: no arc 0->2", true);
+      ("self-loop", (fun _ -> [ mv 1 1 0 ]), "step 0: no arc 1->1", true);
+      ( "reverse arc",
+        (fun ctx -> if ctx.Strategy.step = 0 then [ mv 0 1 0 ] else [ mv 2 1 0 ]),
+        "step 1: no arc 2->1",
+        true );
+      ( "duplicate",
+        (fun _ -> [ mv 0 1 0; mv 0 1 0 ]),
+        "step 0: duplicate assignment 0->1:0",
+        true );
+      ( "duplicate before possession",
+        (fun _ -> [ mv 0 1 1; mv 0 1 1; mv 1 2 0 ]),
+        "step 0: duplicate assignment 0->1:1",
+        true );
+      ( "not possessed",
+        (fun _ -> [ mv 1 2 0 ]),
+        "step 0: 1 sends token 0 it does not hold",
+        true );
+      ( "possession before duplicate",
+        (fun _ -> [ mv 1 2 0; mv 0 1 0; mv 0 1 0 ]),
+        "step 0: 1 sends token 0 it does not hold",
+        true );
+      ( "duplicate after slot reuse",
+        resend_then [ mv 0 1 1; mv 0 1 1 ],
+        "step 2: duplicate assignment 0->1:1",
+        true );
+      ( "capacity",
+        (fun _ -> [ mv 0 1 0; mv 0 1 1; mv 0 1 2 ]),
+        "step 0: capacity of 0->1 exceeded (3 > 2)",
+        false );
+      ( "capacity after slot reuse",
+        resend_then [ mv 0 1 2; mv 0 1 1; mv 0 1 0 ],
+        "step 2: capacity of 0->1 exceeded (3 > 2)",
+        false );
+    ]
+  in
+  let graph =
+    Digraph.of_arcs ~vertex_count:3
+      [
+        { Digraph.src = 0; dst = 1; capacity = 2 };
+        { Digraph.src = 1; dst = 2; capacity = 2 };
+      ]
+  in
+  let inst =
+    Instance.make ~graph ~token_count:3 ~have:[ (0, [ 0; 1; 2 ]) ]
+      ~want:[ (2, [ 0; 1; 2 ]) ]
+  in
+  List.iter
+    (fun (name, decide, text, lossy_too) ->
+      let bad = Strategy.stateless ~name decide in
+      List.iter
+        (fun (runner, lossy, run) ->
+          let got =
+            match run bad with
+            | _ -> None
+            | exception Engine.Strategy_error e -> Some e
+          in
+          let expected = if lossy && not lossy_too then None else Some text in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s under %s" name runner)
+            expected got)
+        (runners inst))
+    cases
+
 (* Possession is checked at the word boundary of the flat store
    (63 tokens per word).  Vertex 0 holds token 63 only, the first bit
    of its second word; vertex 2 holds every other token.  Vertex 0
@@ -507,6 +587,8 @@ let () =
             test_engine_rejects_reverse_arc;
           Alcotest.test_case "possession at the word boundary" `Quick
             test_engine_possession_word_boundary;
+          Alcotest.test_case "strategy error text" `Quick
+            test_engine_strategy_error_text;
           Alcotest.test_case "rejects missing arc" `Quick
             test_engine_rejects_missing_arc;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic_given_seed;

@@ -529,6 +529,9 @@ let prop_bitset_rows =
             Bitset.equal row model.(v)
             && Bitset.equal rest (Bitset.diff other model.(v))
             && Bitset.Rows.is_empty rows v = Bitset.is_empty model.(v)
+            && Bitset.Rows.cardinal rows v = Bitset.cardinal model.(v)
+            && Bitset.Rows.next_member rows v cap = -1
+            && Bitset.Rows.next_member rows v (-1) = -1
             && List.for_all
                  (fun x ->
                    let in_word =
@@ -536,7 +539,9 @@ let prop_bitset_rows =
                      <> 0
                    in
                    Bitset.Rows.mem rows v x = Bitset.mem model.(v) x
-                   && in_word = Bitset.mem model.(v) x)
+                   && in_word = Bitset.mem model.(v) x
+                   && Bitset.Rows.next_member rows v x
+                      = Option.value (Bitset.next_member model.(v) x) ~default:(-1))
                  (List.init cap Fun.id))
           (List.init n Fun.id)
       in
