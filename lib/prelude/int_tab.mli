@@ -1,8 +1,8 @@
 (** Open-addressing hash table from [int] keys to [int] values, with
     O(1) whole-table reset.
 
-    The engine validates every step against per-(arc, token) and
-    per-arc counters and resets them thousands of times per run;
+    The engine's lossy admission counts the underlay links each step's
+    moves cross and resets the counts thousands of times per run;
     [Hashtbl.clear] walks the bucket array and boxed-key tables hash
     through a polymorphic path.  This table stores keys, values and a
     per-slot generation stamp in three flat [int array]s: {!clear}
