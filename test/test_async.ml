@@ -1052,9 +1052,54 @@ let test_registry_unknown_message () =
   Alcotest.check_raises "find_exn raises the listing message"
     (Invalid_argument msg) (fun () -> ignore (Registry.find_exn "nope"))
 
+(* --------------------------- fingerprints ---------------------------- *)
+
+(* Digests of whole runs (see [Fingerprint]), recorded before the
+   transport's per-arc state, the detector tables, the pull sort and
+   the schedule log were reindexed: any change to the event path that
+   moves a single event, message or schedule move fails here. *)
+let fingerprints =
+  [
+    ( "async-local",
+      [
+        ("calm", "480c157d915f6e0807f2cdc46680cb57");
+        ("lossy", "7198661cbd988140d9bbef1d8a9189f1");
+        ("flapping", "f428e31257f8f978bcb9bcbf235ead59");
+        ("crash+partition", "08e50c3bb5e29083dd59b7335f5ee2dc");
+        ("adversary", "b06c6ce7c45dfea27f4c1d28fded72ff");
+        ("churn", "8d964a173fc726c325fb23399207204f");
+      ] );
+    ( "async-push",
+      [
+        ("calm", "ffe6ea46c9d7931a8f41fb56b66425de");
+        ("lossy", "db0643935ffe2fe5d39ee6ea96cb1f97");
+        ("flapping", "95765d3b3317a8d41a3662025b118de1");
+        ("crash+partition", "4fab09f20e5e9c6733d1a77880d76e7e");
+        ("adversary", "4f41d8988c52c0e418148bd6c95bd807");
+        ("churn", "ac6fca97f1352a7bd01db00d319f7c5c");
+      ] );
+    ( "flood-plan",
+      [
+        ("calm", "d27fcf220a81336d771a01898958cc03");
+        ("lossy", "a1bf27b502a8251c85cbb186ca1753bb");
+        ("flapping", "3210ec5cf58329b82f64f450f97301ab");
+        ("crash+partition", "dabdaf9fa0f9103a9156e721af2c5933");
+        ("adversary", "f9a659707a7a45b697aa69139e1d8015");
+        ("churn", "1247c5d151c23aee9538b4ecb773d370");
+      ] );
+  ]
+
+let test_fingerprints () =
+  List.iter
+    (fun (name, expected) ->
+      Fingerprint.check ~name ~expected (fun () -> Registry.find_exn name))
+    fingerprints
+
 let () =
   Alcotest.run "ocd_async"
     [
+      ( "fingerprint",
+        [ Alcotest.test_case "runtime digests" `Quick test_fingerprints ] );
       ( "sim",
         [
           Alcotest.test_case "event order" `Quick test_sim_order;

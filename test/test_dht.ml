@@ -503,6 +503,23 @@ let test_registry () =
         flood-plan, dht-rarest)") (fun () ->
       ignore (Ocd_dht.Registry.find_exn "nope"))
 
+(* Digest of every [Fingerprint] scenario under dht-rarest, recorded
+   before the DHT's id cache and contact fast path: the ring must do
+   exactly the same work, message for message. *)
+let dht_fingerprints =
+  [
+    ("calm", "2ee1f9fed80b011562805209c6dd19a0");
+    ("lossy", "59266285972098ab5d0570bdad42b016");
+    ("flapping", "b983befec4813ed422a48bad06f1bdb6");
+    ("crash+partition", "f8ea7bbff8c4d444e415ea12acc8b011");
+    ("adversary", "9b85dd8fe830b3d64b040f52804dbe7e");
+    ("churn", "1b8e42b714c687da5a961994a599a9fa");
+  ]
+
+let test_dht_fingerprints () =
+  Fingerprint.check ~name:"dht-rarest" ~expected:dht_fingerprints (fun () ->
+      Ocd_dht.Dht_rarest.protocol ())
+
 let () =
   Alcotest.run "ocd_dht"
     [
@@ -523,6 +540,7 @@ let () =
             test_dht_rarest_validates;
           Alcotest.test_case "determinism" `Quick test_dht_rarest_determinism;
           Alcotest.test_case "crash repair" `Quick test_dht_rarest_crash_repair;
+          Alcotest.test_case "runtime digests" `Quick test_dht_fingerprints;
         ] );
       ("registry", [ Alcotest.test_case "names" `Quick test_registry ]);
     ]
