@@ -12,12 +12,12 @@ module Digraph = Ocd_graph.Digraph
 let requests ~rng ~token_count ~have ~eligible ~alive ~preds ~known =
   let rarity token =
     let count = ref 0 in
-    Digraph.View.iteri
-      (fun i u _ ->
-        match known i with
-        | Some s when alive u && Bitset.mem s token -> incr count
-        | _ -> ())
-      preds;
+    for i = 0 to Digraph.View.length preds - 1 do
+      match known i with
+      | Some s when alive (Digraph.View.dst preds i) && Bitset.mem s token ->
+          incr count
+      | _ -> ()
+    done;
     !count
   in
   let holds token i =

@@ -26,15 +26,35 @@ type adversary = {
 let no_adversary =
   { dup_prob = 0.0; delay_prob = 0.0; max_delay = 0; corrupt_prob = 0.0 }
 
-(* Per-arc transport state: a private PRNG stream (loss and jitter
+(* Per-pair transport state: a private PRNG stream (loss and jitter
    draws), a second private stream for the adversary (so enabling it
    never perturbs the loss/jitter sequence of the base run), and the
-   leaky-bucket horizon for Data departures. *)
+   leaky-bucket horizon for Data departures.  One state per ordered
+   pair (src, dst), whatever travels: data and control from [src] to
+   [dst] share it. *)
 type arc_state = { rng : Prng.t; adv_rng : Prng.t; mutable next_free : int }
+
+(* Stand-in for "not created yet" in the slot arrays below, compared
+   physically; never drawn from. *)
+let unborn = { rng = Prng.create ~seed:0; adv_rng = Prng.create ~seed:0; next_free = 0 }
+
+module Pair_tab = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* the multiplicative spread of [Int_tab]; [Hashtbl.hash] would go
+     through the polymorphic C hash on every probe *)
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
+end)
 
 type t = {
   sim : Sim.t;
   graph : Digraph.t;
+  n : int;
+  row_cap : int array;  (* succ_rows' capacities, indexed by slot *)
   profile : profile;
   condition : Condition.t;
   seed : int;
@@ -45,7 +65,14 @@ type t = {
   cut : (round:int -> int -> int -> bool) option;
   adversary : adversary;
   adv_on : bool;
-  arcs : (int, arc_state) Hashtbl.t;
+  (* Pair state, created on first use.  [along.(s)] serves the pair
+     (u, v) of the arc u -> v at slot [s]; [against.(s)] serves the
+     reverse pair (v, u) when v -> u is no arc of its own (control
+     against the arc's direction); [underlay] serves pairs with no arc
+     either way, keyed by [src * n + dst]. *)
+  along : arc_state array;
+  against : arc_state array;
+  underlay : arc_state Pair_tab.t;
   mutable data_sent : int;
   mutable control_sent : int;
   mutable dropped : int;
@@ -68,42 +95,62 @@ let create ~sim ~graph ~profile ~condition ~seed
     invalid_arg "Net.create: adversary max_delay must be non-negative";
   if adversary.delay_prob > 0.0 && adversary.max_delay < 1 then
     invalid_arg "Net.create: delay_prob > 0 requires max_delay >= 1";
-  { sim; graph; profile; condition; seed; causal; deliver; node_up; node_epoch;
+  let arcs = Digraph.arc_count graph in
+  { sim; graph; n = Digraph.vertex_count graph;
+    row_cap = (Digraph.succ_rows graph).Digraph.row_cap;
+    profile; condition; seed; causal; deliver; node_up; node_epoch;
     cut;
     adversary; adv_on = adversary <> no_adversary;
-    arcs = Hashtbl.create 64; data_sent = 0; control_sent = 0; dropped = 0;
+    along = Array.make arcs unborn; against = Array.make arcs unborn;
+    underlay = Pair_tab.create 64;
+    data_sent = 0; control_sent = 0; dropped = 0;
     fault_dropped = 0; adv_duplicated = 0; adv_reordered = 0;
     adv_corrupted = 0 }
 
-let arc_state net ~src ~dst =
-  let key = (src * Digraph.vertex_count net.graph) + dst in
-  match Hashtbl.find_opt net.arcs key with
-  | Some s -> s
-  | None ->
-      (* Same stream-derivation mixing as Condition's coin: the arc's
-         draws are independent of every other arc's and of node rngs.
-         The adversary's stream flips the seed's bits first, which
-         decorrelates it from the base stream under SplitMix64. *)
-      let seed = (((net.seed * 1_000_003) + src) * 1_000_003) + dst in
-      let s =
-        {
-          rng = Prng.create ~seed;
-          adv_rng = Prng.create ~seed:(lnot seed);
-          next_free = 0;
-        }
-      in
-      Hashtbl.add net.arcs key s;
-      s
+(* Same stream-derivation mixing as Condition's coin: the pair's draws
+   are independent of every other pair's and of node rngs.  The
+   adversary's stream flips the seed's bits first, which decorrelates
+   it from the base stream under SplitMix64. *)
+let fresh_state net ~src ~dst =
+  let seed = (((net.seed * 1_000_003) + src) * 1_000_003) + dst in
+  { rng = Prng.create ~seed; adv_rng = Prng.create ~seed:(lnot seed); next_free = 0 }
+
+let slot_state net states s ~src ~dst =
+  let st = states.(s) in
+  if st != unborn then st
+  else begin
+    let st = fresh_state net ~src ~dst in
+    states.(s) <- st;
+    st
+  end
+
+(* [fwd]/[bwd] are the slots of src -> dst and dst -> src (-1 when
+   absent). *)
+let pair_state net ~src ~dst ~fwd ~bwd =
+  if fwd >= 0 then slot_state net net.along fwd ~src ~dst
+  else if bwd >= 0 then slot_state net net.against bwd ~src ~dst
+  else begin
+    let key = (src * net.n) + dst in
+    match Pair_tab.find_opt net.underlay key with
+    | Some st -> st
+    | None ->
+        let st = fresh_state net ~src ~dst in
+        Pair_tab.add net.underlay key st;
+        st
+  end
 
 let arc_latency profile ~capacity =
   (* Inverse in capacity, clamped to a 0.5x-1.5x band around the base:
      capacity 3 gives 1.5x, capacity 15 gives 0.5x. *)
   profile.latency * 9 / (3 + max 0 capacity)
 
-let effective net ~round ~src ~dst =
-  let base = Digraph.capacity net.graph src dst in
-  if base = 0 then 0
-  else Condition.effective net.condition ~step:round ~src ~dst ~base
+(* Base and effective capacity of the arc at slot [s]; 0 for [s = -1],
+   no arc. *)
+let slot_cap net s = if s < 0 then 0 else Array.unsafe_get net.row_cap s
+
+let effective net ~round ~src ~dst s =
+  if s < 0 then 0
+  else Condition.effective net.condition ~step:round ~src ~dst ~base:(slot_cap net s)
 
 let delay net state ~capacity =
   let base = arc_latency net.profile ~capacity in
@@ -181,21 +228,23 @@ let dispatch net state ~src ~dst ~arrive ~sid msg =
     end
   end
 
+(* The causal [Send] of a departing message, or -1 with the log off.
+   [retry] is the protocol's pending-retry marker, consumed before any
+   drop decision. *)
+let causal_send net ~con ~retry ~now ~src ~dst ~depart msg =
+  if con then
+    Ocd_obs.Causal.record_send net.causal ~tick:now ~node:src ~dst ~depart
+      ~token:(message_token msg) ~retry
+  else -1
+
 let send net ~src ~dst msg =
   let now = Sim.now net.sim in
   let round = now / net.profile.pace in
-  let state = arc_state net ~src ~dst in
   (* Consume the protocol's pending-retry marker on every send attempt
      from this source: if the attempt is dropped below, the marker must
      not leak onto an unrelated later send. *)
   let con = Ocd_obs.Causal.enabled net.causal in
   let retry = con && Ocd_obs.Causal.take_retry net.causal ~node:src in
-  let causal_send ~depart =
-    if con then
-      Ocd_obs.Causal.record_send net.causal ~tick:now ~node:src ~dst ~depart
-        ~token:(message_token msg) ~retry
-    else -1
-  in
   if not (net.node_up src && net.node_up dst) then
     (* a crashed endpoint: nothing departs, nothing is received *)
     net.fault_dropped <- net.fault_dropped + 1
@@ -205,61 +254,78 @@ let send net ~src ~dst msg =
        dark, so nothing departs and no coin is drawn (matching the
        link-down convention below) *)
     net.fault_dropped <- net.fault_dropped + 1
-  else if Message.is_data msg then begin
-    let eff = effective net ~round ~src ~dst in
-    if eff = 0 || lost net state then net.dropped <- net.dropped + 1
-    else begin
-      net.data_sent <- net.data_sent + 1;
-      let depart =
-        if net.profile.serialize then begin
-          let depart = max now state.next_free in
-          state.next_free <- depart + max 1 (net.profile.pace / eff);
-          depart
-        end
-        else now
-      in
-      let arrive = depart + delay net state ~capacity:eff in
-      dispatch net state ~src ~dst ~arrive ~sid:(causal_send ~depart) msg
-    end
-  end
   else begin
-    let adjacent =
-      Digraph.capacity net.graph src dst > 0
-      || Digraph.capacity net.graph dst src > 0
-    in
-    if adjacent then begin
-      (* Control flows bidirectionally along the edge; it needs some
-         direction of the link to be up. *)
-      let up =
-        effective net ~round ~src ~dst > 0
-        || effective net ~round ~src:dst ~dst:src > 0
-      in
-      if (not up) || lost net state then net.dropped <- net.dropped + 1
+    let fwd = Digraph.slot net.graph src dst in
+    if Message.is_data msg then begin
+      let eff = effective net ~round ~src ~dst fwd in
+      (* eff > 0 implies the arc exists, so the pair's state is the
+         arc's own *)
+      if eff = 0 then net.dropped <- net.dropped + 1
       else begin
-        net.control_sent <- net.control_sent + 1;
-        let cap =
-          max (Digraph.capacity net.graph src dst)
-            (Digraph.capacity net.graph dst src)
-        in
-        let arrive = now + delay net state ~capacity:cap in
-        dispatch net state ~src ~dst ~arrive ~sid:(causal_send ~depart:now) msg
+        let state = slot_state net net.along fwd ~src ~dst in
+        if lost net state then net.dropped <- net.dropped + 1
+        else begin
+          net.data_sent <- net.data_sent + 1;
+          let depart =
+            if net.profile.serialize then begin
+              let depart = max now state.next_free in
+              state.next_free <- depart + max 1 (net.profile.pace / eff);
+              depart
+            end
+            else now
+          in
+          let arrive = depart + delay net state ~capacity:eff in
+          dispatch net state ~src ~dst ~arrive
+            ~sid:(causal_send net ~con ~retry ~now ~src ~dst ~depart msg)
+            msg
+        end
       end
     end
-    else if lost net state then net.dropped <- net.dropped + 1
     else begin
-      (* No overlay edge between the endpoints: the message routes
-         over the underlay — the physical network beneath the overlay,
-         which connects every pair of hosts but offers no capacity to
-         the distribution problem.  Only control may take this path
-         (the DHT's fingers and successors are arbitrary pairs); it is
-         slower than any overlay link (capacity-0 latency band, 3x
-         base) and still subject to the loss coin, to endpoint crashes
-         and to partitions (checked above — a split cuts the physical
-         network itself), but not to link conditions: flaps and churn
-         model overlay links, which this path does not use. *)
-      net.control_sent <- net.control_sent + 1;
-      let arrive = now + delay net state ~capacity:0 in
-      dispatch net state ~src ~dst ~arrive ~sid:(causal_send ~depart:now) msg
+      let bwd = Digraph.slot net.graph dst src in
+      if fwd >= 0 || bwd >= 0 then begin
+        (* Control flows bidirectionally along the edge; it needs some
+           direction of the link to be up. *)
+        let up =
+          effective net ~round ~src ~dst fwd > 0
+          || effective net ~round ~src:dst ~dst:src bwd > 0
+        in
+        if not up then net.dropped <- net.dropped + 1
+        else begin
+          let state = pair_state net ~src ~dst ~fwd ~bwd in
+          if lost net state then net.dropped <- net.dropped + 1
+          else begin
+            net.control_sent <- net.control_sent + 1;
+            let cap = max (slot_cap net fwd) (slot_cap net bwd) in
+            let arrive = now + delay net state ~capacity:cap in
+            dispatch net state ~src ~dst ~arrive
+              ~sid:(causal_send net ~con ~retry ~now ~src ~dst ~depart:now msg)
+              msg
+          end
+        end
+      end
+      else begin
+        let state = pair_state net ~src ~dst ~fwd ~bwd in
+        if lost net state then net.dropped <- net.dropped + 1
+        else begin
+          (* No overlay edge between the endpoints: the message routes
+             over the underlay — the physical network beneath the
+             overlay, which connects every pair of hosts but offers no
+             capacity to the distribution problem.  Only control may
+             take this path (the DHT's fingers and successors are
+             arbitrary pairs); it is slower than any overlay link
+             (capacity-0 latency band, 3x base) and still subject to
+             the loss coin, to endpoint crashes and to partitions
+             (checked above — a split cuts the physical network
+             itself), but not to link conditions: flaps and churn
+             model overlay links, which this path does not use. *)
+          net.control_sent <- net.control_sent + 1;
+          let arrive = now + delay net state ~capacity:0 in
+          dispatch net state ~src ~dst ~arrive
+            ~sid:(causal_send net ~con ~retry ~now ~src ~dst ~depart:now msg)
+            msg
+        end
+      end
     end
   end
 

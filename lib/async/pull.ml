@@ -3,34 +3,62 @@ module View = Ocd_graph.Digraph.View
 
 (* Every random draw of a pull round lives here, so callers driving
    this with identical rng states and identical views (the async node
-   and its lockstep twin) pick identically. *)
+   and its lockstep twin) pick identically.
+
+   A round allocates the shuffled token array, the ranked list the sort
+   needs, one int array for the per-slot budget and candidate scratch,
+   and the picks: no per-token list or closure.  The comparison sort
+   keys on [Int.compare]; it still calls [rarity] twice per
+   comparison, [b]'s key first, exactly as [Order.sort_by]'s
+   [compare (score a) (score b)] evaluates its arguments — [rarity]
+   may probe [alive], whose calls are part of the contract. *)
 let requests ~rng ~token_count ~have ~eligible ~alive ~preds ~rarity ~holds =
-  let missing = Bitset.diff (Bitset.full token_count) have in
-  if Bitset.is_empty missing then []
+  if Bitset.capacity have <> token_count then
+    invalid_arg "Bitset: capacity mismatch";
+  let missing = token_count - Bitset.cardinal have in
+  if missing = 0 then []
   else begin
     (* ascending rarity, random tie-breaks: shuffle once, then
        stable-sort (the shape of the synchronous heuristic's order) *)
-    let tokens = Array.of_list (Bitset.elements missing) in
+    let tokens = Array.make missing 0 in
+    let k = ref 0 in
+    for token = 0 to token_count - 1 do
+      if not (Bitset.mem have token) then begin
+        tokens.(!k) <- token;
+        incr k
+      end
+    done;
     Prng.shuffle rng tokens;
-    let ranked = Order.sort_by rarity (Array.to_list tokens) in
-    let budget = View.caps preds in
+    let ranked =
+      List.stable_sort
+        (fun a b ->
+          let kb = rarity b in
+          Int.compare (rarity a) kb)
+        (Array.to_list tokens)
+    in
+    (* [scratch.(i)] is slot [i]'s remaining budget; the upper half
+       collects one token's candidate slots, ascending *)
+    let slots = View.length preds in
+    let scratch = Array.make (2 * slots) 0 in
+    View.caps_into preds scratch;
     let picks = ref [] in
     List.iter
       (fun token ->
         if eligible token then begin
           let holds = holds token in
-          let candidates = ref [] in
-          View.iteri
-            (fun i u _ ->
-              if budget.(i) > 0 && alive u && holds i then
-                candidates := i :: !candidates)
-            preds;
-          match !candidates with
-          | [] -> ()
-          | cs ->
-              let i = Prng.pick_list rng cs in
-              budget.(i) <- budget.(i) - 1;
-              picks := (View.dst preds i, token) :: !picks
+          let found = ref 0 in
+          for i = 0 to slots - 1 do
+            if scratch.(i) > 0 && alive (View.dst preds i) && holds i then begin
+              scratch.(slots + !found) <- i;
+              incr found
+            end
+          done;
+          if !found > 0 then begin
+            (* [Prng.pick_list] over the candidates newest-first *)
+            let i = scratch.(slots + !found - 1 - Prng.int rng !found) in
+            scratch.(i) <- scratch.(i) - 1;
+            picks := (View.dst preds i, token) :: !picks
+          end
         end)
       ranked;
     List.rev !picks

@@ -20,7 +20,8 @@ val requests :
   (int * int) list
 (** [(holder, token)] picks for one round, in rank order.  The tokens
     missing from [have] are shuffled once with [rng], then stable-sorted
-    by ascending [rarity] ({!Ocd_prelude.Order.sort_by}); each
+    by ascending [rarity] ([List.stable_sort] on [Int.compare] of the
+    keys, the order {!Ocd_prelude.Order.sort_by} gives); each
     [eligible] token, in that order, goes to one in-neighbour slot [i]
     of [preds] drawn with {!Ocd_prelude.Prng.pick_list} among the slots
     that still have arc budget (capacity not yet spent this round),

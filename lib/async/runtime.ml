@@ -77,7 +77,17 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
   let crashes = ref 0 in
   let restarts = ref 0 in
   let lost_tokens = ref 0 in
-  let buckets : (int, Move.t list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* The schedule under construction: [buckets.(r)] holds round [r]'s
+     moves newest first (grown on demand), and [on_arc.(s)] the moves
+     logged on the arc at slot [s] of the graph, each as
+     [round * token_count + token], in descending order — so the
+     capacity and duplicate checks of one delivery read only that
+     arc's entries for the rounds it tries. *)
+  let buckets = ref (Array.make 64 []) in
+  let graph = inst.Instance.graph in
+  let row_cap = (Ocd_graph.Digraph.succ_rows graph).Ocd_graph.Digraph.row_cap in
+  let on_arc = Array.make (Ocd_graph.Digraph.arc_count graph) [] in
+  let tokens = inst.Instance.token_count in
   let max_logged_round = ref 0 in
   (* Round from which a vertex's possession of a token is visible to
      the schedule replay: its start for initial content, the boundary
@@ -93,13 +103,18 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
         Array.init inst.Instance.token_count (fun token ->
             if Bitset.mem inst.Instance.have.(v) token then 0 else max_int))
   in
-  let bucket_for round =
-    match Hashtbl.find_opt buckets round with
-    | Some b -> b
-    | None ->
-        let b = ref [] in
-        Hashtbl.add buckets round b;
-        b
+  (* How many moves of an arc's descending list fall in [round]; -1
+     when one of them carries [token]. *)
+  let rec arc_round ~round ~token count = function
+    | key :: rest when key / tokens > round -> arc_round ~round ~token count rest
+    | key :: rest when key / tokens = round ->
+        if key mod tokens = token then -1
+        else arc_round ~round ~token (count + 1) rest
+    | _ -> count
+  in
+  let rec insert_desc key = function
+    | k :: rest when k > key -> k :: insert_desc key rest
+    | l -> key :: l
   in
   let log_move ~round (move : Move.t) =
     (* Retry bunching (or the visibility shift itself) can pile more
@@ -108,34 +123,31 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
        would make the emitted schedule invalid.  Slide the move to the
        earliest round that respects visibility, set semantics and
        capacity — replay possession is monotonic, so re-timing a
-       delivery later never invalidates downstream moves. *)
-    let capacity =
-      Ocd_graph.Digraph.capacity inst.Instance.graph move.src move.dst
-    in
-    let round = ref (max round visible_from.(move.src).(move.token)) in
-    let placed = ref false in
-    let duplicate = ref (capacity <= 0) in
-    while (not !placed) && not !duplicate do
-      let bucket = bucket_for !round in
-      let on_arc = ref 0 in
-      List.iter
-        (fun (m : Move.t) ->
-          if m.src = move.src && m.dst = move.dst then begin
-            incr on_arc;
-            if m.token = move.token then duplicate := true
-          end)
-        !bucket;
-      if !duplicate then ()
-      else if !on_arc < capacity then begin
-        bucket := move :: !bucket;
-        placed := true
-      end
-      else incr round
-    done;
-    if !placed then begin
-      max_logged_round := max !max_logged_round !round;
-      visible_from.(move.dst).(move.token) <-
-        min visible_from.(move.dst).(move.token) (!round + 1)
+       delivery later never invalidates downstream moves.  A move on
+       no arc is never logged. *)
+    let s = Ocd_graph.Digraph.slot graph move.src move.dst in
+    if s >= 0 then begin
+      let capacity = row_cap.(s) in
+      let token = move.token in
+      let rec place round =
+        (* -1: the token already crossed the arc in this round *)
+        let on = arc_round ~round ~token 0 on_arc.(s) in
+        if on < 0 then ()
+        else if on >= capacity then place (round + 1)
+        else begin
+          on_arc.(s) <- insert_desc ((round * tokens) + token) on_arc.(s);
+          if round >= Array.length !buckets then begin
+            let grown = Array.make (max (round + 1) (2 * Array.length !buckets)) [] in
+            Array.blit !buckets 0 grown 0 (Array.length !buckets);
+            buckets := grown
+          end;
+          !buckets.(round) <- move :: !buckets.(round);
+          max_logged_round := max !max_logged_round round;
+          visible_from.(move.dst).(token) <-
+            min visible_from.(move.dst).(token) (round + 1)
+        end
+      in
+      place (max round visible_from.(move.src).(token))
     end
   in
   let handlers : Protocol.handlers option array = Array.make n None in
@@ -400,9 +412,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
     Schedule.drop_trailing_empty
       (Schedule.of_steps
          (List.init rounds (fun r ->
-              match Hashtbl.find_opt buckets r with
-              | Some b -> List.rev !b
-              | None -> [])))
+              if r < Array.length !buckets then List.rev !buckets.(r) else [])))
   in
   let metrics = Metrics.of_schedule inst schedule in
   let diagnosis =

@@ -17,7 +17,8 @@ let refresh_rounds = 4
 let max_queries_per_round = 4
 let max_adverts_per_round = 2
 
-type shared = { ring : int -> Node.init; sources : int list }
+(* [ids]: every vertex's ring identifier, one array for the whole run *)
+type shared = { ids : int array; ring : int -> Node.init; sources : int list }
 
 let protocol ?stats () =
   let stats = match stats with Some s -> s | None -> Node.fresh_stats () in
@@ -45,9 +46,13 @@ let protocol ?stats () =
       | Some sh -> sh
       | None ->
         let members = Array.init n (fun i -> i) in
+        let ids = Node.vertex_ids ~seed:ctx.seed n in
         let sh =
           {
-            ring = Node.converged ~seed:ctx.seed ~succ_count:config.Node.succ_count members;
+            ids;
+            ring =
+              Node.converged ~seed:ctx.seed ~succ_count:config.Node.succ_count
+                ~ids members;
             sources =
               List.filter
                 (fun u -> not (Bitset.is_empty inst.Instance.have.(u)))
@@ -78,7 +83,7 @@ let protocol ?stats () =
       }
     in
     let node =
-      Node.create ~env ~config
+      Node.create ~env ~config ~ids:sh.ids
         (if ctx.epoch = 0 then sh.ring v else Node.Join { via = sh.sources })
     in
     let preds = Digraph.pred graph v in
@@ -94,13 +99,15 @@ let protocol ?stats () =
     let belief : Bitset.t option array =
       Array.make (Digraph.View.length preds) None
     in
-    (* DHT-sourced provider knowledge per token, with its refresh round *)
-    let prov_holders : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-    let prov_round : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let querying : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+    (* DHT-sourced provider knowledge per token (None: never reported),
+       with its refresh round (-1: never) and whether a query for it is
+       in flight.  Token-indexed: O(tokens) per node, never O(n). *)
+    let prov_holders : int list option array = Array.make tokens None in
+    let prov_round = Array.make tokens (-1) in
+    let querying = Array.make tokens false in
     let pull = Pull.create ctx in
-    (* token -> round its next advertisement is due *)
-    let publish_due : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    (* token -> round its next advertisement is due; [min_int]: due now *)
+    let publish_due = Array.make tokens min_int in
     let adv_cursor = ref 0 in
     let round_no () = ctx.now () / ctx.pace in
     let advertise_step () =
@@ -109,14 +116,9 @@ let protocol ?stats () =
       for off = 0 to tokens - 1 do
         let token = (!adv_cursor + off) mod tokens in
         if !budget > 0 && ctx.has token then begin
-          let due =
-            match Hashtbl.find_opt publish_due token with
-            | None -> true
-            | Some r -> round >= r
-          in
-          if due then begin
+          if round >= publish_due.(token) then begin
             decr budget;
-            Hashtbl.replace publish_due token (round + republish_rounds);
+            publish_due.(token) <- round + republish_rounds;
             Node.advertise node ~token
           end
         end
@@ -130,17 +132,15 @@ let protocol ?stats () =
       Bitset.iter
         (fun token ->
           let stale =
-            match Hashtbl.find_opt prov_round token with
-            | None -> true
-            | Some r -> round - r >= refresh_rounds
+            prov_round.(token) < 0 || round - prov_round.(token) >= refresh_rounds
           in
-          if !budget > 0 && stale && not (Hashtbl.mem querying token) then begin
+          if !budget > 0 && stale && not querying.(token) then begin
             decr budget;
-            Hashtbl.replace querying token ();
+            querying.(token) <- true;
             Node.find_providers node ~token (fun holders ->
-                Hashtbl.remove querying token;
-                Hashtbl.replace prov_round token (round_no ());
-                Hashtbl.replace prov_holders token holders)
+                querying.(token) <- false;
+                prov_round.(token) <- round_no ();
+                prov_holders.(token) <- Some holders)
           end)
         missing
     in
@@ -152,14 +152,12 @@ let protocol ?stats () =
            last; a candidate holds the token per the DHT or per its
            announcement *)
         let rarity token =
-          match Hashtbl.find_opt prov_holders token with
+          match prov_holders.(token) with
           | Some l -> List.length l
           | None -> max_int
         in
         let holds token =
-          let holders =
-            Option.value (Hashtbl.find_opt prov_holders token) ~default:[]
-          in
+          let holders = Option.value prov_holders.(token) ~default:[] in
           fun i ->
             List.mem (Digraph.View.dst preds i) holders
             || match belief.(i) with Some s -> Bitset.mem s token | None -> false
@@ -205,7 +203,7 @@ let protocol ?stats () =
         Pull.arrived pull token;
         if ctx.receive ~src token then
           (* newly held: advertise promptly, off the republish cadence *)
-          Hashtbl.remove publish_due token
+          publish_due.(token) <- min_int
       | Message.Announce s ->
         let i = Digraph.View.index preds src in
         if i >= 0 then belief.(i) <- Some s

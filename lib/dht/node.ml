@@ -98,6 +98,10 @@ type t = {
   env : env;
   config : config;
   id : int;
+  (* [ids.(v)] is vertex [v]'s identifier: one array shared by every
+     node of a run (see [vertex_ids]), empty when the host passed none,
+     in which case [vid] derives identifiers on the spot *)
+  ids : int array;
   mutable succs : int list;  (* ascending ring distance from self; no self *)
   mutable pred : int option;
   fingers : int array;  (* Id.bits entries; -1 = unknown *)
@@ -126,7 +130,14 @@ type t = {
   mutable misowned_streak : (int * int, int) Hashtbl.t;
 }
 
-let vid t v = Id.of_vertex ~seed:t.env.seed v
+let vertex_ids ~seed n = Array.init n (fun v -> Id.of_vertex ~seed v)
+
+(* [v]'s identifier: read from [ids] when it covers [v], else derived *)
+let id_of ~seed ids v =
+  if v >= 0 && v < Array.length ids then Array.unsafe_get ids v
+  else Id.of_vertex ~seed v
+
+let vid t v = id_of ~seed:t.env.seed t.ids v
 let id t = t.id
 let succ0 t = match t.succs with s :: _ -> s | [] -> t.env.self
 let successors t = t.succs
@@ -433,8 +444,22 @@ let start_join t =
    no matter which one notices first. *)
 let retired_cap = 8
 
+(* [l] without the members [alive] rejects, probing each member once in
+   list order (as [List.partition] would); returns [l] itself, not a
+   copy, when every member passes.  Rejected members are pushed onto
+   [dead], last first. *)
+let rec keep_alive t dead = function
+  | [] -> []
+  | u :: rest as l ->
+    let live = t.env.alive u in
+    if not live then dead := u :: !dead;
+    let rest' = keep_alive t dead rest in
+    if not live then rest' else if rest' == rest then l else u :: rest'
+
 let evict_suspected t =
-  let live, dead = List.partition (fun u -> t.env.alive u) t.succs in
+  let dead = ref [] in
+  let live = keep_alive t dead t.succs in
+  let dead = List.rev !dead in
   if dead <> [] then begin
     t.env.stats.evictions <- t.env.stats.evictions + List.length dead;
     count t "dht/evictions" (List.length dead);
@@ -453,6 +478,18 @@ let evict_suspected t =
   end;
   dead <> []
 
+(* Would merging a contact at ring distance [d] leave [succs] as it
+   is?  Yes when the list is full ([succ_count] entries), strictly
+   ascending in distance (as [ring_sorted] leaves it) and [d] lies
+   beyond its last entry: the merge would sort the contact last and
+   take it straight off again.  Walks the list once, allocating
+   nothing. *)
+let rec no_closer t d ~prev ~len = function
+  | [] -> len = t.config.succ_count && d > prev
+  | u :: rest ->
+    let du = Id.dist ~from:t.id (vid t u) in
+    du > prev && no_closer t d ~prev:du ~len:(len + 1) rest
+
 (* Ring merge after a heal.  While the network is split, each side
    evicts the other's nodes and closes its successor ring over the
    survivors; once the partition heals, the sides' views stay divergent
@@ -468,6 +505,8 @@ let consider_contact t src =
     src >= 0 && src <> t.env.self && (not t.joining) && t.succs <> []
     && (not (List.mem src t.succs))
     && t.env.alive src
+    && not
+         (no_closer t (Id.dist ~from:t.id (vid t src)) ~prev:(-1) ~len:0 t.succs)
   then begin
     let merged = Order.take t.config.succ_count (ring_sorted t (src :: t.succs)) in
     if merged <> t.succs then begin
@@ -704,12 +743,13 @@ let start t =
   if t.joining then start_join t;
   t.env.after t.config.period (fun () -> tick t)
 
-let create ~env ~config init =
+let create ~env ~config ?(ids = [||]) init =
   let t =
     {
       env;
       config;
-      id = Id.of_vertex ~seed:env.seed env.self;
+      ids;
+      id = id_of ~seed:env.seed ids env.self;
       succs = [];
       pred = None;
       fingers = Array.make Id.bits (-1);
@@ -812,9 +852,9 @@ let invariant_violations t =
 
 (* ------------------------- converged ring state ------------------------ *)
 
-let sorted_ring ~seed members =
+let sorted_ring ~seed ?(ids = [||]) members =
   let m = Array.length members in
-  let ids = Array.map (fun v -> Id.of_vertex ~seed v) members in
+  let ids = Array.map (id_of ~seed ids) members in
   let order = Array.init m (fun i -> i) in
   Array.sort (fun a b -> compare ids.(a) ids.(b)) order;
   let sorted_ids = Array.map (fun i -> ids.(i)) order in
@@ -835,10 +875,10 @@ let ideal_owner ~seed ~members target =
   let sorted_ids, sorted_vs = sorted_ring ~seed members in
   sorted_vs.(owner_index sorted_ids target)
 
-let converged ~seed ~succ_count members =
+let converged ~seed ~succ_count ?ids members =
   let m = Array.length members in
   if m = 0 then invalid_arg "Node.converged: no members";
-  let sorted_ids, sorted_vs = sorted_ring ~seed members in
+  let sorted_ids, sorted_vs = sorted_ring ~seed ?ids members in
   let rank_of = Hashtbl.create m in
   Array.iteri (fun rank v -> Hashtbl.replace rank_of v rank) sorted_vs;
   fun v ->

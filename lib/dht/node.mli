@@ -109,7 +109,19 @@ type init =
 
 type t
 
-val create : env:env -> config:config -> init -> t
+val vertex_ids : seed:int -> int -> int array
+(** [vertex_ids ~seed n] is every vertex's identifier,
+    [Id.of_vertex ~seed v] at index [v] for [v] in [0 .. n-1]: computed
+    once per run and shared by all its nodes (one word per vertex in
+    total, not per node). *)
+
+val create : env:env -> config:config -> ?ids:int array -> init -> t
+(** [ids] (default empty) is {!vertex_ids} for [env.seed], shared
+    across the run; with it every identifier the node needs — its own,
+    its successors', its predecessor's, reported peers' — is an array
+    read instead of a hash.  Vertices beyond its length get their
+    identifier computed on the spot, so a short or empty array only
+    costs time. *)
 
 val start : t -> unit
 (** Begin the periodic maintenance loop (and the join, if booting via
@@ -184,13 +196,14 @@ val invariant_violations : t -> (string * string) list
     nodes; the ownership streak counter advances per call. *)
 
 val converged :
-  seed:int -> succ_count:int -> int array -> int -> init
+  seed:int -> succ_count:int -> ?ids:int array -> int array -> int -> init
 (** [converged ~seed ~succ_count members] precomputes the fully
     stabilised ring over [members] (sorted ids, successor lists,
     exact fingers) and returns a function from member vertex to its
     {!Stable} init — the state the join/stabilise protocol converges
     to, used to boot epoch-0 nodes and test harnesses.  O(n log n)
-    once plus O(log n) per vertex. *)
+    once plus O(log n) per vertex.  [ids] as in {!create}: pass the
+    run's shared array and no identifier is computed twice. *)
 
 val ideal_owner : seed:int -> members:int array -> int -> int
 (** The vertex that owns an identifier on the fully converged ring
