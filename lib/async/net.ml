@@ -38,17 +38,7 @@ type arc_state = { rng : Prng.t; adv_rng : Prng.t; mutable next_free : int }
    physically; never drawn from. *)
 let unborn = { rng = Prng.create ~seed:0; adv_rng = Prng.create ~seed:0; next_free = 0 }
 
-module Pair_tab = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  (* the multiplicative spread of [Int_tab]; [Hashtbl.hash] would go
-     through the polymorphic C hash on every probe *)
-  let hash k =
-    let h = k * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land max_int
-end)
+module Pair_tab = Hashtbl.Make (Int_tab.Key)
 
 type t = {
   sim : Sim.t;

@@ -37,6 +37,20 @@ let cross_traffic ~seed ~prob ~severity =
   in
   { effective }
 
+(* Chain keys pack into one int, [b] and [c] each offset by
+   [-key_min] into [key_bits] bits, so the memo probes an int-hashed
+   table without allocating. *)
+let key_min = -3
+let key_bits = 31
+let key_max = (1 lsl key_bits) + key_min - 1
+
+let pack ~b ~c =
+  if b < key_min || b > key_max || c < key_min || c > key_max then
+    invalid_arg "Condition.chain: key out of range";
+  ((b - key_min) lsl key_bits) lor (c - key_min)
+
+module Key_tab = Hashtbl.Make (Ocd_prelude.Int_tab.Key)
+
 (* One keyed two-state Markov chain per (b, c) key, memoised per key
    as an Int_vec of states filled forward from the last step computed:
    any query order yields the same trajectory and deep steps never
@@ -44,17 +58,18 @@ let cross_traffic ~seed ~prob ~severity =
 let chain ~seed ~down_prob ~up_prob =
   if down_prob < 0.0 || down_prob > 1.0 || up_prob < 0.0 || up_prob > 1.0 then
     invalid_arg "Condition.chain: probabilities out of [0,1]";
-  let runs : (int * int, Int_vec.t) Hashtbl.t = Hashtbl.create 64 in
+  let runs : Int_vec.t Key_tab.t = Key_tab.create 64 in
   fun ~b ~c ~step ->
+    let k = pack ~b ~c in
     if step <= 0 then -1
     else begin
       let states =
-        match Hashtbl.find_opt runs (b, c) with
-        | Some states -> states
-        | None ->
+        match Key_tab.find runs k with
+        | states -> states
+        | exception Not_found ->
             let states = Int_vec.create () in
             Int_vec.push states (-1);
-            Hashtbl.add runs (b, c) states;
+            Key_tab.add runs k states;
             states
       in
       for r = Int_vec.length states to step do

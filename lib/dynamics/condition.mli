@@ -63,7 +63,13 @@ val chain :
     returns the step the current down-run began, or [-1] while up.
     Memoised per key, so apply the partial application, not [chain]
     itself, and never share it across domains.
-    @raise Invalid_argument when a probability is outside [\[0,1\]]. *)
+
+    The memo packs a key into one [int], so [b] and [c] must each lie
+    in [\[-3, 2{^31} - 4\]]: every vertex id, and the reserved
+    negative components of the churn, crash and partition keys.
+    @raise Invalid_argument when a probability is outside [\[0,1\]],
+    or (on application) when [b] or [c] is outside the packable
+    range. *)
 
 val static : t
 

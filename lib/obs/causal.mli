@@ -13,8 +13,13 @@
     per-category decomposition of a makespan sums to the makespan by
     construction, not by reconciliation.
 
-    The log is allocation-light — eight parallel [int] arrays grown by
-    doubling, no per-event boxing — and zero-cost when disabled: every
+    The log is allocation-light and zero-cost when disabled.  Records
+    are stored in fixed chunks of 1024, seven [int]s per record in one
+    [int array] per chunk (field-major, so a scan of one field reads
+    consecutive words); a chunk is never copied, and only a small spine
+    of chunk pointers grows.  A log retains its records' 7 words per
+    event, one chunk header and spine word per 1024 events, and the
+    unfilled tail of its last chunk; no record is boxed.  Every
     hook site in [Sim]/[Net]/[Runtime] performs one flag load and
     branch against {!enabled} before touching the log, exactly the
     {!Ocd_obs} discipline.  A log belongs to one run on one domain; it
@@ -104,7 +109,11 @@ val mark_fresh : t -> unit
 (** Flag the current activation (a [Deliver]) as a fresh (dst, token)
     delivery — the per-delivery critical paths start from these. *)
 
-(** {1 Reading} *)
+(** {1 Reading}
+
+    Each reader takes an event id [i] and raises
+    [Invalid_argument "index out of bounds"] unless
+    [0 <= i < length t]. *)
 
 val kind : t -> int -> kind
 val tick : t -> int -> int

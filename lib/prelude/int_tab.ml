@@ -90,3 +90,10 @@ let find t key =
 let mem t key =
   let b = find_base t key (hash key t.mask) in
   t.data.(b) = t.stamp
+
+module Key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = hash k max_int
+end

@@ -37,3 +37,8 @@ val mem : t -> int -> bool
 
 val length : t -> int
 (** Number of live bindings. *)
+
+module Key : Hashtbl.HashedType with type t = int
+(** [int] keys under this table's multiplicative spread, for
+    [Hashtbl.Make] tables whose values are not ints.  [Hashtbl.hash]
+    would go through the polymorphic C hash on every probe. *)

@@ -281,6 +281,92 @@ let prop_dynamic_schedules_statically_valid =
         Validate.check_successful inst run.Dynamic_engine.schedule = Ok ()
       | _ -> Validate.check inst run.Dynamic_engine.schedule = Ok ())
 
+(* The tuple-keyed memo [Condition.chain] used before its keys were
+   packed into one int, kept verbatim as the differential oracle. *)
+let coin = Condition.keyed_coin
+
+let chain_oracle ~seed ~down_prob ~up_prob =
+  if down_prob < 0.0 || down_prob > 1.0 || up_prob < 0.0 || up_prob > 1.0 then
+    invalid_arg "Condition.chain: probabilities out of [0,1]";
+  let runs : (int * int, Int_vec.t) Hashtbl.t = Hashtbl.create 64 in
+  fun ~b ~c ~step ->
+    if step <= 0 then -1
+    else begin
+      let states =
+        match Hashtbl.find_opt runs (b, c) with
+        | Some states -> states
+        | None ->
+            let states = Int_vec.create () in
+            Int_vec.push states (-1);
+            Hashtbl.add runs (b, c) states;
+            states
+      in
+      for r = Int_vec.length states to step do
+        let prev = Int_vec.get states (r - 1) in
+        let x = coin ~seed ~a:r ~b ~c in
+        Int_vec.push states
+          (if prev < 0 then if x < down_prob then r else -1
+           else if x < up_prob then -1
+           else prev)
+      done;
+      Int_vec.get states step
+    end
+
+let key_max = (1 lsl 31) - 4
+
+(* Random queries in a random order over arc keys (src, dst), the
+   reserved churn, crash and partition keys (v, -1), (v, -2) and
+   (-1, -3), and the ends of the packable range. *)
+let prop_chain_matches_oracle =
+  QCheck.Test.make ~name:"chain = tuple-keyed oracle" ~count:50
+    QCheck.(pair small_nat (pair (float_range 0.0 1.0) (float_range 0.0 1.0)))
+    (fun (seed, (down_prob, up_prob)) ->
+      let rng = Prng.create ~seed in
+      let fast = Condition.chain ~seed ~down_prob ~up_prob in
+      let slow = chain_oracle ~seed ~down_prob ~up_prob in
+      let key () =
+        let v = Prng.int rng 12 in
+        match Prng.int rng 6 with
+        | 0 -> (v, -1)
+        | 1 -> (v, -2)
+        | 2 -> (-1, -3)
+        | 3 -> (key_max - v, -3 + Prng.int rng 3)
+        | _ -> (v, Prng.int rng 12)
+      in
+      List.for_all
+        (fun _ ->
+          let b, c = key () and step = Prng.int rng 300 - 5 in
+          fast ~b ~c ~step = slow ~b ~c ~step)
+        (List.init 2000 Fun.id))
+
+let test_chain_key_range () =
+  let chain = Condition.chain ~seed:3 ~down_prob:0.5 ~up_prob:0.5 in
+  let out_of_range = Invalid_argument "Condition.chain: key out of range" in
+  List.iter
+    (fun (b, c) ->
+      Alcotest.check_raises
+        (Printf.sprintf "(%d, %d) rejected" b c)
+        out_of_range
+        (fun () -> ignore (chain ~b ~c ~step:4)))
+    [ (-4, 0); (0, -4); (key_max + 1, 0); (0, key_max + 1); (min_int, -1);
+      (-1, max_int) ];
+  (* keys at the ends of the range and around bit 30 stay distinct
+     chains: a packing that let two of them share a memo entry would
+     replay one key's trajectory for the other *)
+  let oracle = chain_oracle ~seed:3 ~down_prob:0.5 ~up_prob:0.5 in
+  let edges = [ -3; -2; -1; 0; (1 lsl 30) - 4; (1 lsl 30) - 3; key_max - 1; key_max ] in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun c ->
+          for step = 0 to 40 do
+            Alcotest.(check int)
+              (Printf.sprintf "(%d, %d) at %d" b c step)
+              (oracle ~b ~c ~step) (chain ~b ~c ~step)
+          done)
+        edges)
+    edges
+
 let () =
   Alcotest.run "ocd_dynamics"
     [
@@ -304,6 +390,8 @@ let () =
           Alcotest.test_case "graph_at none iff all down" `Quick
             test_graph_at_none_only_when_all_down;
           Alcotest.test_case "invalid params" `Quick test_condition_invalid_params;
+          qtest prop_chain_matches_oracle;
+          Alcotest.test_case "chain key range" `Quick test_chain_key_range;
         ] );
       ( "dynamic-engine",
         [
