@@ -45,8 +45,6 @@ let watch t peer =
   if packed lsr 1 = 0 then
     Int_tab.set t.peers peer (contact (t.now ()) lor (packed land 1))
 
-let last_heard t peer = last_of t (Int_tab.find t.peers peer)
-
 let suspected t peer =
   let packed = Int_tab.find t.peers peer in
   let s = t.now () - last_of t packed > t.timeout in

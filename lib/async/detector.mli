@@ -49,6 +49,3 @@ val watch : t -> int -> unit
 
 val suspected : t -> int -> bool
 (** Has the peer been silent for more than [timeout] ticks? *)
-
-val last_heard : t -> int -> int
-(** Tick of the last sign of life (creation tick if none yet). *)

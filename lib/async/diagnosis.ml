@@ -137,5 +137,3 @@ let summary d =
     (String.concat "," (List.map string_of_int d.dead_at_horizon))
     d.failed_jobs
     (if d.quiescent then "; quiescent before horizon" else "")
-
-let pp ppf d = Format.pp_print_string ppf (summary d)

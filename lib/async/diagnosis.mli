@@ -11,7 +11,7 @@
     The diagnosis is computed post-hoc from ground truth the runtime
     owns (final possession, the fault plan, the condition process), not
     from protocol beliefs.  Partition analysis samples round boundaries
-    (at most {!max_samples}, evenly strided) and asks, for each
+    (at most 64, evenly strided) and asks, for each
     outstanding [(wanter, token)] pair, whether {e any} initial holder
     of the token could reach the wanter in that round's effective
     topology — conditions and crashed nodes applied.  Initial holders
@@ -64,10 +64,6 @@ type t = {
   verdict : verdict;
 }
 
-val max_samples : int
-(** Upper bound on sampled rounds (64): diagnosis stays cheap even for
-    horizon-length runs. *)
-
 val diagnose :
   instance:Instance.t ->
   condition:Condition.t ->
@@ -86,5 +82,3 @@ val verdict_name : verdict -> string
 
 val summary : t -> string
 (** One-line rendering for tables and logs. *)
-
-val pp : Format.formatter -> t -> unit

@@ -18,6 +18,18 @@ type job = {
   mutable deadline : int;  (** retry when [now >= deadline] and unacked *)
 }
 
+(* The offline plan every full-knowledge node computes: global-greedy
+   over the whole instance, seeded from the run seed.  The protocol and
+   its synchronous twin both call this one function. *)
+let plan ~seed inst =
+  (Engine.run ~strategy:Ocd_heuristics.Global_greedy.strategy
+     ~seed:((seed * 1_000_003) + 257) inst)
+    .Engine.schedule
+
+let sync_strategy ~seed =
+  Ocd_engine.Flood_optimal.strategy ~planner:(plan ~seed)
+    ~name:"flood-plan-lockstep"
+
 let protocol () =
   (* Shared across this run's nodes: every full-knowledge node would
      compute the identical (start round, plan) pair, so the first one
@@ -51,12 +63,8 @@ let protocol () =
       | Some _ -> ()
       | None ->
           let start = Knowledge.steps_to_complete inst in
-          let planner_seed = (ctx.seed * 1_000_003) + 257 in
-          let run =
-            Engine.run ~strategy:Ocd_heuristics.Global_greedy.strategy
-              ~seed:planner_seed inst
-          in
-          plan_cell := Some (start, Array.of_list (Schedule.steps run.Engine.schedule))
+          plan_cell :=
+            Some (start, Array.of_list (Schedule.steps (plan ~seed:ctx.seed inst)))
     in
     let ensure_expected () =
       if not !expected_filled then

@@ -19,46 +19,3 @@ type t =
   | Dht of dht
 
 let is_data = function Data _ -> true | _ -> false
-
-let kind = function
-  | Announce _ -> "announce"
-  | Request _ -> "request"
-  | Data _ -> "data"
-  | Ack _ -> "ack"
-  | State _ -> "state"
-  | Dht (Find_succ _) -> "dht-find-succ"
-  | Dht (Succ_info _) -> "dht-succ-info"
-  | Dht (Get_neighbors _) -> "dht-get-neighbors"
-  | Dht (Neighbors _) -> "dht-neighbors"
-  | Dht Notify -> "dht-notify"
-  | Dht (Store _) -> "dht-store"
-  | Dht (Get_providers _) -> "dht-get-providers"
-  | Dht (Providers _) -> "dht-providers"
-
-let pp_dht ppf = function
-  | Find_succ { target; ticket } ->
-    Format.fprintf ppf "find-succ %x #%d" target ticket
-  | Succ_info { ticket; node; final } ->
-    Format.fprintf ppf "succ-info #%d %d%s" ticket node
-      (if final then " final" else "")
-  | Get_neighbors { ticket } -> Format.fprintf ppf "get-neighbors #%d" ticket
-  | Neighbors { ticket; pred; succs } ->
-    Format.fprintf ppf "neighbors #%d pred=%d succs=[%s]" ticket pred
-      (String.concat "," (List.map string_of_int succs))
-  | Notify -> Format.fprintf ppf "notify"
-  | Store { token; holder; replica } ->
-    Format.fprintf ppf "store %d@%d%s" token holder
-      (if replica then " replica" else "")
-  | Get_providers { token; ticket } ->
-    Format.fprintf ppf "get-providers %d #%d" token ticket
-  | Providers { token; ticket; holders } ->
-    Format.fprintf ppf "providers %d #%d [%s]" token ticket
-      (String.concat "," (List.map string_of_int holders))
-
-let pp ppf = function
-  | Announce s -> Format.fprintf ppf "announce %a" Bitset.pp s
-  | Request t -> Format.fprintf ppf "request %d" t
-  | Data t -> Format.fprintf ppf "data %d" t
-  | Ack t -> Format.fprintf ppf "ack %d" t
-  | State s -> Format.fprintf ppf "state %a" Bitset.pp s
-  | Dht m -> Format.fprintf ppf "dht %a" pp_dht m

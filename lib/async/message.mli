@@ -58,8 +58,3 @@ type t =
 val is_data : t -> bool
 (** Only [Data] consumes arc capacity; everything else is control
     traffic. *)
-
-val kind : t -> string
-(** Short tag for traces and counters. *)
-
-val pp : Format.formatter -> t -> unit

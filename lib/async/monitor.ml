@@ -2,17 +2,19 @@ type violation = { tick : int; node : int; rule : string; detail : string }
 
 type t = {
   on : bool;
-  limit : int;
   mutable count : int;
-  mutable violations : violation list;  (* newest first, capped at limit *)
+  mutable violations : violation list;  (* newest first, capped at [limit] *)
   by_rule : (string, int) Hashtbl.t;  (* exact per-rule totals, uncapped *)
 }
 
-let disabled =
-  { on = false; limit = 0; count = 0; violations = []; by_rule = Hashtbl.create 1 }
+(* Violations that keep their detail records. *)
+let limit = 64
 
-let create ?(limit = 64) () =
-  { on = true; limit; count = 0; violations = []; by_rule = Hashtbl.create 8 }
+let disabled =
+  { on = false; count = 0; violations = []; by_rule = Hashtbl.create 1 }
+
+let create () =
+  { on = true; count = 0; violations = []; by_rule = Hashtbl.create 8 }
 
 let enabled m = m.on
 
@@ -21,7 +23,7 @@ let record m ~tick ~node ~rule ~detail =
     m.count <- m.count + 1;
     Hashtbl.replace m.by_rule rule
       (1 + Option.value ~default:0 (Hashtbl.find_opt m.by_rule rule));
-    if List.length m.violations < m.limit then
+    if List.length m.violations < limit then
       m.violations <- { tick; node; rule; detail } :: m.violations
   end
 
@@ -36,20 +38,3 @@ let rule_counts m =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun rule c acc -> (rule, c) :: acc) m.by_rule [])
-
-let pp ppf m =
-  if m.count = 0 then Format.fprintf ppf "monitor: ok"
-  else begin
-    Format.fprintf ppf "monitor: %d violation%s" m.count
-      (if m.count = 1 then "" else "s");
-    List.iter
-      (fun v ->
-        Format.fprintf ppf "@.  [tick %d, node %d] %s: %s" v.tick v.node
-          v.rule v.detail)
-      (violations m);
-    if m.count > List.length m.violations then
-      Format.fprintf ppf "@.  ... and %d more"
-        (m.count - List.length m.violations)
-  end
-
-let summary m = Format.asprintf "%a" pp m

@@ -37,10 +37,9 @@ type t
 val disabled : t
 (** Never records anything; all checks are one load and one branch. *)
 
-val create : ?limit:int -> unit -> t
-(** A live monitor.  Only the first [limit] (default 64) violations
-    keep their detail records; the total {!count} is exact
-    regardless. *)
+val create : unit -> t
+(** A live monitor.  Only the first 64 violations keep their detail
+    records; the total {!count} is exact regardless. *)
 
 val enabled : t -> bool
 
@@ -66,13 +65,10 @@ val ok : t -> bool
 (** [count m = 0] — also true for a disabled monitor. *)
 
 val violations : t -> violation list
-(** Recorded violations, oldest first, at most [limit] of them. *)
+(** Recorded violations, oldest first, at most 64 of them. *)
 
 val rule_counts : t -> (string * int) list
 (** Exact violation totals per rule, sorted by rule name; unaffected
     by the detail-record cap.  The runtime mirrors these into the
     metrics registry as [monitor/<rule>] counters so chaos grids can
     aggregate them without re-parsing per-trial monitor output. *)
-
-val pp : Format.formatter -> t -> unit
-val summary : t -> string

@@ -816,10 +816,7 @@ let dht_ring_probe ~n ~lookups =
   let members = Array.init n (fun i -> i) in
   let cfg = Dht_node.config ~period:64 () in
   let ids = Dht_node.vertex_ids ~seed:seed_dht n in
-  let ring =
-    Dht_node.converged ~seed:seed_dht ~succ_count:cfg.Dht_node.succ_count ~ids
-      members
-  in
+  let ring = Dht_node.converged ~ids members in
   let nodes = Array.make n None in
   let messages = ref 0 in
   let env v =

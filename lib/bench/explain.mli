@@ -72,9 +72,6 @@ val of_causal :
     executed under for partition attribution; omit it and
     partition-down ticks degrade to crash-down/suspicion/idle. *)
 
-val path : Ocd_obs.Causal.t -> int list option
-(** Event ids of the completion path, root first, [Complete] last. *)
-
 val flow_overlay : sink:Ocd_obs.Sink.t -> pid:int -> Ocd_obs.Causal.t -> unit
 (** Emits the completion path as Chrome trace flow events (phases
     ['s']/['t']/['f'], id 1, name ["critical-path"]) so the path draws

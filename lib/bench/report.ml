@@ -67,8 +67,6 @@ let to_string t =
 
 let section_string title = Printf.sprintf "\n==== %s ====\n\n" title
 
-let note_string fmt = Format.kasprintf (fun s -> Printf.sprintf "  %s\n" s) fmt
-
 let render t = print_string (to_string t)
 
 let section title =

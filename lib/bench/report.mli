@@ -2,11 +2,10 @@
     downstream plotting scripts can grep out (lines prefixed
     ["csv,"]).
 
-    Rendering is pure — {!to_string}, {!section_string} and
-    {!note_string} build strings, so experiments running concurrently
-    can render into private buffers and emit them in a deterministic
-    order.  The [render]/[section]/[note] conveniences print the same
-    strings to stdout. *)
+    Rendering is pure — {!to_string} builds a string, so experiments
+    running concurrently can render into private buffers and emit them
+    in a deterministic order.  The [render]/[section]/[note]
+    conveniences print to stdout. *)
 
 type table
 
@@ -24,12 +23,6 @@ val to_string : table -> string
 (** The aligned table followed by its CSV mirror
     ([csv,<title>,<cells..>] lines, fields escaped per
     {!csv_escape}) and a trailing blank line. *)
-
-val section_string : string -> string
-(** A section banner. *)
-
-val note_string : ('a, Format.formatter, unit, string) format4 -> 'a
-(** A free-form commentary line. *)
 
 val render : table -> unit
 (** [print_string (to_string t)]. *)

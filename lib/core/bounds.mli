@@ -6,8 +6,8 @@
     possession state (the simulator uses them to report optimality
     gaps).
 
-    - {!remaining_bandwidth} "counts every token that is wanted but not
-      known at each vertex" — the bandwidth needed if the schedule
+    - The remaining bandwidth "counts every token that is wanted but
+      not known at each vertex" — the bandwidth needed if the schedule
       could finish in one step.
     - {!remaining_makespan} is the paper's [M_i(v) = i +
       ceil(|T^{c_i(v)}| / indeg(v))] bound, maximised over all radii
@@ -23,10 +23,8 @@
 
 open Ocd_prelude
 
-val remaining_bandwidth : Instance.t -> have:Bitset.t array -> int
-
 val bandwidth_lower_bound : Instance.t -> int
-(** {!remaining_bandwidth} at the initial state. *)
+(** The remaining bandwidth (total deficit) at the initial state. *)
 
 val relay_aware_bandwidth_lower_bound : Instance.t -> int
 (** A tighter bandwidth bound: per token, beyond the deficit count,

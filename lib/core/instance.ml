@@ -79,7 +79,3 @@ let satisfiable inst =
     end
   done;
   !ok
-
-let pp ppf inst =
-  Format.fprintf ppf "instance(n=%d, m=%d, deficit=%d)"
-    (vertex_count inst) inst.token_count (total_deficit inst)

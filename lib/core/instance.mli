@@ -53,5 +53,3 @@ val satisfiable : t -> bool
 (** True when every wanted token has a holder from which the wanter is
     reachable (necessary and sufficient in this loss-free model, since
     capacities are at least 1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,7 +34,3 @@ let mean_completion t =
   match defined with
   | [] -> 0.0
   | xs -> Stats.mean (List.map float_of_int xs)
-
-let pp ppf t =
-  Format.fprintf ppf "makespan=%s bandwidth=%d pruned=%d mean_completion=%.2f"
-    (makespan_cell t) t.bandwidth t.pruned_bandwidth (mean_completion t)

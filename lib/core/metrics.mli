@@ -36,5 +36,3 @@ val makespan_cell : t -> string
 
 val mean_completion : t -> float
 (** Mean of the defined completion times. *)
-
-val pp : Format.formatter -> t -> unit

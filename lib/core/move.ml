@@ -1,6 +1,3 @@
 type t = { src : int; dst : int; token : int }
 
-let compare = Stdlib.compare
-let equal a b = compare a b = 0
-
 let pp ppf { src; dst; token } = Format.fprintf ppf "%d->%d:%d" src dst token

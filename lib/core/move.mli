@@ -3,6 +3,4 @@
 
 type t = { src : int; dst : int; token : int }
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

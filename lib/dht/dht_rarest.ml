@@ -50,9 +50,7 @@ let protocol ?stats () =
         let sh =
           {
             ids;
-            ring =
-              Node.converged ~seed:ctx.seed ~succ_count:config.Node.succ_count
-                ~ids members;
+            ring = Node.converged ~ids members;
             sources =
               List.filter
                 (fun u -> not (Bitset.is_empty inst.Instance.have.(u)))

@@ -1,35 +1,31 @@
 open Ocd_prelude
 module Message = Ocd_async.Message
 
-type config = {
-  succ_count : int;
-  replication : int;
-  period : int;
-  lookup_timeout : int;
-  lookup_attempts : int;
-  hop_limit : int;
-  providers_cap : int;
-}
+(* Successor-list length. *)
+let succ_count = 8
 
-let config ?(succ_count = 8) ?(replication = 3) ?lookup_timeout
-    ?(lookup_attempts = 4) ?(providers_cap = 64) ~period () =
-  if succ_count < 1 then invalid_arg "Node.config: succ_count must be positive";
-  if replication < 1 then invalid_arg "Node.config: replication must be positive";
+(* Copies of each provider record, the owner's included. *)
+let replication = 3
+
+(* Reroutes before a lookup fails. *)
+let lookup_attempts = 4
+
+(* Hard hop cap per lookup (routing-loop backstop). *)
+let hop_limit = 128
+
+(* Most holders returned per provider query. *)
+let providers_cap = 64
+
+type config = { period : int; lookup_timeout : int }
+
+let config ?lookup_timeout ~period () =
   if period < 1 then invalid_arg "Node.config: period must be positive";
   let lookup_timeout =
     match lookup_timeout with Some t -> t | None -> 2 * period
   in
   if lookup_timeout < 1 then
     invalid_arg "Node.config: lookup_timeout must be positive";
-  {
-    succ_count;
-    replication;
-    period;
-    lookup_timeout;
-    lookup_attempts;
-    hop_limit = 128;
-    providers_cap;
-  }
+  { period; lookup_timeout }
 
 type stats = {
   mutable lookups : int;
@@ -99,8 +95,7 @@ type t = {
   config : config;
   id : int;
   (* [ids.(v)] is vertex [v]'s identifier: one array shared by every
-     node of a run (see [vertex_ids]), empty when the host passed none,
-     in which case [vid] derives identifiers on the spot *)
+     node of a run (see [vertex_ids]) *)
   ids : int array;
   mutable succs : int list;  (* ascending ring distance from self; no self *)
   mutable pred : int option;
@@ -132,23 +127,17 @@ type t = {
 
 let vertex_ids ~seed n = Array.init n (fun v -> Id.of_vertex ~seed v)
 
-(* [v]'s identifier: read from [ids] when it covers [v], else derived *)
-let id_of ~seed ids v =
-  if v >= 0 && v < Array.length ids then Array.unsafe_get ids v
-  else Id.of_vertex ~seed v
+let vid t v = t.ids.(v)
 
-let vid t v = id_of ~seed:t.env.seed t.ids v
-let id t = t.id
 let succ0 t = match t.succs with s :: _ -> s | [] -> t.env.self
-let successors t = t.succs
-let predecessor t = t.pred
+
 let ready t = not t.joining
 
 let next_ticket t =
   t.ticket <- t.ticket + 1;
   t.ticket
 
-let replica_set t = Order.take (t.config.replication - 1) t.succs
+let replica_set t = Order.take (replication - 1) t.succs
 
 (* ---------------------------- observability ---------------------------- *)
 
@@ -233,7 +222,7 @@ and check_hop t tk h =
 
 and reroute t tk lk =
   lk.attempts <- lk.attempts + 1;
-  if lk.attempts >= t.config.lookup_attempts || lk.hops >= t.config.hop_limit
+  if lk.attempts >= lookup_attempts || lk.hops >= hop_limit
   then fail_lookup t tk lk
   else begin
     let c = closest_preceding t ~target:lk.target ~banned:lk.banned in
@@ -280,7 +269,7 @@ let lookup t ~key ~on_done ~on_fail =
 
 let providers t ~token =
   match Hashtbl.find_opt t.store token with
-  | Some l -> Order.take t.config.providers_cap !l
+  | Some l -> Order.take providers_cap !l
   | None -> []
 
 (* [x] inserted into the strictly ascending list [l], which is returned
@@ -356,7 +345,7 @@ let rec find_providers_go t ~token ~attempts cb =
   let retry () =
     (* the ring may have repaired since the failed attempt: a fresh
        lookup routes around whatever ate the last one *)
-    if attempts + 1 < t.config.lookup_attempts then
+    if attempts + 1 < lookup_attempts then
       find_providers_go t ~token ~attempts:(attempts + 1) cb
     else cb []
   in
@@ -485,7 +474,7 @@ let evict_suspected t =
    take it straight off again.  Walks the list once, allocating
    nothing. *)
 let rec no_closer t d ~prev ~len = function
-  | [] -> len = t.config.succ_count && d > prev
+  | [] -> len = succ_count && d > prev
   | u :: rest ->
     let du = Id.dist ~from:t.id (vid t u) in
     du > prev && no_closer t d ~prev:du ~len:(len + 1) rest
@@ -508,7 +497,7 @@ let consider_contact t src =
     && not
          (no_closer t (Id.dist ~from:t.id (vid t src)) ~prev:(-1) ~len:0 t.succs)
   then begin
-    let merged = Order.take t.config.succ_count (ring_sorted t (src :: t.succs)) in
+    let merged = Order.take succ_count (ring_sorted t (src :: t.succs)) in
     if merged <> t.succs then begin
       let old0 = succ0 t in
       t.env.observe src;
@@ -616,7 +605,7 @@ let on_neighbors t ~src ~ticket ~pred ~reported =
         (fun u -> u <> t.env.self && t.env.alive u)
         (adopt @ (src :: reported) @ t.succs)
     in
-    t.succs <- Order.take t.config.succ_count (ring_sorted t cands);
+    t.succs <- Order.take succ_count (ring_sorted t cands);
     (match t.succs with
     | s :: _ -> t.env.send ~dst:s Message.Notify
     | [] -> ());
@@ -743,13 +732,13 @@ let start t =
   if t.joining then start_join t;
   t.env.after t.config.period (fun () -> tick t)
 
-let create ~env ~config ?(ids = [||]) init =
+let create ~env ~config ~ids init =
   let t =
     {
       env;
       config;
       ids;
-      id = id_of ~seed:env.seed ids env.self;
+      id = ids.(env.self);
       succs = [];
       pred = None;
       fingers = Array.make Id.bits (-1);
@@ -772,7 +761,7 @@ let create ~env ~config ?(ids = [||]) init =
   in
   (match init with
   | Stable { succs; pred; fingers } ->
-    t.succs <- Order.take config.succ_count succs;
+    t.succs <- Order.take succ_count succs;
     t.pred <- pred;
     Array.blit fingers 0 t.fingers 0 (min (Array.length fingers) Id.bits);
     Array.iteri
@@ -852,9 +841,9 @@ let invariant_violations t =
 
 (* ------------------------- converged ring state ------------------------ *)
 
-let sorted_ring ~seed ?(ids = [||]) members =
+let sorted_ring ~id members =
   let m = Array.length members in
-  let ids = Array.map (id_of ~seed ids) members in
+  let ids = Array.map id members in
   let order = Array.init m (fun i -> i) in
   Array.sort (fun a b -> compare ids.(a) ids.(b)) order;
   let sorted_ids = Array.map (fun i -> ids.(i)) order in
@@ -872,13 +861,13 @@ let owner_index sorted_ids target =
 
 let ideal_owner ~seed ~members target =
   if Array.length members = 0 then invalid_arg "Node.ideal_owner: no members";
-  let sorted_ids, sorted_vs = sorted_ring ~seed members in
+  let sorted_ids, sorted_vs = sorted_ring ~id:(Id.of_vertex ~seed) members in
   sorted_vs.(owner_index sorted_ids target)
 
-let converged ~seed ~succ_count ?ids members =
+let converged ~ids members =
   let m = Array.length members in
   if m = 0 then invalid_arg "Node.converged: no members";
-  let sorted_ids, sorted_vs = sorted_ring ~seed ?ids members in
+  let sorted_ids, sorted_vs = sorted_ring ~id:(Array.get ids) members in
   let rank_of = Hashtbl.create m in
   Array.iteri (fun rank v -> Hashtbl.replace rank_of v rank) sorted_vs;
   fun v ->

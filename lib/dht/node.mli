@@ -24,34 +24,24 @@
     primary record out to its first [replication - 1] successors, and
     re-replicates to newcomers whenever its replica set changes —
     so records survive both owner crashes (a successor already holds
-    the copy and has become the new owner) and successor churn. *)
+    the copy and has become the new owner) and successor churn.
+
+    Fixed sizes: 8 successors, 3 copies of each record (the owner's
+    included), 4 reroutes and at most 128 hops per lookup, and at
+    most 64 holders per provider answer. *)
 
 open Ocd_async
 
 type config = {
-  succ_count : int;  (** successor-list length *)
-  replication : int;  (** copies of each provider record, incl. the owner's *)
   period : int;  (** ticks between stabilise/fix-fingers rounds *)
   lookup_timeout : int;  (** per-hop silence before rerouting *)
-  lookup_attempts : int;  (** reroutes before a lookup fails *)
-  hop_limit : int;  (** hard hop cap per lookup (routing-loop backstop) *)
-  providers_cap : int;  (** max holders returned per provider query *)
 }
 
-val config :
-  ?succ_count:int ->
-  ?replication:int ->
-  ?lookup_timeout:int ->
-  ?lookup_attempts:int ->
-  ?providers_cap:int ->
-  period:int ->
-  unit ->
-  config
-(** Defaults: 8 successors, replication 3, 4 attempts, cap 64,
-    [lookup_timeout = 2 * period], [hop_limit = 128].  Size the
-    timeout above the transport's round-trip tail: a hop whose reply
-    is merely slow gets rerouted (wasted traffic), though a late reply
-    is still consumed if it does arrive. *)
+val config : ?lookup_timeout:int -> period:int -> unit -> config
+(** Default [lookup_timeout = 2 * period].  Size the timeout above the
+    transport's round-trip tail: a hop whose reply is merely slow gets
+    rerouted (wasted traffic), though a late reply is still consumed
+    if it does arrive. *)
 
 (** Shared mutable counters, aggregated across every node of a run
     (single-threaded simulation, so plain mutation is deterministic).
@@ -115,13 +105,11 @@ val vertex_ids : seed:int -> int -> int array
     once per run and shared by all its nodes (one word per vertex in
     total, not per node). *)
 
-val create : env:env -> config:config -> ?ids:int array -> init -> t
-(** [ids] (default empty) is {!vertex_ids} for [env.seed], shared
-    across the run; with it every identifier the node needs — its own,
-    its successors', its predecessor's, reported peers' — is an array
-    read instead of a hash.  Vertices beyond its length get their
-    identifier computed on the spot, so a short or empty array only
-    costs time. *)
+val create : env:env -> config:config -> ids:int array -> init -> t
+(** [ids] is {!vertex_ids} for [env.seed], shared across the run and
+    covering every vertex the node can meet: every identifier the node
+    needs — its own, its successors', its predecessor's, reported
+    peers' — is an array read. *)
 
 val start : t -> unit
 (** Begin the periodic maintenance loop (and the join, if booting via
@@ -147,12 +135,8 @@ val handle : t -> src:int -> Message.dht -> unit
     re-linked in the first post-heal period.  A retired peer that
     speaks again — or answers the probe — leaves the list. *)
 
-val id : t -> int
 val succ0 : t -> int
 (** Current successor; [self] on a ring of one. *)
-
-val successors : t -> int list
-val predecessor : t -> int option
 
 val ready : t -> bool
 (** False while the node is still (re)joining: its routing state is
@@ -167,7 +151,7 @@ val lookup :
   unit
 (** Iterative routed lookup of an identifier (see {!Id.of_key}).
     [on_done] receives the owning vertex and the hop count; [on_fail]
-    fires after [lookup_attempts] reroutes or [hop_limit] hops.
+    fires after 4 reroutes or 128 hops.
     Counted in {!stats}. *)
 
 val advertise : t -> token:int -> unit
@@ -195,15 +179,13 @@ val invariant_violations : t -> (string * string) list
     is expected to clear it).  Call once per monitored round on ready
     nodes; the ownership streak counter advances per call. *)
 
-val converged :
-  seed:int -> succ_count:int -> ?ids:int array -> int array -> int -> init
-(** [converged ~seed ~succ_count members] precomputes the fully
-    stabilised ring over [members] (sorted ids, successor lists,
-    exact fingers) and returns a function from member vertex to its
+val converged : ids:int array -> int array -> int -> init
+(** [converged ~ids members] precomputes the fully stabilised ring over
+    [members] (sorted ids, successor lists of the fixed length, exact
+    fingers) and returns a function from member vertex to its
     {!Stable} init — the state the join/stabilise protocol converges
     to, used to boot epoch-0 nodes and test harnesses.  O(n log n)
-    once plus O(log n) per vertex.  [ids] as in {!create}: pass the
-    run's shared array and no identifier is computed twice. *)
+    once plus O(log n) per vertex.  [ids] as in {!create}. *)
 
 val ideal_owner : seed:int -> members:int array -> int -> int
 (** The vertex that owns an identifier on the fully converged ring

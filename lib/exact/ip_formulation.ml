@@ -178,7 +178,9 @@ let eocd_at_horizon ?max_nodes (inst : Instance.t) ~horizon =
         (Format.asprintf "Ip_formulation: extracted schedule invalid: %a"
            Validate.pp_error e))
 
-let focd ?max_nodes ?(max_horizon = 16) inst =
+let max_horizon = 16
+
+let focd inst =
   let lower =
     if Instance.trivially_satisfied inst then 0
     else max 1 (Bounds.makespan_lower_bound inst)
@@ -186,7 +188,7 @@ let focd ?max_nodes ?(max_horizon = 16) inst =
   let rec scan horizon =
     if horizon > max_horizon then None
     else
-      match eocd_at_horizon ?max_nodes inst ~horizon with
+      match eocd_at_horizon inst ~horizon with
       | Solved { schedule; _ } -> Some (horizon, schedule)
       | Infeasible_at_horizon -> scan (horizon + 1)
       | Budget_exceeded -> None

@@ -27,11 +27,10 @@ val eocd_at_horizon :
   ?max_nodes:int -> Instance.t -> horizon:int -> outcome
 (** Minimum-bandwidth schedule of length at most [horizon]. *)
 
-val focd :
-  ?max_nodes:int -> ?max_horizon:int -> Instance.t -> (int * Schedule.t) option
+val focd : Instance.t -> (int * Schedule.t) option
 (** Smallest horizon admitting a successful schedule, with a witness;
-    [None] when no horizon up to [max_horizon] (default 16) works or
-    the solver budget is exhausted. *)
+    [None] when no horizon up to 16 works or the solver budget is
+    exhausted. *)
 
 val variable_count : Instance.t -> horizon:int -> int
 (** Size of the generated program (for reporting). *)

@@ -7,7 +7,6 @@ let relay i = 2 + i
 
 (* v'_i ids follow all relays. *)
 let receiver_of ~n i = 2 + n + i
-let receiver ~n i = receiver_of ~n i
 
 let undirected_edges g =
   let edges = ref [] in

@@ -24,12 +24,6 @@ open Ocd_core
 val vertex_s : int
 val vertex_t : int
 
-val relay : int -> int
-(** [v_i], 0-based. *)
-
-val receiver : n:int -> int -> int
-(** [v'_i]; the layout places receivers after the [n] relays. *)
-
 val instance : Ocd_graph.Digraph.t -> k:int -> Instance.t
 (** The FOCD instance for deciding "dominating set of size ≤ k".
     The input digraph is interpreted as undirected (arc in either

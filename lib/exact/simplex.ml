@@ -234,9 +234,3 @@ let minimize p =
             solution = solution_of t p.var_count;
           }
     end
-
-let feasible p =
-  match minimize { p with objective = Array.make p.var_count 0.0 } with
-  | Optimal _ -> true
-  | Infeasible -> false
-  | Unbounded -> true

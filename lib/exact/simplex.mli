@@ -33,6 +33,3 @@ type outcome =
 
 val minimize : problem -> outcome
 (** @raise Invalid_argument on dimension mismatches. *)
-
-val feasible : problem -> bool
-(** Phase-1 feasibility only. *)

@@ -53,12 +53,6 @@ let strongly_connected_components g =
   List.iter visit (Digraph.vertices g);
   List.rev !components
 
-let component_ids g =
-  let components = strongly_connected_components g in
-  let ids = Array.make (Digraph.vertex_count g) (-1) in
-  List.iteri (fun i vs -> List.iter (fun v -> ids.(v) <- i) vs) components;
-  (ids, List.length components)
-
 let is_strongly_connected g =
   Digraph.vertex_count g <= 1
   || (match strongly_connected_components g with [ _ ] -> true | _ -> false)

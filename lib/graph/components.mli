@@ -6,9 +6,6 @@
 val strongly_connected_components : Digraph.t -> Digraph.vertex list list
 (** Components in reverse topological order of the condensation. *)
 
-val component_ids : Digraph.t -> int array * int
-(** [(ids, count)]: [ids.(v)] is the SCC index of [v]. *)
-
 val is_strongly_connected : Digraph.t -> bool
 
 val weakly_connected_components : Digraph.t -> Digraph.vertex list list

@@ -58,9 +58,6 @@ module View = struct
     if Array.length out < v.len then invalid_arg "Digraph.View.caps_into";
     Array.blit v.caps v.off out 0 v.len
 
-  let dsts_into v out =
-    if Array.length out < v.len then invalid_arg "Digraph.View.dsts_into";
-    Array.blit v.dsts v.off out 0 v.len
   let to_array v = Array.init v.len (fun i -> (dst v i, cap v i))
 
   let index v u =
@@ -392,7 +389,6 @@ let capacity g u v =
 let mem_arc g u v = capacity g u v > 0
 
 let out_degree g v = g.succ_off.(v + 1) - g.succ_off.(v)
-let in_degree g v = g.pred_off.(v + 1) - g.pred_off.(v)
 
 let sum_row off cap v =
   let acc = ref 0 in
@@ -402,7 +398,6 @@ let sum_row off cap v =
   !acc
 
 let in_capacity g v = sum_row g.pred_off g.pred_cap v
-let out_capacity g v = sum_row g.succ_off g.succ_cap v
 
 let arcs g =
   let acc = ref [] in
@@ -439,10 +434,3 @@ let reverse g =
   }
 
 let vertices g = List.init g.vertex_count Fun.id
-
-let pp ppf g =
-  Format.fprintf ppf "digraph(n=%d, arcs=%d)" g.vertex_count g.arc_count;
-  List.iter
-    (fun { src; dst; capacity } ->
-      Format.fprintf ppf "@ %d->%d[%d]" src dst capacity)
-    (arcs g)

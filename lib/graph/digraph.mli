@@ -36,9 +36,6 @@ module View : sig
   val dst : view -> int -> vertex
   (** [dst v i] is the [i]-th neighbour (ascending order). *)
 
-  val cap : view -> int -> int
-  (** [cap v i] is the capacity of the arc to the [i]-th neighbour. *)
-
   val iter : (vertex -> int -> unit) -> view -> unit
   (** [iter f v] applies [f dst cap] to each entry in ascending order. *)
 
@@ -54,11 +51,6 @@ module View : sig
 
   val caps_into : view -> int array -> unit
   (** [caps_into v out] blits the capacities into [out.(0..length v - 1)]
-      without allocating; [out] may be longer than the view.
-      @raise Invalid_argument if [out] is shorter. *)
-
-  val dsts_into : view -> int array -> unit
-  (** [dsts_into v out] blits the neighbours into [out.(0..length v - 1)]
       without allocating; [out] may be longer than the view.
       @raise Invalid_argument if [out] is shorter. *)
 
@@ -135,13 +127,10 @@ val pred : t -> vertex -> view
 (** In-neighbours with arc capacities, sources ascending. *)
 
 val out_degree : t -> vertex -> int
-val in_degree : t -> vertex -> int
 
 val in_capacity : t -> vertex -> int
 (** Sum of capacities of incoming arcs (the per-step download ceiling of
     a vertex, used by the §5.1 remaining-moves bound). *)
-
-val out_capacity : t -> vertex -> int
 
 val arcs : t -> arc list
 (** All arcs, grouped by source, ascending destinations. *)
@@ -155,5 +144,3 @@ val reverse : t -> t
 (** Graph with every arc flipped. *)
 
 val vertices : t -> vertex list
-
-val pp : Format.formatter -> t -> unit

@@ -48,11 +48,6 @@ let prim g ~cost ~root =
     parent;
   { root; parent; children }
 
-let total_cost t ~cost =
-  let acc = ref 0 in
-  Array.iteri (fun v p -> if p >= 0 then acc := !acc + cost p v) t.parent;
-  !acc
-
 let depth t =
   let n = Array.length t.parent in
   let d = Array.make n (-1) in

@@ -20,8 +20,5 @@ val prim :
     symmetric costs; vertices not connected to [root] have
     [parent = -1] and no children entry. *)
 
-val total_cost :
-  tree -> cost:(Digraph.vertex -> Digraph.vertex -> int) -> int
-
 val depth : tree -> int array
 (** Hop depth of each vertex in the tree; [-1] when outside it. *)

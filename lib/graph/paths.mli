@@ -6,9 +6,6 @@
     Dijkstra over a caller-supplied cost function is provided for
     baselines that weight arcs differently (e.g. inverse capacity). *)
 
-val hop_distances : Digraph.t -> Digraph.vertex -> int array
-(** BFS hop distance from a source; [-1] if unreachable. *)
-
 val dijkstra :
   Digraph.t ->
   cost:(Digraph.vertex -> Digraph.vertex -> int) ->

@@ -7,9 +7,6 @@ let all =
     Global_greedy.strategy;
   ]
 
-let online =
-  [ Round_robin.strategy; Random_push.strategy; Local_rarest.strategy ]
-
 let find name =
   List.find_opt (fun s -> s.Ocd_engine.Strategy.name = name) all
 

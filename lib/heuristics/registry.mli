@@ -4,10 +4,6 @@ val all : Ocd_engine.Strategy.t list
 (** The five §5.1 heuristics, in the paper's presentation order:
     round-robin, random, local, bandwidth, global. *)
 
-val online : Ocd_engine.Strategy.t list
-(** The strategies implementable with per-vertex knowledge only
-    (round-robin, random, local). *)
-
 val find : string -> Ocd_engine.Strategy.t option
 
 val names : string list

@@ -19,7 +19,6 @@ let disabled =
 let create ?(pid = 0) ?(sink = Sink.null) ?probe () =
   { on = true; pid; metrics = Metrics.create (); sink; probe }
 
-let enabled t = t.on
 let probe t = if t.on then t.probe else None
 
 let child t =

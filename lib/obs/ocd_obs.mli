@@ -16,7 +16,7 @@
     is {!Sink.null}, the registry is {!Metrics.disabled} and there is
     no probe, so every instrumentation site reduces to one load and
     branch — no allocation on the hot path.  Instrumented code must
-    guard event construction with [t.on] (or {!enabled}) and probe use
+    guard event construction with [t.on] and probe use
     with {!probe}. *)
 
 module Sink = Sink
@@ -51,7 +51,6 @@ val create :
 (** A live scope with a fresh {!Metrics} registry.  [sink] defaults to
     {!Sink.null} — metrics-and-profile-only instrumentation. *)
 
-val enabled : t -> bool
 val probe : t -> Probe.t option
 (** [None] when [on] is false, even if a probe was attached. *)
 

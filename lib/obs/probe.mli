@@ -12,40 +12,16 @@
     covers probe rows.
 
     A probe may be shared across {!Ocd_prelude.Pool} worker domains
-    (accumulation is mutex-protected), but a {!section} must be
-    started and stopped on the same domain — GC statistics are
-    per-domain. *)
+    (accumulation is mutex-protected); each {!time} call runs on one
+    domain, because GC statistics are per-domain. *)
 
 type t
 
 val create : unit -> t
 
-type section
-
-val start : t -> string -> section
-(** Begin a labelled section: captures the wall clock and
-    [Gc.quick_stat]. *)
-
-val stop : section -> unit
-(** End the section and fold its deltas into the probe.  Stopping a
-    section twice counts it twice — don't. *)
-
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t label f] runs [f] inside a section, returning its result
     (exceptions propagate after the section is closed). *)
-
-type row = {
-  label : string;
-  calls : int;
-  wall_s : float;
-  minor_words : float;
-  major_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
-
-val rows : t -> row list
-(** Aggregated rows, sorted by label. *)
 
 val render : ?title:string -> t -> string
 (** Human-readable table: label, calls, total wall, calls/sec, per-call

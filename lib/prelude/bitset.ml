@@ -82,12 +82,6 @@ let subset a b =
   let rec go i = i >= n || (a.words.(i) land lnot b.words.(i) = 0 && go (i + 1)) in
   go 0
 
-let disjoint a b =
-  check_same a b;
-  let n = Array.length a.words in
-  let rec go i = i >= n || (a.words.(i) land b.words.(i) = 0 && go (i + 1)) in
-  go 0
-
 let union_into dst src =
   check_same dst src;
   for i = 0 to Array.length dst.words - 1 do
@@ -253,10 +247,3 @@ module Rows = struct
       s.words.(j) <- s.words.(j) land lnot (word r v j)
     done
 end
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       Format.pp_print_int)
-    (elements s)

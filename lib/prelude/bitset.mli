@@ -62,8 +62,6 @@ val equal : t -> t -> bool
 val subset : t -> t -> bool
 (** [subset a b] is true when every element of [a] is in [b]. *)
 
-val disjoint : t -> t -> bool
-
 val union_into : t -> t -> unit
 (** [union_into dst src] sets [dst := dst ∪ src]. *)
 
@@ -84,7 +82,6 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 (** Elements in increasing order. *)
 
-val exists : (int -> bool) -> t -> bool
 val for_all : (int -> bool) -> t -> bool
 
 val choose : t -> int option
@@ -145,6 +142,3 @@ module Rows : sig
   val diff_into : set -> t -> int -> unit
   (** [diff_into s r v] sets [s := s \ row v] (same capacity). *)
 end
-
-val pp : Format.formatter -> t -> unit
-(** Prints as [{e1, e2, ...}]. *)

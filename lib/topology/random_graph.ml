@@ -64,10 +64,12 @@ let erdos_renyi rng ~n ?p ?(weights = Weights.paper_default) ?(connect = true)
   if p < 0.0 || p > 1.0 then invalid_arg "Random_graph.erdos_renyi: bad p";
   build rng ~n ~weights ~connect (skip_pairs rng ~k:n ~p)
 
-let waxman rng ~n ?(alpha = 0.4) ?(beta = 0.2)
-    ?(weights = Weights.paper_default) ?(connect = true) () =
+(* Waxman's parameters: edge probability envelope and distance decay. *)
+let alpha = 0.4
+let beta = 0.2
+
+let waxman rng ~n ?(weights = Weights.paper_default) () =
   if n <= 0 then invalid_arg "Random_graph.waxman: n <= 0";
-  if alpha <= 0.0 || beta <= 0.0 then invalid_arg "Random_graph.waxman: params";
   (* Explicit loops: all x coordinates are drawn before any y. *)
   let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
   for i = 0 to n - 1 do
@@ -83,7 +85,7 @@ let waxman rng ~n ?(alpha = 0.4) ?(beta = 0.2)
      proportional to the candidate count alpha * n(n-1)/2. *)
   let max_dist = sqrt 2.0 in
   let env = Float.min alpha 1.0 in
-  build rng ~n ~weights ~connect (fun edge ->
+  build rng ~n ~weights ~connect:true (fun edge ->
       skip_pairs rng ~k:n ~p:env (fun u v ->
           let d = Float.hypot (xs.(u) -. xs.(v)) (ys.(u) -. ys.(v)) in
           let accept = alpha *. exp (-.d /. (beta *. max_dist)) /. env in

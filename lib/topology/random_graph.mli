@@ -34,16 +34,13 @@ val erdos_renyi :
 val waxman :
   Prng.t ->
   n:int ->
-  ?alpha:float ->
-  ?beta:float ->
   ?weights:Weights.policy ->
-  ?connect:bool ->
   unit ->
   Ocd_graph.Digraph.t
 (** Waxman (1988) geometric random graph on the unit square: vertices
     placed uniformly, edge [{u,v}] with probability
-    [alpha * exp (-d(u,v) / (beta * sqrt 2))].  Defaults
-    [alpha = 0.4], [beta = 0.2]. *)
+    [alpha * exp (-d(u,v) / (beta * sqrt 2))], with [alpha = 0.4] and
+    [beta = 0.2]; weak connectivity is always repaired. *)
 
 val paper_p : int -> float
 (** [2 ln n / n], the paper's edge probability. *)

@@ -39,16 +39,11 @@ let build ~physical ~host_of ~overlay =
   List.iter route (Digraph.arcs overlay);
   { physical; overlay; host_of; paths }
 
-let map_onto_transit_stub rng ~overlay ?params () =
+let map_onto_transit_stub rng ~overlay () =
   let n = Digraph.vertex_count overlay in
-  let params =
-    match params with
-    | Some p -> p
-    | None ->
-      (* headroom: physical network ~2x the overlay size so routers
-         and spare hosts exist *)
-      Ocd_topology.Transit_stub.params_for_size (2 * n)
-  in
+  (* headroom: physical network ~2x the overlay size so routers and
+     spare hosts exist *)
+  let params = Ocd_topology.Transit_stub.params_for_size (2 * n) in
   let physical = Ocd_topology.Transit_stub.generate rng params in
   let transit =
     params.Ocd_topology.Transit_stub.transit_domains

@@ -43,7 +43,6 @@ val build :
 val map_onto_transit_stub :
   Ocd_prelude.Prng.t ->
   overlay:Ocd_graph.Digraph.t ->
-  ?params:Ocd_topology.Transit_stub.params ->
   unit ->
   t
 (** Convenience: generate a transit-stub physical network (sized to

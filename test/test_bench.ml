@@ -35,11 +35,7 @@ let test_report_to_string () =
   Alcotest.(check bool) "csv row 2" true
     (contains ~needle:"csv,pure table,22,b\n" s);
   (* pure rendering is stable and side-effect free *)
-  Alcotest.(check string) "idempotent" s (Ocd_bench.Report.to_string t);
-  Alcotest.(check string) "section" "\n==== s ====\n\n"
-    (Ocd_bench.Report.section_string "s");
-  Alcotest.(check string) "note" "  n 7\n"
-    (Ocd_bench.Report.note_string "n %d" 7)
+  Alcotest.(check string) "idempotent" s (Ocd_bench.Report.to_string t)
 
 let test_csv_escape () =
   let esc = Ocd_bench.Report.csv_escape in

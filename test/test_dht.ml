@@ -75,6 +75,7 @@ type harness = {
   cut : (int -> int -> bool) ref;
   stats : Node.stats;
   seed : int;
+  ids : int array;
   cfg : Node.config;
 }
 
@@ -87,6 +88,7 @@ let make_harness ~n ~seed ~period =
     cut = ref (fun _ _ -> false);
     stats = Node.fresh_stats ();
     seed;
+    ids = Node.vertex_ids ~seed n;
     cfg = Node.config ~period ();
   }
 
@@ -112,7 +114,7 @@ let env h v =
   }
 
 let boot h v init =
-  let node = Node.create ~env:(env h v) ~config:h.cfg init in
+  let node = Node.create ~env:(env h v) ~config:h.cfg ~ids:h.ids init in
   h.nodes.(v) <- Some node;
   Node.start node;
   node
@@ -147,7 +149,7 @@ let test_sequential_joins () =
   (* node 0 boots as a ring of one; the rest join through it, spaced
      far enough apart that each join's lookup resolves against an
      already-stabilised ring *)
-  ignore (boot h 0 (Node.converged ~seed ~succ_count:h.cfg.Node.succ_count [| 0 |] 0));
+  ignore (boot h 0 (Node.converged ~ids:h.ids [| 0 |] 0));
   for v = 1 to n - 1 do
     Sim.at h.sim (v * 300) (fun () -> ignore (boot h v (Node.Join { via = [ 0 ] })))
   done;
@@ -194,11 +196,11 @@ let test_lookup_hop_bound () =
   let n = 10_000 and seed = 7 and lookups = 256 in
   let h = make_harness ~n ~seed ~period:64 in
   let members = Array.init n (fun i -> i) in
-  let ring = Node.converged ~seed ~succ_count:h.cfg.Node.succ_count members in
+  let ring = Node.converged ~ids:h.ids members in
   (* Stable boots only; running is irrelevant because no loops start
      without faults to repair, and we never call Node.start *)
   for v = 0 to n - 1 do
-    h.nodes.(v) <- Some (Node.create ~env:(env h v) ~config:h.cfg (ring v))
+    h.nodes.(v) <- Some (Node.create ~env:(env h v) ~config:h.cfg ~ids:h.ids (ring v))
   done;
   let rng = Prng.create ~seed:(seed + n) in
   let wrong = ref 0 in
@@ -226,20 +228,20 @@ let test_lookup_hop_bound () =
 (* ------------------- provider store holder lists -------------------- *)
 
 let test_holder_store () =
-  let seed = 3 and token = 9 and cap = 16 in
-  let h = make_harness ~n:1 ~seed ~period:32 in
-  let cfg = Node.config ~providers_cap:cap ~period:32 () in
+  (* [cap] is the node's fixed provider-answer cap *)
+  let seed = 3 and token = 9 and cap = 64 and holders = 96 in
+  let h = make_harness ~n:holders ~seed ~period:32 in
   let node =
-    Node.create ~env:(env h 0) ~config:cfg
-      (Node.converged ~seed ~succ_count:cfg.Node.succ_count [| 0 |] 0)
+    Node.create ~env:(env h 0) ~config:h.cfg ~ids:h.ids
+      (Node.converged ~ids:h.ids [| 0 |] 0)
   in
-  (* holders 0..39, each stored one to three times, in shuffled order *)
+  (* holders 0..95, each stored one to three times, in shuffled order *)
   let rng = Prng.create ~seed in
   let stores =
     Array.of_list
       (List.concat_map
          (fun holder -> List.init (1 + Prng.int rng 3) (fun _ -> holder))
-         (Order.range 40))
+         (Order.range holders))
   in
   Prng.shuffle rng stores;
   let seen = ref [] in
@@ -265,7 +267,7 @@ let test_store_survives_owner_kill () =
   let n = 16 and seed = 5 and token = 3 and holder = 1 in
   let h = make_harness ~n ~seed ~period:32 in
   let members = Array.init n (fun i -> i) in
-  let ring = Node.converged ~seed ~succ_count:h.cfg.Node.succ_count members in
+  let ring = Node.converged ~ids:h.ids members in
   for v = 0 to n - 1 do
     ignore (boot h v (ring v))
   done;
@@ -316,7 +318,7 @@ let test_partition_heal () =
   let n = 24 and seed = 42 and token = 3 and holder = 1 in
   let h = make_harness ~n ~seed ~period:32 in
   let members = Array.init n (fun i -> i) in
-  let ring = Node.converged ~seed ~succ_count:h.cfg.Node.succ_count members in
+  let ring = Node.converged ~ids:h.ids members in
   for v = 0 to n - 1 do
     ignore (boot h v (ring v))
   done;
@@ -384,7 +386,7 @@ let test_concurrent_joins () =
   let n = 16 and seed = 9 in
   let h = make_harness ~n ~seed ~period:32 in
   ignore
-    (boot h 0 (Node.converged ~seed ~succ_count:h.cfg.Node.succ_count [| 0 |] 0));
+    (boot h 0 (Node.converged ~ids:h.ids [| 0 |] 0));
   for v = 1 to n - 1 do
     let at = 100 + (((v - 1) / 4) * h.cfg.Node.period) + ((v - 1) mod 4) in
     Sim.at h.sim at (fun () -> ignore (boot h v (Node.Join { via = [ 0 ] })))

@@ -1,5 +1,5 @@
 (* Tests for the extension modules: Maxflow, exact one-step check,
-   Fairness, Codec, Hybrid. *)
+   Fairness, Codec, and §3.4's hybrid objective on [Search]. *)
 
 open Ocd_prelude
 open Ocd_core
@@ -347,43 +347,28 @@ let prop_codec_roundtrip_random =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Hybrid                                                              *)
+(* Hybrid objectives (§3.4): bandwidth subject to a time bound         *)
 (* ------------------------------------------------------------------ *)
 
+(* §3.4's closing hybrid goal is [Search.eocd ~horizon]: the minimum
+   bandwidth among schedules of at most [horizon] steps.  Figure 1's
+   table prints the same two rows. *)
 let test_hybrid_bandwidth_subject_to_time () =
   let inst = Figure1.instance () in
-  (match Ocd_exact.Hybrid.bandwidth_subject_to_time ~slack:1.0 inst with
-  | Ocd_exact.Hybrid.Solved { makespan; bandwidth; schedule } ->
-    Alcotest.(check bool) "within optimal time" true (makespan <= 2);
-    Alcotest.(check int) "bw at time-opt" 5 bandwidth;
+  (match Ocd_exact.Search.eocd ~horizon:2 inst with
+  | Ocd_exact.Search.Solved { objective; schedule } ->
+    Alcotest.(check bool) "within optimal time" true
+      (Schedule.length schedule <= 2);
+    Alcotest.(check int) "bw at time-opt" 5 objective;
     Alcotest.(check bool) "valid" true
       (Validate.check_successful inst schedule = Ok ())
   | _ -> Alcotest.fail "expected solved");
-  match Ocd_exact.Hybrid.bandwidth_subject_to_time ~slack:1.5 inst with
-  | Ocd_exact.Hybrid.Solved { bandwidth; makespan; _ } ->
-    Alcotest.(check int) "bw with 1.5x slack" 4 bandwidth;
-    Alcotest.(check bool) "time within slack" true (makespan <= 3)
+  match Ocd_exact.Search.eocd ~horizon:3 inst with
+  | Ocd_exact.Search.Solved { objective; schedule } ->
+    Alcotest.(check int) "bw with 1.5x slack" 4 objective;
+    Alcotest.(check bool) "time within slack" true
+      (Schedule.length schedule <= 3)
   | _ -> Alcotest.fail "expected solved"
-
-let test_hybrid_time_subject_to_bandwidth () =
-  let inst = Figure1.instance () in
-  (match Ocd_exact.Hybrid.time_subject_to_bandwidth ~slack:1.0 inst with
-  | Ocd_exact.Hybrid.Solved { makespan; bandwidth; _ } ->
-    Alcotest.(check int) "time at bw-opt" 3 makespan;
-    Alcotest.(check int) "bw" 4 bandwidth
-  | _ -> Alcotest.fail "expected solved");
-  match Ocd_exact.Hybrid.time_subject_to_bandwidth ~slack:1.25 inst with
-  | Ocd_exact.Hybrid.Solved { makespan; bandwidth; _ } ->
-    Alcotest.(check int) "time with bw slack 5" 2 makespan;
-    Alcotest.(check bool) "bw within budget" true (bandwidth <= 5)
-  | _ -> Alcotest.fail "expected solved"
-
-let test_hybrid_rejects_bad_slack () =
-  Alcotest.check_raises "slack < 1"
-    (Invalid_argument "Hybrid: slack must be >= 1.0") (fun () ->
-      ignore
-        (Ocd_exact.Hybrid.bandwidth_subject_to_time ~slack:0.5
-           (Figure1.instance ())))
 
 let test_hybrid_unsatisfiable () =
   let graph =
@@ -393,8 +378,7 @@ let test_hybrid_unsatisfiable () =
     Instance.make ~graph ~token_count:1 ~have:[ (1, [ 0 ]) ] ~want:[ (0, [ 0 ]) ]
   in
   Alcotest.(check bool) "unsat" true
-    (Ocd_exact.Hybrid.bandwidth_subject_to_time ~slack:2.0 inst
-    = Ocd_exact.Hybrid.Unsatisfiable)
+    (Ocd_exact.Search.eocd ~horizon:2 inst = Ocd_exact.Search.Unsatisfiable)
 
 let () =
   Alcotest.run "ocd_extensions"
@@ -441,9 +425,6 @@ let () =
         [
           Alcotest.test_case "bandwidth s.t. time" `Quick
             test_hybrid_bandwidth_subject_to_time;
-          Alcotest.test_case "time s.t. bandwidth" `Quick
-            test_hybrid_time_subject_to_bandwidth;
-          Alcotest.test_case "rejects bad slack" `Quick test_hybrid_rejects_bad_slack;
           Alcotest.test_case "unsatisfiable" `Quick test_hybrid_unsatisfiable;
         ] );
     ]

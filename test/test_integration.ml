@@ -177,7 +177,10 @@ let prop_theorem2_description_size =
       moves <= m * (n - 1)
       && String.length (Codec.schedule_to_string pruned) <= bound)
 
-(* Hybrid interpolates between the two exact extremes. *)
+(* Hybrid interpolates between the two exact extremes: the minimum
+   bandwidth within the optimal time (§3.4's hybrid goal,
+   [Search.eocd ~horizon]) is a schedule no longer than FOCD's optimum
+   and no cheaper than EOCD's. *)
 let prop_hybrid_interpolates =
   QCheck.Test.make
     ~name:"hybrid objective interpolates between FOCD and EOCD extremes"
@@ -188,11 +191,13 @@ let prop_hybrid_interpolates =
       with
       | ( Ocd_exact.Search.Solved { objective = opt_time; _ },
           Ocd_exact.Search.Solved { objective = opt_bw; _ } ) -> (
-        match Ocd_exact.Hybrid.bandwidth_subject_to_time ~slack:1.0 inst with
-        | Ocd_exact.Hybrid.Solved { makespan; bandwidth; _ } ->
-          makespan <= opt_time && bandwidth >= opt_bw
-        | Ocd_exact.Hybrid.Unsatisfiable -> false
-        | Ocd_exact.Hybrid.Budget_exceeded -> QCheck.assume_fail ())
+        match
+          Ocd_exact.Search.eocd ~max_states:50_000 ~horizon:opt_time inst
+        with
+        | Ocd_exact.Search.Solved { objective = bandwidth; schedule } ->
+          Schedule.length schedule <= opt_time && bandwidth >= opt_bw
+        | Ocd_exact.Search.Unsatisfiable -> false
+        | Ocd_exact.Search.Budget_exceeded -> QCheck.assume_fail ())
       | _ -> QCheck.assume_fail ())
 
 let () =
