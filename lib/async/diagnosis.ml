@@ -52,7 +52,7 @@ let diagnose ~(instance : Instance.t) ~condition ~faults ~have ~rounds
   in
   let dead_at_horizon =
     List.filter
-      (fun v -> not (Faults.up faults ~round:(max 0 (rounds - 1)) v))
+      (fun v -> not (Faults.up faults ~round:(Int.max 0 (rounds - 1)) v))
       (List.init n (fun v -> v))
   in
   (* Partition analysis: in the effective topology of a sampled round
@@ -60,7 +60,7 @@ let diagnose ~(instance : Instance.t) ~condition ~faults ~have ~rounds
      still be served by some initial holder?  Initial holders survive
      both durability models, so they are sound witnesses. *)
   let effective = Condition.compose condition (Faults.to_condition faults) in
-  let stride = max 1 (rounds / max_samples) in
+  let stride = Int.max 1 (rounds / max_samples) in
   let sampled = ref 0 in
   let partitioned = ref 0 in
   let partition_cut = ref 0 in

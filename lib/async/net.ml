@@ -132,7 +132,7 @@ let pair_state net ~src ~dst ~fwd ~bwd =
 let arc_latency profile ~capacity =
   (* Inverse in capacity, clamped to a 0.5x-1.5x band around the base:
      capacity 3 gives 1.5x, capacity 15 gives 0.5x. *)
-  profile.latency * 9 / (3 + max 0 capacity)
+  profile.latency * 9 / (3 + Int.max 0 capacity)
 
 (* Base and effective capacity of the arc at slot [s]; 0 for [s = -1],
    no arc. *)
@@ -203,14 +203,14 @@ let dispatch net state ~src ~dst ~arrive ~sid msg =
       let arrive =
         if a.delay_prob > 0.0 && Prng.bernoulli rng a.delay_prob then begin
           net.adv_reordered <- net.adv_reordered + 1;
-          arrive + 1 + Prng.int rng (max 1 a.max_delay)
+          arrive + 1 + Prng.int rng (Int.max 1 a.max_delay)
         end
         else arrive
       in
       schedule_delivery net ~src ~dst ~arrive ~sid msg;
       if a.dup_prob > 0.0 && Prng.bernoulli rng a.dup_prob then begin
         net.adv_duplicated <- net.adv_duplicated + 1;
-        let echo = arrive + 1 + Prng.int rng (max 1 a.max_delay) in
+        let echo = arrive + 1 + Prng.int rng (Int.max 1 a.max_delay) in
         (* the echo shares the original's causal send: both arrivals
            were caused by the one departure *)
         schedule_delivery net ~src ~dst ~arrive:echo ~sid msg
@@ -258,8 +258,8 @@ let send net ~src ~dst msg =
           net.data_sent <- net.data_sent + 1;
           let depart =
             if net.profile.serialize then begin
-              let depart = max now state.next_free in
-              state.next_free <- depart + max 1 (net.profile.pace / eff);
+              let depart = Int.max now state.next_free in
+              state.next_free <- depart + Int.max 1 (net.profile.pace / eff);
               depart
             end
             else now
@@ -286,7 +286,7 @@ let send net ~src ~dst msg =
           if lost net state then net.dropped <- net.dropped + 1
           else begin
             net.control_sent <- net.control_sent + 1;
-            let cap = max (slot_cap net fwd) (slot_cap net bwd) in
+            let cap = Int.max (slot_cap net fwd) (slot_cap net bwd) in
             let arrive = now + delay net state ~capacity:cap in
             dispatch net state ~src ~dst ~arrive
               ~sid:(causal_send net ~con ~retry ~now ~src ~dst ~depart:now msg)

@@ -103,7 +103,7 @@ let request t ~holder token =
   r.attempts <- a + 1;
   r.outstanding <- true;
   r.holder <- holder;
-  r.deadline <- t.ctx.now () + (t.ctx.pace * (1 lsl min a max_backoff_exp));
+  r.deadline <- t.ctx.now () + (t.ctx.pace * (1 lsl Int.min a max_backoff_exp));
   t.ctx.send ~dst:holder (Message.Request token)
 
 let arrived t token =

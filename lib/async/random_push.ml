@@ -43,7 +43,7 @@ let protocol () =
             Bitset.diff_into useful target;
             let candidates = Array.of_list (Bitset.elements useful) in
             Prng.shuffle ctx.rng candidates;
-            let count = min cap (Array.length candidates) in
+            let count = Int.min cap (Array.length candidates) in
             for i = 0 to count - 1 do
               let token = candidates.(i) in
               if Hashtbl.mem pushed (dst, token) then ctx.note_retransmission ()

@@ -39,7 +39,7 @@ type run = {
    every vertex plus slack, capped so lossy runs still terminate. *)
 let default_round_limit (inst : Instance.t) =
   let n = Instance.vertex_count inst in
-  min ((inst.token_count * (n - 1)) + n + 64) 1_000_000
+  Int.min ((inst.token_count * (n - 1)) + n + 64) 1_000_000
 
 let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
     ?(profile = Net.default) ?(condition = Condition.static)
@@ -112,7 +112,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
         else arc_round ~round ~token (count + 1) rest
     | _ -> count
   in
-  let rec insert_desc key = function
+  let rec insert_desc (key : int) = function
     | k :: rest when k > key -> k :: insert_desc key rest
     | l -> key :: l
   in
@@ -137,17 +137,17 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
         else begin
           on_arc.(s) <- insert_desc ((round * tokens) + token) on_arc.(s);
           if round >= Array.length !buckets then begin
-            let grown = Array.make (max (round + 1) (2 * Array.length !buckets)) [] in
+            let grown = Array.make (Int.max (round + 1) (2 * Array.length !buckets)) [] in
             Array.blit !buckets 0 grown 0 (Array.length !buckets);
             buckets := grown
           end;
           !buckets.(round) <- move :: !buckets.(round);
-          max_logged_round := max !max_logged_round round;
+          max_logged_round := Int.max !max_logged_round round;
           visible_from.(move.dst).(token) <-
-            min visible_from.(move.dst).(token) (round + 1)
+            Int.min visible_from.(move.dst).(token) (round + 1)
         end
       in
-      place (max round visible_from.(move.src).(token))
+      place (Int.max round visible_from.(move.src).(token))
     end
   in
   let handlers : Protocol.handlers option array = Array.make n None in
@@ -405,7 +405,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
   let outcome = if finished () then Completed else Timed_out in
   let rounds =
     match !completion with
-    | Some tick -> max (tick / pace) !max_logged_round + 1
+    | Some tick -> Int.max (tick / pace) !max_logged_round + 1
     | None -> round_limit
   in
   let schedule =

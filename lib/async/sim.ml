@@ -117,7 +117,7 @@ let at sim tick f =
   if tick - sim.base < width then enqueue sim tick f
   else Pqueue.push sim.overflow ~priority:tick f
 
-let after sim d f = at sim (sim.clock + max 0 d) f
+let after sim d f = at sim (sim.clock + Int.max 0 d) f
 
 let events_processed sim = sim.processed
 

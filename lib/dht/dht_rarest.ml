@@ -121,7 +121,7 @@ let protocol ?stats () =
           end
         end
       done;
-      adv_cursor := (!adv_cursor + max_adverts_per_round) mod max tokens 1
+      adv_cursor := (!adv_cursor + max_adverts_per_round) mod Int.max tokens 1
     in
     let query_step () =
       let round = round_no () in

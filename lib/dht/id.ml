@@ -13,12 +13,12 @@ let of_key ~seed k = Prng.mix ~seed ((2 * k) + 1)
 
 let dist ~from x = (x - from) land max_int
 
-let in_oo ~lo ~hi x =
+let in_oo ~(lo : int) ~(hi : int) (x : int) =
   if lo < hi then lo < x && x < hi
   else if lo = hi then x <> lo
   else x > lo || x < hi
 
-let in_oc ~lo ~hi x =
+let in_oc ~(lo : int) ~(hi : int) (x : int) =
   if lo < hi then lo < x && x <= hi
   else if lo = hi then true
   else x > lo || x <= hi

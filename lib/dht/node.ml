@@ -275,7 +275,7 @@ let providers t ~token =
 (* [x] inserted into the strictly ascending list [l], which is returned
    itself when it already holds [x].  Stops at the first entry not
    below [x] and copies only the prefix before it. *)
-let rec insert_ascending x = function
+let rec insert_ascending (x : int) = function
   | y :: rest as l when y < x ->
     let rest' = insert_ascending x rest in
     if rest' == rest then l else y :: rest'
@@ -498,7 +498,7 @@ let consider_contact t src =
          (no_closer t (Id.dist ~from:t.id (vid t src)) ~prev:(-1) ~len:0 t.succs)
   then begin
     let merged = Order.take succ_count (ring_sorted t (src :: t.succs)) in
-    if merged <> t.succs then begin
+    if not (List.equal Int.equal merged t.succs) then begin
       let old0 = succ0 t in
       t.env.observe src;
       t.succs <- merged;
@@ -763,7 +763,7 @@ let create ~env ~config ~ids init =
   | Stable { succs; pred; fingers } ->
     t.succs <- Order.take succ_count succs;
     t.pred <- pred;
-    Array.blit fingers 0 t.fingers 0 (min (Array.length fingers) Id.bits);
+    Array.blit fingers 0 t.fingers 0 (Int.min (Array.length fingers) Id.bits);
     Array.iteri
       (fun k u -> if u >= 0 then t.finger_ids.(k) <- vid t u)
       t.fingers;
@@ -797,7 +797,7 @@ let invariant_violations t =
   Hashtbl.iter
     (fun token l ->
       let rec sorted = function
-        | a :: (b :: _ as rest) ->
+        | (a : int) :: (b :: _ as rest) ->
           if a >= b then
             add "dht-ring"
               (Printf.sprintf "holder list for token %d not strictly sorted"
@@ -841,16 +841,16 @@ let invariant_violations t =
 
 (* ------------------------- converged ring state ------------------------ *)
 
-let sorted_ring ~id members =
+let sorted_ring ~(id : int -> int) members =
   let m = Array.length members in
   let ids = Array.map id members in
   let order = Array.init m (fun i -> i) in
-  Array.sort (fun a b -> compare ids.(a) ids.(b)) order;
+  Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) order;
   let sorted_ids = Array.map (fun i -> ids.(i)) order in
   let sorted_vs = Array.map (fun i -> members.(i)) order in
   (sorted_ids, sorted_vs)
 
-let owner_index sorted_ids target =
+let owner_index (sorted_ids : int array) target =
   let m = Array.length sorted_ids in
   let lo = ref 0 and hi = ref m in
   while !lo < !hi do
@@ -878,7 +878,7 @@ let converged ~ids members =
         Stable { succs = []; pred = None; fingers = Array.make Id.bits (-1) }
       else begin
         let succs =
-          List.init (min succ_count (m - 1)) (fun k ->
+          List.init (Int.min succ_count (m - 1)) (fun k ->
               sorted_vs.((i + k + 1) mod m))
         in
         let pred = Some sorted_vs.((i + m - 1) mod m) in

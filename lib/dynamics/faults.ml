@@ -62,7 +62,13 @@ let partitions ~seed ?(groups = 2) ?(split_prob = 0.05) ?(heal_prob = 0.25) () =
 
 let of_windows ~seed ?(groups = 2) windows =
   if groups < 2 then invalid_arg "Faults.of_windows: need at least 2 groups";
-  match List.sort compare windows with
+  match
+    List.sort
+      (fun (f1, u1) (f2, u2) ->
+        let c = Int.compare f1 f2 in
+        if c <> 0 then c else Int.compare u1 u2)
+      windows
+  with
   | [] -> none
   | sorted ->
       ignore
@@ -147,7 +153,7 @@ let downtime t ~n ~horizon =
    replays through of_windows byte-identically. *)
 let side p ~window v =
   let c = Condition.keyed_coin ~seed:p.p_seed ~a:window ~b:v ~c:(-4) in
-  min (p.groups - 1) (int_of_float (c *. float_of_int p.groups))
+  Int.min (p.groups - 1) (int_of_float (c *. float_of_int p.groups))
 
 let partition_active t ~round =
   match t.part with None -> false | Some p -> p.window_at round >= 0

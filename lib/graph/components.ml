@@ -28,12 +28,12 @@ let strongly_connected_components g =
           let w = Digraph.View.dst row !cursor in
           incr cursor;
           if index.(w) = -1 then open_vertex w
-          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+          else if on_stack.(w) then lowlink.(v) <- Int.min lowlink.(v) index.(w)
         end
         else begin
           ignore (Stack.pop frames);
           (match Stack.top_opt frames with
-          | Some (parent, _) -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+          | Some (parent, _) -> lowlink.(parent) <- Int.min lowlink.(parent) lowlink.(v)
           | None -> ());
           if lowlink.(v) = index.(v) then begin
             let component = ref [] in

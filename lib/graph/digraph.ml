@@ -96,7 +96,7 @@ let check_arc ~fn ~vertex_count src dst capacity =
 
 (* In-place quicksort of [dst].(lo..hi) ascending, mirroring every swap
    in [cap] — monomorphic int comparisons only, no boxing. *)
-let sort_row dst (cap : int array) lo hi =
+let sort_row (dst : int array) (cap : int array) lo hi =
   let swap i j =
     let d = dst.(i) in
     dst.(i) <- dst.(j);

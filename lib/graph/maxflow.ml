@@ -83,7 +83,7 @@ let blocking_flow t ~source ~sink ~level ~cursor =
         let arc = cursor.(u) in
         let v = t.dsts.(arc) in
         if t.caps.(arc) > 0 && level.(v) = level.(u) + 1 then begin
-          let sent = dfs v (min pushed t.caps.(arc)) in
+          let sent = dfs v (Int.min pushed t.caps.(arc)) in
           if sent > 0 then begin
             t.caps.(arc) <- t.caps.(arc) - sent;
             t.caps.(arc lxor 1) <- t.caps.(arc lxor 1) + sent;

@@ -42,13 +42,13 @@ let shortest_path g ~cost src dst =
   end
 
 let eccentricity g v =
-  Array.fold_left max 0 (hop_distances g v)
+  Array.fold_left Int.max 0 (hop_distances g v)
 
 let diameter g =
   let n = Digraph.vertex_count g in
   let best = ref 0 in
   for v = 0 to n - 1 do
-    best := max !best (eccentricity g v)
+    best := Int.max !best (eccentricity g v)
   done;
   !best
 

@@ -69,7 +69,7 @@ let chunk_for_write t i =
   if i land chunk_mask <> 0 then Array.unsafe_get t.chunks c
   else begin
     if c = Array.length t.chunks then begin
-      let spine = Array.make (max 8 (2 * c)) [||] in
+      let spine = Array.make (Int.max 8 (2 * c)) [||] in
       Array.blit t.chunks 0 spine 0 c;
       t.chunks <- spine
     end;
@@ -92,7 +92,7 @@ let push t ~tick ~node ~kind ~parent ~aux ~peer ~token =
   t.n <- i + 1;
   if node >= 0 then begin
     if node >= Array.length t.last_of then begin
-      let cap = max 64 ((node + 1) * 2) in
+      let cap = Int.max 64 ((node + 1) * 2) in
       let a = Array.make cap (-1) in
       Array.blit t.last_of 0 a 0 (Array.length t.last_of);
       t.last_of <- a

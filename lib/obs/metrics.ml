@@ -63,7 +63,7 @@ let gauge t name =
 let set g v = g.g <- v
 let set_int g v = g.g <- float_of_int v
 
-let check_edges name edges =
+let check_edges name (edges : float array) =
   let n = Array.length edges in
   for i = 0 to n - 2 do
     if not (edges.(i) < edges.(i + 1)) then

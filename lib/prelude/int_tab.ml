@@ -14,7 +14,7 @@ let rec pow2_at_least c n = if n >= c then n else pow2_at_least c (2 * n)
 
 (* stamp starts at 1 so a freshly zeroed data array reads as empty *)
 let create ?(capacity = 16) () =
-  let cap = pow2_at_least (max capacity 2) 2 in
+  let cap = pow2_at_least (Int.max capacity 2) 2 in
   { data = Array.make (3 * cap) 0; mask = cap - 1; live = 0; stamp = 1 }
 
 let clear t =

@@ -1,7 +1,7 @@
 type t = { mutable data : int array; mutable len : int; mutable aux : int array }
 
 let create ?(capacity = 16) () =
-  { data = Array.make (max capacity 1) 0; len = 0; aux = [||] }
+  { data = Array.make (Int.max capacity 1) 0; len = 0; aux = [||] }
 
 let length v = v.len
 
@@ -77,8 +77,8 @@ let stable_sort_by_key (key : int array) v =
       let a = !src and b = !dst in
       let lo = ref 0 in
       while !lo < n do
-        let mid = min (!lo + !width) n in
-        let hi = min (mid + !width) n in
+        let mid = Int.min (!lo + !width) n in
+        let hi = Int.min (mid + !width) n in
         let i = ref !lo and j = ref mid and k = ref !lo in
         while !i < mid && !j < hi do
           if key.(a.(!i)) <= key.(a.(!j)) then begin

@@ -1,4 +1,4 @@
-let argmin score l =
+let argmin (score : 'a -> int) l =
   List.fold_left
     (fun best x ->
       match best with
@@ -11,14 +11,14 @@ let argmin score l =
 
 let argmax score l = argmin (fun x -> -score x) l
 
-let min_score score l =
+let min_score (score : 'a -> int) l =
   List.fold_left
     (fun best x ->
       let sx = score x in
-      match best with None -> Some sx | Some s -> Some (min s sx))
+      match best with None -> Some sx | Some s -> Some (Int.min s sx))
     None l
 
-let sort_by score l = List.stable_sort (fun a b -> compare (score a) (score b)) l
+let sort_by score l = List.stable_sort (fun a b -> Int.compare (score a) (score b)) l
 
 let rec take n l =
   if n <= 0 then []

@@ -55,7 +55,7 @@ let inside_pool : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let mapi ?(obs = Ocd_obs.disabled) ~jobs f xs =
   if jobs < 1 then invalid_arg "Pool.mapi: jobs must be >= 1";
   let n = List.length xs in
-  let jobs = min jobs n in
+  let jobs = Int.min jobs n in
   let probe = Ocd_obs.probe obs in
   if jobs <= 1 || Domain.DLS.get inside_pool then
     match probe with

@@ -1,10 +1,11 @@
-(* SplitMix64 with the 64-bit state held as two 32-bit native-int
-   limbs.  Without flambda every Int64 operation allocates a box, and
-   the engines draw millions of times per tick (shuffles, candidate
-   picks), so the hot path (int / float / bool) must not touch Int64
-   at all.  The limb arithmetic below reproduces the reference 64-bit
-   stream bit-for-bit; test_prelude checks it against an Int64 oracle
-   over thousands of draws. *)
+(* SplitMix64.  The 64-bit state is stored as two 32-bit native-int
+   limbs, so a generator is a record of plain ints that [copy] and the
+   draw helpers below read without touching Int64.  [step] rebuilds
+   the state as an [int64] local and runs the mixer on it: ocamlopt
+   keeps a let-bound [int64] that does not escape its function
+   unboxed in a register, flambda or not, so a draw is one add, two
+   multiplies and a few shifts, with no allocation.  test_prelude
+   checks the stream, [split] and [mix] against an Int64 oracle. *)
 
 type t = {
   mutable hi : int; (* state bits 32..63 *)
@@ -17,129 +18,52 @@ type t = {
 
 let mask32 = 0xFFFFFFFF
 
-(* golden gamma 0x9E3779B97F4A7C15 *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
-
-(* mixer constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB *)
-let c1_hi = 0xBF58476D
-let c1_lo = 0x1CE4E5B9
-let c2_hi = 0x94D049BB
-let c2_lo = 0x133111EB
-
-(* low 32 bits of a*b for a, b < 2^32: 16-bit split keeps every
-   intermediate below 2^49, well inside the 63-bit native int. *)
-let mul32 a b =
-  ((a land 0xFFFF) * b
-  + ((((a lsr 16) * (b land 0xFFFF)) land 0xFFFF) lsl 16))
-  land mask32
+(* golden gamma *)
+let gamma = 0x9E3779B97F4A7C15L
 
 (* Variant 13 of the 64-bit MurmurHash3 finaliser (the SplitMix64
-   reference mixer), on limbs; writes the result into out_hi/out_lo.
-   [step] below repeats this body inline — ocamlopt does not inline a
-   function this size, and the extra call costs on the order of the
-   draw itself in the engine's shuffle loops. *)
-let mix_into g zh zl =
-  (* z ^= z >>> 30 *)
-  let zl = zl lxor (((zh lsl 2) lor (zl lsr 30)) land mask32) in
-  let zh = zh lxor (zh lsr 30) in
-  (* z *= c1 (full 64-bit product of the 32-bit limbs) *)
-  let a0 = zl land 0xFFFF and a1 = zl lsr 16 in
-  let p00 = a0 * (c1_lo land 0xFFFF)
-  and p01 = a0 * (c1_lo lsr 16)
-  and p10 = a1 * (c1_lo land 0xFFFF)
-  and p11 = a1 * (c1_lo lsr 16) in
-  let mid = p01 + p10 in
-  let low = p00 + ((mid land 0xFFFF) lsl 16) in
-  let carry = (low lsr 32) + (mid lsr 16) + p11 in
-  let zh' = (carry + mul32 zl c1_hi + mul32 zh c1_lo) land mask32 in
-  let zl = low land mask32 in
-  let zh = zh' in
-  (* z ^= z >>> 27 *)
-  let zl = zl lxor (((zh lsl 5) lor (zl lsr 27)) land mask32) in
-  let zh = zh lxor (zh lsr 27) in
-  (* z *= c2 *)
-  let a0 = zl land 0xFFFF and a1 = zl lsr 16 in
-  let p00 = a0 * (c2_lo land 0xFFFF)
-  and p01 = a0 * (c2_lo lsr 16)
-  and p10 = a1 * (c2_lo land 0xFFFF)
-  and p11 = a1 * (c2_lo lsr 16) in
-  let mid = p01 + p10 in
-  let low = p00 + ((mid land 0xFFFF) lsl 16) in
-  let carry = (low lsr 32) + (mid lsr 16) + p11 in
-  let zh' = (carry + mul32 zl c2_hi + mul32 zh c2_lo) land mask32 in
-  let zl = low land mask32 in
-  let zh = zh' in
-  (* z ^= z >>> 31 *)
-  g.out_lo <- zl lxor (((zh lsl 1) lor (zl lsr 31)) land mask32);
-  g.out_hi <- zh lxor (zh lsr 31)
+   reference mixer).  Inlined at each use, so its argument and result
+   stay unboxed. *)
+let[@inline] mix64 z =
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
 
-(* Advance the Weyl sequence and mix; the draw lands in out_hi/out_lo.
-   The mixer body is repeated from [mix_into] (see the note there). *)
+let[@inline] hi32 z = Int64.to_int (Int64.shift_right_logical z 32)
+let[@inline] lo32 z = Int64.to_int z land mask32
+
+(* Advance the Weyl sequence and mix; the draw lands in out_hi/out_lo. *)
 let step g =
-  let l = g.lo + gamma_lo in
-  let zl = l land mask32 in
-  let zh = (g.hi + gamma_hi + (l lsr 32)) land mask32 in
-  g.lo <- zl;
-  g.hi <- zh;
-  (* z ^= z >>> 30 *)
-  let zl = zl lxor (((zh lsl 2) lor (zl lsr 30)) land mask32) in
-  let zh = zh lxor (zh lsr 30) in
-  (* z *= c1 *)
-  let a0 = zl land 0xFFFF and a1 = zl lsr 16 in
-  let p00 = a0 * (c1_lo land 0xFFFF)
-  and p01 = a0 * (c1_lo lsr 16)
-  and p10 = a1 * (c1_lo land 0xFFFF)
-  and p11 = a1 * (c1_lo lsr 16) in
-  let mid = p01 + p10 in
-  let low = p00 + ((mid land 0xFFFF) lsl 16) in
-  let carry = (low lsr 32) + (mid lsr 16) + p11 in
-  let zh' = (carry + mul32 zl c1_hi + mul32 zh c1_lo) land mask32 in
-  let zl = low land mask32 in
-  let zh = zh' in
-  (* z ^= z >>> 27 *)
-  let zl = zl lxor (((zh lsl 5) lor (zl lsr 27)) land mask32) in
-  let zh = zh lxor (zh lsr 27) in
-  (* z *= c2 *)
-  let a0 = zl land 0xFFFF and a1 = zl lsr 16 in
-  let p00 = a0 * (c2_lo land 0xFFFF)
-  and p01 = a0 * (c2_lo lsr 16)
-  and p10 = a1 * (c2_lo land 0xFFFF)
-  and p11 = a1 * (c2_lo lsr 16) in
-  let mid = p01 + p10 in
-  let low = p00 + ((mid land 0xFFFF) lsl 16) in
-  let carry = (low lsr 32) + (mid lsr 16) + p11 in
-  let zh' = (carry + mul32 zl c2_hi + mul32 zh c2_lo) land mask32 in
-  let zl = low land mask32 in
-  let zh = zh' in
-  (* z ^= z >>> 31 *)
-  g.out_lo <- zl lxor (((zh lsl 1) lor (zl lsr 31)) land mask32);
-  g.out_hi <- zh lxor (zh lsr 31)
+  let s =
+    Int64.(add (logor (shift_left (of_int g.hi) 32) (of_int g.lo)) gamma)
+  in
+  g.hi <- hi32 s;
+  g.lo <- lo32 s;
+  let z = mix64 s in
+  g.out_hi <- hi32 z;
+  g.out_lo <- lo32 z
 
-let create ~seed =
-  let g = { hi = 0; lo = 0; out_hi = 0; out_lo = 0 } in
-  (* state = mix64 (Int64.of_int seed); [asr] replicates the native
-     sign bit into limb bits 32..63 exactly as the sign extension
-     to 64 bits does. *)
-  mix_into g ((seed asr 32) land mask32) (seed land mask32);
-  g.hi <- g.out_hi;
-  g.lo <- g.out_lo;
-  g
+(* A generator whose state is mix64 [seed].  Inlined, like [output],
+   so that [create] and [split] allocate the record and no Int64 box. *)
+let[@inline] of_seed seed =
+  let z = mix64 seed in
+  { hi = hi32 z; lo = lo32 z; out_hi = 0; out_lo = 0 }
+
+(* the latest [step]'s draw *)
+let[@inline] output g =
+  Int64.logor (Int64.shift_left (Int64.of_int g.out_hi) 32) (Int64.of_int g.out_lo)
+
+(* [Int64.of_int] sign-extends the native seed to 64 bits. *)
+let create ~seed = of_seed (Int64.of_int seed)
 
 let bits64 g =
   step g;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int g.out_hi) 32)
-    (Int64.of_int g.out_lo)
+  output g
 
+(* state = mix64 seed, where seed is the draw just taken from [g] *)
 let split g =
   step g;
-  let g' = { hi = 0; lo = 0; out_hi = 0; out_lo = 0 } in
-  (* state = mix64 seed, where seed is the draw just taken from [g] *)
-  mix_into g' g.out_hi g.out_lo;
-  g'.hi <- g'.out_hi;
-  g'.lo <- g'.out_lo;
-  g'
+  of_seed (output g)
 
 let copy g = { hi = g.hi; lo = g.lo; out_hi = 0; out_lo = 0 }
 
@@ -212,20 +136,14 @@ let geometric g p =
   end
 
 let mix ~seed x =
-  let g = { hi = 0; lo = 0; out_hi = 0; out_lo = 0 } in
-  (* h = mix64 seed, exactly as [create] derives its initial state *)
-  mix_into g ((seed asr 32) land mask32) (seed land mask32);
-  (* fold the key in, decorrelate with one golden-gamma Weyl step so
+  (* h = mix64 seed, exactly as [create] derives its initial state;
+     fold the key in, decorrelate with one golden-gamma Weyl step so
      that [mix ~seed x] and [mix ~seed:(seed lxor x) 0] disagree, and
      finalise once more *)
-  let zl = g.out_lo lxor (x land mask32)
-  and zh = g.out_hi lxor ((x asr 32) land mask32) in
-  let l = zl + gamma_lo in
-  let zl = l land mask32 in
-  let zh = (zh + gamma_hi + (l lsr 32)) land mask32 in
-  mix_into g zh zl;
+  let h = mix64 (Int64.of_int seed) in
+  let z = mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) gamma) in
   (* 62 usable bits, same extraction as [int_reject] *)
-  (g.out_hi lsl 30) lor (g.out_lo lsr 2)
+  Int64.to_int (Int64.shift_right_logical z 2)
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do

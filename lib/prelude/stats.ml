@@ -30,8 +30,8 @@ let percentile xs p =
     else if p >= 1.0 then a.(n - 1)
     else begin
       let rank = p *. float_of_int (n - 1) in
-      let lo = min (n - 1) (max 0 (int_of_float (Float.floor rank))) in
-      let hi = min (n - 1) (lo + 1) in
+      let lo = Int.min (n - 1) (Int.max 0 (int_of_float (Float.floor rank))) in
+      let hi = Int.min (n - 1) (lo + 1) in
       let frac = rank -. float_of_int lo in
       if hi = lo || frac <= 0.0 then a.(lo)
       else (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)

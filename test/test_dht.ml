@@ -59,6 +59,42 @@ let test_id_geometry () =
     (Invalid_argument "Id.finger_target: bad index") (fun () ->
       ignore (Id.finger_target 0 Id.bits))
 
+(* [in_oo]/[in_oc] against a reference written over [Id.dist]: x lies
+   in the open arc (lo, hi) when it is a positive clockwise distance
+   from lo and closer than hi, the arc with lo = hi being the whole
+   circle less lo (open) or the whole circle (half-open).  Points are
+   uniform 62-bit ids or the circle's ends, and about half the arcs are
+   degenerate or have x on, just past or just before an end. *)
+let prop_interval_predicates =
+  let wrap x = x land max_int in
+  let point =
+    QCheck.Gen.(frequency [ (4, map wrap int); (1, oneofl [ 0; 1; max_int ]) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      point >>= fun lo ->
+      oneof [ return lo; point ] >>= fun hi ->
+      oneof
+        [ point;
+          oneofl [ lo; hi; wrap (lo + 1); wrap (hi + 1); wrap (hi - 1) ] ]
+      >|= fun x -> (lo, hi, x))
+  in
+  let in_oo ~lo ~hi x =
+    let d = Id.dist ~from:lo x in
+    d > 0 && (lo = hi || d < Id.dist ~from:lo hi)
+  in
+  let in_oc ~lo ~hi x =
+    let d = Id.dist ~from:lo x in
+    lo = hi || (d > 0 && d <= Id.dist ~from:lo hi)
+  in
+  QCheck.Test.make ~name:"in_oo and in_oc match an Id.dist reference"
+    ~count:2000
+    (QCheck.make gen ~print:(fun (lo, hi, x) ->
+         Printf.sprintf "lo=%d hi=%d x=%d" lo hi x))
+    (fun (lo, hi, x) ->
+      Id.in_oo ~lo ~hi x = in_oo ~lo ~hi x
+      && Id.in_oc ~lo ~hi x = in_oc ~lo ~hi x)
+
 (* ------------------------- bare-sim harness ------------------------ *)
 
 (* A live in-memory network of DHT nodes on a bare simulator: fixed
@@ -525,7 +561,9 @@ let test_dht_fingerprints () =
 let () =
   Alcotest.run "ocd_dht"
     [
-      ("id", [ Alcotest.test_case "geometry" `Quick test_id_geometry ]);
+      ( "id",
+        [ Alcotest.test_case "geometry" `Quick test_id_geometry;
+          QCheck_alcotest.to_alcotest prop_interval_predicates ] );
       ( "ring",
         [
           Alcotest.test_case "sequential joins" `Quick test_sequential_joins;

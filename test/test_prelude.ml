@@ -156,9 +156,10 @@ let test_prng_exponential_distribution () =
     true
     (Float.abs (mean -. 8.0) < 0.3)
 
-(* The production generator carries its 64-bit state as two 32-bit
-   native-int limbs (prng.ml); this reference is the textbook Int64
-   SplitMix64 it must reproduce bit for bit. *)
+(* The production generator stores its 64-bit state as two 32-bit
+   native-int limbs and rebuilds it as an Int64 local to mix
+   (prng.ml); this reference is the textbook Int64 SplitMix64 it must
+   reproduce bit for bit. *)
 module Prng_ref = struct
   type t = { mutable state : int64 }
 
@@ -182,11 +183,19 @@ module Prng_ref = struct
   let split g =
     let seed = bits64 g in
     { state = mix64 seed }
+
+  (* Prng.mix as prng.mli states it: mix64 of (mix64 seed xor x)
+     advanced by one golden-gamma Weyl step, top 62 bits. *)
+  let mix ~seed x =
+    let h = mix64 (Int64.of_int seed) in
+    let z = mix64 (Int64.add (Int64.logxor h (Int64.of_int x)) golden_gamma) in
+    Int64.to_int (Int64.shift_right_logical z 2)
 end
 
+(* Seeds that exercise limb carries and sign extension. *)
+let oracle_seeds = [ 0; 1; 42; -1; -123456789; max_int; min_int; 0x123456789ABCDEF ]
+
 let test_prng_matches_int64_oracle () =
-  (* Seeds that exercise limb carries and sign extension. *)
-  let seeds = [ 0; 1; 42; -1; -123456789; max_int; min_int; 0x123456789ABCDEF ] in
   List.iter
     (fun seed ->
       let a = Prng.create ~seed and b = Prng_ref.create ~seed in
@@ -198,7 +207,21 @@ let test_prng_matches_int64_oracle () =
         Alcotest.(check int64) "split stream" (Prng_ref.bits64 b')
           (Prng.bits64 a')
       done)
-    seeds
+    oracle_seeds
+
+(* Every DHT id, per-pair Net seed and campaign seed goes through
+   [Prng.mix]; pin it against the reference at the oracle's seeds, on
+   both arguments. *)
+let test_mix_matches_int64_oracle () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun x ->
+          Alcotest.(check int)
+            (Printf.sprintf "mix ~seed:%d %d" seed x)
+            (Prng_ref.mix ~seed x) (Prng.mix ~seed x))
+        oracle_seeds)
+    oracle_seeds
 
 let test_prng_skip_int_advances_like_int () =
   (* skip_int must leave the generator in exactly the state int would
@@ -855,6 +878,8 @@ let () =
             test_prng_exponential_distribution;
           Alcotest.test_case "matches Int64 oracle" `Quick
             test_prng_matches_int64_oracle;
+          Alcotest.test_case "mix matches Int64 oracle" `Quick
+            test_mix_matches_int64_oracle;
           Alcotest.test_case "skip_int advances like int" `Quick
             test_prng_skip_int_advances_like_int;
           Alcotest.test_case "mix deterministic" `Quick test_mix_deterministic;

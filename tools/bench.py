@@ -339,13 +339,21 @@ def validate_ledger(ledger):
     return errors
 
 
+def read_ledger(path, base, head):
+    """The ledger at [path], or None if there is none yet; dies if it
+    records other revisions.  [ab] calls it before the first pair, so a
+    mismatch costs no runs."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        ledger = json.load(f)
+    if ledger.get("base") != base or ledger.get("head") != head:
+        die("%s records other revisions; choose another file" % path)
+    return ledger
+
+
 def write_ledger(path, base, head, entry):
-    ledger = None
-    if os.path.exists(path):
-        with open(path) as f:
-            ledger = json.load(f)
-        if ledger.get("base") != base or ledger.get("head") != head:
-            die("%s records other revisions; choose another file" % path)
+    ledger = read_ledger(path, base, head)
     if ledger is None:
         ledger = {"schema": SCHEMA, "base": base, "head": head,
                   "ocaml": ocaml_version(), "host": host_fingerprint(),
@@ -398,6 +406,8 @@ def ab(args):
     if args.workload not in known:
         die("unknown workload %r (BENCHMARK.json lists %s)"
             % (args.workload, ", ".join(known)))
+    if args.ledger:
+        read_ledger(args.ledger, base, head)
     specs = metric_specs(args.trace)
     root = tempfile.mkdtemp(prefix="ocd-bench-", dir=args.scratch)
     try:
