@@ -30,13 +30,54 @@ let sync_strategy ~seed =
   Ocd_engine.Flood_optimal.strategy ~planner:(plan ~seed)
     ~name:"flood-plan-lockstep"
 
+(* The plan as the nodes read it: [start] is the round of step 0 and
+   [length] the number of steps; [sent.(v)] lists [v]'s own moves as
+   (step, dst, token) triples and [received.(v)] the moves into [v] as
+   (step, token) pairs, both flat and in plan order (step, then the
+   step's move order).  Built once per run, so a node's per-round work
+   is its own part of the plan, never a scan of everyone's. *)
+type shared = {
+  start : int;
+  length : int;
+  sent : int array array;
+  received : int array array;
+}
+
+let index ~n ~start steps =
+  let sends = Array.make n 0 and receipts = Array.make n 0 in
+  List.iter
+    (List.iter (fun (m : Move.t) ->
+         sends.(m.src) <- sends.(m.src) + 1;
+         receipts.(m.dst) <- receipts.(m.dst) + 1))
+    steps;
+  let sent = Array.map (fun k -> Array.make (3 * k) 0) sends in
+  let received = Array.map (fun k -> Array.make (2 * k) 0) receipts in
+  Array.fill sends 0 n 0;
+  Array.fill receipts 0 n 0;
+  List.iteri
+    (fun i moves ->
+      List.iter
+        (fun (m : Move.t) ->
+          let row = sent.(m.src) and k = sends.(m.src) in
+          row.(k) <- i;
+          row.(k + 1) <- m.dst;
+          row.(k + 2) <- m.token;
+          sends.(m.src) <- k + 3;
+          let row = received.(m.dst) and k = receipts.(m.dst) in
+          row.(k) <- i;
+          row.(k + 1) <- m.token;
+          receipts.(m.dst) <- k + 2)
+        moves)
+    steps;
+  { start; length = List.length steps; sent; received }
+
 let protocol () =
   (* Shared across this run's nodes: every full-knowledge node would
      compute the identical (start round, plan) pair, so the first one
      to get there fills the cache for the rest.  It legitimately
      survives node crashes — a restarted node would recompute the exact
      same deterministic plan from the instance and seed. *)
-  let plan_cell : (int * Move.t list array) option ref = ref None in
+  let plan_cell : shared option ref = ref None in
   let init (ctx : Protocol.ctx) =
     let inst = ctx.instance in
     let graph = inst.Instance.graph in
@@ -53,8 +94,9 @@ let protocol () =
        only ranks refetch candidates, it never blocks planned sends. *)
     let detector = Detector.create ~on_suspect:(fun _ -> ctx.note_suspicion ())
         ~now:ctx.now ~timeout:(4 * ctx.pace) () in
-    (* token -> round the plan delivers it to us; filled from the plan. *)
-    let expected : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    (* token -> first round the plan delivers it to us, -1 if never;
+       filled from the plan. *)
+    let expected = Array.make inst.Instance.token_count (-1) in
     let expected_filled = ref false in
     (* token -> (pull attempts, retry deadline) for the fallback pull. *)
     let refetch : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
@@ -64,25 +106,25 @@ let protocol () =
       | None ->
           let start = Knowledge.steps_to_complete inst in
           plan_cell :=
-            Some (start, Array.of_list (Schedule.steps (plan ~seed:ctx.seed inst)))
+            Some (index ~n ~start (Schedule.steps (plan ~seed:ctx.seed inst)))
     in
     let ensure_expected () =
       if not !expected_filled then
         match !plan_cell with
         | None -> ()
-        | Some (start, steps) ->
-            Array.iteri
-              (fun i moves ->
-                List.iter
-                  (fun (m : Move.t) ->
-                    if m.dst = v && not (Hashtbl.mem expected m.token) then
-                      Hashtbl.add expected m.token (start + i))
-                  moves)
-              steps;
+        | Some p ->
+            let mine = p.received.(v) in
+            for k = 0 to (Array.length mine / 2) - 1 do
+              let token = mine.((2 * k) + 1) in
+              if expected.(token) < 0 then
+                expected.(token) <- p.start + mine.(2 * k)
+            done;
             expected_filled := true
     in
     let flood () =
-      if Bitset.cardinal known < n || Hashtbl.length neighbor_done < Array.length neighbors
+      if
+        (not (Bitset.is_full known))
+        || Hashtbl.length neighbor_done < Array.length neighbors
       then
         Array.iter
           (fun u ->
@@ -93,20 +135,20 @@ let protocol () =
     let enqueue_due_steps () =
       match !plan_cell with
       | None -> ()
-      | Some (start, steps) ->
+      | Some p ->
           let round = ctx.now () / ctx.pace in
-          while !cursor < Array.length steps && start + !cursor <= round do
-            List.iter
-              (fun (m : Move.t) ->
-                if m.src = v && not (Hashtbl.mem jobs (m.dst, m.token)) then begin
-                  let job =
-                    { dst = m.dst; token = m.token; attempts = 0; deadline = 0 }
-                  in
-                  Hashtbl.add jobs (m.dst, m.token) job;
-                  job_order := job :: !job_order
-                end)
-              steps.(!cursor);
-            incr cursor
+          let mine = p.sent.(v) in
+          (* [cursor] walks [v]'s own (step, dst, token) triples *)
+          while
+            !cursor < Array.length mine && p.start + mine.(!cursor) <= round
+          do
+            let dst = mine.(!cursor + 1) and token = mine.(!cursor + 2) in
+            if not (Hashtbl.mem jobs (dst, token)) then begin
+              let job = { dst; token; attempts = 0; deadline = 0 } in
+              Hashtbl.add jobs (dst, token) job;
+              job_order := job :: !job_order
+            end;
+            cursor := !cursor + 3
           done
     in
     let pump () =
@@ -141,17 +183,16 @@ let protocol () =
     let refetch_pass () =
       match !plan_cell with
       | None -> ()
-      | Some (start, steps) ->
+      | Some p ->
           ensure_expected ();
           let now = ctx.now () in
-          let plan_end = start + Array.length steps in
+          let plan_end = p.start + p.length in
           Bitset.iter
             (fun token ->
               if not (ctx.has token) then begin
                 let due_round =
-                  match Hashtbl.find_opt expected token with
-                  | Some r -> r + refetch_grace
-                  | None -> plan_end + refetch_grace
+                  let r = expected.(token) in
+                  (if r >= 0 then r else plan_end) + refetch_grace
                 in
                 if now >= due_round * ctx.pace then begin
                   let a, deadline =
@@ -197,13 +238,13 @@ let protocol () =
       match msg with
       | Message.State s ->
           Bitset.union_into known s;
-          if Bitset.cardinal s = n then Hashtbl.replace neighbor_done src ()
+          if Bitset.is_full s then Hashtbl.replace neighbor_done src ()
           else
             (* A partial State from a previously-done neighbour is the
                recovery handshake: it crashed, restarted with amnesia,
                and needs re-flooding to rebuild its knowledge. *)
             Hashtbl.remove neighbor_done src;
-          if Bitset.cardinal known = n then ensure_plan ()
+          if Bitset.is_full known then ensure_plan ()
       | Message.Data token ->
           ignore (ctx.receive ~src token);
           ctx.send ~dst:src (Message.Ack token)

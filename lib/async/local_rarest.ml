@@ -7,18 +7,29 @@ module Digraph = Ocd_graph.Digraph
    believed possession of the [i]-th in-neighbour of [preds].
    Suspected-dead peers are invisible: they contribute neither to
    rarity nor to the candidate pool, so the node re-targets live
-   holders instead of backing off against a corpse.  [alive] is probed
-   only for slots with a belief, before the membership test. *)
-let requests ~rng ~token_count ~have ~eligible ~alive ~preds ~known =
+   holders instead of backing off against a corpse.
+
+   Rarity is counted once per round, on the sort's first [rarity]
+   call, into [counts]: that call probes [alive] once per slot with a
+   belief, in slot order, exactly as the first call of a per-token
+   re-scan would.  Later calls read the array.  A repeat probe at the
+   same tick returns the same verdict and cannot fire a detector's
+   [on_suspect] again, so dropping the repeats leaves every suspicion
+   event where it was. *)
+let requests ~counts ~rng ~token_count ~have ~eligible ~alive ~preds ~known =
+  let counted = ref false in
+  let bump token = counts.(token) <- counts.(token) + 1 in
   let rarity token =
-    let count = ref 0 in
-    for i = 0 to Digraph.View.length preds - 1 do
-      match known i with
-      | Some s when alive (Digraph.View.dst preds i) && Bitset.mem s token ->
-          incr count
-      | _ -> ()
-    done;
-    !count
+    if not !counted then begin
+      counted := true;
+      Array.fill counts 0 token_count 0;
+      for i = 0 to Digraph.View.length preds - 1 do
+        match known i with
+        | Some s when alive (Digraph.View.dst preds i) -> Bitset.iter bump s
+        | _ -> ()
+      done
+    end;
+    counts.(token)
   in
   let holds token i =
     match known i with Some s -> Bitset.mem s token | None -> false
@@ -39,6 +50,7 @@ let protocol () =
       Array.make (Digraph.View.length preds) None
     in
     let pull = Pull.create ctx in
+    let counts = Array.make inst.token_count 0 in
     (* Announce traffic doubles as heartbeats: every in-neighbour talks
        at least once per round, so a few silent rounds mean it is down
        (or unreachable, which warrants re-targeting just the same). *)
@@ -50,7 +62,7 @@ let protocol () =
         Pull.release_suspected pull ~alive;
         List.iter
           (fun (holder, token) -> Pull.request pull ~holder token)
-          (requests ~rng:ctx.rng ~token_count:inst.token_count
+          (requests ~counts ~rng:ctx.rng ~token_count:inst.token_count
              ~have:(ctx.have_copy ()) ~eligible:(Pull.eligible pull) ~alive
              ~preds ~known:(fun i -> belief.(i)))
       end
@@ -88,13 +100,15 @@ let sync_strategy ~seed =
     let n = Instance.vertex_count inst in
     let rngs = Array.init n (fun v -> Protocol.node_rng ~seed v) in
     let held = Array.map Bitset.copy inst.Instance.have in
+    let counts = Array.make inst.Instance.token_count 0 in
     fun (ctx : Ocd_engine.Strategy.context) ->
       Array.iteri (fun v s -> Bitset.Rows.into s ctx.have v) held;
       let moves = ref [] in
       for dst = 0 to n - 1 do
         let preds = Digraph.pred graph dst in
         let picks =
-          requests ~rng:rngs.(dst) ~token_count:inst.Instance.token_count
+          requests ~counts ~rng:rngs.(dst)
+            ~token_count:inst.Instance.token_count
             ~have:held.(dst)
             ~eligible:(fun _ -> true)
             ~alive:(fun _ -> true)

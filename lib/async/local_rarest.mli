@@ -34,6 +34,30 @@
 val protocol : unit -> Protocol.t
 (** Name ["async-local"]. *)
 
+val requests :
+  counts:int array ->
+  rng:Ocd_prelude.Prng.t ->
+  token_count:int ->
+  have:Ocd_prelude.Bitset.t ->
+  eligible:(int -> bool) ->
+  alive:(int -> bool) ->
+  preds:Ocd_graph.Digraph.View.t ->
+  known:(int -> Ocd_prelude.Bitset.t option) ->
+  (int * int) list
+(** One pull round, the decision both {!protocol} and {!sync_strategy}
+    make: {!Pull.requests} with rarity = the number of slots [i] of
+    [preds] whose belief [known i] holds the token and whose vertex
+    passes [alive], and [holds token i] = [known i] holds it.
+
+    Rarity is counted once per call, into [counts] (length
+    [token_count]; one array per node, overwritten), on the sort's
+    first [rarity] call, which probes [alive] once per slot with a
+    belief, in slot order; later calls read the count.  A per-token
+    re-scan probes the same peers in the same order on its first call.
+    So with an [alive] whose verdict and side effects do not change on
+    a repeat probe (a {!Detector} at one tick), the picks, the draws
+    and the first probe of every peer are the same as the re-scan's. *)
+
 val sync_strategy : seed:int -> Ocd_engine.Strategy.t
 (** Synchronous strategy (name ["async-local-lockstep"]) driving the
     shared decision core from the same per-vertex streams

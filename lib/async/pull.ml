@@ -10,8 +10,17 @@ module View = Ocd_graph.Digraph.View
    and the picks: no per-token list or closure.  The comparison sort
    keys on [Int.compare]; it still calls [rarity] twice per
    comparison, [b]'s key first, exactly as [Order.sort_by]'s
-   [compare (score a) (score b)] evaluates its arguments — [rarity]
-   may probe [alive], whose calls are part of the contract. *)
+   [compare (score a) (score b)] evaluates its arguments.
+
+   Which [alive] calls are part of the contract: the first probe of
+   each peer, and its order, since a detector records a suspicion on
+   the first probe of a silent peer.  A repeat probe at the same tick
+   returns the same verdict and records nothing.  async-local's rarity
+   ([Local_rarest.requests]) probes every believed slot, in slot
+   order, on the sort's first [rarity] call and reads a count on the
+   later ones; dht-rarest's rarity probes nothing.  The slot loop
+   below then probes in ascending slot order, after the budget test
+   and before [holds]. *)
 let requests ~rng ~token_count ~have ~eligible ~alive ~preds ~rarity ~holds =
   if Bitset.capacity have <> token_count then
     invalid_arg "Bitset: capacity mismatch";

@@ -23,9 +23,12 @@ let protocol () =
           belief.(i) <- Some s;
           s
     in
-    (* (dst, token) pairs already pushed once, for the retransmission
-       counter. *)
-    let pushed : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+    (* Tokens already pushed once to each out-neighbour, by slot in
+       [succs], for the retransmission counter. *)
+    let pushed =
+      Array.init (Digraph.View.length succs) (fun _ ->
+          Bitset.create inst.token_count)
+    in
     (* Out-neighbours announce (and ack) every round, so silence beyond
        four rounds marks a peer down: capacity is better spent on live
        neighbours.  A restarted peer's first announce both clears the
@@ -44,10 +47,11 @@ let protocol () =
             let candidates = Array.of_list (Bitset.elements useful) in
             Prng.shuffle ctx.rng candidates;
             let count = Int.min cap (Array.length candidates) in
-            for i = 0 to count - 1 do
-              let token = candidates.(i) in
-              if Hashtbl.mem pushed (dst, token) then ctx.note_retransmission ()
-              else Hashtbl.add pushed (dst, token) ();
+            let sent = pushed.(i) in
+            for k = 0 to count - 1 do
+              let token = candidates.(k) in
+              if Bitset.mem sent token then ctx.note_retransmission ()
+              else Bitset.add sent token;
               Bitset.add target token;
               ctx.send ~dst (Message.Data token)
             done

@@ -157,7 +157,7 @@ let protocol ?stats () =
         let holds token =
           let holders = Option.value prov_holders.(token) ~default:[] in
           fun i ->
-            List.mem (Digraph.View.dst preds i) holders
+            Order.mem_int (Digraph.View.dst preds i) holders
             || match belief.(i) with Some s -> Bitset.mem s token | None -> false
         in
         List.iter

@@ -90,6 +90,11 @@ type lookup = {
 
 type query = { q_cb : int list -> unit }
 
+(* Ticket-keyed tables on [Int_tab]'s int hash: [Hashtbl.hash] would
+   take the polymorphic C hash on every probe.  Neither table is ever
+   iterated, so its bucket order cannot reach any output. *)
+module Tickets = Hashtbl.Make (Int_tab.Key)
+
 type t = {
   env : env;
   config : config;
@@ -108,8 +113,8 @@ type t = {
   mutable join_pending : bool;
   mutable stab_ticket : int;
   mutable ticket : int;
-  pending : (int, lookup) Hashtbl.t;  (* ticket -> lookup *)
-  queries : (int, query) Hashtbl.t;  (* ticket -> provider query *)
+  pending : lookup Tickets.t;  (* ticket -> lookup *)
+  queries : query Tickets.t;  (* ticket -> provider query *)
   store : (int, int list ref) Hashtbl.t;  (* token -> holders, ascending *)
   (* records received from their advertiser (replica = false); these
      are the ones this node re-replicates when its successor set
@@ -159,13 +164,18 @@ let traced t = t.env.obs.Ocd_obs.on && Ocd_obs.Sink.enabled t.env.obs.Ocd_obs.si
    opinion worth acting on, and the lookup machinery already routes
    around dead candidates with its own per-hop timeout and ban list.
    The detector's verdicts drive ring maintenance only, where probing
-   keeps them grounded in actual contact. *)
+   keeps them grounded in actual contact.
+
+   Consecutive fingers often name the same node.  [consider] is
+   idempotent within one scan (the best only moves closer to [target],
+   and a node is never strictly closer than itself), so a finger equal
+   to the previous slot's is skipped without changing the answer. *)
 let closest_preceding t ~target ~banned =
   let best = ref (-1) and best_id = ref 0 in
   let consider u uid =
     if
       u >= 0 && u <> t.env.self
-      && (not (List.mem u banned))
+      && (not (Order.mem_int u banned))
       && Id.in_oo ~lo:t.id ~hi:target uid
       && (!best < 0 || Id.in_oo ~lo:!best_id ~hi:target uid)
     then begin
@@ -173,15 +183,17 @@ let closest_preceding t ~target ~banned =
       best_id := uid
     end
   in
-  for k = 0 to Id.bits - 1 do
-    consider t.fingers.(k) t.finger_ids.(k)
+  consider t.fingers.(0) t.finger_ids.(0);
+  for k = 1 to Id.bits - 1 do
+    let u = t.fingers.(k) in
+    if u <> t.fingers.(k - 1) then consider u t.finger_ids.(k)
   done;
   List.iter (fun u -> consider u (vid t u)) t.succs;
   (match t.pred with Some p -> consider p (vid t p) | None -> ());
   !best
 
 let finish_lookup t tk lk ~owner =
-  Hashtbl.remove t.pending tk;
+  Tickets.remove t.pending tk;
   if lk.account then begin
     let s = t.env.stats in
     s.lookups <- s.lookups + 1;
@@ -199,7 +211,7 @@ let finish_lookup t tk lk ~owner =
   lk.on_done ~owner ~hops:lk.hops
 
 let fail_lookup t tk lk =
-  Hashtbl.remove t.pending tk;
+  Tickets.remove t.pending tk;
   if lk.account then begin
     t.env.stats.failures <- t.env.stats.failures + 1;
     count t "dht/lookup_failures" 1
@@ -213,10 +225,11 @@ let rec send_hop t tk lk =
   t.env.after t.config.lookup_timeout (fun () -> check_hop t tk h)
 
 and check_hop t tk h =
-  match Hashtbl.find_opt t.pending tk with
+  match Tickets.find_opt t.pending tk with
   | Some lk when lk.hops = h ->
     (* a full timeout with no reply: route around the candidate *)
-    if not (List.mem lk.cand lk.banned) then lk.banned <- lk.cand :: lk.banned;
+    if not (Order.mem_int lk.cand lk.banned) then
+      lk.banned <- lk.cand :: lk.banned;
     reroute t tk lk
   | _ -> ()
 
@@ -258,7 +271,7 @@ let start_lookup t ~account ~target ~on_done ~on_fail =
       { target; cand; hops = 0; attempts = 0; banned = []; account;
         started = t.env.now (); on_done; on_fail }
     in
-    Hashtbl.replace t.pending tk lk;
+    Tickets.replace t.pending tk lk;
     send_hop t tk lk
   end
 
@@ -316,7 +329,7 @@ let on_store t ~token ~holder ~replica =
 let re_replicate t =
   let targets = replica_set t in
   let fresh =
-    List.filter (fun u -> not (List.mem u t.replica_targets)) targets
+    List.filter (fun u -> not (Order.mem_int u t.replica_targets)) targets
   in
   if fresh <> [] && Hashtbl.length t.primaries > 0 then begin
     let records = Hashtbl.fold (fun k () acc -> k :: acc) t.primaries [] in
@@ -354,13 +367,13 @@ let rec find_providers_go t ~token ~attempts cb =
       if owner = t.env.self then cb (providers t ~token)
       else begin
         let tk = next_ticket t in
-        Hashtbl.replace t.queries tk { q_cb = cb };
+        Tickets.replace t.queries tk { q_cb = cb };
         t.env.stats.queries <- t.env.stats.queries + 1;
         count t "dht/provider_queries" 1;
         t.env.send ~dst:owner (Message.Get_providers { token; ticket = tk });
         t.env.after t.config.lookup_timeout (fun () ->
-            if Hashtbl.mem t.queries tk then begin
-              Hashtbl.remove t.queries tk;
+            if Tickets.mem t.queries tk then begin
+              Tickets.remove t.queries tk;
               retry ()
             end)
       end)
@@ -423,7 +436,7 @@ let start_join t =
           on_fail = (fun () -> t.join_pending <- false);
         }
       in
-      Hashtbl.replace t.pending tk lk;
+      Tickets.replace t.pending tk lk;
       send_hop t tk lk
   end
 
@@ -461,7 +474,7 @@ let evict_suspected t =
        side's survivors during the split. *)
     List.iter
       (fun u ->
-        if u <> t.env.self && not (List.mem u t.retired) then
+        if u <> t.env.self && not (Order.mem_int u t.retired) then
           t.retired <- Order.take retired_cap (u :: t.retired))
       dead
   end;
@@ -492,7 +505,7 @@ let rec no_closer t d ~prev ~len = function
 let consider_contact t src =
   if
     src >= 0 && src <> t.env.self && (not t.joining) && t.succs <> []
-    && (not (List.mem src t.succs))
+    && (not (Order.mem_int src t.succs))
     && t.env.alive src
     && not
          (no_closer t (Id.dist ~from:t.id (vid t src)) ~prev:(-1) ~len:0 t.succs)
@@ -660,14 +673,14 @@ let on_find_succ t ~src ~target ~ticket =
   end
 
 let on_succ_info t ~ticket ~node ~final =
-  match Hashtbl.find_opt t.pending ticket with
+  match Tickets.find_opt t.pending ticket with
   | None -> ()
   | Some lk ->
     if final then finish_lookup t ticket lk ~owner:node
-    else if node = t.env.self || List.mem node lk.banned then begin
+    else if node = t.env.self || Order.mem_int node lk.banned then begin
       (* a stale redirect (to ourselves, or to a node this lookup
          already gave up on): route around it *)
-      if not (List.mem node lk.banned) then lk.banned <- node :: lk.banned;
+      if not (Order.mem_int node lk.banned) then lk.banned <- node :: lk.banned;
       reroute t ticket lk
     end
     else begin
@@ -680,7 +693,7 @@ let on_succ_info t ~ticket ~node ~final =
 let handle t ~src (m : Message.dht) =
   (* Any message is proof of life: a retired peer that speaks again is
      back in the ordinary machinery's hands and needs no more probes. *)
-  if t.retired <> [] && List.mem src t.retired then
+  if t.retired <> [] && Order.mem_int src t.retired then
     t.retired <- List.filter (fun u -> u <> src) t.retired;
   (* A Find_succ sender may still be mid-join (its own join lookup),
      with no routing state to its name — adopting it would splice an
@@ -712,9 +725,9 @@ let handle t ~src (m : Message.dht) =
     t.env.send ~dst:src
       (Message.Providers { token; ticket; holders = providers t ~token })
   | Message.Providers { ticket; holders; token = _ } -> (
-    match Hashtbl.find_opt t.queries ticket with
+    match Tickets.find_opt t.queries ticket with
     | Some q ->
-      Hashtbl.remove t.queries ticket;
+      Tickets.remove t.queries ticket;
       q.q_cb holders
     | None -> ())
 
@@ -750,8 +763,8 @@ let create ~env ~config ~ids init =
       join_pending = false;
       stab_ticket = 0;
       ticket = 0;
-      pending = Hashtbl.create 8;
-      queries = Hashtbl.create 8;
+      pending = Tickets.create 8;
+      queries = Tickets.create 8;
       store = Hashtbl.create 16;
       primaries = Hashtbl.create 16;
       replica_targets = [];
@@ -780,7 +793,8 @@ let misowned_grace = 32
 let invariant_violations t =
   let out = ref [] in
   let add rule detail = out := (rule, detail) :: !out in
-  if List.mem t.env.self t.succs then add "dht-ring" "self in successor list";
+  if Order.mem_int t.env.self t.succs then
+    add "dht-ring" "self in successor list";
   (let rec ordered = function
      | a :: (b :: _ as rest) ->
        if Id.dist ~from:t.id (vid t a) >= Id.dist ~from:t.id (vid t b) then

@@ -95,7 +95,9 @@ let link_flaps ~seed ~down_prob ~up_prob =
    arc's (src, dst) key under the same seed. *)
 let churn ~seed ~protected ~leave_prob ~return_prob =
   let away = chain ~seed ~down_prob:leave_prob ~up_prob:return_prob in
-  let present ~step v = List.mem v protected || away ~b:v ~c:(-1) ~step < 0 in
+  let present ~step v =
+    Ocd_prelude.Order.mem_int v protected || away ~b:v ~c:(-1) ~step < 0
+  in
   {
     effective =
       (fun ~step ~src ~dst ~base ->

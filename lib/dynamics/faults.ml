@@ -25,7 +25,8 @@ let crashes ~seed ?(protected = []) ?(durability = Lost_unless_source)
     Condition.chain ~seed ~down_prob:crash_prob ~up_prob:recover_prob
   in
   let is_up node round =
-    List.mem node protected || down ~b:node ~c:(-2) ~step:round < 0
+    Ocd_prelude.Order.mem_int node protected
+    || down ~b:node ~c:(-2) ~step:round < 0
   in
   { crash = Some { is_up; durability }; part = None }
 

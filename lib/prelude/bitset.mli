@@ -58,6 +58,10 @@ val popcount : int -> int
 
 val is_empty : t -> bool
 
+val is_full : t -> bool
+(** [is_full s] is [cardinal s = capacity s], decided word by word
+    without counting and without allocating. *)
+
 val equal : t -> t -> bool
 val subset : t -> t -> bool
 (** [subset a b] is true when every element of [a] is in [b]. *)

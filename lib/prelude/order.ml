@@ -25,3 +25,7 @@ let rec take n l =
   else match l with [] -> [] | x :: rest -> x :: take (n - 1) rest
 
 let range n = List.init n Fun.id
+
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> y = x || mem_int x rest

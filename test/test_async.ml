@@ -547,6 +547,60 @@ let test_pull_matches_former_copies () =
           ~alive ~preds ~rarity ~holds)
   done
 
+(* async-local's memoised rarity against the per-token re-scan, on the
+   same 400 views: [Local_rarest.requests] counts rarity once per
+   round, so it drops the oracle's repeat [alive] probes, but the
+   picks, the next draw and the order in which each peer is first
+   probed must agree.  A detector answers a repeat probe at one tick
+   as it answered the first and fires no second suspicion, so those
+   first probes are the ones that can record anything.  One [counts]
+   array serves both of a view's rounds, as one node's does round
+   after round. *)
+let test_memoised_rarity_matches_oracle () =
+  let gen = Prng.create ~seed:19 in
+  let first_probes probes =
+    List.rev
+      (List.fold_left
+         (fun seen u -> if List.mem u seen then seen else u :: seen)
+         [] probes)
+  in
+  for trial = 1 to 400 do
+    let v = random_pull_view gen in
+    let seed = Prng.int gen 1_000_000 in
+    let preds = v.pv_preds in
+    let eligible token = v.pv_eligible.(token) in
+    let counts = Array.make v.pv_tokens 0 in
+    let run ~alive_of decide =
+      let probes = ref [] in
+      let alive u =
+        probes := u :: !probes;
+        alive_of u
+      in
+      let rng = Prng.create ~seed in
+      let picks = decide ~rng ~alive in
+      (picks, Prng.int rng 1_000_000_000, first_probes (List.rev !probes))
+    in
+    let check label ~alive_of ~known =
+      let p0, d0, a0 =
+        run ~alive_of (fun ~rng ~alive ->
+            oracle_local_requests ~rng ~token_count:v.pv_tokens
+              ~have:v.pv_have ~eligible ~alive ~preds ~known)
+      and p1, d1, a1 =
+        run ~alive_of (fun ~rng ~alive ->
+            Local_rarest.requests ~counts ~rng ~token_count:v.pv_tokens
+              ~have:v.pv_have ~eligible ~alive ~preds ~known)
+      in
+      let label = Printf.sprintf "trial %d %s" trial label in
+      Alcotest.(check (list (pair int int))) (label ^ ": picks") p0 p1;
+      Alcotest.(check int) (label ^ ": next draw") d0 d1;
+      Alcotest.(check (list int)) (label ^ ": first alive probes") a0 a1
+    in
+    check "async-local" ~alive_of:(fun u -> v.pv_alive.(u))
+      ~known:(fun i -> v.pv_belief.(i));
+    check "lockstep twin" ~alive_of:(fun _ -> true)
+      ~known:(fun i -> Some v.pv_possession.(View.dst preds i))
+  done
+
 (* ------------------------ determinism ----------------------------- *)
 
 let test_same_seed_same_run () =
@@ -1138,6 +1192,8 @@ let () =
         [
           Alcotest.test_case "requests = former copies" `Quick
             test_pull_matches_former_copies;
+          Alcotest.test_case "memoised rarity = oracle" `Quick
+            test_memoised_rarity_matches_oracle;
         ] );
       ( "determinism",
         [

@@ -507,6 +507,37 @@ let prop_bitset_fill =
       Bitset.fill s;
       Bitset.cardinal s = cap && Bitset.elements s = List.init cap Fun.id)
 
+(* [is_full] against its definition at capacities 0-200, weighted
+   towards the word boundaries: random sets, full ones, full ones with
+   one element removed, and empty ones. *)
+let is_full_gen =
+  QCheck.Gen.(
+    let* cap =
+      oneof [ int_range 0 200; oneofl [ 0; 1; 62; 63; 64; 126; 127; 189 ] ]
+    in
+    let top = Int.max 0 (cap - 1) in
+    let* kind = oneofl [ `Random; `Full; `Holed; `Empty ] in
+    let* elts = list_size (int_range 0 (2 * cap)) (int_range 0 top) in
+    let* hole = int_range 0 top in
+    return
+      (match kind with
+      | `Random -> Bitset.of_list cap elts
+      | `Full -> Bitset.full cap
+      | `Holed ->
+          let s = Bitset.full cap in
+          if cap > 0 then Bitset.remove s hole;
+          s
+      | `Empty -> Bitset.create cap))
+
+let prop_bitset_is_full =
+  QCheck.Test.make ~name:"bitset is_full = cardinal is capacity" ~count:500
+    (QCheck.make
+       ~print:(fun s ->
+         Printf.sprintf "capacity %d, %d elements" (Bitset.capacity s)
+           (Bitset.cardinal s))
+       is_full_gen)
+    (fun s -> Bitset.is_full s = (Bitset.cardinal s = Bitset.capacity s))
+
 (* [Bitset.Rows] against an array of sets, at capacities on both sides
    of each word boundary: a random run of adds, a copy taken halfway
    through, and a random set to subtract each row from. *)
@@ -916,6 +947,7 @@ let () =
           qtest prop_bitset_cardinal;
           qtest prop_bitset_full;
           qtest prop_bitset_fill;
+          qtest prop_bitset_is_full;
           qtest prop_bitset_nth;
           qtest prop_bitset_rows;
         ] );

@@ -16,7 +16,10 @@ with ``x`` unannotated in a polymorphic helper, ``compare`` on a
 tuple, ``=`` on a record or an option).  Stdlib's ``min`` and ``max``
 are polymorphic functions and always take that path.  Each such call
 costs about ten int compares, so one in a per-event helper is a
-measurable share of the event.
+measurable share of the event.  The standard library's ``List.mem``,
+``List.assoc`` and ``List.mem_assoc`` run that same generic compare
+on every element they pass, inside Stdlib where no relocation of
+ours shows it; ``Order.mem_int`` is the int membership test.
 
 For every object the script runs ``objdump -dr -l`` and reports each
 relocation to ``caml_compare``, ``caml_equal``, ``caml_notequal``,
@@ -24,7 +27,9 @@ relocation to ``caml_compare``, ``caml_equal``, ``caml_notequal``,
 ``caml_greaterequal``, each direct call to ``Stdlib.compare``,
 ``Stdlib.min`` or ``Stdlib.max``, and each load of ``Stdlib.min`` or
 ``Stdlib.max`` as a closure from the Stdlib module block (their field
-offsets below are those of OCaml 5.1 on x86-64, the compiler CI pins).
+offsets below are those of OCaml 5.1 on x86-64, the compiler CI pins),
+and each direct call to ``List.mem``, ``List.assoc`` or
+``List.mem_assoc``.
 A site is printed as ``lib/DIR/FILE.ml:LINE: Module.function: callee``.
 
 ALLOW names functions whose sites run a bounded number of times per
@@ -57,6 +62,7 @@ ALLOW = {
 PRIMITIVES = {"caml_compare", "caml_equal", "caml_notequal", "caml_lessthan",
               "caml_lessequal", "caml_greaterthan", "caml_greaterequal"}
 STDLIB_CALL = re.compile(r"camlStdlib\.(compare|min|max)_\d+$")
+LIST_CALL = re.compile(r"camlStdlib__List\.(mem|assoc|mem_assoc)_\d+$")
 # byte offset of a field in the Stdlib module block -> its value
 STDLIB_FIELDS = {0x78: "Stdlib.min", 0x80: "Stdlib.max"}
 
@@ -100,10 +106,13 @@ def sites(obj):
             target = m.group(1)
             block_load = target == "camlStdlib"
             call = STDLIB_CALL.match(target)
+            list_call = LIST_CALL.match(target)
             if target in PRIMITIVES:
                 found.append((where, fn, target))
             elif call:
                 found.append((where, fn, "Stdlib." + call.group(1)))
+            elif list_call:
+                found.append((where, fn, "List." + list_call.group(1)))
             continue
         if block_load and INSN.match(line):
             m = FIELD_LOAD.match(line)
