@@ -31,7 +31,7 @@ let widest_path_tree g ~root =
         settled.(u) <- true;
         Digraph.View.iter
           (fun v cap ->
-            let w = min width.(u) cap in
+            let w = Int.min width.(u) cap in
             if w > width.(v) then begin
               width.(v) <- w;
               parent.(v) <- u;

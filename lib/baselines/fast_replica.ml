@@ -8,7 +8,7 @@ let chunk_assignment (inst : Instance.t) source =
   let arcs = Digraph.succ inst.graph source in
   let deg = Digraph.View.length arcs in
   let total_cap =
-    max 1 (Digraph.View.fold (fun a _ c -> a + c) 0 arcs)
+    Int.max 1 (Digraph.View.fold (fun a _ c -> a + c) 0 arcs)
   in
   let m = inst.token_count in
   let chunks = Array.init deg (fun _ -> Bitset.create m) in
@@ -19,7 +19,7 @@ let chunk_assignment (inst : Instance.t) source =
         if i = deg - 1 then m - !cursor
         else m * cap / total_cap
       in
-      for t = !cursor to min (m - 1) (!cursor + share - 1) do
+      for t = !cursor to Int.min (m - 1) (!cursor + share - 1) do
         Bitset.add chunks.(i) t
       done;
       cursor := !cursor + share)

@@ -19,7 +19,7 @@ let waves_of_tree (tree : Ocd_graph.Steiner.t) ~holders ~vertex_count =
       (fun v ->
         if depth.(v) = -1 then begin
           depth.(v) <- depth.(u) + 1;
-          max_depth := max !max_depth depth.(v);
+          max_depth := Int.max !max_depth depth.(v);
           Queue.add v queue
         end)
       children.(u)

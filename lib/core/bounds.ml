@@ -67,7 +67,7 @@ let relay_aware_bandwidth_lower_bound (inst : Instance.t) =
           (* x's own entry cost is 0 (it is a needer), so dist.(x)
              counts exactly the uncounted relays on its cheapest
              path. *)
-          extra := max !extra dist.(x)
+          extra := Int.max !extra dist.(x)
         end
       done;
       total := !total + !deficit + !extra
@@ -82,17 +82,21 @@ let ceil_div a b = (a + b - 1) / b
    multiplicity) pairs, the tokens farther than i hops cannot have
    arrived within i steps, and thereafter at most [in_capacity v]
    tokens arrive per step. *)
-let vertex_bound distances in_capacity =
+let vertex_bound (distances : (int * int) list) in_capacity =
   match distances with
   | [] -> 0
   | distances ->
-    let sorted = List.sort compare distances in
+    let by_pair (d, k) (d', k') =
+      let c = Int.compare d d' in
+      if c <> 0 then c else Int.compare k k'
+    in
+    let sorted = List.sort by_pair distances in
     let total = List.fold_left (fun acc (_, k) -> acc + k) 0 sorted in
     let max_d = fst (List.nth sorted (List.length sorted - 1)) in
-    let intake = max 1 in_capacity in
+    let intake = Int.max 1 in_capacity in
     (* Only radii at distance thresholds matter; scanning all i in
        [0, max_d] is fine at evaluation sizes. *)
-    let rec outside i rest count =
+    let rec outside (i : int) rest count =
       (* count = |{d > i}| given [rest] sorted ascending with [count]
          elements remaining > previous threshold *)
       match rest with
@@ -105,7 +109,7 @@ let vertex_bound distances in_capacity =
       let c, r = outside i !rest !count in
       rest := r;
       count := c;
-      best := max !best (i + ceil_div c intake)
+      best := Int.max !best (i + ceil_div c intake)
     done;
     !best
 
@@ -171,7 +175,7 @@ let remaining_makespan (inst : Instance.t) ~have =
     groups;
   let best = ref 0 in
   for v = 0 to n - 1 do
-    best := max !best (vertex_bound distances.(v) (Digraph.in_capacity g v))
+    best := Int.max !best (vertex_bound distances.(v) (Digraph.in_capacity g v))
   done;
   !best
 
@@ -227,7 +231,7 @@ let one_step_feasible (inst : Instance.t) ~have =
         Digraph.View.iter
           (fun u cap ->
             let available = Bitset.cardinal (Bitset.inter deficit have.(u)) in
-            supply := !supply + min cap available)
+            supply := !supply + Int.min cap available)
           (Digraph.pred g v);
         (* Every individual token must also be present at some
            in-neighbour. *)

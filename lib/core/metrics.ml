@@ -11,7 +11,7 @@ type t = {
 let of_schedule inst schedule =
   let timeline = Timeline.run inst schedule in
   let completion = Timeline.completion_times timeline in
-  let makespan = Array.fold_left max 0 completion in
+  let makespan = Array.fold_left Int.max 0 completion in
   (* The flags belong to this pass's [timeline]; pass 2 may overwrite
      them. *)
   let pruned_bandwidth =

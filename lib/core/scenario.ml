@@ -96,7 +96,9 @@ let subdivide_files rng ~graph ~total_tokens ~files ?(multi_sender = false)
        chosen from the set of vertices which did not want it". *)
     let pick_sender f =
       let non_wanters =
-        List.filter (fun v -> not (List.mem v f.receivers)) (Digraph.vertices graph)
+        List.filter
+          (fun v -> not (Order.mem_int v f.receivers))
+          (Digraph.vertices graph)
       in
       Prng.pick_list rng non_wanters
     in

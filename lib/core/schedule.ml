@@ -30,15 +30,15 @@ module Builder = struct
 
   let create ?(steps_hint = 8) ?(moves_hint = 16) () =
     {
-      offs = Array.make (max 2 (steps_hint + 1)) 0;
-      src = Array.make (max 1 moves_hint) 0;
-      dst = Array.make (max 1 moves_hint) 0;
-      tok = Array.make (max 1 moves_hint) 0;
+      offs = Array.make (Int.max 2 (steps_hint + 1)) 0;
+      src = Array.make (Int.max 1 moves_hint) 0;
+      dst = Array.make (Int.max 1 moves_hint) 0;
+      tok = Array.make (Int.max 1 moves_hint) 0;
       nsteps = 0;
       nmoves = 0;
     }
 
-  let grow a len = Array.append a (Array.make (max len (Array.length a)) 0)
+  let grow a len = Array.append a (Array.make (Int.max len (Array.length a)) 0)
 
   let push_move b ~src ~dst ~token =
     if b.nmoves = Array.length b.src then begin

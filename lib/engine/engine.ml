@@ -214,12 +214,12 @@ let apply_step k step moves =
    moves and leaves wants temporarily unreachable, so it gets twice the
    budget and a more generous stall patience. *)
 let default_limits admission (inst : Instance.t) =
-  let n = Instance.vertex_count inst and m = max 1 inst.token_count in
-  let bound = m * max 1 (n - 1) in
+  let n = Instance.vertex_count inst and m = Int.max 1 inst.token_count in
+  let bound = m * Int.max 1 (n - 1) in
   match admission with
-  | Exact -> (min (bound + n + 64) 1_000_000, (2 * inst.token_count) + 16)
+  | Exact -> (Int.min (bound + n + 64) 1_000_000, (2 * inst.token_count) + 16)
   | Lossy _ ->
-    (min ((2 * bound) + n + 128) 1_000_000, (4 * inst.token_count) + 64)
+    (Int.min ((2 * bound) + n + 128) 1_000_000, (4 * inst.token_count) + 64)
 
 let rounds ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~admission
     ~completion ~strategy ~seed (inst : Instance.t) =

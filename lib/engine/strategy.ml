@@ -24,7 +24,7 @@ let scratch_create ~token_count =
     listeners = [];
   }
 
-let grow buf len = Array.make (max len (2 * Array.length buf)) 0
+let grow buf len = Array.make (Int.max len (2 * Array.length buf)) 0
 
 let budget scratch len =
   if Array.length scratch.budget_buf < len then

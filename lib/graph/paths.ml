@@ -33,14 +33,6 @@ let dijkstra g ~cost src =
   drain ();
   (dist, parent)
 
-let shortest_path g ~cost src dst =
-  let dist, parent = dijkstra g ~cost src in
-  if dist.(dst) = max_int then None
-  else begin
-    let rec build v acc = if v = src then src :: acc else build parent.(v) (v :: acc) in
-    Some (build dst [])
-  end
-
 let eccentricity g v =
   Array.fold_left Int.max 0 (hop_distances g v)
 
@@ -51,11 +43,3 @@ let diameter g =
     best := Int.max !best (eccentricity g v)
   done;
   !best
-
-let closure g v ~radius =
-  if radius < 0 then invalid_arg "Paths.closure: negative radius";
-  (* Distances *to* v are distances from v in the reversed graph. *)
-  let dist = Traversal.bfs_levels (Digraph.reverse g) v in
-  let acc = ref [] in
-  Array.iteri (fun u d -> if d >= 0 && d <= radius then acc := u :: !acc) dist;
-  List.rev !acc

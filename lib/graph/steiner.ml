@@ -7,56 +7,89 @@ type t = {
 let takahashi_matsuyama g ~sources ~terminals =
   if sources = [] then invalid_arg "Steiner: no sources";
   let n = Digraph.vertex_count g in
+  let { Digraph.row_off; row_dst; _ } = Digraph.succ_rows g in
+  let pred = Digraph.pred_rows g in
   let in_tree = Array.make n false in
-  List.iter (fun s -> in_tree.(s) <- true) sources;
+  (* [dist.(v)]: hop distance from the current tree (0 on it, -1 when
+     unreachable), kept exact across rounds.  [fresh.(0 .. k - 1)]
+     holds the vertices that joined the tree last; [lower k] runs a
+     BFS from them that only lowers distances.  It visits in
+     nondecreasing distance, so each vertex is lowered at most once
+     and [fresh] (length n) doubles as its FIFO. *)
+  let dist = Array.make n (-1) in
+  let fresh = Array.make n 0 in
+  let lower k =
+    let head = ref 0 and tail = ref k in
+    while !head < !tail do
+      let u = fresh.(!head) in
+      incr head;
+      let d = dist.(u) + 1 in
+      for i = row_off.(u) to row_off.(u + 1) - 1 do
+        let v = row_dst.(i) in
+        if dist.(v) < 0 || dist.(v) > d then begin
+          dist.(v) <- d;
+          fresh.(!tail) <- v;
+          incr tail
+        end
+      done
+    done
+  in
+  let k =
+    List.fold_left
+      (fun k s ->
+        if in_tree.(s) then k
+        else begin
+          in_tree.(s) <- true;
+          dist.(s) <- 0;
+          fresh.(k) <- s;
+          k + 1
+        end)
+      0 sources
+  in
+  lower k;
   let covered = Array.make n false in
   List.iter (fun t -> if in_tree.(t) then covered.(t) <- true) terminals;
   let tree_arcs = ref [] in
-  (* Each round: multi-source BFS from the current tree, attach the
-     closest still-uncovered terminal, fold its shortest path into the
-     tree.  Parents are any tight predecessor under the BFS levels. *)
+  (* The parent of [v] is its first tight predecessor, ascending. *)
+  let parent v =
+    let target = dist.(v) - 1 in
+    let rec first i =
+      let u = pred.Digraph.row_dst.(i) in
+      if dist.(u) = target then u else first (i + 1)
+    in
+    first pred.Digraph.row_off.(v)
+  in
+  (* Each round attaches the first closest still-uncovered terminal
+     and folds its shortest path into the tree; distances are read
+     before the path joins, then lowered from it. *)
   let rec rounds () =
-    match List.filter (fun t -> not covered.(t)) terminals with
-    | [] -> ()
-    | pending ->
-      let tree_vertices =
-        List.filter (fun v -> in_tree.(v)) (Digraph.vertices g)
+    let best =
+      List.fold_left
+        (fun best t ->
+          if covered.(t) || dist.(t) < 0 then best
+          else if best >= 0 && dist.(best) <= dist.(t) then best
+          else t)
+        (-1) terminals
+    in
+    if best >= 0 then begin
+      let rec absorb v k =
+        if in_tree.(v) then k
+        else begin
+          let u = parent v in
+          in_tree.(v) <- true;
+          tree_arcs := (u, v) :: !tree_arcs;
+          fresh.(k) <- v;
+          absorb u (k + 1)
+        end
       in
-      let dist = Traversal.bfs_levels_multi g tree_vertices in
-      let parent = Array.make n (-1) in
-      let record_parent v =
-        if dist.(v) > 0 then
-          Digraph.View.iter
-            (fun u _ ->
-              if parent.(v) = -1 && dist.(u) >= 0 && dist.(u) = dist.(v) - 1
-              then parent.(v) <- u)
-            (Digraph.pred g v)
-      in
-      List.iter record_parent (Digraph.vertices g);
-      let best =
-        List.fold_left
-          (fun acc t ->
-            if dist.(t) < 0 then acc
-            else
-              match acc with
-              | Some (_, d) when d <= dist.(t) -> acc
-              | _ -> Some (t, dist.(t)))
-          None pending
-      in
-      (match best with
-      | None -> () (* the remaining terminals are unreachable *)
-      | Some (t, _) ->
-        let rec absorb v =
-          if not in_tree.(v) then begin
-            in_tree.(v) <- true;
-            let u = parent.(v) in
-            tree_arcs := (u, v) :: !tree_arcs;
-            absorb u
-          end
-        in
-        absorb t;
-        covered.(t) <- true;
-        rounds ())
+      let k = absorb best 0 in
+      for i = 0 to k - 1 do
+        dist.(fresh.(i)) <- 0
+      done;
+      lower k;
+      covered.(best) <- true;
+      rounds ()
+    end
   in
   rounds ();
   { arcs = !tree_arcs; terminals; covered }

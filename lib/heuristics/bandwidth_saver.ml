@@ -3,15 +3,28 @@ open Ocd_prelude
 open Ocd_graph
 
 (* For each token, the set of vertices that qualify as relays this
-   turn: closest one-hop-knowledge vertices to some needer.  The
-   Voronoi labelling is a multi-source BFS seeded with the one-hop set
-   (label.(x) = the source closest to x, ties broken by queue order,
-   -1 when unreachable).  All buffers are caller-owned and reused
+   turn: closest one-hop-knowledge vertices to some needer.  A vertex
+   is one-hop for a token when it lacks it and an in-neighbour holds
+   it; [reach.(u)] gathers those tokens once per step, word by word
+   (the union of u's in-neighbours' rows minus u's own row).  The
+   Voronoi labelling is a multi-source BFS over the CSR rows seeded
+   with the one-hop set (label.(x) = the source closest to x, ties
+   broken by FIFO order, -1 when unreachable); [fifo] holds each
+   vertex at most once.  All buffers are caller-owned and reused
    across steps. *)
-let relay_tokens (inst : Instance.t) have ~relay ~label ~needers ~one_hop
-    ~queue =
-  let g = inst.graph in
+let relay_tokens (inst : Instance.t) have ~relay ~reach ~label ~needers ~fifo
+    =
   let n = Instance.vertex_count inst in
+  let { Digraph.row_off; row_dst; _ } = Digraph.succ_rows inst.graph in
+  let pred = Digraph.pred_rows inst.graph in
+  for u = 0 to n - 1 do
+    let r = reach.(u) in
+    Bitset.clear r;
+    for i = pred.row_off.(u) to pred.row_off.(u + 1) - 1 do
+      Bitset.Rows.union_into r have pred.row_dst.(i)
+    done;
+    Bitset.Rows.diff_into r have u
+  done;
   Array.iter Bitset.clear relay;
   for token = 0 to inst.token_count - 1 do
     Int_vec.clear needers;
@@ -20,45 +33,36 @@ let relay_tokens (inst : Instance.t) have ~relay ~label ~needers ~one_hop
       then Int_vec.push needers x
     done;
     if Int_vec.length needers > 0 then begin
-      (* One-hop set: lacks the token, an in-neighbour holds it. *)
-      Int_vec.clear one_hop;
-      for u = 0 to n - 1 do
-        if
-          (not (Bitset.Rows.mem have u token))
-          && Digraph.View.exists
-               (fun w _ -> Bitset.Rows.mem have w token)
-               (Digraph.pred g u)
-        then Int_vec.push one_hop u
+      Array.fill label 0 n (-1);
+      (* Seed in descending vertex order: the historical code built
+         the one-hop set by prepending during an ascending scan, and
+         BFS tie-breaking follows seed order. *)
+      let tail = ref 0 in
+      for u = n - 1 downto 0 do
+        if Bitset.mem reach.(u) token then begin
+          label.(u) <- u;
+          fifo.(!tail) <- u;
+          incr tail
+        end
       done;
-      if Int_vec.length one_hop > 0 then begin
-        Array.fill label 0 n (-1);
-        Queue.clear queue;
-        (* Seed in descending vertex order: the historical code built
-           the one-hop set by prepending during an ascending scan, and
-           BFS tie-breaking follows seed order. *)
-        for k = Int_vec.length one_hop - 1 downto 0 do
-          let s = Int_vec.get one_hop k in
-          if label.(s) = -1 then begin
-            label.(s) <- s;
-            Queue.add s queue
+      let head = ref 0 in
+      while !head < !tail do
+        let u = fifo.(!head) in
+        incr head;
+        for i = row_off.(u) to row_off.(u + 1) - 1 do
+          let v = row_dst.(i) in
+          if label.(v) = -1 then begin
+            label.(v) <- label.(u);
+            fifo.(!tail) <- v;
+            incr tail
           end
-        done;
-        while not (Queue.is_empty queue) do
-          let u = Queue.pop queue in
-          Digraph.View.iter
-            (fun v _ ->
-              if label.(v) = -1 then begin
-                label.(v) <- label.(u);
-                Queue.add v queue
-              end)
-            (Digraph.succ g u)
-        done;
-        Int_vec.iter
-          (fun x ->
-            let closest = label.(x) in
-            if closest >= 0 then Bitset.add relay.(closest) token)
-          needers
-      end
+        done
+      done;
+      Int_vec.iter
+        (fun x ->
+          let closest = label.(x) in
+          if closest >= 0 then Bitset.add relay.(closest) token)
+        needers
     end
   done
 
@@ -68,15 +72,14 @@ let strategy =
     let tracked = Aggregates.tracked inst in
     (* Per-run buffers for the relay computation. *)
     let relay = Array.init n (fun _ -> Bitset.create inst.token_count) in
-    let label = Array.make (max 1 n) (-1) in
+    let reach = Array.init n (fun _ -> Bitset.create inst.token_count) in
+    let label = Array.make (Int.max 1 n) (-1) in
     let needers = Int_vec.create () in
-    let one_hop = Int_vec.create () in
-    let queue = Queue.create () in
+    let fifo = Array.make (Int.max 1 n) 0 in
     fun (ctx : Ocd_engine.Strategy.context) ->
       let graph = ctx.instance.Instance.graph in
       let agg = tracked ctx in
-      relay_tokens ctx.instance ctx.have ~relay ~label ~needers ~one_hop
-        ~queue;
+      relay_tokens ctx.instance ctx.have ~relay ~reach ~label ~needers ~fifo;
       let scratch = ctx.scratch in
       let wanted = scratch.Ocd_engine.Strategy.tokens_b in
       let relayed = scratch.Ocd_engine.Strategy.tokens_a in

@@ -9,7 +9,7 @@ let strategy =
     let tracked = Aggregates.tracked inst in
     (* Per-run reusable buffers: the working holder counts and the
        vertex processing order are refilled in place each step. *)
-    let working = Array.make (max 1 m) 0 in
+    let working = Array.make (Int.max 1 m) 0 in
     let vertex_order = Array.make n 0 in
     fun (ctx : Ocd_engine.Strategy.context) ->
       let graph = ctx.instance.Instance.graph in

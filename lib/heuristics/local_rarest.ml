@@ -234,7 +234,7 @@ let strategy_without_subdivision =
               Bitset.Rows.into useful ctx.have src;
               Bitset.Rows.diff_into useful ctx.have dst;
               rank_by_rarity ctx.rng agg useful order;
-              let take = min cap (Int_vec.length order) in
+              let take = Int.min cap (Int_vec.length order) in
               for k = 0 to take - 1 do
                 moves :=
                   { Move.src; dst; token = Int_vec.get order k } :: !moves

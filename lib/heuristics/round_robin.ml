@@ -18,7 +18,8 @@ let strategy =
          slot's cursor, cyclically; the cursor ends one past the last
          token sent. *)
       let send src dst slot cap available =
-        let cursor = ref cursors.(slot) and left = ref (min cap available) in
+        let cursor = ref cursors.(slot)
+        and left = ref (Int.min cap available) in
         while !left > 0 do
           let token = Bitset.Rows.next_member have src !cursor in
           if token < 0 then cursor := 0

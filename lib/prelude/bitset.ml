@@ -260,4 +260,10 @@ module Rows = struct
     for j = 0 to r.stride - 1 do
       s.words.(j) <- s.words.(j) land lnot (word r v j)
     done
+
+  let union_into (s : set) r v =
+    if s.capacity <> r.capacity then invalid_arg "Bitset: capacity mismatch";
+    for j = 0 to r.stride - 1 do
+      s.words.(j) <- s.words.(j) lor word r v j
+    done
 end

@@ -145,4 +145,7 @@ module Rows : sig
 
   val diff_into : set -> t -> int -> unit
   (** [diff_into s r v] sets [s := s \ row v] (same capacity). *)
+
+  val union_into : set -> t -> int -> unit
+  (** [union_into s r v] sets [s := s ∪ row v] (same capacity). *)
 end

@@ -11,8 +11,7 @@
     over a shortest path in a physical network (whose routers forward
     but never store or duplicate tokens), and exposes
 
-    - the per-overlay-arc path and the contention structure (which
-      overlay arcs share which physical links), and
+    - the per-overlay-arc route, as the physical links it crosses, and
     - an *effective* per-step enforcement: the total tokens crossing a
       physical link in one timestep — summed over all overlay arcs
       routed through it — must not exceed the physical capacity.
@@ -26,7 +25,15 @@
 
 open Ocd_core
 
-type t
+type t = private {
+  physical : Ocd_graph.Digraph.t;
+  overlay : Ocd_graph.Digraph.t;
+  route : int array array;
+      (** [route.(s)]: the physical links carrying the overlay arc in
+          CSR slot [s] ({!Ocd_graph.Digraph.slot}), in path order, each
+          named by its own CSR slot in [physical]; [[||]] when both
+          ends share a host. *)
+}
 
 val build :
   physical:Ocd_graph.Digraph.t ->
@@ -35,7 +42,9 @@ val build :
   t
 (** [build ~physical ~host_of ~overlay] routes each overlay arc
     [(u, v)] along a shortest hop path from [host_of.(u)] to
-    [host_of.(v)] in the physical graph.
+    [host_of.(v)] in the physical graph: the path that
+    {!Ocd_graph.Paths.dijkstra}'s parent array gives, one search per
+    distinct source host.
     @raise Invalid_argument when some overlay arc's endpoints are not
     physically connected, or [host_of] is out of range / wrong
     length. *)
@@ -48,13 +57,6 @@ val map_onto_transit_stub :
 (** Convenience: generate a transit-stub physical network (sized to
     fit the overlay with headroom for routers), place each overlay
     vertex on a distinct random stub host, and {!build}. *)
-
-val path : t -> src:int -> dst:int -> (int * int) list
-(** Physical links (ordered) carrying overlay arc [(src, dst)]. *)
-
-val sharing : t -> ((int * int) * (int * int) list) list
-(** Physical links used by more than one overlay arc, with the overlay
-    arcs sharing them — the contention map. *)
 
 val max_link_stress : t -> float
 (** Max over physical links of (Σ capacities of overlay arcs routed

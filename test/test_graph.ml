@@ -344,19 +344,6 @@ let test_dijkstra_weighted () =
   let dist, _ = Paths.dijkstra g ~cost 0 in
   Alcotest.(check int) "via 2" 2 dist.(1)
 
-let test_shortest_path_endpoints () =
-  let g = path_graph 4 in
-  match Paths.shortest_path g ~cost:(fun _ _ -> 1) 0 3 with
-  | Some path -> Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ] path
-  | None -> Alcotest.fail "path expected"
-
-let test_shortest_path_none () =
-  let g =
-    Digraph.of_arcs ~vertex_count:3 [ { Digraph.src = 0; dst = 1; capacity = 1 } ]
-  in
-  Alcotest.(check bool) "no path" true
-    (Paths.shortest_path g ~cost:(fun _ _ -> 1) 1 2 = None)
-
 let test_diameter_path () =
   Alcotest.(check int) "diameter" 4 (Paths.diameter (path_graph 5))
 
@@ -364,21 +351,6 @@ let test_eccentricity () =
   let g = path_graph 5 in
   Alcotest.(check int) "center" 2 (Paths.eccentricity g 2);
   Alcotest.(check int) "end" 4 (Paths.eccentricity g 0)
-
-let test_closure_incoming () =
-  (* Directed chain 0 -> 1 -> 2: closure around 2 must include the
-     vertices that can *reach* it. *)
-  let g =
-    Digraph.of_arcs ~vertex_count:3
-      [
-        { Digraph.src = 0; dst = 1; capacity = 1 };
-        { Digraph.src = 1; dst = 2; capacity = 1 };
-      ]
-  in
-  Alcotest.(check (list int)) "radius 0" [ 2 ] (Paths.closure g 2 ~radius:0);
-  Alcotest.(check (list int)) "radius 1" [ 1; 2 ] (Paths.closure g 2 ~radius:1);
-  Alcotest.(check (list int)) "radius 2" [ 0; 1; 2 ] (Paths.closure g 2 ~radius:2);
-  Alcotest.(check (list int)) "closure of 0" [ 0 ] (Paths.closure g 0 ~radius:2)
 
 let prop_diameter_bounds =
   QCheck.Test.make ~name:"diameter <= n-1 on connected graphs" ~count:100
@@ -536,6 +508,90 @@ let prop_steiner_covers_connected =
       let t = Steiner.takahashi_matsuyama g ~sources:[ 0 ] ~terminals in
       Steiner.covers_all t && Steiner.cost t <= 3 * n)
 
+(* The Takahashi–Matsuyama rounds as they were before distances were
+   kept across rounds: a fresh multi-source BFS from the whole tree and
+   a parent pass over every vertex per attached terminal.  Kept
+   verbatim as the oracle for the incremental version. *)
+let reference_takahashi_matsuyama g ~sources ~terminals =
+  let n = Digraph.vertex_count g in
+  let in_tree = Array.make n false in
+  List.iter (fun s -> in_tree.(s) <- true) sources;
+  let covered = Array.make n false in
+  List.iter (fun t -> if in_tree.(t) then covered.(t) <- true) terminals;
+  let tree_arcs = ref [] in
+  let rec rounds () =
+    match List.filter (fun t -> not covered.(t)) terminals with
+    | [] -> ()
+    | pending ->
+      let tree_vertices =
+        List.filter (fun v -> in_tree.(v)) (Digraph.vertices g)
+      in
+      let dist = Traversal.bfs_levels_multi g tree_vertices in
+      let parent = Array.make n (-1) in
+      let record_parent v =
+        if dist.(v) > 0 then
+          Digraph.View.iter
+            (fun u _ ->
+              if parent.(v) = -1 && dist.(u) >= 0 && dist.(u) = dist.(v) - 1
+              then parent.(v) <- u)
+            (Digraph.pred g v)
+      in
+      List.iter record_parent (Digraph.vertices g);
+      let best =
+        List.fold_left
+          (fun acc t ->
+            if dist.(t) < 0 then acc
+            else
+              match acc with
+              | Some (_, d) when d <= dist.(t) -> acc
+              | _ -> Some (t, dist.(t)))
+          None pending
+      in
+      (match best with
+      | None -> ()
+      | Some (t, _) ->
+        let rec absorb v =
+          if not in_tree.(v) then begin
+            in_tree.(v) <- true;
+            let u = parent.(v) in
+            tree_arcs := (u, v) :: !tree_arcs;
+            absorb u
+          end
+        in
+        absorb t;
+        covered.(t) <- true;
+        rounds ())
+  in
+  rounds ();
+  (!tree_arcs, covered)
+
+(* Directed, so terminals can be unreachable; sources and terminals
+   repeat and overlap. *)
+let steiner_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 2 24 in
+    let* arcs =
+      list_size (int_range 0 (3 * n)) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    in
+    let* sources = list_size (int_range 1 3) (int_range 0 (n - 1)) in
+    let* terminals = list_size (int_range 0 (n + 2)) (int_range 0 (n - 1)) in
+    let arcs =
+      List.filter_map
+        (fun (src, dst) ->
+          if src = dst then None else Some { Digraph.src; dst; capacity = 1 })
+        arcs
+    in
+    return (Digraph.of_arcs ~vertex_count:n arcs, sources, terminals))
+
+let prop_steiner_matches_reference =
+  QCheck.Test.make ~name:"steiner = full-recompute reference" ~count:500
+    (QCheck.make steiner_case_gen) (fun (g, sources, terminals) ->
+      let t = Steiner.takahashi_matsuyama g ~sources ~terminals in
+      let arcs, covered =
+        reference_takahashi_matsuyama g ~sources ~terminals
+      in
+      t.Steiner.arcs = arcs && t.Steiner.covered = covered)
+
 (* ------------------------------------------------------------------ *)
 (* Dominating                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -645,11 +701,8 @@ let () =
           Alcotest.test_case "dijkstra unit = bfs" `Quick
             test_dijkstra_unit_matches_bfs;
           Alcotest.test_case "dijkstra weighted" `Quick test_dijkstra_weighted;
-          Alcotest.test_case "shortest path" `Quick test_shortest_path_endpoints;
-          Alcotest.test_case "shortest path none" `Quick test_shortest_path_none;
           Alcotest.test_case "diameter" `Quick test_diameter_path;
           Alcotest.test_case "eccentricity" `Quick test_eccentricity;
-          Alcotest.test_case "closure incoming" `Quick test_closure_incoming;
           qtest prop_diameter_bounds;
         ] );
       ( "components",
@@ -679,6 +732,7 @@ let () =
           Alcotest.test_case "unreachable terminal" `Quick test_steiner_unreachable;
           Alcotest.test_case "no sources raises" `Quick test_steiner_no_sources;
           qtest prop_steiner_covers_connected;
+          qtest prop_steiner_matches_reference;
         ] );
       ( "dominating",
         [

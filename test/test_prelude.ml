@@ -540,7 +540,8 @@ let prop_bitset_is_full =
 
 (* [Bitset.Rows] against an array of sets, at capacities on both sides
    of each word boundary: a random run of adds, a copy taken halfway
-   through, and a random set to subtract each row from. *)
+   through, and a random set to subtract each row from and join each
+   row into. *)
 let rows_gen =
   QCheck.Gen.(
     let* cap = oneofl [ 1; 62; 63; 64; 65; 126; 127 ] in
@@ -573,14 +574,18 @@ let prop_bitset_rows =
       let agrees rows model =
         let other = Bitset.of_list cap other in
         let row = Bitset.create cap and rest = Bitset.copy other in
+        let joined = Bitset.copy other in
         let bpw = Bitset.bits_per_word in
         List.for_all
           (fun v ->
             Bitset.Rows.into row rows v;
             Bitset.assign rest other;
             Bitset.Rows.diff_into rest rows v;
+            Bitset.assign joined other;
+            Bitset.Rows.union_into joined rows v;
             Bitset.equal row model.(v)
             && Bitset.equal rest (Bitset.diff other model.(v))
+            && Bitset.equal joined (Bitset.union other model.(v))
             && Bitset.Rows.is_empty rows v = Bitset.is_empty model.(v)
             && Bitset.Rows.cardinal rows v = Bitset.cardinal model.(v)
             && Bitset.Rows.next_member rows v cap = -1

@@ -23,21 +23,16 @@ let overlay () =
 let shared () =
   build ~physical:(physical ()) ~host_of:[| 0; 2; 0 |] ~overlay:(overlay ())
 
+(* The ids of the physical links carrying overlay arc [(src, dst)]. *)
+let route t ~src ~dst = t.route.(Digraph.slot t.overlay src dst)
+
 let test_build_paths () =
   let t = shared () in
-  Alcotest.(check (list (pair int int))) "A->B path" [ (0, 1); (1, 2) ]
-    (path t ~src:0 ~dst:1);
-  Alcotest.(check (list (pair int int))) "C->B path" [ (0, 1); (1, 2) ]
-    (path t ~src:2 ~dst:1)
-
-let test_sharing_detected () =
-  let t = shared () in
-  let contended = sharing t in
-  Alcotest.(check int) "both physical links contended" 2 (List.length contended);
-  match contended with
-  | ((0, 1), arcs) :: _ ->
-    Alcotest.(check (list (pair int int))) "overlay arcs" [ (0, 1); (2, 1) ] arcs
-  | _ -> Alcotest.fail "expected link (0,1) first"
+  let link a b = Digraph.slot t.physical a b in
+  Alcotest.(check (array int)) "A->B path" [| link 0 1; link 1 2 |]
+    (route t ~src:0 ~dst:1);
+  Alcotest.(check (array int)) "C->B path" [| link 0 1; link 1 2 |]
+    (route t ~src:2 ~dst:1)
 
 let test_link_stress () =
   (* Overlay demands 2 + 2 = 4 through physical capacity 2 → 2.0. *)
@@ -49,8 +44,8 @@ let test_same_host_zero_path () =
     Digraph.of_arcs ~vertex_count:2 [ { Digraph.src = 0; dst = 1; capacity = 1 } ]
   in
   let t = build ~physical ~host_of:[| 0; 0 |] ~overlay in
-  Alcotest.(check (list (pair int int))) "colocated = no links" []
-    (path t ~src:0 ~dst:1)
+  Alcotest.(check (array int)) "colocated = no links" [||]
+    (route t ~src:0 ~dst:1)
 
 let test_build_unroutable () =
   let physical = Digraph.of_arcs ~vertex_count:2 [] in
@@ -132,10 +127,10 @@ let test_map_onto_transit_stub () =
   let rng = Prng.create ~seed:9 in
   let overlay = Ocd_topology.Random_graph.erdos_renyi rng ~n:30 ~p:0.3 () in
   let t = map_onto_transit_stub rng ~overlay () in
-  (* every overlay arc routed *)
-  List.iter
-    (fun { Digraph.src; dst; _ } -> ignore (path t ~src ~dst))
-    (Digraph.arcs overlay);
+  (* every overlay arc routed: overlay vertices sit on distinct hosts *)
+  Alcotest.(check bool) "every arc routed" true
+    (Array.length t.route = Digraph.arc_count overlay
+    && Array.for_all (fun links -> Array.length links > 0) t.route);
   Alcotest.(check bool) "stress computed" true (max_link_stress t > 0.0)
 
 let prop_underlay_runs_complete =
@@ -156,13 +151,46 @@ let prop_underlay_runs_complete =
       r.outcome = Ocd_engine.Engine.Completed
       && Validate.check_successful inst r.schedule = Ok ())
 
+(* Each slot's route against the per-arc search it replaced: a full
+   [Paths.dijkstra] from the arc's source host, walked back from its
+   destination host.  Hosts are drawn with repetition, so colocated
+   overlay vertices and shared source hosts both occur. *)
+let prop_routes_match_per_arc_dijkstra =
+  QCheck.Test.make ~name:"slot routes = per-arc dijkstra walks" ~count:60
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let physical =
+        Ocd_topology.Random_graph.erdos_renyi rng ~n:(4 + Prng.int rng 20) ()
+      in
+      let overlay =
+        Ocd_topology.Random_graph.erdos_renyi rng ~n:(2 + Prng.int rng 12)
+          ~p:0.4 ()
+      in
+      let hosts = Digraph.vertex_count physical in
+      let host_of =
+        Array.init (Digraph.vertex_count overlay) (fun _ -> Prng.int rng hosts)
+      in
+      let t = build ~physical ~host_of ~overlay in
+      let expected { Digraph.src; dst; _ } =
+        let s = host_of.(src) and d = host_of.(dst) in
+        let _, parent = Paths.dijkstra physical ~cost:(fun _ _ -> 1) s in
+        let rec walk v acc =
+          if v = s then acc
+          else walk parent.(v) (Digraph.slot physical parent.(v) v :: acc)
+        in
+        Array.of_list (walk d [])
+      in
+      List.for_all2
+        (fun arc links -> expected arc = links)
+        (Digraph.arcs overlay) (Array.to_list t.route))
+
 let () =
   Alcotest.run "ocd_underlay"
     [
       ( "underlay",
         [
           Alcotest.test_case "routes paths" `Quick test_build_paths;
-          Alcotest.test_case "detects sharing" `Quick test_sharing_detected;
           Alcotest.test_case "link stress" `Quick test_link_stress;
           Alcotest.test_case "colocated hosts" `Quick test_same_host_zero_path;
           Alcotest.test_case "unroutable rejected" `Quick test_build_unroutable;
@@ -174,5 +202,6 @@ let () =
           Alcotest.test_case "transit-stub mapping" `Quick
             test_map_onto_transit_stub;
           qtest prop_underlay_runs_complete;
+          qtest prop_routes_match_per_arc_dijkstra;
         ] );
     ]

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""List polymorphic comparisons in the per-event library code.
+"""List polymorphic comparisons in the per-event and per-round library code.
 
     python3 tools/monomorphic.py [ROOT]
 
 ROOT defaults to the current directory (the repository root), which
 must hold a finished ``dune build``: the script reads the native
-objects of lib/prelude, lib/graph, lib/async, lib/dht, lib/dynamics
-and lib/obs under ``_build/default``, the libraries every async, chaos
-and DHT event runs through.
+objects of lib/prelude, lib/graph, lib/core, lib/engine,
+lib/heuristics, lib/baselines, lib/underlay, lib/async, lib/dht,
+lib/dynamics and lib/obs under ``_build/default``, the libraries every
+synchronous round and every async, chaos and DHT event runs through.
 
 An OCaml comparison whose operands the compiler cannot type as int,
 float, string or another immediate compiles to a C call into the
@@ -45,7 +46,8 @@ import re
 import subprocess
 import sys
 
-DIRS = ("prelude", "graph", "async", "dht", "dynamics", "obs")
+DIRS = ("prelude", "graph", "core", "engine", "heuristics", "baselines",
+        "underlay", "async", "dht", "dynamics", "obs")
 
 # "Module.function" (no numeric suffix) -> why it runs once per run
 ALLOW = {
