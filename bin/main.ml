@@ -195,7 +195,7 @@ let output_arg =
 
 let build_instance ~seed ~topology ~n ~tokens ~threshold ~files ~multi_sender =
   let rng = Prng.create ~seed in
-  let graph = Ocd_topology.Topology.generate rng topology ~n () in
+  let graph = Ocd_topology.Topology.generate rng topology ~n in
   let scenario =
     if files > 1 || multi_sender then
       Scenario.subdivide_files rng ~graph ~total_tokens:tokens ~files

@@ -118,22 +118,3 @@ let verdict_name = function
   | Unsatisfiable_window -> "unsat-window"
   | Gave_up -> "gave-up"
   | Protocol_stall -> "protocol-stall"
-
-let summary d =
-  let wants = List.fold_left (fun acc (_, ts) -> acc + List.length ts) 0 d.outstanding in
-  Printf.sprintf
-    "%s: %d wants outstanding at %d nodes; partitioned %d/%d sampled rounds%s; \
-     dead={%s}; failed_jobs=%d%s"
-    (verdict_name d.verdict) wants
-    (List.length d.outstanding)
-    d.partitioned_rounds d.sampled_rounds
-    ((if d.partition_cut_rounds > 0 then
-        Printf.sprintf " (%d under a split window)" d.partition_cut_rounds
-      else "")
-    ^
-    match d.last_partition with
-    | Some r -> Printf.sprintf " (last at round %d)" r
-    | None -> "")
-    (String.concat "," (List.map string_of_int d.dead_at_horizon))
-    d.failed_jobs
-    (if d.quiescent then "; quiescent before horizon" else "")

@@ -79,6 +79,3 @@ val diagnose :
 val verdict_name : verdict -> string
 (** ["unsat-partition"], ["unsat-window"], ["gave-up"] or
     ["protocol-stall"] — stable short tags for report cells. *)
-
-val summary : t -> string
-(** One-line rendering for tables and logs. *)

@@ -18,5 +18,3 @@ let find_exn name =
   match find name with
   | Some p -> p
   | None -> invalid_arg (unknown ~available:names name)
-
-let all () = List.map (fun (_, make) -> make ()) constructors

@@ -3,7 +3,7 @@
 
     Constructors, not values: a {!Protocol.t} may carry per-run shared
     state (see {!Flood_plan}), so the registry hands out a fresh value
-    per {!find}/{!all} call.
+    per {!find} call.
 
     The DHT-backed protocol lives a layer up; [Ocd_dht.Registry]
     re-exports this vocabulary extended with ["dht-rarest"], and the
@@ -27,5 +27,3 @@ val unknown : available:string list -> string -> string
 (** [unknown ~available name] renders that same "unknown protocol …
     (available: …)" message, for registries layered on top of this
     one. *)
-
-val all : unit -> Protocol.t list

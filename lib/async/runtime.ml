@@ -492,34 +492,3 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
     goodput = (if data = 0 then 0.0 else float_of_int !fresh /. float_of_int data);
     events = Sim.events_processed sim;
   }
-
-let pp ppf r =
-  Format.fprintf ppf
-    "@[<v>%s seed=%d: %s in %d rounds%a@,\
-     fresh=%d dup=%d data=%d control=%d retrans=%d dropped=%d+%d goodput=%.3f \
-     events=%d@,\
-     crashes=%d restarts=%d lost_tokens=%d failed_jobs=%d suspicions=%d%a%a@]"
-    r.protocol_name r.seed
-    (match r.outcome with Completed -> "completed" | Timed_out -> "timed out")
-    r.rounds
-    (fun ppf -> function
-      | Some t -> Format.fprintf ppf " (%d ticks)" t
-      | None -> ())
-    r.completion_ticks r.fresh_deliveries r.duplicate_deliveries
-    r.data_messages r.control_messages r.retransmissions r.dropped_messages
-    r.fault_dropped r.goodput r.events r.crashes r.restarts r.lost_tokens
-    r.failed_jobs r.suspicions
-    (fun ppf r ->
-      (* Printed only when nonzero so fault-free renders stay
-         byte-identical to earlier builds. *)
-      if r.adv_duplicated + r.adv_reordered + r.adv_corrupted > 0 then
-        Format.fprintf ppf "@,adversary: dup=%d reorder=%d corrupt=%d"
-          r.adv_duplicated r.adv_reordered r.adv_corrupted;
-      if r.violations > 0 then
-        Format.fprintf ppf "@,monitor: %d violation%s" r.violations
-          (if r.violations = 1 then "" else "s"))
-    r
-    (fun ppf -> function
-      | Some d -> Format.fprintf ppf "@,diagnosis: %s" (Diagnosis.summary d)
-      | None -> ())
-    r.diagnosis

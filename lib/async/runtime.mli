@@ -139,6 +139,3 @@ val run :
     bare one; disabled, every hook is one load and branch.  Feed the
     filled log to [Ocd_bench]'s [Explain] for critical-path makespan
     attribution. *)
-
-val pp : Format.formatter -> run -> unit
-(** One-paragraph human-readable summary. *)

@@ -44,7 +44,7 @@ let widest_path_tree g ~root =
   drain ();
   let children = Array.make n [] in
   Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
-  { Mst.root; parent; children }
+  { Disjoint_trees.root; parent; children }
 
 let send_down_arc ~buf ~have ~src ~dst ~cap ~only () =
   Bitset.Rows.into buf have src;

@@ -8,7 +8,7 @@ val default_source : Instance.t -> int
     the natural "source" of single-origin scenarios. *)
 
 val widest_path_tree :
-  Ocd_graph.Digraph.t -> root:int -> Ocd_graph.Mst.tree
+  Ocd_graph.Digraph.t -> root:int -> Ocd_graph.Disjoint_trees.tree
 (** Overcast-style bandwidth-optimised tree: maximises, for every
     vertex, the bottleneck arc capacity of its path from the root
     (a max-bottleneck Dijkstra over directed arcs). *)

@@ -35,7 +35,7 @@ let strategy ?source ~k () =
            (fun p ->
              List.map
                (fun c -> (p, c, Digraph.capacity inst.graph p c))
-               tree.Mst.children.(p))
+               tree.Disjoint_trees.children.(p))
            (Digraph.vertices inst.graph))
     in
     let striped_arcs =

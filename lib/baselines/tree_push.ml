@@ -14,7 +14,7 @@ let strategy ?source () =
            (fun p ->
              List.map
                (fun c -> (p, c, Digraph.capacity inst.graph p c))
-               tree.Mst.children.(p))
+               tree.Disjoint_trees.children.(p))
            (Digraph.vertices inst.graph))
     in
     fun (ctx : Ocd_engine.Strategy.context) ->

@@ -48,7 +48,7 @@ let single_file rng ~graph ~required ~coded ?source () =
 let decoded t have v =
   List.for_all
     (fun g ->
-      (not (List.mem v g.receivers))
+      (not (Order.mem_int v g.receivers))
       || Bitset.cardinal (Bitset.inter have.(v) g.tokens) >= g.required)
     t.groups
 
@@ -149,7 +149,7 @@ let run ~strategy ~seed t =
     strategy_name = strategy.Ocd_engine.Strategy.name;
     outcome = r.Engine.ended;
     schedule = r.Engine.recorded;
-    makespan = Array.fold_left max 0 st.ds_completion;
+    makespan = Array.fold_left Int.max 0 st.ds_completion;
     bandwidth = Schedule.move_count r.Engine.recorded;
     completion_times = st.ds_completion;
   }

@@ -14,67 +14,6 @@ let remaining_bandwidth inst ~have =
 let bandwidth_lower_bound (inst : Instance.t) =
   remaining_bandwidth inst ~have:inst.have
 
-let relay_aware_bandwidth_lower_bound (inst : Instance.t) =
-  let g = inst.graph in
-  let n = Instance.vertex_count inst in
-  let total = ref 0 in
-  for token = 0 to inst.token_count - 1 do
-    let holder v = Bitset.mem inst.have.(v) token in
-    let needer v =
-      Bitset.mem inst.want.(v) token && not (Bitset.mem inst.have.(v) token)
-    in
-    let deficit = ref 0 in
-    for v = 0 to n - 1 do
-      if needer v then incr deficit
-    done;
-    if !deficit > 0 then begin
-      (* Cheapest number of "uncounted" intermediate deliveries on any
-         holder -> x path: vertex v costs 1 on entry unless it is a
-         holder (no delivery needed) or itself a needer (its delivery
-         is already in the deficit).  Multi-source Dijkstra with 0/1
-         vertex costs. *)
-      let cost_of v = if holder v || needer v then 0 else 1 in
-      let dist = Array.make n max_int in
-      let heap = Pqueue.create () in
-      for v = 0 to n - 1 do
-        if holder v then begin
-          dist.(v) <- 0;
-          Pqueue.push heap ~priority:0 v
-        end
-      done;
-      let rec drain () =
-        match Pqueue.pop heap with
-        | None -> ()
-        | Some (d, u) ->
-          if d = dist.(u) then
-            Digraph.View.iter
-              (fun v _ ->
-                let nd = d + cost_of v in
-                if nd < dist.(v) then begin
-                  dist.(v) <- nd;
-                  Pqueue.push heap ~priority:nd v
-                end)
-              (Digraph.succ g u);
-          drain ()
-      in
-      drain ();
-      let extra = ref 0 in
-      for x = 0 to n - 1 do
-        if needer x then begin
-          if dist.(x) = max_int then
-            invalid_arg
-              "Bounds.relay_aware_bandwidth_lower_bound: unreachable token";
-          (* x's own entry cost is 0 (it is a needer), so dist.(x)
-             counts exactly the uncounted relays on its cheapest
-             path. *)
-          extra := Int.max !extra dist.(x)
-        end
-      done;
-      total := !total + !deficit + !extra
-    end
-  done;
-  !total
-
 let ceil_div a b = (a + b - 1) / b
 
 (* M_i(v) maximised over i, for one vertex: given the multiset of
@@ -181,43 +120,6 @@ let remaining_makespan (inst : Instance.t) ~have =
 
 let makespan_lower_bound (inst : Instance.t) =
   remaining_makespan inst ~have:inst.have
-
-(* Exact per-vertex one-step check: bipartite flow from a super-source
-   through one node per deficit token, across the in-arcs whose tail
-   holds that token, into a super-sink via arc-capacity edges. *)
-let vertex_one_step_exact (inst : Instance.t) have v =
-  let deficit = deficit_at inst have v in
-  let need = Bitset.cardinal deficit in
-  if need = 0 then true
-  else begin
-    let preds = Digraph.pred inst.graph v in
-    let tokens = Bitset.elements deficit in
-    (* nodes: 0 = source, 1 = sink, 2.. = tokens, then arcs *)
-    let token_node i = 2 + i in
-    let arc_node i = 2 + need + i in
-    let flow =
-      Maxflow.create ~node_count:(2 + need + Digraph.View.length preds)
-    in
-    List.iteri
-      (fun i _ -> Maxflow.add_edge flow ~src:0 ~dst:(token_node i) ~capacity:1)
-      tokens;
-    Digraph.View.iteri
-      (fun i u cap ->
-        Maxflow.add_edge flow ~src:(arc_node i) ~dst:1 ~capacity:cap;
-        List.iteri
-          (fun j t ->
-            if Bitset.mem have.(u) t then
-              Maxflow.add_edge flow ~src:(token_node j) ~dst:(arc_node i)
-                ~capacity:1)
-          tokens)
-      preds;
-    Maxflow.max_flow flow ~source:0 ~sink:1 = need
-  end
-
-let one_step_exact (inst : Instance.t) ~have =
-  let n = Instance.vertex_count inst in
-  let rec go v = v >= n || (vertex_one_step_exact inst have v && go (v + 1)) in
-  go 0
 
 let one_step_feasible (inst : Instance.t) ~have =
   let g = inst.graph in

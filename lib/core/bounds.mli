@@ -26,21 +26,6 @@ open Ocd_prelude
 val bandwidth_lower_bound : Instance.t -> int
 (** The remaining bandwidth (total deficit) at the initial state. *)
 
-val relay_aware_bandwidth_lower_bound : Instance.t -> int
-(** A tighter bandwidth bound: per token, beyond the deficit count,
-    any wanter at hop distance [d] from the token's nearest holder
-    forces the token through [d - 1] distinct intermediate vertices,
-    each of which must receive its own copy.  Summing
-    [deficit_t + max(0, max_d_t - 1)] per token remains a valid lower
-    bound (the relay vertices of the farthest wanter are distinct from
-    one another; a relay that is itself a wanter is not double-counted
-    because the bound only adds relays *beyond* the wanter set — we
-    use the farthest wanter's distance through non-wanters, falling
-    back to the plain deficit when every shortest path runs through
-    wanters).  Sits between {!bandwidth_lower_bound} and the EOCD
-    optimum.
-    @raise Invalid_argument on unsatisfiable instances. *)
-
 val remaining_makespan : Instance.t -> have:Bitset.t array -> int
 (** The [max_v max_i M_i(v)] bound from the current state; 0 when all
     wants are met.  One forward multi-source BFS per distinct holder
@@ -61,10 +46,3 @@ val one_step_feasible : Instance.t -> have:Bitset.t array -> bool
     deficit ([|deficit(v)| <= Σ_u min(cap(u,v), |deficit(v) ∩
     have(u)|)]).  [true] does not guarantee feasibility (the exact
     question is an assignment problem); [false] proves ≥ 2 steps. *)
-
-val one_step_exact : Instance.t -> have:Bitset.t array -> bool
-(** Exact single-step feasibility: for each vertex, the assignment of
-    deficit tokens to supplying in-arcs is solved as a bipartite
-    max-flow ({!Ocd_graph.Maxflow}); deliveries to distinct vertices
-    use distinct arcs, so per-vertex feasibility is exact for the
-    whole step.  Implies {!one_step_feasible}. *)

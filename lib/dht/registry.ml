@@ -8,5 +8,3 @@ let find_exn name =
   match find name with
   | Some p -> p
   | None -> invalid_arg (Ocd_async.Registry.unknown ~available:names name)
-
-let all () = List.filter_map find names

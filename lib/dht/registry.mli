@@ -15,5 +15,3 @@ val find : string -> Ocd_async.Protocol.t option
 val find_exn : string -> Ocd_async.Protocol.t
 (** Like {!find}; an unknown name raises [Invalid_argument] listing
     the available names (see [Ocd_async.Registry.unknown]). *)
-
-val all : unit -> Ocd_async.Protocol.t list

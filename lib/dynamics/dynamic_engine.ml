@@ -25,7 +25,7 @@ let run ?stall_patience ~condition ~strategy ~seed (inst : Instance.t) =
       {
         visible;
         capacity = Condition.effective condition;
-        route = (fun ~src:_ ~dst:_ -> [||]);
+        route = (fun _ -> [||]);
         link_capacity = [||];
       }
   in

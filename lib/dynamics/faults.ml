@@ -55,11 +55,10 @@ let of_downtime ?(durability = Lost_unless_source) spans =
 (* The split/heal chain is keyed (-1, -3): node-independent, so the
    whole network splits and heals together (this is what distinguishes
    a partition from independent churn). *)
-let partitions ~seed ?(groups = 2) ?(split_prob = 0.05) ?(heal_prob = 0.25) () =
-  if groups < 2 then invalid_arg "Faults.partitions: need at least 2 groups";
+let partitions ~seed ?(split_prob = 0.05) ?(heal_prob = 0.25) () =
   let split = Condition.chain ~seed ~down_prob:split_prob ~up_prob:heal_prob in
   let window_at round = split ~b:(-1) ~c:(-3) ~step:round in
-  { crash = None; part = Some { p_seed = seed; groups; window_at } }
+  { crash = None; part = Some { p_seed = seed; groups = 2; window_at } }
 
 let of_windows ~seed ?(groups = 2) windows =
   if groups < 2 then invalid_arg "Faults.of_windows: need at least 2 groups";
@@ -186,13 +185,6 @@ let windows t ~horizon =
       done;
       if !cur >= 0 then out := (!cur, horizon + 1) :: !out;
       List.rev !out
-
-let group t ~round v =
-  match t.part with
-  | None -> 0
-  | Some p ->
-      let w = p.window_at round in
-      if w < 0 then 0 else side p ~window:w v
 
 (* ------------------------------ shadow ------------------------------- *)
 

@@ -75,26 +75,26 @@ val of_downtime : ?durability:durability -> (int * int * int) list -> t
     [until <= from], or on two overlapping spans of one node. *)
 
 val partitions :
-  seed:int -> ?groups:int -> ?split_prob:float -> ?heal_prob:float -> unit -> t
+  seed:int -> ?split_prob:float -> ?heal_prob:float -> unit -> t
 (** A seed-derived partition process: one network-wide two-state chain
-    over rounds — whole, or split into [groups] (default 2) sides.  A
-    whole network splits at the next round boundary with probability
-    [split_prob] (default 0.05); a split one heals with probability
+    over rounds — whole, or split into two sides.  A whole network
+    splits at the next round boundary with probability [split_prob]
+    (default 0.05); a split one heals with probability
     [heal_prob] (default 0.25).  Each window assigns every vertex a
     side by a coin keyed on the window's start round, so the grouping
     is correlated, stable for the window's lifetime, and reproducible
     from the seed alone.  The split/heal chain is the {!Condition.chain}
     key [(-1, -3)].
-    @raise Invalid_argument on bad probabilities or [groups < 2]. *)
+    @raise Invalid_argument on bad probabilities. *)
 
 val of_windows : seed:int -> ?groups:int -> (int * int) list -> t
 (** An explicit partition plan: the network is split during each
     [(from, until)] round window ([1 <= from < until], windows
     disjoint).  Side assignment uses the same [(seed, window start,
     vertex)] keying as {!partitions}, so a window list extracted from
-    a seeded plan via {!windows} (with the same seed and [groups])
-    reproduces the exact same groupings.  [of_windows ~seed []] is
-    {!none}.
+    a seeded plan via {!windows} (with the same seed, [groups] at its
+    default 2) reproduces the exact same groupings.
+    [of_windows ~seed []] is {!none}.
     @raise Invalid_argument on [groups < 2], on a window with
     [from < 1] or [until <= from], or on two overlapping windows. *)
 
@@ -129,10 +129,6 @@ val separated : t -> round:int -> int -> int -> bool
 
 val partition_active : t -> round:int -> bool
 (** Is a partition window active during [round]? *)
-
-val group : t -> round:int -> int -> int
-(** The vertex's side during [round]: 0 when the network is whole or
-    the plan has no partition component. *)
 
 val windows : t -> horizon:int -> (int * int) list
 (** The partition component materialised as explicit [(from, until)]

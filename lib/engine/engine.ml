@@ -20,7 +20,7 @@ type admission =
   | Lossy of {
       visible : int -> Instance.t;
       capacity : step:int -> src:int -> dst:int -> base:int -> int;
-      route : src:int -> dst:int -> int array;
+      route : int -> int array;
       link_capacity : int array;
     }
 
@@ -159,7 +159,7 @@ let apply_step k step moves =
         | (m : Move.t) :: tl ->
           let slot = Digraph.slot g m.src m.dst in
           touch k slot;
-          let route = l.route ~src:m.src ~dst:m.dst in
+          let route = l.route slot in
           if
             load.(slot)
             < l.capacity ~step ~src:m.src ~dst:m.dst ~base:row_cap.(slot)

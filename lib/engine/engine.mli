@@ -61,9 +61,10 @@ type admission =
       capacity : step:int -> src:int -> dst:int -> base:int -> int;
           (** the arc's effective capacity at [step], in
               [\[0, base\]] *)
-      route : src:int -> dst:int -> int array;
+      route : int -> int array;
           (** ids of the shared links the arc crosses ([[||]] for
-              none) *)
+              none), by the arc's CSR slot in the instance graph
+              ({!Ocd_graph.Digraph.slot}) *)
       link_capacity : int array;  (** per-step capacity of each link id *)
     }
       (** First come, first served: a move is kept while its arc's

@@ -27,8 +27,6 @@ let step t =
       List.iter (fun u -> Bitset.union_into t.known.(v) snapshot.(u)) neighbors)
     t.neighbor_lists
 
-let knows t ~viewer ~subject = Bitset.mem t.known.(viewer) subject
-
 let vertex_complete t v =
   Bitset.cardinal t.known.(v) = Instance.vertex_count t.instance
 
@@ -49,8 +47,3 @@ let steps_to_complete inst =
     end
   in
   go 0
-
-let known_have t ~viewer ~subject =
-  if knows t ~viewer ~subject then
-    Some (Bitset.copy t.instance.Instance.have.(subject))
-  else None

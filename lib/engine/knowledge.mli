@@ -18,23 +18,8 @@
     [max_v ecc_undirected(v)] steps — the undirected eccentricity —
     which the test suite checks against the graph diameter. *)
 
-open Ocd_core
-type t
-
-val create : Instance.t -> t
-(** Initial knowledge: every vertex knows only itself. *)
-
-val step : t -> unit
-(** One synchronous exchange round with all neighbours. *)
-
-val knows : t -> viewer:int -> subject:int -> bool
-
-val complete : t -> bool
-
-val steps_to_complete : Instance.t -> int
-(** Number of exchange rounds until {!complete}; raises
-    [Invalid_argument] if the graph is not weakly connected (knowledge
-    can never complete). *)
-
-val known_have : t -> viewer:int -> subject:int -> Ocd_prelude.Bitset.t option
-(** [h(subject)] if the viewer knows it (a defensive copy). *)
+val steps_to_complete : Ocd_core.Instance.t -> int
+(** Number of synchronous exchange rounds, each vertex merging what
+    its neighbours knew at the start of the round, until every vertex
+    knows every initial state; raises [Invalid_argument] if the graph
+    is not weakly connected (knowledge can never complete). *)

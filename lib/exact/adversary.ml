@@ -14,8 +14,3 @@ let instance ~distance ~decoys ~wanted =
     ~want:[ (distance, [ wanted ]) ]
 
 let optimal_makespan ~distance = distance
-
-let optimal_schedule ~distance ~decoys:_ ~wanted =
-  Schedule.of_steps
-    (List.init distance (fun i ->
-         [ { Move.src = i; dst = i + 1; token = wanted } ]))

@@ -26,6 +26,3 @@ val instance : distance:int -> decoys:int -> wanted:int -> Instance.t
 
 val optimal_makespan : distance:int -> int
 (** = [distance]: the prescient pipeline. *)
-
-val optimal_schedule : distance:int -> decoys:int -> wanted:int -> Schedule.t
-(** The prescient witness (validated in tests). *)

@@ -1,12 +1,7 @@
-(** Connectivity structure: strongly connected components (Tarjan) and
-    weak connectivity.  The evaluation topologies must be strongly
-    connected for flooding heuristics to terminate; the topology layer
-    uses these functions to verify or repair generated graphs. *)
-
-val strongly_connected_components : Digraph.t -> Digraph.vertex list list
-(** Components in reverse topological order of the condensation. *)
-
-val is_strongly_connected : Digraph.t -> bool
+(** Weak connectivity: components of the undirected view of a digraph.
+    The topology layer uses these functions to repair generated graphs,
+    whose edges carry both arc directions, so that flooding heuristics
+    reach every vertex. *)
 
 val weakly_connected_components : Digraph.t -> Digraph.vertex list list
 

@@ -388,8 +388,6 @@ let capacity g u v =
 
 let mem_arc g u v = capacity g u v > 0
 
-let out_degree g v = g.succ_off.(v + 1) - g.succ_off.(v)
-
 let sum_row off cap v =
   let acc = ref 0 in
   for i = off.(v) to off.(v + 1) - 1 do
@@ -421,16 +419,5 @@ let neighbors g v =
     else go (i + 1) (j + 1) (g.succ_dst.(i) :: acc)
   in
   go s_lo p_lo []
-
-let reverse g =
-  {
-    g with
-    succ_off = g.pred_off;
-    succ_dst = g.pred_dst;
-    succ_cap = g.pred_cap;
-    pred_off = g.succ_off;
-    pred_dst = g.succ_dst;
-    pred_cap = g.succ_cap;
-  }
 
 let vertices g = List.init g.vertex_count Fun.id

@@ -126,8 +126,6 @@ val succ : t -> vertex -> view
 val pred : t -> vertex -> view
 (** In-neighbours with arc capacities, sources ascending. *)
 
-val out_degree : t -> vertex -> int
-
 val in_capacity : t -> vertex -> int
 (** Sum of capacities of incoming arcs (the per-step download ceiling of
     a vertex, used by the §5.1 remaining-moves bound). *)
@@ -139,8 +137,5 @@ val neighbors : t -> vertex -> vertex list
 (** Union of in- and out-neighbours, ascending (the vertices knowledge
     can be exchanged with under the LOCD model, where "information
     travels bidirectionally along an edge"). *)
-
-val reverse : t -> t
-(** Graph with every arc flipped. *)
 
 val vertices : t -> vertex list

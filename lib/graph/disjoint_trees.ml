@@ -1,4 +1,10 @@
-type forest = Mst.tree list
+type tree = {
+  root : Digraph.vertex;
+  parent : int array;
+  children : Digraph.vertex list array;
+}
+
+type forest = tree list
 
 (* Build one spanning tree that avoids [used] arcs, expanding the
    root's outgoing arcs lazily: a plain BFS would consume every root
@@ -56,7 +62,7 @@ let lazy_root_tree g ~root ~used ~preferred =
   drain ();
   let children = Array.make n [] in
   Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
-  ({ Mst.root; parent; children }, seen)
+  ({ root; parent; children }, seen)
 
 let extract g ~root ~k =
   if k < 0 then invalid_arg "Disjoint_trees.extract: negative k";
@@ -75,23 +81,9 @@ let extract g ~root ~k =
       else begin
         Array.iteri
           (fun v p -> if p >= 0 then Hashtbl.replace used (p, v) ())
-          tree.Mst.parent;
+          tree.parent;
         rounds (i + 1) (tree :: acc)
       end
     end
   in
   rounds 0 []
-
-let arc_disjoint forest =
-  let seen = Hashtbl.create 64 in
-  let ok = ref true in
-  let check (tree : Mst.tree) =
-    Array.iteri
-      (fun v p ->
-        if p >= 0 then
-          if Hashtbl.mem seen (p, v) then ok := false
-          else Hashtbl.replace seen (p, v) ())
-      tree.Mst.parent
-  in
-  List.iter check forest;
-  !ok

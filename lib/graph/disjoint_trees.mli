@@ -8,12 +8,17 @@
     extraction is not guaranteed to reach Edmonds' arboricity bound but
     is the standard practical construction. *)
 
-type forest = Mst.tree list
+type tree = {
+  root : Digraph.vertex;
+  parent : int array;  (** [-1] for the root and for vertices outside the tree *)
+  children : Digraph.vertex list array;
+}
+(** A rooted out-tree over a digraph's vertices, also the shape of the
+    baselines' single distribution trees. *)
+
+type forest = tree list
 
 val extract : Digraph.t -> root:Digraph.vertex -> k:int -> forest
 (** Up to [k] arc-disjoint spanning trees of the vertices reachable
     from [root]; stops early when a round cannot reach every vertex
     that the first tree reached. *)
-
-val arc_disjoint : forest -> bool
-(** Checks the defining property (used by tests). *)

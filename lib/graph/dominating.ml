@@ -9,13 +9,6 @@ let closed_neighborhoods g =
       List.iter (Bitset.add s) (Digraph.neighbors g v);
       s)
 
-let dominates g candidates =
-  let n = Digraph.vertex_count g in
-  let hoods = closed_neighborhoods g in
-  let covered = Bitset.create n in
-  List.iter (fun v -> Bitset.union_into covered hoods.(v)) candidates;
-  Bitset.cardinal covered = n
-
 (* Depth-first search for a dominating set of size exactly <= k,
    choosing, at each step, a coverer for the lowest-numbered uncovered
    vertex (any dominating set must contain a vertex of that vertex's
@@ -54,18 +47,3 @@ let minimum g =
     | None -> if k >= n then [] else first (k + 1)
   in
   if n = 0 then [] else first 0
-
-let greedy g =
-  let n = Digraph.vertex_count g in
-  let hoods = closed_neighborhoods g in
-  let covered = Bitset.create n in
-  let chosen = ref [] in
-  while Bitset.cardinal covered < n do
-    let gain v = Bitset.cardinal (Bitset.diff hoods.(v) covered) in
-    match Order.argmax gain (Order.range n) with
-    | None -> Bitset.union_into covered (Bitset.full n) (* unreachable *)
-    | Some v ->
-      chosen := v :: !chosen;
-      Bitset.union_into covered hoods.(v)
-  done;
-  List.sort Int.compare !chosen

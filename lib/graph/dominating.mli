@@ -1,15 +1,12 @@
 (** Dominating sets.
 
     The appendix of the paper proves FOCD NP-hard by reduction from
-    Dominating Set; this module provides both the exact solver used to
-    validate that reduction on small graphs and a greedy
-    (ln n)-approximation for larger demonstrations.
+    Dominating Set; this module provides the exact solver used to
+    validate that reduction on small graphs.
 
     Domination is taken over the undirected view of the digraph: a set
     [D] dominates when every vertex is in [D] or adjacent to a member
     of [D]. *)
-
-val dominates : Digraph.t -> Digraph.vertex list -> bool
 
 val minimum : Digraph.t -> Digraph.vertex list
 (** Exact minimum dominating set by cardinality-ordered subset search.
@@ -17,7 +14,3 @@ val minimum : Digraph.t -> Digraph.vertex list
 
 val exists_of_size : Digraph.t -> int -> bool
 (** [exists_of_size g k]: is there a dominating set of size <= k? *)
-
-val greedy : Digraph.t -> Digraph.vertex list
-(** Classical greedy: repeatedly pick the vertex covering the most
-    uncovered vertices.  H(n)-approximate. *)

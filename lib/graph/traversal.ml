@@ -23,53 +23,6 @@ let bfs_levels_multi g roots =
 
 let bfs_levels g root = bfs_levels_multi g [ root ]
 
-let bfs_order g root =
-  let n = Digraph.vertex_count g in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  let order = ref [] in
-  seen.(root) <- true;
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
-    Digraph.View.iter
-      (fun v _ ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.add v queue
-        end)
-      (Digraph.succ g u)
-  done;
-  List.rev !order
-
 let reachable g root =
   let dist = bfs_levels g root in
   Array.map (fun d -> d >= 0) dist
-
-let dfs_postorder g =
-  let n = Digraph.vertex_count g in
-  let seen = Array.make n false in
-  let order = ref [] in
-  (* Explicit stack with a visit/finish marker avoids stack overflow on
-     large graphs. *)
-  let visit root =
-    if not seen.(root) then begin
-      let stack = Stack.create () in
-      Stack.push (`Visit root) stack;
-      while not (Stack.is_empty stack) do
-        match Stack.pop stack with
-        | `Finish u -> order := u :: !order
-        | `Visit u ->
-          if not seen.(u) then begin
-            seen.(u) <- true;
-            Stack.push (`Finish u) stack;
-            Digraph.View.iter
-              (fun v _ -> if not seen.(v) then Stack.push (`Visit v) stack)
-              (Digraph.succ g u)
-          end
-      done
-    end
-  in
-  List.iter visit (Digraph.vertices g);
-  List.rev !order

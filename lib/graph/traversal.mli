@@ -1,7 +1,4 @@
-(** Breadth-first and depth-first traversal over {!Digraph}. *)
-
-val bfs_order : Digraph.t -> Digraph.vertex -> Digraph.vertex list
-(** Vertices reachable from the root, in BFS order (root first). *)
+(** Breadth-first search over {!Digraph}. *)
 
 val bfs_levels : Digraph.t -> Digraph.vertex -> int array
 (** Hop distance from the root along directed arcs; [-1] when
@@ -9,9 +6,6 @@ val bfs_levels : Digraph.t -> Digraph.vertex -> int array
 
 val bfs_levels_multi : Digraph.t -> Digraph.vertex list -> int array
 (** Multi-source BFS: distance to the nearest of the given roots. *)
-
-val dfs_postorder : Digraph.t -> Digraph.vertex list
-(** Postorder over the whole graph (all roots, ascending ids). *)
 
 val reachable : Digraph.t -> Digraph.vertex -> bool array
 (** Reachability from a root along directed arcs. *)

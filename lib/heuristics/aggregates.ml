@@ -17,9 +17,6 @@ let compute (inst : Instance.t) have =
   done;
   { have_count; need_count }
 
-let copy t =
-  { have_count = Array.copy t.have_count; need_count = Array.copy t.need_count }
-
 let update t (inst : Instance.t) ~dst ~token =
   (* A fresh delivery: [dst] did not hold [token] before, so it gains a
      holder; if [dst] wanted it, one outstanding need is met.  Applying

@@ -29,12 +29,9 @@ val compute : Instance.t -> Bitset.Rows.t -> t
 (** From-scratch O(n·m) scan of possession, one row per vertex; the
     oracle for {!tracked}. *)
 
-val copy : t -> t
-
 val tracked : Instance.t -> Ocd_engine.Strategy.context -> t
 (** [tracked inst] is a per-run aggregate source: partially applied at
     strategy [make] time, it computes the vectors from the context's
     possession state on the first decision and registers a
     fresh-delivery listener to keep them exact thereafter.  All
-    decisions of the run receive the same (mutating) [t]; {!copy} it
-    to snapshot a step. *)
+    decisions of the run receive the same (mutating) [t]. *)

@@ -59,9 +59,8 @@ let holding_preds_tracked (inst : Instance.t) =
       cell := Some holding_preds;
       holding_preds
 
-(* The request-assignment core shared by [strategy] and the delayed
-   variant: rank the tokens each vertex lacks by the supplied rarity
-   aggregate, then assign each to one holding in-neighbour at random
+(* The request-assignment core of [strategy]: rank the tokens each
+   vertex lacks by the supplied rarity aggregate, then assign each to one holding in-neighbour at random
    (the "request" subdivision).  Possession is read word by word from
    the kernel's rows, so the missing set, the availability test and
    the candidate scan are integer arithmetic.
@@ -185,36 +184,6 @@ let strategy =
       subdivided_requests inst ctx (tracked ctx) (holding_preds ctx)
   in
   { Ocd_engine.Strategy.name = "local"; make }
-
-let with_aggregate_delay ~turns =
-  if turns < 0 then invalid_arg "Local_rarest.with_aggregate_delay: negative";
-  let make (inst : Instance.t) _rng =
-    (* The warm-up (and the never-taken [None] fallback) always ranks
-       by the instance's initial aggregate: compute it once per run
-       instead of once per warm-up step. *)
-    let have = Bitset.Rows.of_sets inst.token_count inst.have in
-    let initial = Aggregates.compute inst have in
-    let tracked = Aggregates.tracked inst in
-    let holding_preds = holding_preds_tracked inst in
-    let history = Array.make (turns + 1) None in
-    fun (ctx : Ocd_engine.Strategy.context) ->
-      let current = tracked ctx in
-      history.(ctx.step mod (turns + 1)) <- Some (Aggregates.copy current);
-      let agg =
-        if ctx.step < turns then initial
-        else
-          match history.((ctx.step - turns) mod (turns + 1)) with
-          | Some agg -> agg
-          | None -> initial
-      in
-      (* Only the rarity ranking is delayed; requests are always made
-         against current possession. *)
-      subdivided_requests inst ctx agg (holding_preds ctx)
-  in
-  {
-    Ocd_engine.Strategy.name = Printf.sprintf "local-delay-%d" turns;
-    make;
-  }
 
 let strategy_without_subdivision =
   let make inst _rng =

@@ -21,14 +21,6 @@
 
 val strategy : Ocd_engine.Strategy.t
 
-val with_aggregate_delay : turns:int -> Ocd_engine.Strategy.t
-(** The aggregate-staleness variant the paper flags: "we recognize the
-    potential need to support a delay in the aggregate knowledge
-    known."  Rarity ranking uses the global have-vector from [turns]
-    steps ago (the initial state until then); per-neighbour possession
-    stays current (requests must still be honourable).  [turns = 0]
-    is {!strategy}. *)
-
 val strategy_without_subdivision : Ocd_engine.Strategy.t
 (** Ablation variant: sender-driven rarest-first pushing with no
     request subdivision — each sender independently pushes its rarest

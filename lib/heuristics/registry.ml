@@ -7,7 +7,4 @@ let all =
     Global_greedy.strategy;
   ]
 
-let find name =
-  List.find_opt (fun s -> s.Ocd_engine.Strategy.name = name) all
-
 let names = List.map (fun s -> s.Ocd_engine.Strategy.name) all

@@ -125,38 +125,6 @@ let observe h v =
 
 let observe_int h v = observe h (float_of_int v)
 
-let quantile h p =
-  if h.h_count = 0 then nan
-  else if p <= 0.0 then h.h_min
-  else if p >= 1.0 then h.h_max
-  else begin
-    (* Rank in [1, count]; walk the cumulative bucket counts, then
-       interpolate linearly inside the bucket and clamp the estimate
-       into the observed [min, max] so boundary quantiles of sparse
-       (e.g. single-sample) histograms agree with Stats.percentile. *)
-    let rank = p *. float_of_int h.h_count in
-    let n = Array.length h.counts in
-    let cum = ref 0.0 and idx = ref (n - 1) and found = ref false in
-    (try
-       for i = 0 to n - 1 do
-         cum := !cum +. float_of_int h.counts.(i);
-         if (not !found) && !cum >= rank then begin
-           idx := i;
-           found := true;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let i = !idx in
-    let lower = if i = 0 then h.h_min else h.edges.(i - 1) in
-    let upper = if i < Array.length h.edges then h.edges.(i) else h.h_max in
-    let in_bucket = float_of_int h.counts.(i) in
-    let below = !cum -. in_bucket in
-    let frac = if in_bucket <= 0.0 then 1.0 else (rank -. below) /. in_bucket in
-    let est = lower +. (frac *. (upper -. lower)) in
-    Float.min h.h_max (Float.max h.h_min est)
-  end
-
 type hist_snapshot = {
   count : int;
   sum : float;

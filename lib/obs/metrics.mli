@@ -11,14 +11,7 @@
     A {!disabled} registry accepts every operation and records
     nothing, returning shared dummy instruments; instrumented code can
     therefore register unconditionally at setup and guard only the hot
-    path.
-
-    Histogram quantiles agree with {!Ocd_prelude.Stats.percentile} at
-    the boundaries: [quantile h 0.0] is the exact observed minimum and
-    [quantile h 1.0] the exact observed maximum (not a bucket-edge
-    interpolation), and every interior estimate is clamped into
-    [\[min, max\]] — so a single-sample histogram reports that sample
-    at every [p]. *)
+    path. *)
 
 type t
 
@@ -55,10 +48,6 @@ val histogram : t -> string -> buckets:float array -> histogram
 
 val observe : histogram -> float -> unit
 val observe_int : histogram -> int -> unit
-
-val quantile : histogram -> float -> float
-(** Bucket-interpolated quantile estimate, exact at [p <= 0] (min) and
-    [p >= 1] (max), clamped into [\[min, max\]].  [nan] when empty. *)
 
 type hist_snapshot = {
   count : int;

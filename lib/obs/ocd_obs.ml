@@ -16,8 +16,8 @@ let disabled =
   { on = false; pid = 0; metrics = Metrics.disabled; sink = Sink.null;
     probe = None }
 
-let create ?(pid = 0) ?(sink = Sink.null) ?probe () =
-  { on = true; pid; metrics = Metrics.create (); sink; probe }
+let create ?(sink = Sink.null) ?probe () =
+  { on = true; pid = 0; metrics = Metrics.create (); sink; probe }
 
 let probe t = if t.on then t.probe else None
 

@@ -33,10 +33,11 @@ module Causal = Causal
 type t = {
   on : bool;
   pid : int;
-      (** trace-event process lane.  0 by default; orchestrators that
-          merge several runs into one stream give each run its own
-          [pid] (task index, not domain id — so the merged stream does
-          not depend on [--jobs]). *)
+      (** trace-event process lane, 0 for every scope; orchestrators
+          that merge several runs into one stream re-stamp each run's
+          events with its own [pid] in {!absorb} (task index, not
+          domain id — so the merged stream does not depend on
+          [--jobs]). *)
   metrics : Metrics.t;
   sink : Sink.t;
   probe : Probe.t option;
@@ -46,8 +47,7 @@ val disabled : t
 (** The shared do-nothing scope; safe to use concurrently from any
     number of domains (nothing is ever written through it). *)
 
-val create :
-  ?pid:int -> ?sink:Sink.t -> ?probe:Probe.t -> unit -> t
+val create : ?sink:Sink.t -> ?probe:Probe.t -> unit -> t
 (** A live scope with a fresh {!Metrics} registry.  [sink] defaults to
     {!Sink.null} — metrics-and-profile-only instrumentation. *)
 

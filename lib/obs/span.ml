@@ -7,12 +7,3 @@ let instant sink ~pid ~tid ~name ~ts ?(args = []) () =
 let flow sink ~pid ~tid ~name ~ts ~id phase =
   let ph = match phase with `Start -> 's' | `Step -> 't' | `End -> 'f' in
   Sink.emit sink { Sink.name; ph; ts; dur = 0; id; pid; tid; args = [] }
-
-type scope = { sink : Sink.t; pid : int; tid : int; name : string }
-
-let enter sink ~pid ~tid ~name ~ts ?(args = []) () =
-  Sink.emit sink { Sink.name; ph = 'B'; ts; dur = 0; id = 0; pid; tid; args };
-  { sink; pid; tid; name }
-
-let exit_ { sink; pid; tid; name } ~ts =
-  Sink.emit sink { Sink.name; ph = 'E'; ts; dur = 0; id = 0; pid; tid; args = [] }

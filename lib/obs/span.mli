@@ -43,20 +43,3 @@ val flow :
 (** An ['s']/['t']/['f'] flow event.  Events sharing [name] and [id]
     are drawn as one arrow chain across lanes — how the critical path
     is overlaid on a run trace. *)
-
-type scope
-(** An open ['B']/['E'] pair. *)
-
-val enter :
-  Sink.t ->
-  pid:int ->
-  tid:int ->
-  name:string ->
-  ts:int ->
-  ?args:(string * Sink.value) list ->
-  unit ->
-  scope
-(** Emits the ['B'] event and returns the scope to close. *)
-
-val exit_ : scope -> ts:int -> unit
-(** Emits the matching ['E'] event. *)

@@ -148,29 +148,15 @@ let fold f s init =
 
 let elements s = List.rev (fold (fun x acc -> x :: acc) s [])
 
-exception Found of int
+exception Found
 
 let exists p s =
   try
-    iter (fun x -> if p x then raise (Found x)) s;
+    iter (fun x -> if p x then raise Found) s;
     false
-  with Found _ -> true
+  with Found -> true
 
 let for_all p s = not (exists (fun x -> not (p x)) s)
-
-let choose s =
-  try
-    iter (fun x -> raise (Found x)) s;
-    None
-  with Found x -> Some x
-
-let nth s k =
-  if k < 0 then invalid_arg "Bitset.nth";
-  let remaining = ref k in
-  try
-    iter (fun x -> if !remaining = 0 then raise (Found x) else decr remaining) s;
-    invalid_arg "Bitset.nth: index beyond cardinality"
-  with Found x -> x
 
 let next_member s x =
   if x >= s.capacity then None
@@ -187,10 +173,6 @@ let next_member s x =
     let first = s.words.(i0) land lnot ((1 lsl (x mod bits_per_word)) - 1) in
     scan i0 first
   end
-
-let random_element rng s =
-  let n = cardinal s in
-  if n = 0 then None else Some (nth s (Prng.int rng n))
 
 module Rows = struct
   type set = t

@@ -88,20 +88,10 @@ val elements : t -> int list
 
 val for_all : (int -> bool) -> t -> bool
 
-val choose : t -> int option
-(** Smallest element, if any. *)
-
-val nth : t -> int -> int
-(** [nth s k] is the [k]-th smallest element (0-based).
-    @raise Invalid_argument if [k >= cardinal s]. *)
-
 val next_member : t -> int -> int option
 (** [next_member s x] is the smallest element [>= x], scanning
     cyclically is the caller's business; returns [None] when no element
     [>= x] exists. *)
-
-val random_element : Prng.t -> t -> int option
-(** Uniformly random element, or [None] if empty. *)
 
 (** {1 Rows}
 

@@ -1,13 +1,5 @@
 (** Selection helpers used throughout the heuristics. *)
 
-val argmin : ('a -> int) -> 'a list -> 'a option
-(** First element minimising the score. *)
-
-val argmax : ('a -> int) -> 'a list -> 'a option
-
-val min_score : ('a -> int) -> 'a list -> int option
-(** The minimal score itself. *)
-
 val sort_by : ('a -> int) -> 'a list -> 'a list
 (** Stable ascending sort by score. *)
 

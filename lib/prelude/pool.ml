@@ -128,4 +128,3 @@ let mapi ?(obs = Ocd_obs.disabled) ~jobs f xs =
   end
 
 let map ?obs ~jobs f xs = mapi ?obs ~jobs (fun _ x -> f x) xs
-let run ?obs ~jobs thunks = mapi ?obs ~jobs (fun _ thunk -> thunk ()) thunks

@@ -35,6 +35,3 @@ val map : ?obs:Ocd_obs.t -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val mapi :
   ?obs:Ocd_obs.t -> jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 (** As {!map} with the input index. *)
-
-val run : ?obs:Ocd_obs.t -> jobs:int -> (unit -> 'a) list -> 'a list
-(** [run ~jobs thunks] forces every thunk, results in input order. *)

@@ -84,8 +84,6 @@ let pop q =
     Some (key, value)
   end
 
-let peek q = if q.size = 0 then None else Some (q.keys.(0), q.values.(0))
-
 let min_priority q =
   if q.size = 0 then invalid_arg "Pqueue.min_priority: empty queue";
   q.keys.(0)

@@ -27,8 +27,6 @@ val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum-priority entry; among entries of
     equal priority, the earliest-pushed one. *)
 
-val peek : 'a t -> (int * 'a) option
-
 val min_priority : 'a t -> int
 (** Priority of the entry {!pop} would return, without allocating.
     @raise Invalid_argument on an empty queue. *)

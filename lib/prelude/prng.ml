@@ -60,13 +60,6 @@ let bits64 g =
   step g;
   output g
 
-(* state = mix64 seed, where seed is the draw just taken from [g] *)
-let split g =
-  step g;
-  of_seed (output g)
-
-let copy g = { hi = g.hi; lo = g.lo; out_hi = 0; out_lo = 0 }
-
 (* Rejection sampling over 62 usable bits keeps the result exactly
    uniform even when [bound] does not divide the range.  Top-level
    recursion (not a local [let rec]) so a draw allocates nothing; the
@@ -152,11 +145,6 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let shuffle_list g l =
-  let a = Array.of_list l in
-  shuffle g a;
-  Array.to_list a
 
 let pick g a =
   if Array.length a = 0 then invalid_arg "Prng.pick: empty array";

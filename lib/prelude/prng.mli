@@ -15,14 +15,6 @@ val create : seed:int -> t
 (** [create ~seed] builds a generator from an arbitrary integer seed.
     Equal seeds yield equal streams. *)
 
-val split : t -> t
-(** [split g] returns a fresh generator whose stream is statistically
-    independent of the remainder of [g]'s stream.  [g] is advanced. *)
-
-val copy : t -> t
-(** [copy g] duplicates the current state; the copy replays [g]'s
-    future stream without advancing [g]. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -77,9 +69,6 @@ val mix : seed:int -> int -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val shuffle_list : t -> 'a list -> 'a list
-(** Functional shuffle (via an intermediate array). *)
 
 val pick : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array.

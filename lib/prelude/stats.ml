@@ -24,8 +24,7 @@ let percentile xs p =
        p=0 is the minimum and p=1 the maximum even when floating-point
        noise in [p *. (n-1)] would otherwise push [ceil rank] one slot
        past the end (the off-by-one was visible at a single-sample
-       input, where any such overshoot indexed out of bounds).  The
-       same contract is mirrored by Ocd_obs.Metrics.quantile. *)
+       input, where any such overshoot indexed out of bounds). *)
     if p <= 0.0 || n = 1 then a.(0)
     else if p >= 1.0 then a.(n - 1)
     else begin

@@ -19,5 +19,4 @@ val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0,1\]], linear interpolation between
     order statistics.  The boundaries are exact: [p = 0.0] returns the
     minimum and [p = 1.0] the maximum (no interpolation or float-noise
-    overshoot), matching [Ocd_obs.Metrics.quantile]'s contract at
-    p0/p100. *)
+    overshoot). *)

@@ -22,18 +22,16 @@ let repair_edges g rng =
    them can duplicate an existing edge (or each other): splicing them
    into the built graph yields exactly the graph a full rebuild over
    all m+r edges would, without re-running the duplicate merge. *)
-let connect_repair rng ~weights ~connect g =
-  if not connect then g
-  else
-    match repair_edges g rng with
-    | [] -> g
-    | extra ->
-      let weighted_extra = Weights.assign rng weights extra in
-      Digraph.add_undirected_edges g weighted_extra
+let connect_repair rng ~weights g =
+  match repair_edges g rng with
+  | [] -> g
+  | extra ->
+    let weighted_extra = Weights.assign rng weights extra in
+    Digraph.add_undirected_edges g weighted_extra
 
 (* Runs [sample] with an edge sink, then draws the capacities in edge
    order and builds the graph. *)
-let build rng ~n ~weights ~connect sample =
+let build rng ~n ~weights sample =
   let src = Int_vec.create () in
   let dst = Int_vec.create () in
   sample (fun u v ->
@@ -42,7 +40,7 @@ let build rng ~n ~weights ~connect sample =
   let cap = Weights.draw_array rng weights (Int_vec.length src) in
   let src = Int_vec.to_array src and dst = Int_vec.to_array dst in
   let g = Digraph.of_undirected_arrays ~vertex_count:n ~src ~dst ~cap in
-  connect_repair rng ~weights ~connect g
+  connect_repair rng ~weights g
 
 let skip_pairs rng ~k ~p f =
   if p > 0.0 then begin
@@ -57,12 +55,11 @@ let skip_pairs rng ~k ~p f =
     done
   end
 
-let erdos_renyi rng ~n ?p ?(weights = Weights.paper_default) ?(connect = true)
-    () =
+let erdos_renyi rng ~n ?p ?(weights = Weights.paper_default) () =
   if n <= 0 then invalid_arg "Random_graph.erdos_renyi: n <= 0";
   let p = match p with Some p -> p | None -> paper_p n in
   if p < 0.0 || p > 1.0 then invalid_arg "Random_graph.erdos_renyi: bad p";
-  build rng ~n ~weights ~connect (skip_pairs rng ~k:n ~p)
+  build rng ~n ~weights (skip_pairs rng ~k:n ~p)
 
 (* Waxman's parameters: edge probability envelope and distance decay. *)
 let alpha = 0.4
@@ -85,7 +82,7 @@ let waxman rng ~n ?(weights = Weights.paper_default) () =
      proportional to the candidate count alpha * n(n-1)/2. *)
   let max_dist = sqrt 2.0 in
   let env = Float.min alpha 1.0 in
-  build rng ~n ~weights ~connect:true (fun edge ->
+  build rng ~n ~weights (fun edge ->
       skip_pairs rng ~k:n ~p:env (fun u v ->
           let d = Float.hypot (xs.(u) -. xs.(v)) (ys.(u) -. ys.(v)) in
           let accept = alpha *. exp (-.d /. (beta *. max_dist)) /. env in

@@ -4,7 +4,7 @@
     with probability [2 ln n / n] — just above the connectivity
     threshold of G(n,p) — "which maintains reasonable connectedness"
     while the edge count grows as O(n ln n).  Since flooding heuristics
-    need every wanter to be reachable, generators can optionally repair
+    need every wanter to be reachable, generators repair
     connectivity by linking consecutive weakly-connected components
     with one extra edge each (a negligible perturbation at this p).
 
@@ -23,13 +23,11 @@ val erdos_renyi :
   n:int ->
   ?p:float ->
   ?weights:Weights.policy ->
-  ?connect:bool ->
   unit ->
   Ocd_graph.Digraph.t
 (** G(n, p) with undirected edges realised as arc pairs.  [p] defaults
     to [2 ln n / n] (clamped to [\[0, 1\]]); [weights] defaults to
-    {!Weights.paper_default}; [connect] (default true) repairs weak
-    connectivity. *)
+    {!Weights.paper_default}; weak connectivity is always repaired. *)
 
 val waxman :
   Prng.t ->

@@ -13,9 +13,8 @@ let kind_of_name = function
   | "waxman" -> Some Waxman
   | _ -> None
 
-let generate rng kind ~n ?(weights = Weights.paper_default) () =
+let generate rng kind ~n =
   match kind with
-  | Random -> Random_graph.erdos_renyi rng ~n ~weights ()
-  | Waxman -> Random_graph.waxman rng ~n ~weights ()
-  | Transit_stub ->
-    Transit_stub.generate rng ~weights (Transit_stub.params_for_size n)
+  | Random -> Random_graph.erdos_renyi rng ~n ()
+  | Waxman -> Random_graph.waxman rng ~n ()
+  | Transit_stub -> Transit_stub.generate rng (Transit_stub.params_for_size n)

@@ -12,8 +12,6 @@ val all_kinds : kind list
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
-val generate :
-  Prng.t -> kind -> n:int -> ?weights:Weights.policy -> unit ->
-  Ocd_graph.Digraph.t
+val generate : Prng.t -> kind -> n:int -> Ocd_graph.Digraph.t
 (** A connected graph of (approximately, for transit-stub) [n]
-    vertices. *)
+    vertices, capacities drawn from {!Weights.paper_default}. *)

@@ -125,6 +125,3 @@ let generate rng ?(weights = Weights.paper_default) p =
   let cap = Weights.draw_array rng weights (Int_vec.length src) in
   Ocd_graph.Digraph.of_undirected_arrays ~vertex_count:n
     ~src:(Int_vec.to_array src) ~dst:(Int_vec.to_array dst) ~cap
-
-let classify p v =
-  if v < p.transit_domains * p.transit_nodes then `Transit else `Stub

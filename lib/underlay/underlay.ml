@@ -111,13 +111,12 @@ let same_arcs a b =
 let run t ~strategy ~seed (inst : Instance.t) =
   if not (same_arcs inst.graph t.overlay) then
     invalid_arg "Underlay.run: instance graph is not the mapped overlay";
-  let g = inst.graph in
   let admission =
     Engine.Lossy
       {
         visible = (fun _ -> inst);
         capacity = (fun ~step:_ ~src:_ ~dst:_ ~base -> base);
-        route = (fun ~src ~dst -> t.route.(Digraph.slot g src dst));
+        route = (fun slot -> t.route.(slot));
         link_capacity = (Digraph.succ_rows t.physical).Digraph.row_cap;
       }
   in

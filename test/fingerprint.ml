@@ -143,7 +143,7 @@ let sync_instances =
 let sync_instance i (_, kind, multi) =
   let seed = 300 + i in
   let rng = Prng.create ~seed in
-  let graph = Ocd_topology.Topology.generate rng kind ~n:32 () in
+  let graph = Ocd_topology.Topology.generate rng kind ~n:32 in
   let sc =
     if multi then
       Scenario.subdivide_files rng ~graph ~total_tokens:12 ~files:3

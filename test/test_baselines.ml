@@ -33,7 +33,7 @@ let test_widest_path_tree () =
     Ocd_graph.Digraph.of_edges ~vertex_count:3 [ (0, 1, 10); (1, 2, 10); (0, 2, 1) ]
   in
   let tree = Baseline_util.widest_path_tree g ~root:0 in
-  Alcotest.(check int) "2 via 1" 1 tree.Ocd_graph.Mst.parent.(2)
+  Alcotest.(check int) "2 via 1" 1 tree.Ocd_graph.Disjoint_trees.parent.(2)
 
 let test_send_down_arc () =
   let have =

@@ -155,10 +155,11 @@ let test_process_pin () =
     (List.fold_left
        (fun acc (a, b) -> mix (mix acc a) b)
        0 (Faults.windows parts ~horizon));
-  pin "group" (-1840106021992461692)
+  pin "separated" 3771825391235560076
     (over_steps (fun acc round ->
          List.fold_left
-           (fun acc v -> mix acc (Faults.group parts ~round v))
+           (fun acc v ->
+             mix acc (Bool.to_int (Faults.separated parts ~round 0 v)))
            acc (List.init n Fun.id)))
 
 (* ------------------------- partition plans ------------------------- *)
@@ -184,11 +185,11 @@ let test_partition_determinism () =
         Alcotest.(check bool)
           "separation agrees" (Faults.separated a ~round:r u v)
           (Faults.separated b ~round:r u v);
+        (* two sides: u and v are apart iff exactly one is apart from 0 *)
         Alcotest.(check bool)
           "separated iff different sides"
           (Faults.partition_active a ~round:r
-          && u <> v
-          && Faults.group a ~round:r u <> Faults.group a ~round:r v)
+          && Faults.separated a ~round:r 0 u <> Faults.separated a ~round:r 0 v)
           (Faults.separated a ~round:r u v)
       done
     done

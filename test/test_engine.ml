@@ -380,23 +380,6 @@ let path_instance n =
   Instance.make ~graph ~token_count:1 ~have:[ (0, [ 0 ]) ]
     ~want:[ (n - 1, [ 0 ]) ]
 
-let test_knowledge_initial () =
-  let inst = path_instance 4 in
-  let k = Knowledge.create inst in
-  Alcotest.(check bool) "self known" true (Knowledge.knows k ~viewer:1 ~subject:1);
-  Alcotest.(check bool) "other unknown" false
-    (Knowledge.knows k ~viewer:1 ~subject:3);
-  Alcotest.(check bool) "incomplete" false (Knowledge.complete k)
-
-let test_knowledge_propagates_one_hop () =
-  let inst = path_instance 4 in
-  let k = Knowledge.create inst in
-  Knowledge.step k;
-  Alcotest.(check bool) "neighbor learned" true
-    (Knowledge.knows k ~viewer:1 ~subject:2);
-  Alcotest.(check bool) "two hops not yet" false
-    (Knowledge.knows k ~viewer:0 ~subject:2)
-
 let test_knowledge_completes_at_diameter () =
   let inst = path_instance 5 in
   Alcotest.(check int) "path diameter" 4 (Knowledge.steps_to_complete inst);
@@ -411,21 +394,8 @@ let test_knowledge_bidirectional () =
   let inst =
     Instance.make ~graph ~token_count:1 ~have:[ (0, [ 0 ]) ] ~want:[ (1, [ 0 ]) ]
   in
-  let k = Knowledge.create inst in
-  Knowledge.step k;
-  Alcotest.(check bool) "1 learned 0" true (Knowledge.knows k ~viewer:1 ~subject:0);
-  Alcotest.(check bool) "0 learned 1" true (Knowledge.knows k ~viewer:0 ~subject:1)
-
-let test_knowledge_known_have () =
-  let inst = path_instance 3 in
-  let k = Knowledge.create inst in
-  Alcotest.(check bool) "unknown" true
-    (Knowledge.known_have k ~viewer:2 ~subject:0 = None);
-  Knowledge.step k;
-  Knowledge.step k;
-  match Knowledge.known_have k ~viewer:2 ~subject:0 with
-  | Some have -> Alcotest.(check (list int)) "learned h(0)" [ 0 ] (Bitset.elements have)
-  | None -> Alcotest.fail "expected knowledge"
+  Alcotest.(check int) "both learn in one round" 1
+    (Knowledge.steps_to_complete inst)
 
 let test_knowledge_disconnected_raises () =
   let graph = Digraph.of_arcs ~vertex_count:2 [] in
@@ -596,12 +566,9 @@ let () =
         ] );
       ( "knowledge",
         [
-          Alcotest.test_case "initial" `Quick test_knowledge_initial;
-          Alcotest.test_case "one hop" `Quick test_knowledge_propagates_one_hop;
           Alcotest.test_case "completes at diameter" `Quick
             test_knowledge_completes_at_diameter;
           Alcotest.test_case "bidirectional" `Quick test_knowledge_bidirectional;
-          Alcotest.test_case "known_have" `Quick test_knowledge_known_have;
           Alcotest.test_case "disconnected raises" `Quick
             test_knowledge_disconnected_raises;
           qtest prop_knowledge_completes_within_diameter;

@@ -546,10 +546,17 @@ let test_adversary_instance () =
   Alcotest.(check bool) "satisfiable" true (Instance.satisfiable inst)
 
 let test_adversary_optimal_schedule () =
-  let inst = Adversary.instance ~distance:4 ~decoys:6 ~wanted:2 in
-  let sch = Adversary.optimal_schedule ~distance:4 ~decoys:6 ~wanted:2 in
+  (* The prescient witness of [Adversary.optimal_makespan]: the wanted
+     token pipelined straight down the path. *)
+  let distance = 4 and wanted = 2 in
+  let inst = Adversary.instance ~distance ~decoys:6 ~wanted in
+  let sch =
+    Schedule.of_steps
+      (List.init distance (fun i -> [ { Move.src = i; dst = i + 1; token = wanted } ]))
+  in
   Alcotest.(check bool) "valid" true (Validate.check_successful inst sch = Ok ());
-  Alcotest.(check int) "makespan = distance" 4 (Schedule.length sch);
+  Alcotest.(check int) "makespan = optimal_makespan"
+    (Adversary.optimal_makespan ~distance) (Schedule.length sch);
   Alcotest.(check int) "bandwidth = distance" 4 (Schedule.move_count sch)
 
 let test_adversary_optimum_is_exact () =

@@ -283,7 +283,7 @@ let test_of_schedule_matches_oracle () =
     let rng = Prng.create ~seed:61 in
     let ts =
       Ocd_topology.Topology.generate rng Ocd_topology.Topology.Transit_stub
-        ~n:24 ()
+        ~n:24
     in
     [
       ("random", random_instance ~seed:41 ~n:20 ~tokens:10);

@@ -1,5 +1,6 @@
-(* Tests for the extension modules: Maxflow, exact one-step check,
-   Fairness, Codec, and §3.4's hybrid objective on [Search]. *)
+(* Tests for the extension modules: Maxflow, exact one-step
+   feasibility through flow-step, Fairness, Codec, and §3.4's hybrid
+   objective on [Search]. *)
 
 open Ocd_prelude
 open Ocd_core
@@ -97,8 +98,18 @@ let prop_maxflow_bounded_by_degree_cut =
       flow >= 0 && flow <= min !out0 !into_sink)
 
 (* ------------------------------------------------------------------ *)
-(* Bounds.one_step_exact                                               *)
+(* Exact one-step feasibility, through flow-step                      *)
 (* ------------------------------------------------------------------ *)
+
+(* Flow-step solves each receiver's token-to-in-arc assignment as a
+   bipartite max-flow, and every in-arc serves one receiver, so its
+   first step meets every deficit exactly when some single step can. *)
+let finishes_in_one_step inst =
+  let run =
+    Ocd_engine.Engine.run ~strategy:Ocd_heuristics.Flow_step.strategy ~seed:1
+      inst
+  in
+  run.Ocd_engine.Engine.metrics.Metrics.makespan <= 1
 
 let test_one_step_exact_gap () =
   (* Tokens 0 and 1 are both only behind a capacity-1 arc: the
@@ -118,8 +129,7 @@ let test_one_step_exact_gap () =
   in
   Alcotest.(check bool) "aggregate check passes" true
     (Bounds.one_step_feasible inst ~have:inst.Instance.have);
-  Alcotest.(check bool) "exact check refutes" false
-    (Bounds.one_step_exact inst ~have:inst.Instance.have)
+  Alcotest.(check bool) "exact check refutes" false (finishes_in_one_step inst)
 
 let test_one_step_exact_feasible () =
   let graph =
@@ -134,16 +144,14 @@ let test_one_step_exact_feasible () =
       ~have:[ (1, [ 0; 1 ]); (2, [ 1 ]) ]
       ~want:[ (0, [ 0; 1 ]) ]
   in
-  Alcotest.(check bool) "assignable" true
-    (Bounds.one_step_exact inst ~have:inst.Instance.have)
+  Alcotest.(check bool) "assignable" true (finishes_in_one_step inst)
 
 let test_one_step_exact_satisfied () =
   let graph = Digraph.of_edges ~vertex_count:2 [ (0, 1, 1) ] in
   let inst =
     Instance.make ~graph ~token_count:1 ~have:[ (0, [ 0 ]) ] ~want:[ (0, [ 0 ]) ]
   in
-  Alcotest.(check bool) "vacuously true" true
-    (Bounds.one_step_exact inst ~have:inst.Instance.have)
+  Alcotest.(check bool) "vacuously true" true (finishes_in_one_step inst)
 
 let prop_one_step_exact_implies_feasible =
   QCheck.Test.make ~name:"one_step_exact implies one_step_feasible" ~count:60
@@ -156,7 +164,7 @@ let prop_one_step_exact_implies_feasible =
       let inst =
         (Scenario.single_file rng ~graph:g ~tokens ()).Scenario.instance
       in
-      (not (Bounds.one_step_exact inst ~have:inst.Instance.have))
+      (not (finishes_in_one_step inst))
       || Bounds.one_step_feasible inst ~have:inst.Instance.have)
 
 (* ------------------------------------------------------------------ *)

@@ -202,39 +202,6 @@ let test_staleness_invalid () =
     (Invalid_argument "Random_push.with_staleness: negative turns") (fun () ->
       ignore (Ocd_heuristics.Random_push.with_staleness ~turns:(-1)))
 
-let test_aggregate_delay_completes () =
-  let inst = single_file_instance ~seed:26 ~n:20 ~tokens:8 in
-  List.iter
-    (fun turns ->
-      let run =
-        run_strategy (Ocd_heuristics.Local_rarest.with_aggregate_delay ~turns)
-          inst
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "delay %d completes" turns)
-        true
-        (Validate.check_successful inst run.Engine.schedule = Ok ()))
-    [ 0; 2; 5 ]
-
-let test_aggregate_delay_keeps_subdivision () =
-  (* Even with stale aggregates, request subdivision still prevents
-     duplicate same-step deliveries. *)
-  let inst = single_file_instance ~seed:27 ~n:18 ~tokens:6 in
-  let run =
-    run_strategy (Ocd_heuristics.Local_rarest.with_aggregate_delay ~turns:3)
-      inst
-  in
-  List.iter
-    (fun step_moves ->
-      let seen = Hashtbl.create 16 in
-      List.iter
-        (fun (m : Move.t) ->
-          let key = (m.Move.dst, m.Move.token) in
-          Alcotest.(check bool) "no duplicate" false (Hashtbl.mem seen key);
-          Hashtbl.replace seen key ())
-        step_moves)
-    (Schedule.steps run.Engine.schedule)
-
 let test_flow_step_completes () =
   let inst = single_file_instance ~seed:17 ~n:25 ~tokens:10 in
   let run = run_strategy Ocd_heuristics.Flow_step.strategy inst in
@@ -275,11 +242,7 @@ let test_flow_step_partial_receivers () =
 let test_registry () =
   Alcotest.(check (list string)) "names"
     [ "round-robin"; "random"; "local"; "bandwidth"; "global" ]
-    Ocd_heuristics.Registry.names;
-  Alcotest.(check bool) "find hit" true
-    (Ocd_heuristics.Registry.find "local" <> None);
-  Alcotest.(check bool) "find miss" true
-    (Ocd_heuristics.Registry.find "nope" = None)
+    Ocd_heuristics.Registry.names
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates                                                          *)
@@ -364,30 +327,14 @@ let prop_aggregates_update_matches_compute_dynamic =
 (* The request subdivision of [Local_rarest] written as a plain scan
    over [ctx.have] through [Bitset]: per receiver, fill the missing
    set, shuffle it and stably sort it by holder count, then give each
-   token to a random in-neighbour that holds it and has budget left.
-   [turns] delays the rarity ranking as
-   [Local_rarest.with_aggregate_delay] does. *)
-let oracle_local ~turns =
+   token to a random in-neighbour that holds it and has budget left. *)
+let oracle_local =
   let make (inst : Instance.t) _rng =
-    let initial =
-      Ocd_heuristics.Aggregates.compute inst
-        (Bitset.Rows.of_sets inst.token_count inst.have)
-    in
     let tracked = Ocd_heuristics.Aggregates.tracked inst in
-    let history = Array.make (turns + 1) None in
     let missing = Bitset.create inst.token_count in
     let order = Int_vec.create () in
     fun (ctx : Strategy.context) ->
-      let current = tracked ctx in
-      let agg =
-        if turns = 0 then current
-        else begin
-          history.(ctx.step mod (turns + 1)) <-
-            Some (Ocd_heuristics.Aggregates.copy current);
-          if ctx.step < turns then initial
-          else Option.get history.((ctx.step - turns) mod (turns + 1))
-        end
-      in
+      let agg = tracked ctx in
       let graph = ctx.instance.Instance.graph in
       let moves = ref [] in
       for dst = 0 to Instance.vertex_count inst - 1 do
@@ -422,7 +369,7 @@ let oracle_local ~turns =
       done;
       !moves
   in
-  { Strategy.name = Printf.sprintf "oracle-local-%d" turns; make }
+  { Strategy.name = "oracle-local"; make }
 
 (* Token counts on both sides of each word boundary of the possession
    store (63 tokens per word). *)
@@ -439,13 +386,7 @@ let test_local_matches_oracle () =
             (Ocd_topology.Transit_stub.params_for_size 30) );
     ]
   in
-  let pairs =
-    [
-      (Ocd_heuristics.Local_rarest.strategy, oracle_local ~turns:0);
-      (Ocd_heuristics.Local_rarest.with_aggregate_delay ~turns:2,
-       oracle_local ~turns:2);
-    ]
-  in
+  let strategy = Ocd_heuristics.Local_rarest.strategy in
   List.iteri
     (fun ti (topo, gen) ->
       List.iter
@@ -459,24 +400,21 @@ let test_local_matches_oracle () =
             Ocd_dynamics.Condition.link_flaps ~seed:tokens ~down_prob:0.2
               ~up_prob:0.5
           in
-          List.iter
-            (fun (strategy, oracle) ->
-              let label engine =
-                Printf.sprintf "%s = oracle, %s, %d tokens, %s"
-                  strategy.Strategy.name topo tokens engine
-              in
-              let static s = (Engine.run ~strategy:s ~seed:tokens inst).Engine.schedule in
-              Alcotest.(check bool) (label "engine") true
-                (Schedule.steps (static strategy) = Schedule.steps (static oracle));
-              let flapping s =
-                (Ocd_dynamics.Dynamic_engine.run ~condition ~stall_patience:60
-                   ~strategy:s ~seed:tokens inst)
-                  .Ocd_dynamics.Dynamic_engine.schedule
-              in
-              Alcotest.(check bool) (label "link flaps") true
-                (Schedule.steps (flapping strategy)
-                = Schedule.steps (flapping oracle)))
-            pairs)
+          let label engine =
+            Printf.sprintf "%s = oracle, %s, %d tokens, %s"
+              strategy.Strategy.name topo tokens engine
+          in
+          let static s = (Engine.run ~strategy:s ~seed:tokens inst).Engine.schedule in
+          Alcotest.(check bool) (label "engine") true
+            (Schedule.steps (static strategy) = Schedule.steps (static oracle_local));
+          let flapping s =
+            (Ocd_dynamics.Dynamic_engine.run ~condition ~stall_patience:60
+               ~strategy:s ~seed:tokens inst)
+              .Ocd_dynamics.Dynamic_engine.schedule
+          in
+          Alcotest.(check bool) (label "link flaps") true
+            (Schedule.steps (flapping strategy)
+            = Schedule.steps (flapping oracle_local)))
         word_boundary_tokens)
     topologies
 
@@ -509,7 +447,7 @@ let test_local_matches_oracle_cross_traffic () =
         (Printf.sprintf "local = oracle, %d tokens" tokens)
         true
         (schedule Ocd_heuristics.Local_rarest.strategy
-        = schedule (oracle_local ~turns:0)))
+        = schedule oracle_local))
     word_boundary_tokens
 
 (* ------------------------------------------------------------------ *)
@@ -569,10 +507,6 @@ let () =
           Alcotest.test_case "staleness wastes bandwidth" `Quick
             test_staleness_wastes_bandwidth;
           Alcotest.test_case "staleness invalid" `Quick test_staleness_invalid;
-          Alcotest.test_case "aggregate delay completes" `Quick
-            test_aggregate_delay_completes;
-          Alcotest.test_case "aggregate delay keeps subdivision" `Quick
-            test_aggregate_delay_keeps_subdivision;
           Alcotest.test_case "flow-step completes" `Quick test_flow_step_completes;
           Alcotest.test_case "flow-step maximises step-0 wants" `Quick
             test_flow_step_never_beaten_on_first_step_wants;

@@ -46,12 +46,6 @@ let test_mapi_indices () =
   Alcotest.(check (list int)) "index + value" [ 10; 21; 32 ]
     (Pool.mapi ~jobs:3 (fun i x -> x + i) [ 10; 20; 30 ])
 
-let test_run_thunks () =
-  let thunks = List.init 9 (fun i () -> busy_square i) in
-  Alcotest.(check (list int)) "thunks forced in order"
-    (List.init 9 busy_square)
-    (Pool.run ~jobs:3 thunks)
-
 let test_exception_propagates () =
   List.iter
     (fun jobs ->
@@ -160,7 +154,6 @@ let () =
           Alcotest.test_case "order preserved" `Quick test_order_preserved;
           Alcotest.test_case "jobs > tasks" `Quick test_jobs_exceed_tasks;
           Alcotest.test_case "mapi indices" `Quick test_mapi_indices;
-          Alcotest.test_case "run thunks" `Quick test_run_thunks;
           Alcotest.test_case "exception propagates" `Quick
             test_exception_propagates;
           Alcotest.test_case "lowest failure wins" `Quick

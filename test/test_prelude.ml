@@ -22,21 +22,6 @@ let test_prng_seed_sensitivity () =
   done;
   Alcotest.(check bool) "different seeds differ" true !differs
 
-let test_prng_copy_replays () =
-  let a = Prng.create ~seed:7 in
-  ignore (Prng.bits64 a);
-  let b = Prng.copy a in
-  let xs = List.init 10 (fun _ -> Prng.bits64 a) in
-  let ys = List.init 10 (fun _ -> Prng.bits64 b) in
-  Alcotest.(check (list int64)) "copy replays" xs ys
-
-let test_prng_split_independent () =
-  let a = Prng.create ~seed:7 in
-  let b = Prng.split a in
-  let xs = List.init 20 (fun _ -> Prng.bits64 a) in
-  let ys = List.init 20 (fun _ -> Prng.bits64 b) in
-  Alcotest.(check bool) "split streams differ" true (xs <> ys)
-
 let test_prng_int_bounds () =
   let g = Prng.create ~seed:3 in
   for _ = 1 to 1000 do
@@ -90,12 +75,6 @@ let test_shuffle_is_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
-
-let test_shuffle_list_is_permutation () =
-  let g = Prng.create ~seed:8 in
-  let l = Order.range 30 in
-  let s = Prng.shuffle_list g l in
-  Alcotest.(check (list int)) "permutation" l (List.sort compare s)
 
 let test_sample_without_replacement () =
   let g = Prng.create ~seed:10 in
@@ -180,10 +159,6 @@ module Prng_ref = struct
     g.state <- Int64.add g.state golden_gamma;
     mix64 g.state
 
-  let split g =
-    let seed = bits64 g in
-    { state = mix64 seed }
-
   (* Prng.mix as prng.mli states it: mix64 of (mix64 seed xor x)
      advanced by one golden-gamma Weyl step, top 62 bits. *)
   let mix ~seed x =
@@ -201,11 +176,6 @@ let test_prng_matches_int64_oracle () =
       let a = Prng.create ~seed and b = Prng_ref.create ~seed in
       for _ = 0 to 1999 do
         Alcotest.(check int64) "stream" (Prng_ref.bits64 b) (Prng.bits64 a)
-      done;
-      let a' = Prng.split a and b' = Prng_ref.split b in
-      for _ = 0 to 499 do
-        Alcotest.(check int64) "split stream" (Prng_ref.bits64 b')
-          (Prng.bits64 a')
       done)
     oracle_seeds
 
@@ -367,16 +337,6 @@ let test_bitset_next_member () =
   Alcotest.(check (option int)) "from 151" None (Bitset.next_member s 151);
   Alcotest.(check (option int)) "past capacity" None (Bitset.next_member s 200)
 
-let test_bitset_nth () =
-  let s = Bitset.of_list 100 [ 10; 20; 90 ] in
-  Alcotest.(check int) "nth 0" 10 (Bitset.nth s 0);
-  Alcotest.(check int) "nth 2" 90 (Bitset.nth s 2)
-
-let test_bitset_choose () =
-  Alcotest.(check (option int)) "empty" None (Bitset.choose (Bitset.create 5));
-  Alcotest.(check (option int)) "min" (Some 2)
-    (Bitset.choose (Bitset.of_list 5 [ 4; 2 ]))
-
 let test_bitset_into_ops () =
   let a = Bitset.of_list 70 [ 1; 65 ] in
   let b = Bitset.of_list 70 [ 2; 65 ] in
@@ -402,17 +362,6 @@ let test_bitset_out_of_range () =
   let a = Bitset.create 10 in
   Alcotest.check_raises "range" (Invalid_argument "Bitset: element out of range")
     (fun () -> Bitset.add a 10)
-
-let test_bitset_random_element () =
-  let g = Prng.create ~seed:1 in
-  let s = Bitset.of_list 50 [ 7; 13; 44 ] in
-  for _ = 1 to 50 do
-    match Bitset.random_element g s with
-    | Some x -> Alcotest.(check bool) "member" true (Bitset.mem s x)
-    | None -> Alcotest.fail "unexpected empty"
-  done;
-  Alcotest.(check (option int)) "empty" None
-    (Bitset.random_element g (Bitset.create 3))
 
 (* Property tests against a sorted-list model. *)
 let bitset_model_gen =
@@ -610,14 +559,6 @@ let prop_bitset_rows =
       && agrees (Bitset.Rows.of_sets cap model) model
       && agrees copy_rows copy_model)
 
-let prop_bitset_nth =
-  QCheck.Test.make ~name:"bitset nth = model nth" ~count:300
-    (QCheck.make bitset_model_gen) (fun (cap, elts) ->
-      let s = Bitset.of_list cap elts in
-      List.for_all2 (fun i x -> Bitset.nth s i = x)
-        (List.mapi (fun i _ -> i) elts)
-        elts)
-
 (* ------------------------------------------------------------------ *)
 (* Int_tab                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -740,16 +681,6 @@ let test_pqueue_ordering () =
   Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] popped;
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
 
-let test_pqueue_peek () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "peek empty" true (Pqueue.peek q = None);
-  Pqueue.push q ~priority:2 "b";
-  Pqueue.push q ~priority:1 "a";
-  (match Pqueue.peek q with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "peek should be (1, a)");
-  Alcotest.(check int) "length" 2 (Pqueue.length q)
-
 let test_pqueue_duplicates () =
   let q = Pqueue.create () in
   List.iter (fun x -> Pqueue.push q ~priority:1 x) [ "x"; "y"; "z" ];
@@ -826,19 +757,6 @@ let prop_pqueue_stable =
 (* Order                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_order_argmin () =
-  Alcotest.(check (option int)) "argmin" (Some 3)
-    (Order.argmin (fun x -> x * x) [ 5; 3; 4 ]);
-  Alcotest.(check (option int)) "empty" None (Order.argmin Fun.id [])
-
-let test_order_argmin_first_tie () =
-  Alcotest.(check (option string)) "first of ties" (Some "aa")
-    (Order.argmax String.length [ "aa"; "bb"; "c" ])
-
-let test_order_argmax () =
-  Alcotest.(check (option int)) "argmax" (Some 5)
-    (Order.argmax Fun.id [ 1; 5; 3 ])
-
 let test_order_sort_by_stable () =
   Alcotest.(check (list string)) "stable" [ "b"; "c"; "aa"; "dd" ]
     (Order.sort_by String.length [ "aa"; "b"; "dd"; "c" ] |> fun l ->
@@ -853,11 +771,6 @@ let test_order_take () =
 let test_order_range () =
   Alcotest.(check (list int)) "range" [ 0; 1; 2 ] (Order.range 3);
   Alcotest.(check (list int)) "range 0" [] (Order.range 0)
-
-let test_order_min_score () =
-  Alcotest.(check (option int)) "min score" (Some 1)
-    (Order.min_score Fun.id [ 3; 1; 2 ]);
-  Alcotest.(check (option int)) "empty" None (Order.min_score Fun.id [])
 
 (* [stable_sort_by_key] against [List.stable_sort] on element ids with
    few distinct keys (many ties), at lengths on both sides of the
@@ -891,8 +804,6 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_prng_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
-          Alcotest.test_case "copy replays" `Quick test_prng_copy_replays;
-          Alcotest.test_case "split independent" `Quick test_prng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "int_in bounds" `Quick test_prng_int_in_bounds;
           Alcotest.test_case "int covers residues" `Quick
@@ -901,8 +812,6 @@ let () =
           Alcotest.test_case "bernoulli extremes" `Quick test_prng_bernoulli_extremes;
           Alcotest.test_case "bool mixes" `Quick test_prng_bool_mixes;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_is_permutation;
-          Alcotest.test_case "shuffle_list permutes" `Quick
-            test_shuffle_list_is_permutation;
           Alcotest.test_case "sample w/o replacement" `Quick
             test_sample_without_replacement;
           Alcotest.test_case "sample full" `Quick test_sample_full;
@@ -933,13 +842,10 @@ let () =
           Alcotest.test_case "set ops" `Quick test_bitset_ops;
           Alcotest.test_case "subset/disjoint" `Quick test_bitset_subset_disjoint;
           Alcotest.test_case "next_member" `Quick test_bitset_next_member;
-          Alcotest.test_case "nth" `Quick test_bitset_nth;
-          Alcotest.test_case "choose" `Quick test_bitset_choose;
           Alcotest.test_case "in-place ops" `Quick test_bitset_into_ops;
           Alcotest.test_case "copy independent" `Quick test_bitset_copy_independent;
           Alcotest.test_case "capacity mismatch" `Quick test_bitset_capacity_mismatch;
           Alcotest.test_case "out of range" `Quick test_bitset_out_of_range;
-          Alcotest.test_case "random element" `Quick test_bitset_random_element;
           Alcotest.test_case "full word boundaries" `Quick
             test_bitset_full_word_boundaries;
           Alcotest.test_case "fill matches full" `Quick
@@ -953,7 +859,6 @@ let () =
           qtest prop_bitset_full;
           qtest prop_bitset_fill;
           qtest prop_bitset_is_full;
-          qtest prop_bitset_nth;
           qtest prop_bitset_rows;
         ] );
       ( "int_tab",
@@ -979,7 +884,6 @@ let () =
       ( "pqueue",
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
-          Alcotest.test_case "peek" `Quick test_pqueue_peek;
           Alcotest.test_case "duplicates" `Quick test_pqueue_duplicates;
           Alcotest.test_case "growth" `Quick test_pqueue_growth;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
@@ -990,13 +894,9 @@ let () =
         ] );
       ( "order",
         [
-          Alcotest.test_case "argmin" `Quick test_order_argmin;
-          Alcotest.test_case "argmax first tie" `Quick test_order_argmin_first_tie;
-          Alcotest.test_case "argmax" `Quick test_order_argmax;
           Alcotest.test_case "sort_by stable" `Quick test_order_sort_by_stable;
           Alcotest.test_case "take" `Quick test_order_take;
           Alcotest.test_case "range" `Quick test_order_range;
-          Alcotest.test_case "min_score" `Quick test_order_min_score;
         ] );
       ("int_vec", [ qtest prop_int_vec_stable_sorts ]);
     ]

@@ -7,8 +7,9 @@ ROOT defaults to the current directory (the repository root), which
 must hold a finished ``dune build``: the script reads the native
 objects of lib/prelude, lib/graph, lib/core, lib/engine,
 lib/heuristics, lib/baselines, lib/underlay, lib/async, lib/dht,
-lib/dynamics and lib/obs under ``_build/default``, the libraries every
-synchronous round and every async, chaos and DHT event runs through.
+lib/dynamics, lib/obs and lib/coding under ``_build/default``, the
+libraries every synchronous round and every async, chaos and DHT event
+runs through.
 
 An OCaml comparison whose operands the compiler cannot type as int,
 float, string or another immediate compiles to a C call into the
@@ -47,7 +48,7 @@ import subprocess
 import sys
 
 DIRS = ("prelude", "graph", "core", "engine", "heuristics", "baselines",
-        "underlay", "async", "dht", "dynamics", "obs")
+        "underlay", "async", "dht", "dynamics", "obs", "coding")
 
 # "Module.function" (no numeric suffix) -> why it runs once per run
 ALLOW = {
