@@ -263,9 +263,10 @@ let open_out_result path =
   try Ok (open_out path) with Sys_error msg -> Error (`Msg msg)
 
 (* Opens the output files first — an unwritable path fails before the
-   workload runs, not after — and yields a live scope whose memory sink
-   and registry [finish] writes to them.  With neither file the scope
-   is the disabled one, which costs only its [if obs.on] guards. *)
+   workload runs, not after — and yields a live scope whose sink
+   streams the trace into its file as the run goes and whose registry
+   [finish] renders.  With neither file the scope is the disabled one,
+   which costs only its [if obs.on] guards. *)
 let observe ~trace_out ~metrics_out =
   let open_opt = function
     | None -> Ok None
@@ -283,17 +284,12 @@ let observe ~trace_out ~metrics_out =
       | ok -> ok
     in
     let sink =
-      if trace_oc <> None then Ocd_obs.Sink.memory () else Ocd_obs.Sink.null
+      Option.fold trace_oc ~none:Ocd_obs.Sink.null ~some:Ocd_obs.Sink.jsonl
     in
     let obs = Ocd_obs.create ~sink () in
     let finish () =
-      Option.iter
-        (fun oc ->
-          let jsonl = Ocd_obs.Sink.jsonl oc in
-          List.iter (Ocd_obs.Sink.emit jsonl) (Ocd_obs.Sink.events sink);
-          Ocd_obs.Sink.close jsonl;
-          close_out oc)
-        trace_oc;
+      Ocd_obs.Sink.close sink;
+      Option.iter close_out trace_oc;
       Option.iter
         (fun oc ->
           output_string oc (Ocd_obs.Metrics.render obs.Ocd_obs.metrics);
@@ -339,23 +335,9 @@ let emit ~output text =
     close_out oc;
     Ok ()
 
-(* Runs [f pobs name] for each protocol on the pool, each against a
-   child scope absorbed in list order afterwards, so the output files
-   are byte-identical for any --jobs. *)
-let map_protocols ~obs ~jobs f names =
-  let runs =
-    Pool.map ~obs ~jobs
-      (fun name ->
-        let pobs = Ocd_obs.child obs in
-        (f pobs name, pobs))
-      names
-  in
-  if obs.Ocd_obs.on then
-    List.iteri
-      (fun i (name, (_, pobs)) ->
-        Ocd_obs.absorb ~into:obs ~pid:i ~prefix:(name ^ "/") pobs)
-      (List.combine names runs);
-  List.map fst runs
+(* Trace lane and metrics prefix of the [i]th of several named runs,
+   for [Pool.map_scoped]. *)
+let named_lane i name = (i, name ^ "/")
 
 let chosen_protocols = function
   | None -> Ocd_dht.Registry.names
@@ -377,33 +359,32 @@ let run_cmd =
     in
     Printf.printf "%-16s %10s %10s %10s %12s\n" "strategy" "makespan"
       "bandwidth" "pruned" "mean-finish";
-    List.iteri
-      (fun i strategy ->
-        (* Per-strategy child scope: counters and trace events merge
-           back under a "<strategy>/" prefix with pid = strategy
-           index, so runs over several strategies stay separable in
-           the output files. *)
-        let sobs = Ocd_obs.child obs in
-        let run =
-          Ocd_engine.Engine.run ~obs:sobs ~strategy ~seed:(seed + 1) inst
-        in
-        Ocd_obs.absorb ~into:obs ~pid:i
-          ~prefix:(strategy.Ocd_engine.Strategy.name ^ "/")
-          sobs;
-        match run.Ocd_engine.Engine.outcome with
-        | Ocd_engine.Engine.Completed ->
-          let m = run.Ocd_engine.Engine.metrics in
-          Printf.printf "%-16s %10d %10d %10d %12.1f\n"
-            run.Ocd_engine.Engine.strategy_name m.Metrics.makespan
-            m.Metrics.bandwidth m.Metrics.pruned_bandwidth
-            (Metrics.mean_completion m)
-        | Ocd_engine.Engine.Stalled step ->
-          Printf.printf "%-16s stalled at step %d\n"
-            run.Ocd_engine.Engine.strategy_name step
-        | Ocd_engine.Engine.Step_limit ->
-          Printf.printf "%-16s hit the step limit\n"
-            run.Ocd_engine.Engine.strategy_name)
-      chosen;
+    (* Inline (jobs 1), so each row prints as its strategy finishes;
+       counters and trace events land under a "<strategy>/" prefix
+       with pid = strategy index, so runs over several strategies stay
+       separable in the output files. *)
+    let (_ : unit list) =
+      Pool.map_scoped ~obs ~jobs:1
+        ~lane:(fun i s -> named_lane i s.Ocd_engine.Strategy.name)
+        (fun sobs strategy ->
+          let run =
+            Ocd_engine.Engine.run ~obs:sobs ~strategy ~seed:(seed + 1) inst
+          in
+          match run.Ocd_engine.Engine.outcome with
+          | Ocd_engine.Engine.Completed ->
+            let m = run.Ocd_engine.Engine.metrics in
+            Printf.printf "%-16s %10d %10d %10d %12.1f\n"
+              run.Ocd_engine.Engine.strategy_name m.Metrics.makespan
+              m.Metrics.bandwidth m.Metrics.pruned_bandwidth
+              (Metrics.mean_completion m)
+          | Ocd_engine.Engine.Stalled step ->
+            Printf.printf "%-16s stalled at step %d\n"
+              run.Ocd_engine.Engine.strategy_name step
+          | Ocd_engine.Engine.Step_limit ->
+            Printf.printf "%-16s hit the step limit\n"
+              run.Ocd_engine.Engine.strategy_name)
+        chosen
+    in
     finish ()
   in
   let files =
@@ -606,7 +587,7 @@ let async_cmd =
       inst.Instance.token_count (Instance.total_deficit inst) profile_name
       profile.Ocd_async.Net.pace profile.Ocd_async.Net.loss condition_name;
     let runs =
-      map_protocols ~obs ~jobs
+      Pool.map_scoped ~obs ~jobs ~lane:named_lane
         (fun pobs name ->
           let protocol = Ocd_dht.Registry.find_exn name in
           let monitor =
@@ -796,7 +777,7 @@ let dht_cmd =
       inst.Instance.token_count (Instance.total_deficit inst)
       cell.loss cell.crash_prob churn;
     let runs =
-      map_protocols ~obs ~jobs
+      Pool.map_scoped ~obs ~jobs ~lane:named_lane
         (fun pobs name ->
           (* Stats are created inside the task so each worker domain
              owns its counters; Pool.map's join publishes them. *)
@@ -979,10 +960,11 @@ let profile_cmd =
        ~doc:
          "Run a workload under the wall-clock/allocation probe and print \
           the per-phase table (strategy decide/apply phases, protocol \
-          message handlers, simulator events, pool workers).  Probe \
-          numbers are non-deterministic by nature; the deterministic \
-          metrics/trace streams are the --metrics-out/--trace-out flags \
-          of run, async, chaos and dht.")
+          message handlers, simulator events, the busy time of each pool \
+          worker, chaos cell trials).  Probe numbers are \
+          non-deterministic by nature; the deterministic metrics/trace \
+          streams are the --metrics-out/--trace-out flags of run, async, \
+          chaos and dht.")
     Term.(
       const run $ kind_arg
       $ workload ~threshold:(Term.const 1.0) ()
@@ -1042,30 +1024,25 @@ let explain_cmd =
       (Instance.vertex_count inst)
       inst.Instance.token_count (Instance.total_deficit inst) profile_name
       profile.Ocd_async.Net.pace profile.Ocd_async.Net.loss;
-    (* One causal log per protocol, filled in the worker; extraction
-       and rendering happen in protocol order afterwards, so stdout
-       and the --path-out file are byte-identical for any --jobs. *)
+    (* One causal log per protocol, filled in the worker, and its flow
+       overlay written into the task's own scope; extraction and
+       rendering happen in protocol order afterwards, so stdout and the
+       --path-out file are byte-identical for any --jobs. *)
     let results =
-      Pool.map ~obs ~jobs
-        (fun name ->
+      Pool.map_scoped ~obs ~jobs ~lane:named_lane
+        (fun pobs name ->
           let protocol = Ocd_dht.Registry.find_exn name in
           let causal = Ocd_obs.Causal.create () in
-          let pobs = Ocd_obs.child obs in
           let r =
             Ocd_async.Runtime.run ~obs:pobs ~causal ~profile ~protocol ~seed
               inst
           in
-          (r, causal, pobs))
+          Ocd_bench.Explain.flow_overlay ~sink:pobs.Ocd_obs.sink causal;
+          (r, causal))
         chosen
     in
-    List.iteri
-      (fun i (name, ((_ : Ocd_async.Runtime.run), causal, pobs)) ->
-        if obs.Ocd_obs.on then
-          Ocd_obs.absorb ~into:obs ~pid:i ~prefix:(name ^ "/") pobs;
-        Ocd_bench.Explain.flow_overlay ~sink:obs.Ocd_obs.sink ~pid:i causal)
-      (List.combine chosen results);
     List.iter2
-      (fun name ((r : Ocd_async.Runtime.run), causal, _) ->
+      (fun name ((r : Ocd_async.Runtime.run), causal) ->
         render_dec ~label:name
           ~completion:r.Ocd_async.Runtime.completion_ticks
           (Ocd_bench.Explain.of_causal ~pace:profile.Ocd_async.Net.pace
@@ -1096,7 +1073,7 @@ let explain_cmd =
     in
     Printf.printf "cell %s, protocol %s, trial %d (run seed %d)\n\n" cell_label
       protocol trial ts.Ocd_bench.Chaos.t_run_seed;
-    Ocd_bench.Explain.flow_overlay ~sink:obs.Ocd_obs.sink ~pid:0 causal;
+    Ocd_bench.Explain.flow_overlay ~sink:obs.Ocd_obs.sink causal;
     render_dec
       ~label:(cell_label ^ "/" ^ protocol)
       ~completion:r.Ocd_async.Runtime.completion_ticks

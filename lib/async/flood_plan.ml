@@ -3,6 +3,7 @@ open Ocd_core
 module Digraph = Ocd_graph.Digraph
 module Engine = Ocd_engine.Engine
 module Knowledge = Ocd_engine.Knowledge
+module Int_tbl = Hashtbl.Make (Int_tab.Key)
 
 let max_attempts = 8
 
@@ -86,8 +87,11 @@ let protocol () =
     let neighbors = Array.of_list (Digraph.neighbors graph v) in
     let preds = Digraph.pred graph v in
     let known = Bitset.singleton n v in
-    let neighbor_done : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let jobs : (int * int, job) Hashtbl.t = Hashtbl.create 16 in
+    let neighbor_done : unit Int_tbl.t = Int_tbl.create 8 in
+    (* (dst, token) -> its job, keyed [dst * token_count + token] *)
+    let token_count = inst.Instance.token_count in
+    let job_key dst token = (dst * token_count) + token in
+    let jobs : job Int_tbl.t = Int_tbl.create 16 in
     let job_order : job list ref = ref [] in
     let cursor = ref 0 in
     (* Any traffic from a neighbour proves it is alive; the detector
@@ -99,7 +103,7 @@ let protocol () =
     let expected = Array.make inst.Instance.token_count (-1) in
     let expected_filled = ref false in
     (* token -> (pull attempts, retry deadline) for the fallback pull. *)
-    let refetch : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
+    let refetch : (int * int) Int_tbl.t = Int_tbl.create 8 in
     let ensure_plan () =
       match !plan_cell with
       | Some _ -> ()
@@ -124,11 +128,11 @@ let protocol () =
     let flood () =
       if
         (not (Bitset.is_full known))
-        || Hashtbl.length neighbor_done < Array.length neighbors
+        || Int_tbl.length neighbor_done < Array.length neighbors
       then
         Array.iter
           (fun u ->
-            if not (Hashtbl.mem neighbor_done u) then
+            if not (Int_tbl.mem neighbor_done u) then
               ctx.send ~dst:u (Message.State (Bitset.copy known)))
           neighbors
     in
@@ -143,9 +147,10 @@ let protocol () =
             !cursor < Array.length mine && p.start + mine.(!cursor) <= round
           do
             let dst = mine.(!cursor + 1) and token = mine.(!cursor + 2) in
-            if not (Hashtbl.mem jobs (dst, token)) then begin
+            let key = job_key dst token in
+            if not (Int_tbl.mem jobs key) then begin
               let job = { dst; token; attempts = 0; deadline = 0 } in
-              Hashtbl.add jobs (dst, token) job;
+              Int_tbl.add jobs key job;
               job_order := job :: !job_order
             end;
             cursor := !cursor + 3
@@ -156,10 +161,11 @@ let protocol () =
       let live = ref [] in
       List.iter
         (fun job ->
-          if Hashtbl.mem jobs (job.dst, job.token) then
+          let key = job_key job.dst job.token in
+          if Int_tbl.mem jobs key then
             if job.attempts >= max_attempts then begin
               ctx.give_up ();
-              Hashtbl.remove jobs (job.dst, job.token)
+              Int_tbl.remove jobs key
             end
             else begin
               if now >= job.deadline && ctx.has job.token then begin
@@ -196,7 +202,7 @@ let protocol () =
                 in
                 if now >= due_round * ctx.pace then begin
                   let a, deadline =
-                    match Hashtbl.find_opt refetch token with
+                    match Int_tbl.find_opt refetch token with
                     | Some st -> st
                     | None -> (0, 0)
                   in
@@ -214,7 +220,7 @@ let protocol () =
                     in
                     let u = List.nth pool (a mod List.length pool) in
                     if a > 0 then ctx.note_retransmission ();
-                    Hashtbl.replace refetch token (a + 1, now + (2 * ctx.pace));
+                    Int_tbl.replace refetch token (a + 1, now + (2 * ctx.pace));
                     ctx.send ~dst:u (Message.Request token)
                   end
                 end
@@ -238,17 +244,17 @@ let protocol () =
       match msg with
       | Message.State s ->
           Bitset.union_into known s;
-          if Bitset.is_full s then Hashtbl.replace neighbor_done src ()
+          if Bitset.is_full s then Int_tbl.replace neighbor_done src ()
           else
             (* A partial State from a previously-done neighbour is the
                recovery handshake: it crashed, restarted with amnesia,
                and needs re-flooding to rebuild its knowledge. *)
-            Hashtbl.remove neighbor_done src;
+            Int_tbl.remove neighbor_done src;
           if Bitset.is_full known then ensure_plan ()
       | Message.Data token ->
           ignore (ctx.receive ~src token);
           ctx.send ~dst:src (Message.Ack token)
-      | Message.Ack token -> Hashtbl.remove jobs (src, token)
+      | Message.Ack token -> Int_tbl.remove jobs (job_key src token)
       | Message.Request token ->
           if ctx.has token then ctx.send ~dst:src (Message.Data token)
       | Message.Announce _ | Message.Dht _ -> ()

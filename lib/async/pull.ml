@@ -82,29 +82,31 @@ type retry = {
   mutable attempts : int;
 }
 
+module Retries = Hashtbl.Make (Int_tab.Key)
+
 (* token -> its retry record, created by the first request and kept
    for the incarnation so attempts keep counting *)
-type t = { ctx : Protocol.ctx; retries : (int, retry) Hashtbl.t }
+type t = { ctx : Protocol.ctx; retries : retry Retries.t }
 
-let create ctx = { ctx; retries = Hashtbl.create 8 }
+let create ctx = { ctx; retries = Retries.create 8 }
 
 let eligible t token =
-  match Hashtbl.find_opt t.retries token with
+  match Retries.find_opt t.retries token with
   | Some r when r.outstanding -> t.ctx.now () >= r.deadline
   | _ -> true
 
 let release_suspected t ~alive =
-  Hashtbl.iter
+  Retries.iter
     (fun _ r -> if r.outstanding && not (alive r.holder) then r.outstanding <- false)
     t.retries
 
 let request t ~holder token =
   let r =
-    match Hashtbl.find_opt t.retries token with
+    match Retries.find_opt t.retries token with
     | Some r -> r
     | None ->
         let r = { outstanding = false; holder; deadline = 0; attempts = 0 } in
-        Hashtbl.add t.retries token r;
+        Retries.add t.retries token r;
         r
   in
   let a = r.attempts in
@@ -116,6 +118,6 @@ let request t ~holder token =
   t.ctx.send ~dst:holder (Message.Request token)
 
 let arrived t token =
-  match Hashtbl.find_opt t.retries token with
+  match Retries.find_opt t.retries token with
   | Some r -> r.outstanding <- false
   | None -> ()

@@ -57,7 +57,6 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
   let con = Ocd_obs.Causal.enabled causal in
   let trace = obs.Ocd_obs.on && Ocd_obs.Sink.enabled obs.Ocd_obs.sink in
   let sink = obs.Ocd_obs.sink in
-  let pid = obs.Ocd_obs.pid in
   let have = Array.map Bitset.copy inst.Instance.have in
   (* Satisfaction accounting lives here rather than in
      Timeline.Tracker: the tracker is monotonic by design, and a crash
@@ -189,7 +188,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
     else if Bitset.mem have.(v) token then begin
       incr duplicates;
       if trace then
-        Ocd_obs.Span.instant sink ~pid ~tid:v ~name:"dup" ~ts:(Sim.now sim)
+        Ocd_obs.Span.instant sink ~pid:0 ~tid:v ~name:"dup" ~ts:(Sim.now sim)
           ~args:[ ("token", Ocd_obs.Sink.Int token); ("src", Ocd_obs.Sink.Int src) ]
           ();
       false
@@ -213,7 +212,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
         if con then Ocd_obs.Causal.mark_fresh causal
       end;
       if trace then
-        Ocd_obs.Span.complete sink ~pid ~tid:v ~name:"recv" ~ts:(Sim.now sim)
+        Ocd_obs.Span.complete sink ~pid:0 ~tid:v ~name:"recv" ~ts:(Sim.now sim)
           ~dur:1
           ~args:[ ("token", Ocd_obs.Sink.Int token); ("src", Ocd_obs.Sink.Int src) ]
           ();
@@ -229,7 +228,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
             if con then
               ignore (Ocd_obs.Causal.record_complete causal ~tick:(Sim.now sim));
             if trace then
-              Ocd_obs.Span.instant sink ~pid ~tid:0 ~name:"all-satisfied"
+              Ocd_obs.Span.instant sink ~pid:0 ~tid:0 ~name:"all-satisfied"
                 ~ts:(Sim.now sim) ()
           end
         end
@@ -310,7 +309,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
       boot_ev.(v) <-
         Ocd_obs.Causal.record_boot causal ~tick:(Sim.now sim) ~node:v ~epoch:e;
     if trace then
-      Ocd_obs.Span.instant sink ~pid ~tid:v ~name:"boot" ~ts:(Sim.now sim)
+      Ocd_obs.Span.instant sink ~pid:0 ~tid:v ~name:"boot" ~ts:(Sim.now sim)
         ~args:[ ("epoch", Ocd_obs.Sink.Int e) ] ();
     h
   in
@@ -319,7 +318,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
     if con then
       ignore (Ocd_obs.Causal.record_crash causal ~tick:(Sim.now sim) ~node:v);
     if trace then
-      Ocd_obs.Span.instant sink ~pid ~tid:v ~name:"crash" ~ts:(Sim.now sim) ();
+      Ocd_obs.Span.instant sink ~pid:0 ~tid:v ~name:"crash" ~ts:(Sim.now sim) ();
     up_now.(v) <- false;
     epoch.(v) <- epoch.(v) + 1;
     alive.(v) := false;
@@ -359,7 +358,7 @@ let run ?(obs = Ocd_obs.disabled) ?(causal = Ocd_obs.Causal.disabled)
         (Ocd_obs.Causal.record_restart causal ~tick:(Sim.now sim) ~node:v
            ~epoch:epoch.(v));
     if trace then
-      Ocd_obs.Span.instant sink ~pid ~tid:v ~name:"restart" ~ts:(Sim.now sim)
+      Ocd_obs.Span.instant sink ~pid:0 ~tid:v ~name:"restart" ~ts:(Sim.now sim)
         ~args:[ ("epoch", Ocd_obs.Sink.Int epoch.(v)) ] ();
     up_now.(v) <- true;
     (* The fresh incarnation boots immediately: its on_start runs in

@@ -286,19 +286,17 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed (grid : grid) =
      only, so the observation list is identical for any [jobs]. *)
   let tasks = tasks grid in
   let probe = Ocd_obs.probe obs in
-  (* Each task runs its Runtime under a child scope (fresh registry and
-     memory sink), so worker domains never share mutable observability
-     state; children are absorbed in task order afterwards, which keeps
-     the merged metrics and trace byte-identical for any [jobs].  The
-     condition and fault plan memoise their chains, so each task
-     derives its own. *)
+  (* The condition and fault plan memoise their chains, so each task
+     derives its own.  A cell's trials share one trace lane (pid = cell
+     index), which groups them into one Perfetto process row. *)
   let results =
-    Pool.map ~obs ~jobs
-      (fun (ci, name, trial) ->
+    Pool.map_scoped ~obs ~jobs
+      ~lane:(fun _ (ci, name, _) ->
+        (ci, "chaos/" ^ cells.(ci).label ^ "/" ^ name ^ "/"))
+      (fun task_obs (ci, name, trial) ->
         let profile, condition, faults =
           environment cells.(ci) ~cell_seed:(cell_seed ~seed ci) ~sources
         in
-        let task_obs = Ocd_obs.child obs in
         let protocol = Ocd_dht.Registry.find_exn name in
         let monitor = Monitor.create () in
         let r =
@@ -312,40 +310,30 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed (grid : grid) =
           | None -> go ()
           | Some p -> Ocd_obs.Probe.time p ("chaos/" ^ cells.(ci).label) go
         in
-        ( {
-            o_ticks = r.Runtime.completion_ticks;
-            o_retrans = r.Runtime.retransmissions;
-            o_dup = r.Runtime.duplicate_deliveries;
-            o_crashes = r.Runtime.crashes;
-            o_restarts = r.Runtime.restarts;
-            o_lost = r.Runtime.lost_tokens;
-            o_failed = r.Runtime.failed_jobs;
-            o_verdict =
-              Option.map
-                (fun (d : Diagnosis.t) ->
-                  Diagnosis.verdict_name d.Diagnosis.verdict)
-                r.Runtime.diagnosis;
-            o_tag = classify inst r monitor;
-            o_violations = r.Runtime.violations;
-            o_undiagnosed =
-              r.Runtime.outcome <> Runtime.Completed
-              && (match r.Runtime.diagnosis with
-                 | None -> true
-                 | Some d -> d.Diagnosis.outstanding = []);
-          },
-          task_obs ))
+        {
+          o_ticks = r.Runtime.completion_ticks;
+          o_retrans = r.Runtime.retransmissions;
+          o_dup = r.Runtime.duplicate_deliveries;
+          o_crashes = r.Runtime.crashes;
+          o_restarts = r.Runtime.restarts;
+          o_lost = r.Runtime.lost_tokens;
+          o_failed = r.Runtime.failed_jobs;
+          o_verdict =
+            Option.map
+              (fun (d : Diagnosis.t) ->
+                Diagnosis.verdict_name d.Diagnosis.verdict)
+              r.Runtime.diagnosis;
+          o_tag = classify inst r monitor;
+          o_violations = r.Runtime.violations;
+          o_undiagnosed =
+            r.Runtime.outcome <> Runtime.Completed
+            && (match r.Runtime.diagnosis with
+               | None -> true
+               | Some d -> d.Diagnosis.outstanding = []);
+        })
       tasks
   in
-  if obs.Ocd_obs.on then
-    List.iter2
-      (fun (ci, name, _trial) (_, task_obs) ->
-        let prefix = "chaos/" ^ cells.(ci).label ^ "/" ^ name ^ "/" in
-        (* pid in the merged trace = task index would also work, but the
-           cell index groups a cell's trials into one Perfetto process
-           row, which reads better and is equally jobs-independent. *)
-        Ocd_obs.absorb ~into:obs ~pid:ci ~prefix task_obs)
-      tasks results;
-  let obs_arr = Array.of_list (List.map fst results) in
+  let obs_arr = Array.of_list results in
   let num_protocols = List.length protocols in
   let aggs =
     List.concat
@@ -397,7 +385,7 @@ let run ?(obs = Ocd_obs.disabled) ?(jobs = 1) ~seed (grid : grid) =
     seed;
     grid;
     aggs;
-    tags = List.map2 (fun task (o, _) -> (task, o.o_tag)) tasks results;
+    tags = List.map2 (fun task o -> (task, o.o_tag)) tasks results;
   }
 
 (* A trial re-expressed as an explicit case: its crash and partition

@@ -183,10 +183,8 @@ val run : ?obs:Ocd_obs.t -> ?jobs:int -> seed:int -> grid -> campaign
     — the monitor only observes (no coin draws, no messages), so
     enabling it does not perturb any trial outcome.
 
-    [?obs] (default disabled) instruments every trial: each task runs
-    its {!Ocd_async.Runtime.run} under {!Ocd_obs.child} (fresh
-    registry and memory sink, so worker domains share nothing) and the
-    children are absorbed back in task order with
+    [?obs] (default disabled) instruments every trial through
+    {!Ocd_prelude.Pool.map_scoped}, with
     [prefix = "chaos/<cell>/<protocol>/"] and [pid] = cell index —
     the merged metrics render and trace stream are byte-identical for
     any [jobs].  With a probe, each trial is timed under

@@ -208,7 +208,7 @@ let of_causal ?(faults = Faults.none) ~pace ~instance log =
           deliveries = Some (delivery_stats log);
         }
 
-let flow_overlay ~sink ~pid log =
+let flow_overlay ~sink log =
   if Ocd_obs.Sink.enabled sink then
     match path log with
     | None -> ()
@@ -226,7 +226,7 @@ let flow_overlay ~sink ~pid log =
             let phase =
               if j = 0 then `Start else if j = last then `End else `Step
             in
-            Ocd_obs.Span.flow sink ~pid ~tid ~name:"critical-path"
+            Ocd_obs.Span.flow sink ~pid:0 ~tid ~name:"critical-path"
               ~ts:(C.tick log i) ~id:1 phase)
           ids
 

@@ -72,10 +72,10 @@ val of_causal :
     executed under for partition attribution; omit it and
     partition-down ticks degrade to crash-down/suspicion/idle. *)
 
-val flow_overlay : sink:Ocd_obs.Sink.t -> pid:int -> Ocd_obs.Causal.t -> unit
+val flow_overlay : sink:Ocd_obs.Sink.t -> Ocd_obs.Causal.t -> unit
 (** Emits the completion path as Chrome trace flow events (phases
-    ['s']/['t']/['f'], id 1, name ["critical-path"]) so the path draws
-    as connected arrows over a trace captured from the same run.
+    ['s']/['t']/['f'], id 1, name ["critical-path"], pid 0) so the path
+    draws as connected arrows over a trace captured from the same run.
     No-op when the log has no [Complete] event. *)
 
 val of_schedule :

@@ -22,8 +22,7 @@ type point_spec = {
   build : Prng.t -> Instance.t;
 }
 
-let run_point ?(obs = Ocd_obs.disabled) ?(trials = 3) ?(jobs = 1) ~seed
-    ~strategies ~x_label build =
+let run_point ?(trials = 3) ?(jobs = 1) ~seed ~strategies ~x_label build =
   let rng = Prng.create ~seed in
   let instance = build rng in
   (* One task per (strategy, trial) cell.  Each task derives its engine
@@ -34,35 +33,16 @@ let run_point ?(obs = Ocd_obs.disabled) ?(trials = 3) ?(jobs = 1) ~seed
       (fun strategy -> List.map (fun trial -> (strategy, trial)) (Order.range trials))
       strategies
   in
-  let probe = Ocd_obs.probe obs in
   let metrics =
     Array.of_list
-      (Pool.map ~obs ~jobs
+      (Pool.map ~jobs
          (fun (strategy, trial) ->
-           let go () =
-             let run =
-               Ocd_engine.Engine.run ~strategy ~seed:(seed + (31 * trial))
-                 instance
-             in
-             run.Ocd_engine.Engine.metrics
+           let run =
+             Ocd_engine.Engine.run ~strategy ~seed:(seed + (31 * trial)) instance
            in
-           (* Per-cell wall time, keyed by strategy so the profile table
-              shows ms-per-trial per strategy.  The probe is
-              mutex-protected, so this is safe from Pool workers. *)
-           match probe with
-           | None -> go ()
-           | Some p ->
-               Ocd_obs.Probe.time p
-                 ("sweep/" ^ strategy.Ocd_engine.Strategy.name)
-                 go)
+           run.Ocd_engine.Engine.metrics)
          grid)
   in
-  if obs.Ocd_obs.on then begin
-    (* Sequential (caller domain) registry writes only — the registry
-       is not synchronised. *)
-    Ocd_obs.Metrics.add obs.Ocd_obs.metrics "sweep/points" 1;
-    Ocd_obs.Metrics.add obs.Ocd_obs.metrics "sweep/cells" (List.length grid)
-  end;
   let aggregates =
     List.mapi
       (fun i strategy ->
@@ -100,26 +80,11 @@ let run_point ?(obs = Ocd_obs.disabled) ?(trials = 3) ?(jobs = 1) ~seed
     aggregates;
   }
 
-let run_sweep ?(obs = Ocd_obs.disabled) ?(trials = 3) ?(jobs = 1) ~strategies
-    points =
-  (* Each point gets a child scope (fresh registry) so its counters can
-     be written from a worker domain; children are absorbed in point
-     order back into [obs] afterwards — counters add, so the merged
-     totals are independent of [jobs]. *)
-  let results =
-    Pool.map ~obs ~jobs
-      (fun { label; point_seed; build } ->
-        let pobs = Ocd_obs.child obs in
-        let r =
-          run_point ~obs:pobs ~trials ~jobs ~seed:point_seed ~strategies
-            ~x_label:label build
-        in
-        (r, pobs))
-      points
-  in
-  if obs.Ocd_obs.on then
-    List.iteri (fun i (_, pobs) -> Ocd_obs.absorb ~into:obs ~pid:i pobs) results;
-  List.map fst results
+let run_sweep ?(trials = 3) ?(jobs = 1) ~strategies points =
+  Pool.map ~jobs
+    (fun { label; point_seed; build } ->
+      run_point ~trials ~jobs ~seed:point_seed ~strategies ~x_label:label build)
+    points
 
 let makespan_lb_cell = function
   | Some lb -> string_of_int lb

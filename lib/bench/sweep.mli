@@ -44,7 +44,6 @@ type point_spec = {
 }
 
 val run_point :
-  ?obs:Ocd_obs.t ->
   ?trials:int ->
   ?jobs:int ->
   seed:int ->
@@ -59,15 +58,9 @@ val run_point :
     Incomplete trials (stall / step limit) are kept — they contribute
     bandwidth but no makespan, and {!table} renders their moves cell
     as ["n/a"] (mirroring the ["-"] convention for undefined
-    [makespan_lb]).
-
-    [?obs] (default disabled) adds [sweep/points] and [sweep/cells]
-    counters and — when the scope carries a probe — a per-cell
-    wall-time section [sweep/<strategy>] whose call count equals the
-    trials run, so the profile table reads directly as trials/sec. *)
+    [makespan_lb]). *)
 
 val run_sweep :
-  ?obs:Ocd_obs.t ->
   ?trials:int ->
   ?jobs:int ->
   strategies:Ocd_engine.Strategy.t list ->
@@ -76,9 +69,7 @@ val run_sweep :
 (** Runs one {!run_point} per spec, parallelised across points
     (nested point-internal parallelism degrades to sequential, so the
     total worker count stays bounded by [jobs]).  Results are in spec
-    order.  Each point runs under a child of [?obs] (fresh registry, so
-    worker domains never share one); children are absorbed back in spec
-    order, keeping merged metrics independent of [jobs]. *)
+    order. *)
 
 val table :
   title:string -> x_column:string -> point_result list -> Report.table

@@ -202,9 +202,8 @@ let finish_lookup t tk lk ~owner =
     count t "dht/lookups" 1;
     count t "dht/lookup_hops" lk.hops;
     if traced t then
-      Ocd_obs.Span.complete t.env.obs.Ocd_obs.sink ~pid:t.env.obs.Ocd_obs.pid
-        ~tid:t.env.self ~name:"dht/lookup" ~ts:lk.started
-        ~dur:(t.env.now () - lk.started)
+      Ocd_obs.Span.complete t.env.obs.Ocd_obs.sink ~pid:0 ~tid:t.env.self
+        ~name:"dht/lookup" ~ts:lk.started ~dur:(t.env.now () - lk.started)
         ~args:[ ("hops", Ocd_obs.Sink.Int lk.hops) ]
         ()
   end;
@@ -426,9 +425,8 @@ let start_join t =
                 t.env.stats.joins <- t.env.stats.joins + 1;
                 count t "dht/joins" 1;
                 if traced t then
-                  Ocd_obs.Span.instant t.env.obs.Ocd_obs.sink
-                    ~pid:t.env.obs.Ocd_obs.pid ~tid:t.env.self
-                    ~name:"dht/join" ~ts:(t.env.now ())
+                  Ocd_obs.Span.instant t.env.obs.Ocd_obs.sink ~pid:0
+                    ~tid:t.env.self ~name:"dht/join" ~ts:(t.env.now ())
                     ~args:[ ("via", Ocd_obs.Sink.Int owner) ]
                     ();
                 t.env.send ~dst:owner Message.Notify

@@ -196,8 +196,8 @@ let apply_step k step moves =
         (* One trace lane per receiving vertex (tid = node id), in
            sim-time (ts = step) — deterministic by construction. *)
         if trace then
-          Ocd_obs.Span.complete obs.Ocd_obs.sink ~pid:obs.Ocd_obs.pid
-            ~tid:m.dst ~name:"recv" ~ts:step ~dur:1
+          Ocd_obs.Span.complete obs.Ocd_obs.sink ~pid:0 ~tid:m.dst ~name:"recv"
+            ~ts:step ~dur:1
             ~args:[ ("token", Ocd_obs.Sink.Int m.token);
                     ("src", Ocd_obs.Sink.Int m.src) ]
             ()
@@ -288,7 +288,7 @@ let rounds ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~admission
         if fresh = 0 then Ocd_obs.Metrics.incr c_quiet;
         Ocd_obs.Metrics.observe_int h_moves n_moves;
         if trace then
-          Ocd_obs.Span.complete obs.Ocd_obs.sink ~pid:obs.Ocd_obs.pid ~tid:0
+          Ocd_obs.Span.complete obs.Ocd_obs.sink ~pid:0 ~tid:0
             ~name:"step" ~ts:step ~dur:1
             ~args:[ ("moves", Ocd_obs.Sink.Int n_moves);
                     ("fresh", Ocd_obs.Sink.Int fresh) ]
@@ -332,7 +332,7 @@ let rounds ?(obs = Ocd_obs.disabled) ?step_limit ?stall_patience ~admission
     | Some p -> Ocd_obs.Probe.time p lbl_post finish
   in
   if trace then
-    Ocd_obs.Span.instant obs.Ocd_obs.sink ~pid:obs.Ocd_obs.pid ~tid:0
+    Ocd_obs.Span.instant obs.Ocd_obs.sink ~pid:0 ~tid:0
       ~name:
         (match outcome with
         | Completed -> "completed"

@@ -6,18 +6,16 @@ module Causal = Causal
 
 type t = {
   on : bool;
-  pid : int;
   metrics : Metrics.t;
   sink : Sink.t;
   probe : Probe.t option;
 }
 
 let disabled =
-  { on = false; pid = 0; metrics = Metrics.disabled; sink = Sink.null;
-    probe = None }
+  { on = false; metrics = Metrics.disabled; sink = Sink.null; probe = None }
 
 let create ?(sink = Sink.null) ?probe () =
-  { on = true; pid = 0; metrics = Metrics.create (); sink; probe }
+  { on = true; metrics = Metrics.create (); sink; probe }
 
 let probe t = if t.on then t.probe else None
 
@@ -30,13 +28,10 @@ let child t =
       sink = (if Sink.enabled t.sink then Sink.memory () else Sink.null);
     }
 
-let absorb ~into ?pid ?prefix src =
+let absorb ~into ~pid ~prefix src =
   if into.on then begin
-    (match pid with
-    | Some pid ->
-      List.iter
-        (fun e -> Sink.emit into.sink { e with Sink.pid })
-        (Sink.events src.sink)
-    | None -> List.iter (Sink.emit into.sink) (Sink.events src.sink));
-    Metrics.merge ~into:into.metrics ?prefix src.metrics
+    List.iter
+      (fun e -> Sink.emit into.sink { e with Sink.pid })
+      (Sink.events src.sink);
+    Metrics.merge ~into:into.metrics ~prefix src.metrics
   end

@@ -32,12 +32,6 @@ module Causal = Causal
 
 type t = {
   on : bool;
-  pid : int;
-      (** trace-event process lane, 0 for every scope; orchestrators
-          that merge several runs into one stream re-stamp each run's
-          events with its own [pid] in {!absorb} (task index, not
-          domain id — so the merged stream does not depend on
-          [--jobs]). *)
   metrics : Metrics.t;
   sink : Sink.t;
   probe : Probe.t option;
@@ -57,12 +51,13 @@ val probe : t -> Probe.t option
 val child : t -> t
 (** A per-task scope for deterministic parallel capture: same [on]
     flag and probe, but a {e fresh} registry and a fresh memory sink
-    (when the parent records traces).  Run one task against the child,
-    then {!absorb} it into the parent in task order. *)
+    (when the parent records traces).  [Ocd_prelude.Pool.map_scoped]
+    runs each task against a child and {!absorb}s it. *)
 
-val absorb : into:t -> ?pid:int -> ?prefix:string -> t -> unit
+val absorb : into:t -> pid:int -> prefix:string -> t -> unit
 (** Merge a {!child}'s capture into the parent: memory-sink events are
-    re-emitted into the parent sink with [pid] overridden (when
-    given), and the child registry is {!Metrics.merge}d under
-    [prefix].  Call sequentially, in task order, for a stream that is
-    byte-identical for any worker count. *)
+    re-emitted into the parent sink with their [pid] set to [pid], and
+    the child registry is {!Metrics.merge}d under [prefix].  Instrumented
+    code emits every event with pid 0, so this is the only place a
+    trace lane is chosen; called sequentially, in task order, it gives
+    a stream that is byte-identical for any worker count. *)

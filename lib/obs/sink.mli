@@ -9,7 +9,7 @@
       an uninstrumented run allocates nothing.
     - {!memory}: appends to an in-process buffer, retrieved with
       {!events}.  The building block for deterministic capture: a
-      parallel sweep gives each task its own memory sink and merges
+      parallel fan-out gives each task its own memory sink and merges
       them in task order, so the combined stream is byte-identical for
       any worker count.
     - {!jsonl}: streams each event as one JSON object per line into an
@@ -31,7 +31,9 @@ type event = {
   ts : int;  (** timestamp (sim-time for deterministic streams) *)
   dur : int;  (** duration of an 'X' event; ignored (use 0) otherwise *)
   id : int;  (** flow id of an 's'/'t'/'f' event; ignored (use 0) otherwise *)
-  pid : int;  (** process lane — domain id, or task index in merged streams *)
+  pid : int;
+      (** process lane: 0 as emitted, re-stamped per task when a merged
+          stream absorbs it *)
   tid : int;  (** thread lane — node/vertex id *)
   args : (string * value) list;
 }

@@ -1,50 +1,3 @@
-(* A blocking multi-producer/multi-consumer channel of task indices.
-   Producers push before the workers start, but the implementation is
-   general: [pop] blocks until an element arrives or the channel is
-   closed and drained. *)
-module Chan = struct
-  type 'a t = {
-    queue : 'a Queue.t;
-    mutex : Mutex.t;
-    nonempty : Condition.t;
-    mutable closed : bool;
-  }
-
-  let create () =
-    {
-      queue = Queue.create ();
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      closed = false;
-    }
-
-  let push t x =
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.Chan.push: closed channel"
-    end;
-    Queue.push x t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex
-
-  let close t =
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex
-
-  (* [None] once the channel is closed and drained. *)
-  let pop t =
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.queue && not t.closed do
-      Condition.wait t.nonempty t.mutex
-    done;
-    let result = Queue.take_opt t.queue in
-    Mutex.unlock t.mutex;
-    result
-end
-
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* True inside a pool worker: nested maps run inline rather than
@@ -65,43 +18,35 @@ let mapi ?(obs = Ocd_obs.disabled) ~jobs f xs =
     let input = Array.of_list xs in
     let results = Array.make n None in
     let failures = Array.make n None in
-    let chan = Chan.create () in
-    for i = 0 to n - 1 do
-      Chan.push chan i
-    done;
-    Chan.close chan;
+    (* Workers claim task indices from one shared counter; an index
+       past [n] means the input is drained. *)
+    let next = Atomic.make 0 in
+    let run_task i =
+      try results.(i) <- Some (f i input.(i))
+      with e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
+    in
     (* Worker identity is the spawn index (0 = the calling domain), a
-       deterministic label; the values behind it — which tasks a worker
-       drained, how long it blocked on the channel — are scheduling-
-       dependent, which is fine: probe rows are wall-clock profiling
-       and never part of the deterministic output contract. *)
+       deterministic label; which tasks a worker claimed, and how long
+       they took, depend on scheduling, which is fine: probe rows are
+       wall-clock profiling and never part of the deterministic output
+       contract. *)
     let worker widx () =
       Domain.DLS.set inside_pool true;
-      let run_task i =
-        try results.(i) <- Some (f i input.(i))
-        with e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
+      let run =
+        match probe with
+        | None -> run_task
+        | Some p ->
+          let busy = Printf.sprintf "pool/worker-%d" widx in
+          fun i -> Ocd_obs.Probe.time p busy (fun () -> run_task i)
       in
-      match probe with
-      | None ->
-        let rec loop () =
-          match Chan.pop chan with
-          | None -> ()
-          | Some i ->
-            run_task i;
-            loop ()
-        in
-        loop ()
-      | Some p ->
-        let busy = Printf.sprintf "pool/worker-%d" widx in
-        let wait = Printf.sprintf "pool/worker-%d/queue-wait" widx in
-        let rec loop () =
-          match Ocd_obs.Probe.time p wait (fun () -> Chan.pop chan) with
-          | None -> ()
-          | Some i ->
-            Ocd_obs.Probe.time p busy (fun () -> run_task i);
-            loop ()
-        in
-        loop ()
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          run i;
+          loop ()
+        end
+      in
+      loop ()
     in
     let helpers = Array.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1))) in
     (* The calling domain is worker 0. *)
@@ -110,21 +55,30 @@ let mapi ?(obs = Ocd_obs.disabled) ~jobs f xs =
       (fun () ->
         worker 0 ();
         Array.iter Domain.join helpers);
-    let first_failure = ref None in
-    for i = n - 1 downto 0 do
-      match failures.(i) with
-      | Some _ as f -> first_failure := f
-      | None -> ()
-    done;
-    match !first_failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
+    match Array.find_opt Option.is_some failures with
+    | Some (Some (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | _ ->
       Array.to_list
         (Array.map
            (function
              | Some r -> r
-             | None -> assert false (* every index was popped exactly once *))
+             | None -> assert false (* every index was claimed exactly once *))
            results)
   end
 
 let map ?obs ~jobs f xs = mapi ?obs ~jobs (fun _ x -> f x) xs
+
+let map_scoped ~obs ~jobs ~lane f xs =
+  let runs =
+    map ~obs ~jobs
+      (fun x ->
+        let child = Ocd_obs.child obs in
+        (f child x, child))
+      xs
+  in
+  List.mapi
+    (fun i (x, (r, child)) ->
+      let pid, prefix = lane i x in
+      Ocd_obs.absorb ~into:obs ~pid ~prefix child;
+      r)
+    (List.combine xs runs)

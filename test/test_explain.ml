@@ -328,14 +328,14 @@ let test_flow_overlay () =
        ~protocol:(Ocd_async.Local_rarest.protocol ())
        ~seed:5 inst);
   let sink = Ocd_obs.Sink.memory () in
-  Explain.flow_overlay ~sink ~pid:3 causal;
+  Explain.flow_overlay ~sink causal;
   let evs = Ocd_obs.Sink.events sink in
   Alcotest.(check bool) "overlay emitted" true (List.length evs >= 2);
   List.iter
     (fun (e : Ocd_obs.Sink.event) ->
       Alcotest.(check string) "name" "critical-path" e.Ocd_obs.Sink.name;
       Alcotest.(check int) "flow id" 1 e.Ocd_obs.Sink.id;
-      Alcotest.(check int) "pid" 3 e.Ocd_obs.Sink.pid)
+      Alcotest.(check int) "pid" 0 e.Ocd_obs.Sink.pid)
     evs;
   Alcotest.(check char) "starts with ph=s" 's'
     (List.hd evs).Ocd_obs.Sink.ph;
@@ -350,7 +350,7 @@ let test_flow_overlay () =
        0 evs);
   (* no completion, no overlay *)
   let empty_sink = Ocd_obs.Sink.memory () in
-  Explain.flow_overlay ~sink:empty_sink ~pid:0 (Causal.create ());
+  Explain.flow_overlay ~sink:empty_sink (Causal.create ());
   Alcotest.(check int)
     "no overlay without a Complete event" 0
     (List.length (Ocd_obs.Sink.events empty_sink))

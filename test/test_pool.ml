@@ -77,7 +77,7 @@ let test_lowest_failure_wins () =
     [ 1; 2; 8 ]
 
 let test_survivors_complete_despite_failure () =
-  (* The queue is drained even when an early task raises: a later call
+  (* Every task still runs when an early one raises: a later call
      observing shared state sees every successful task's effect. *)
   let n = 16 in
   let done_flags = Array.make n (Atomic.make false) in
@@ -143,6 +143,60 @@ let test_deterministic_rng_tasks () =
         (Pool.map ~jobs task seeds))
     [ 2; 4 ]
 
+let test_map_scoped () =
+  (* Each task bumps a counter and emits a span in its own scope; the
+     merged capture must not depend on [jobs], and every task's events
+     and keys must sit in the lane it was given. *)
+  let inputs = List.init 12 (fun i -> i) in
+  let lane i x = (100 + i, Printf.sprintf "task-%d/" x) in
+  let capture jobs =
+    let obs = Ocd_obs.create ~sink:(Ocd_obs.Sink.memory ()) () in
+    let results =
+      Pool.map_scoped ~obs ~jobs ~lane
+        (fun scope x ->
+          Ocd_obs.Metrics.add scope.Ocd_obs.metrics "hits" (x + 1);
+          Ocd_obs.Span.instant scope.Ocd_obs.sink ~pid:0 ~tid:x ~name:"task"
+            ~ts:(busy_square x) ();
+          2 * x)
+        inputs
+    in
+    ( results,
+      Ocd_obs.Metrics.render obs.Ocd_obs.metrics,
+      Ocd_obs.Metrics.snapshot obs.Ocd_obs.metrics,
+      Ocd_obs.Sink.events obs.Ocd_obs.sink )
+  in
+  let results, render, snapshot, events = capture 1 in
+  Alcotest.(check (list int)) "results" (List.map (fun x -> 2 * x) inputs)
+    results;
+  List.iter
+    (fun jobs ->
+      let r, m, _, e = capture jobs in
+      let name = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.(check (list int)) (name ^ " results") results r;
+      Alcotest.(check string) (name ^ " metrics") render m;
+      Alcotest.(check (list string))
+        (name ^ " events")
+        (List.map Ocd_obs.Sink.event_to_json events)
+        (List.map Ocd_obs.Sink.event_to_json e))
+    [ 2; 4 ];
+  Alcotest.(check int) "one event per task" (List.length inputs)
+    (List.length events);
+  List.iteri
+    (fun i (x, (e : Ocd_obs.Sink.event)) ->
+      Alcotest.(check int) "event of task i" x e.Ocd_obs.Sink.tid;
+      Alcotest.(check int) "lane pid" (fst (lane i x)) e.Ocd_obs.Sink.pid)
+    (List.combine inputs events);
+  Alcotest.(check (list string)) "lane prefixes"
+    (List.sort compare (List.mapi (fun i x -> snd (lane i x) ^ "hits") inputs))
+    (List.map fst snapshot);
+  List.iteri
+    (fun i x ->
+      match List.assoc_opt (snd (lane i x) ^ "hits") snapshot with
+      | Some (Ocd_obs.Metrics.Counter c) ->
+        Alcotest.(check int) "task counter" (x + 1) c
+      | _ -> Alcotest.fail "missing task counter")
+    inputs
+
 let () =
   Alcotest.run "ocd_pool"
     [
@@ -165,5 +219,6 @@ let () =
             test_reusable_after_failure;
           Alcotest.test_case "deterministic rng tasks" `Quick
             test_deterministic_rng_tasks;
+          Alcotest.test_case "map_scoped lanes" `Quick test_map_scoped;
         ] );
     ]
